@@ -1,10 +1,11 @@
-"""Pure-Python fallback for the hot loops.
+"""The hot loops: series convolution, cyclotomic reduction, scaled add.
 
-Semantics must match qtheta._kernels._fast exactly: these functions are
-interchangeable and the benchmark suite compares them.  All of them work
-on plain Python lists of ring elements (ints, Fractions, packed bigints,
-CyclotomicNumbers): the only operations used are +, * and bool().
+All of them work on plain Python lists of ring elements (ints,
+Fractions, packed bigints, CyclotomicNumbers): the only operations used
+are +, * and bool().
 """
+
+BACKEND = "pure"
 
 
 def convolve(a, b):
@@ -51,30 +52,6 @@ def convolve_trunc(a, b, n):
     return [zero if c is None else c for c in out]
 
 
-def convolve_square(a):
-    """Cauchy square, using the symmetry a_i*a_j + a_j*a_i = 2*a_i*a_j."""
-    la = len(a)
-    if la == 0:
-        return []
-    out = [None] * (2 * la - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        sq = ai * ai
-        k = 2 * i
-        out[k] = sq if out[k] is None else out[k] + sq
-        for j in range(i + 1, la):
-            aj = a[j]
-            if not aj:
-                continue
-            t = ai * aj
-            t = t + t
-            k = i + j
-            out[k] = t if out[k] is None else out[k] + t
-    zero = a[0] - a[0]
-    return [zero if c is None else c for c in out]
-
-
 def cyclo_rem(vec, phi_low):
     """Remainder of vec (coeff list, degree order) modulo a monic poly.
 
@@ -94,15 +71,6 @@ def cyclo_rem(vec, phi_low):
                     v[base + i] -= c * phi_low[i]
         # slot e is now dead; no need to zero it
     return v[:d]
-
-
-def dot(a, b):
-    """Dot product of two equal-length lists."""
-    acc = None
-    for x, y in zip(a, b):
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return 0 if acc is None else acc
 
 
 def scaled_add(dst, src, c):

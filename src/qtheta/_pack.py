@@ -18,7 +18,7 @@ try:
 
     def bignum(x):
         return _mpz(x)
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "gmpy2" extra); int is exact too
     def bignum(x):
         return x
 

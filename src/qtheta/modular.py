@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
-from .cyclotomic import CyclotomicNumber, _ctx, root_of_unity, trig_value
+from .cyclotomic import (
+    ConductorError,
+    CyclotomicNumber,
+    _ctx,
+    root_of_unity,
+    trig_value,
+)
 from .jets import ZJet
 from .series import QExpansion
 
@@ -200,7 +206,9 @@ def _bracket_data(l: int, k: int, order):
     D = ctx.D
     room = math.ceil(Fraction(order))
     tan = trig_value("tan", l, 2 * k)
-    assert tan.conductor == m
+    if tan.conductor != m:
+        raise ConductorError(f"tan({l} pi/{2 * k}) has conductor "
+                             f"{tan.conductor}, not {m}")
     den = tan._den
     vec0 = [-x for x in tan._num]
     i_exp = m // 4

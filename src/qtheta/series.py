@@ -152,7 +152,11 @@ class QExpansion:
         )
 
     def __hash__(self):
-        return hash((self.base, self.coeffs, self.precision))
+        # __eq__ compares non-rational coefficients across conductors by
+        # embedding, so only rational values may enter the hash.
+        return hash((self.base, self.precision, len(self.coeffs), tuple(
+            None if isinstance(c, CyclotomicNumber) and not c.is_rational()
+            else c for c in self.coeffs)))
 
     # -- ring operations ----------------------------------------------
 

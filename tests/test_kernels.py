@@ -1,20 +1,9 @@
-"""Kernel backends must be interchangeable: pure vs compiled equivalence."""
+"""Kernels and lane packing against naive references."""
 
 import random
 
-import pytest
-
 import qtheta._kernels as K
-from qtheta._kernels import pure
 from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed
-
-try:
-    from qtheta._kernels import _fast
-except ImportError:
-    _fast = None
-
-BACKENDS = [pure] + ([_fast] if _fast is not None else [])
-IDS = ["pure"] + (["compiled"] if _fast is not None else [])
 
 
 def _naive_convolve(a, b):
@@ -25,65 +14,40 @@ def _naive_convolve(a, b):
     return out
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_convolve_matches_naive(impl):
+def test_convolve_matches_naive():
     rng = random.Random(1)
     for _ in range(30):
         a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
         b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
-        assert impl.convolve(a, b) == _naive_convolve(a, b)
-    assert impl.convolve([], [1, 2]) == []
+        assert K.convolve(a, b) == _naive_convolve(a, b)
+    assert K.convolve([], [1, 2]) == []
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_convolve_trunc_and_square(impl):
+def test_convolve_trunc_matches_naive():
     rng = random.Random(2)
     for _ in range(30):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
         full = _naive_convolve(a, b)
         n = rng.randint(1, len(full) + 3)
-        got = impl.convolve_trunc(a, b, n)
+        got = K.convolve_trunc(a, b, n)
         expect = (full + [0] * n)[:n]
         assert got == expect
-        assert impl.convolve_square(a) == _naive_convolve(a, a)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_cyclo_rem_is_polynomial_remainder(impl):
+def test_cyclo_rem_is_polynomial_remainder():
     # remainder mod x^2 + 1: reduce powers of x with x^2 = -1
     phi_low = [1, 0]  # x^2 + 1, monic part stripped
     v = [3, 4, 5, 6, 7]  # 3 + 4x + 5x^2 + 6x^3 + 7x^4
     # x^2 = -1, x^3 = -x, x^4 = 1 -> (3 - 5 + 7) + (4 - 6) x
-    assert impl.cyclo_rem(v, phi_low) == [5, -2]
-    assert impl.cyclo_rem([1], phi_low) == [1, 0]
+    assert K.cyclo_rem(v, phi_low) == [5, -2]
+    assert K.cyclo_rem([1], phi_low) == [1, 0]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_dot_and_scaled_add(impl):
-    assert impl.dot([1, 2, 3], [4, 5, 6]) == 32
-    assert impl.dot([0, 0], [1, 1]) == 0
+def test_scaled_add():
     dst = [1, 2, 3]
-    impl.scaled_add(dst, [10, 0, -1], 3)
+    K.scaled_add(dst, [10, 0, -1], 3)
     assert dst == [31, 2, 0]
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backends_agree_on_random_objects():
-    from fractions import Fraction
-
-    rng = random.Random(3)
-    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(15)]
-    b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)]
-    assert pure.convolve(a, b) == _fast.convolve(a, b)
-    assert pure.convolve_square(a) == _fast.convolve_square(a)
-
-
-def test_selected_backend_exports():
-    assert K.BACKEND in ("pure", "compiled")
-    for name in ("convolve", "convolve_trunc", "convolve_square",
-                 "cyclo_rem", "dot", "scaled_add"):
-        assert callable(getattr(K, name))
 
 
 def test_pack_unpack_round_trip():

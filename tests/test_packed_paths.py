@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 
 import qtheta
+import qtheta._kernels as K
 from qtheta import CyclotomicNumber, QExpansion, compare, root_of_unity
-from qtheta._kernels import pure
 from qtheta.cyclotomic import _ctx
 
 
@@ -27,7 +27,7 @@ def test_packed_series_product_matches_elementwise():
         a = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
         b = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
         prod = a * b  # len(a)*len(b) > 64 and D > 4: packed route
-        ref = pure.convolve_trunc(list(a.coeffs), list(b.coeffs), L)
+        ref = K.convolve_trunc(list(a.coeffs), list(b.coeffs), L)
         for t in range(L):
             assert prod.coefficient(t) == ref[t], (m, t)
 
@@ -81,8 +81,7 @@ def test_kernel_env_selection():
     path = [root]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, QTHETA_KERNEL="pure",
-               PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = "import qtheta; print(qtheta.kernel_backend)"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -104,7 +103,7 @@ def test_mixed_rational_and_cyclotomic_coefficients():
     a = QExpansion(0, coeffs, 12)
     b = QExpansion(0, coeffs[::-1], 12)
     prod = a * b
-    ref = pure.convolve_trunc(
+    ref = K.convolve_trunc(
         [CyclotomicNumber.rational(m, c) if isinstance(c, Fraction) else c
          for c in a.coeffs],
         [CyclotomicNumber.rational(m, c) if isinstance(c, Fraction) else c

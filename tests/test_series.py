@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtheta import (
+    CyclotomicNumber,
     PrecisionError,
     QExpansion,
     compare,
+    embed_conductor,
     equal_to,
     lambert,
     root_of_unity,
@@ -247,3 +249,16 @@ def test_normalization_strips_and_truncates():
     assert t.base + len(t.coeffs) <= t.precision
     z = QExpansion(0, [], 10)
     assert z.is_zero and z.base == 10
+
+
+def test_hash_agrees_with_equality_across_conductors():
+    z4 = root_of_unity(4, 1)
+    a = QExpansion(0, [z4], 5)
+    b = QExpansion(0, [embed_conductor(z4, 8)], 5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # rational coefficients hash by value, whatever their type
+    c = QExpansion(0, [z4 * z4, Fraction(1, 2)], 5)
+    d = QExpansion(0, [-1, CyclotomicNumber.rational(8, Fraction(1, 2))], 5)
+    assert c == d and hash(c) == hash(d)
