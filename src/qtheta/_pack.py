@@ -16,26 +16,31 @@ from __future__ import annotations
 try:
     from gmpy2 import mpz as _mpz
 
+    BIGNUM = "gmpy2"
+
     def bignum(x):
         return _mpz(x)
 except ImportError:  # gmpy2 is optional (the "gmpy2" extra); int is exact too
+    BIGNUM = "int"
+
     def bignum(x):
         return x
 
 
-_BIAS_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
+_BIAS_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}
 
 
-def _bias(b: int, count: int) -> tuple[int, int]:
-    """(bias integer, total byte length) for `count` lanes of width b bits."""
-    key = (b, count)
+def _bias(b: int, count: int, stride: int = 0) -> tuple[int, int]:
+    """(bias integer, total byte length): 2**(b-1) in each of `count` lanes
+    laid `stride` bits apart (default b)."""
+    stride = stride or b
+    key = (b, count, stride)
     hit = _BIAS_CACHE.get(key)
     if hit is None:
-        lane = b // 8
-        buf = bytearray(lane * count)
-        for i in range(count):
-            buf[lane * (i + 1) - 1] = 0x80
-        hit = (int.from_bytes(buf, "little"), lane * count)
+        step = stride // 8
+        buf = bytearray(step * count)
+        buf[b // 8 - 1::step] = b"\x80" * count
+        hit = (int.from_bytes(buf, "little"), step * count)
         _BIAS_CACHE[key] = hit
     return hit
 
@@ -75,6 +80,22 @@ def unpack_signed(x, b: int, count: int) -> list[int]:
         int.from_bytes(buf[i * lane:(i + 1) * lane], "little") - half
         for i in range(count)
     ]
+
+
+def widen_signed(x, b: int, b_new: int, count: int):
+    """Re-lay `count` signed lanes of width b at the larger width b_new.
+
+    The same as pack_signed(unpack_signed(x, b, count), b_new), but byte j
+    of every lane moves in one strided slice copy, so the cost is b/8
+    slice copies rather than one Python step per lane.
+    """
+    bias, nbytes = _bias(b, count)
+    buf = (int(x) + bias).to_bytes(nbytes, "little")
+    lane, lane_new = b // 8, b_new // 8
+    out = bytearray(lane_new * count)
+    for j in range(lane):
+        out[j::lane_new] = buf[j::lane]
+    return bignum(int.from_bytes(out, "little") - _bias(b, count, b_new)[0])
 
 
 def split_low(x, b: int, d: int):

@@ -12,7 +12,15 @@ import os
 import sys
 import time
 
-from .identities import WHICH_TOKENS, enumerate_jobs, run_jobs
+from ._kernels import BACKEND as KERNEL_BACKEND
+from ._pack import BIGNUM
+from .identities import (
+    SMALL_K_MAX,
+    SMALL_K_ONLY,
+    WHICH_TOKENS,
+    enumerate_jobs,
+    run_jobs,
+)
 from .selftest import run_selftest
 
 DEFAULT_K_MIN = 2
@@ -132,10 +140,18 @@ def main(argv=None) -> int:
             sink.close()
     elapsed = time.perf_counter() - t0
     failures = sum(1 for r in reports if not r.passed)
-    print(
-        f"# {len(reports)} reports, {failures} failures, {elapsed:.1f} s",
-        file=sys.stderr,
+    summary = (
+        f"# {len(reports)} reports, {failures} failures, {elapsed:.1f} s; "
+        f"bignum {BIGNUM}, kernel {KERNEL_BACKEND}"
     )
+    capped = [w for w in SMALL_K_ONLY if w in which or "all" in which]
+    if capped and args.k_max > SMALL_K_MAX:
+        summary += (
+            f"; skipped {','.join(capped)} for "
+            f"k={max(k_min, SMALL_K_MAX + 1)}..{args.k_max} "
+            f"(they run for k <= {SMALL_K_MAX} only)"
+        )
+    print(summary, file=sys.stderr)
     return 0 if failures == 0 else min(failures, 125)
 
 

@@ -10,12 +10,20 @@ data (VerificationReport), not exceptions.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
-from ._pack import lane_width, pack_signed, split_low, unpack_signed
+from ._pack import (
+    bignum,
+    lane_width,
+    pack_signed,
+    split_low,
+    unpack_signed,
+    widen_signed,
+)
 from .cyclotomic import CyclotomicNumber, _ctx, embed_conductor
 from .jets import T_of_log, compare_jets
 from .modular import (
@@ -196,7 +204,12 @@ def theorem_rhs(k: int, delta: int, order) -> QExpansion:
 
 
 def verify_theorem(k: int, delta: int, order) -> VerificationReport:
-    """half_sum(k, delta) == theorem_rhs(k, delta) exactly below `order`."""
+    """half_sum(k, delta) == theorem_rhs(k, delta) exactly below `order`.
+
+    If the half sum does not collapse to rational coefficients, the report
+    fails with a sentinel mismatch: exponent -1, lhs "non-rational", rhs
+    "rational", and the NonRationalError message in its note.
+    """
     t0 = time.perf_counter()
     spec = HalfSumSpec(k, delta)
     try:
@@ -391,52 +404,55 @@ def verify_eta_theta_bridges(order) -> list[VerificationReport]:
 
 
 def _tan_square_sum_exact(k: int, delta: int) -> Fraction:
-    """Sum of tan^2(l pi/2k) over the half-sum index set, in Q(zeta_4k).
+    """Sum of tan^2(l pi/2k) over the half-sum index set, in Q(zeta_2k).
 
-    Uses tan^2 = (1 - cos 2t)/(1 + cos 2t) with 2cos(l pi/k) written on
-    roots of unity, clears all denominators with prefix/suffix products
-    in the cyclic ring Z[x]/(x^m - 1), reduces once mod Phi_m, and
-    extracts the rational quotient (asserting it is one).
+    tan^2(l pi/2k) = u/v with u = 2 - y^l - y^-l and v = 2 + y^l + y^-l
+    at y = zeta_2k.  The fractions u/v are added pairwise up a tree,
+    (n1, d1) + (n2, d2) = (n1 d2 + n2 d1, d1 d2), as packed vectors in
+    the cyclic ring Z[y]/(y^2k - 1); an unpaired node goes up a level
+    unchanged.  The root is folded to k lanes mod y^k + 1 (a multiple of
+    Phi_2k) and reduced once mod Phi_2k, and the rational quotient is
+    extracted by coordinate ratio with an exact cross-check.
+
+    Lanes are sized per node: a leaf has l1-norm <= 4, products multiply
+    l1-norms, cyclic folding does not raise them, and a numerator over s
+    leaves is a sum of s products, so (s+1) 4^s bounds every lane.  A
+    child is widened only where its parent's lanes are wider.
     """
     idx = HalfSumSpec(k, delta).index_set
     if not idx:
         return Fraction(0)
-    m = 4 * k
-    ctx = _ctx(m)
-    t = len(idx)
-    b = lane_width((t + 1) * 4**t)
+    m = 2 * k
 
-    def cyc(x, y):
-        # multiply mod x^m - 1: fold lanes >= m back onto the low lanes
-        lo, hi = split_low(x * y, b, m)
+    def cyc(x, b):
+        # fold lanes >= m back onto the low lanes: x mod y^m - 1
+        lo, hi = split_low(x, b, m)
         return lo + hi
 
-    U, V = [], []
+    b = lane_width(2 * 4)  # (s+1) 4^s at s = 1
+    nodes = []
     for l in idx:
-        u = [0] * m
-        v = [0] * m
-        u[0] += 2
-        v[0] += 2
-        a = (2 * l) % m
-        u[a] -= 1
-        u[(m - a) % m] -= 1
-        v[a] += 1
-        v[(m - a) % m] += 1
-        U.append(pack_signed(u, b))
-        V.append(pack_signed(v, b))
-    pre = [1] * (t + 1)
-    for i in range(t):
-        pre[i + 1] = cyc(pre[i], V[i])
-    suf = [1] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suf[i] = cyc(suf[i + 1], V[i])
-    den_packed = pre[t]
-    num_packed = 0
-    for i in range(t):
-        if U[i]:
-            num_packed += cyc(cyc(U[i], pre[i]), suf[i + 1])
-    num_vec = ctx.reduce(unpack_signed(num_packed, b, m))
-    den_vec = ctx.reduce(unpack_signed(den_packed, b, m))
+        a = bignum((1 << (b * l)) + (1 << (b * (-l % m))))
+        nodes.append((2 - a, 2 + a, 1, b))
+    while len(nodes) > 1:
+        up = []
+        for (n1, d1, s1, b1), (n2, d2, s2, b2) in zip(nodes[::2], nodes[1::2]):
+            s = s1 + s2
+            b = lane_width((s + 1) * 4**s)
+            if b1 < b:
+                n1, d1 = widen_signed(n1, b1, b, m), widen_signed(d1, b1, b, m)
+            if b2 < b:
+                n2, d2 = widen_signed(n2, b2, b, m), widen_signed(d2, b2, b, m)
+            up.append((cyc(n1 * d2 + n2 * d1, b), cyc(d1 * d2, b), s, b))
+        if len(nodes) % 2:
+            up.append(nodes[-1])
+        nodes = up
+    num, den, _, b = nodes[0]
+    ctx = _ctx(m)
+    lo, hi = split_low(num, b, k)
+    num_vec = ctx.reduce(unpack_signed(lo - hi, b, k))
+    lo, hi = split_low(den, b, k)
+    den_vec = ctx.reduce(unpack_signed(lo - hi, b, k))
     pivot = next(i for i, c in enumerate(den_vec) if c)
     np_, dp = num_vec[pivot], den_vec[pivot]
     for i in range(ctx.D):
@@ -571,6 +587,12 @@ _SUITE_JOBS = {
 }
 
 
+# lemd, lem2, meq1 and lem22 run only for k <= SMALL_K_MAX; their cost
+# grows fastest with k (conductors up to 16k, jets, series division)
+SMALL_K_MAX = 12
+SMALL_K_ONLY = ("lemd", "lem2", "meq1", "lem22")
+
+
 def meq1_points(k: int) -> list[int]:
     """Up to five admissible base-point residues l for a given k."""
     return [l for l in range(2 * k) if l != k][:5]
@@ -587,7 +609,7 @@ def enumerate_jobs(
     if "all" in which:
         which = frozenset(WHICH_TOKENS) - {"all"}
     jobs: list[tuple[str, dict]] = []
-    small_max = min(k_max, 12)
+    small_max = min(k_max, SMALL_K_MAX)
     if "theorem" in which:
         for k in range(k_min, k_max + 1):
             for d in deltas:
@@ -620,15 +642,35 @@ def enumerate_jobs(
 
 
 def _run_job(job) -> list[VerificationReport]:
+    """Run one job; an exception it raises becomes one `fail` report."""
     kind, kwargs = job
-    return _SUITE_JOBS[kind](**kwargs)
+    t0 = time.perf_counter()
+    try:
+        return _SUITE_JOBS[kind](**kwargs)
+    except Exception as exc:
+        from traceback import extract_tb  # only on failure: keeps import time
+
+        where = extract_tb(exc.__traceback__)[-1]
+        return [VerificationReport(
+            identity=kind,
+            params={n: v for n, v in kwargs.items() if n != "order"},
+            status="fail",
+            first_mismatch=None,
+            elapsed=time.perf_counter() - t0,
+            precision_certified=Fraction(0),
+            order=int(kwargs.get("order", 0)),
+            note=f"{type(exc).__name__}: {exc} (in {where.name}, "
+                 f"{os.path.basename(where.filename)}:{where.lineno})",
+        )]
 
 
 def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     """Execute verification jobs, optionally across a process pool.
 
     Jobs are independent pure computations; results are re-serialized in
-    submission order regardless of completion order.
+    submission order regardless of completion order.  A job that raises
+    yields one `fail` report with the exception in its note, so the rest
+    of the sweep still runs.
     """
     reports: list[VerificationReport] = []
     if parallelism <= 1 or len(jobs) <= 1:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from qtheta import kernel_backend
+from qtheta._pack import BIGNUM
 from qtheta.cli import main
 
 
@@ -54,6 +56,31 @@ class TestVerifyCommand:
 
     def test_jet_degree_validation(self):
         assert main(["verify", "meq1", "--k-max", "2", "--jet-degree", "1"]) == 2
+
+
+class TestSummaryLine:
+    def test_names_capped_identities_and_backends(self, capsys):
+        rc = main(["verify", "tan-sum,meq1,lem2", "--k-min", "12", "--k-max", "14",
+                   "--order", "5"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        lines = [l for l in err.splitlines() if l.startswith("#")]
+        assert len(lines) == 1
+        assert "skipped lem2,meq1 for k=13..14" in lines[0]
+        assert f"bignum {BIGNUM}," in lines[0] and BIGNUM in ("gmpy2", "int")
+        assert f"kernel {kernel_backend}" in lines[0]
+
+    def test_all_names_every_capped_identity(self, capsys):
+        rc = main(["verify", "all", "--k-min", "13", "--k-max", "13", "--order", "6"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "skipped lemd,lem2,meq1,lem22 for k=13..13" in err
+
+    def test_no_skip_within_cap(self, capsys):
+        rc = main(["verify", "lemd,tan-sum", "--k-max", "3", "--order", "5"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert err.startswith("# ") and "skipped" not in err
 
 
 class TestJsonFormat:

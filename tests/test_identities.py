@@ -25,7 +25,13 @@ from qtheta import (
     verify_second_derivatives,
     verify_theorem,
 )
-from qtheta.identities import enumerate_jobs, meq1_points
+from qtheta.cyclotomic import _ctx
+from qtheta.identities import (
+    _tan_square_sum_exact,
+    enumerate_jobs,
+    meq1_points,
+    run_jobs,
+)
 from qtheta.modular import ThetaPoint
 
 
@@ -238,6 +244,45 @@ class TestTanSquareSum:
                 v, _ = tan_square_sum(k, d)
                 assert hs.coefficient(0) == v
 
+    def test_tree_matches_naive_cyclic_sum(self):
+        # N = sum_i u_i prod_{j != i} v_j and D = prod_j v_j in Z[y]/(y^2k - 1)
+        # from plain integer lists, reduced mod Phi_2k; their quotient must
+        # be the fraction tree's value.  k = 1..16 covers Phi_2 (D = 1),
+        # 1, 2, 3 and 5 leaves (unpaired nodes) and the l = 0 leaf (u = 0).
+        def cyc_mul(x, y):
+            m = len(x)
+            out = [0] * m
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y):
+                        out[(i + j) % m] += a * b
+            return out
+
+        leaf_counts, saw_l0 = set(), False
+        for k in range(1, 17):
+            m = 2 * k
+            ctx = _ctx(m)
+            for delta in (0, 1):
+                idx = HalfSumSpec(k, delta).index_set
+                leaf_counts.add(len(idx))
+                saw_l0 = saw_l0 or 0 in idx
+                num, den = [0] * m, [1] + [0] * (m - 1)
+                for l in idx:
+                    u, v = [0] * m, [0] * m
+                    u[0] += 2
+                    v[0] += 2
+                    for e in (l, -l % m):
+                        u[e] -= 1
+                        v[e] += 1
+                    num = [a + b for a, b in zip(cyc_mul(num, v), cyc_mul(den, u))]
+                    den = cyc_mul(den, v)
+                num_vec, den_vec = ctx.reduce(num), ctx.reduce(den)
+                pivot = next(i for i, c in enumerate(den_vec) if c)
+                q = Fraction(num_vec[pivot], den_vec[pivot])
+                assert all(n == q * d for n, d in zip(num_vec, den_vec))
+                assert _tan_square_sum_exact(k, delta) == q, (k, delta)
+        assert {1, 2, 3, 5} <= leaf_counts and saw_l0
+
 
 class TestK3Corollary:
     def test_spot_values(self):
@@ -274,6 +319,21 @@ class TestFullSuite:
             else:
                 expected += 1
         assert len(reports) == expected
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_raising_job_becomes_fail_report(self, parallelism):
+        bad = ("meq1", {"k": 2, "l": 2, "jet_degree": 4, "order": 8})  # l = k
+        good = ("tan-sum", {"k": 3, "delta": 1})
+        reports = run_jobs([good, bad, good], parallelism)
+        assert [r.status for r in reports] == ["pass", "fail", "pass"]
+        rep = reports[1]
+        assert rep.identity == "meq1"
+        assert rep.params == {"k": 2, "l": 2, "jet_degree": 4}
+        assert rep.note.startswith("ValueError: ") and "l = k" in rep.note
+        assert rep.first_mismatch is None and rep.order == 8
+        assert set(rep.to_json_obj()) == {
+            "identity", "params", "status", "first_mismatch", "elapsed_ms", "order",
+        }
 
     def test_parallel_matches_sequential(self):
         seq = full_suite(k_max=2, order=8)

@@ -3,7 +3,7 @@
 import random
 
 import qtheta._kernels as K
-from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed
+from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed, widen_signed
 
 
 def _naive_convolve(a, b):
@@ -81,6 +81,17 @@ def test_split_low_exact():
         assert low + (high << (b * d)) == x
         assert unpack_signed(low, b, d) == vec[:d]
         assert unpack_signed(high, b, n - d) == vec[d:]
+
+
+def test_widen_signed_is_repacking():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        bound = 10 ** rng.randint(0, 10)
+        vec = [rng.randint(-bound, bound) for _ in range(n)]
+        b = lane_width(bound)
+        b_new = b + 8 * rng.randint(1, 4)
+        assert widen_signed(pack_signed(vec, b), b, b_new, n) == pack_signed(vec, b_new)
 
 
 def test_lane_width_is_byte_aligned_with_slack():
