@@ -76,15 +76,54 @@ def _usage_error(msg: str) -> int:
 
 
 def _resolve_jobs(flag_value: int | None) -> int:
+    """Worker count from --jobs, else QTHETA_JOBS, else the CPU count.
+
+    A count that is not a positive integer raises ValueError with the
+    usage message.
+    """
     if flag_value is not None:
-        return max(1, flag_value)
+        if flag_value < 1:
+            raise ValueError(f"--jobs must be >= 1, got {flag_value}")
+        return flag_value
     env = os.environ.get("QTHETA_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"QTHETA_JOBS must be a positive integer, got {env!r}")
+    return count
+
+
+def _summary_lines(reports, elapsed: float) -> list[str]:
+    """The stderr summary: totals, time by identity, the slowest report,
+    then one line per failing report with its reason."""
+    failing = [r for r in reports if not r.passed]
+    line = (
+        f"# {len(reports)} reports, {len(failing)} failures, {elapsed:.1f} s; "
+        f"bignum {BIGNUM}, kernel {KERNEL_BACKEND}"
+    )
+    if reports:
+        by_identity: dict[str, list] = {}
+        for r in reports:
+            count_time = by_identity.setdefault(r.identity, [0, 0.0])
+            count_time[0] += 1
+            count_time[1] += r.elapsed
+        ranked = sorted(by_identity.items(), key=lambda kv: -kv[1][1])
+        line += "; time by identity: " + ", ".join(
+            f"{name} {n} in {t:.2f} s" for name, (n, t) in ranked
+        )
+        slow = max(reports, key=lambda r: r.elapsed)
+        line += f"; slowest {_label(slow)} {slow.elapsed * 1000:.1f} ms"
+    return [line] + [
+        f"# fail {_label(r)}: {r.note or r.first_mismatch}" for r in failing
+    ]
+
+
+def _label(report) -> str:
+    return " ".join([report.identity] + [f"{k}={v}" for k, v in report.params.items()])
 
 
 def main(argv=None) -> int:
@@ -120,7 +159,10 @@ def main(argv=None) -> int:
     if needs_jets and args.jet_degree < 2:
         return _usage_error("--jet-degree must be >= 2 for meq1/lem22")
     deltas = {"0": (0,), "1": (1,), "both": (0, 1)}[args.delta]
-    jobs = _resolve_jobs(args.jobs)
+    try:
+        jobs = _resolve_jobs(args.jobs)
+    except ValueError as exc:
+        return _usage_error(str(exc))
 
     job_list = enumerate_jobs(
         k_min, args.k_max, deltas, args.order, args.jet_degree, which
@@ -140,18 +182,15 @@ def main(argv=None) -> int:
             sink.close()
     elapsed = time.perf_counter() - t0
     failures = sum(1 for r in reports if not r.passed)
-    summary = (
-        f"# {len(reports)} reports, {failures} failures, {elapsed:.1f} s; "
-        f"bignum {BIGNUM}, kernel {KERNEL_BACKEND}"
-    )
+    lines = _summary_lines(reports, elapsed)
     capped = [w for w in SMALL_K_ONLY if w in which or "all" in which]
     if capped and args.k_max > SMALL_K_MAX:
-        summary += (
+        lines[0] += (
             f"; skipped {','.join(capped)} for "
             f"k={max(k_min, SMALL_K_MAX + 1)}..{args.k_max} "
             f"(they run for k <= {SMALL_K_MAX} only)"
         )
-    print(summary, file=sys.stderr)
+    print("\n".join(lines), file=sys.stderr)
     return 0 if failures == 0 else min(failures, 125)
 
 

@@ -14,13 +14,14 @@ from .series import QExpansion
 
 
 class ZJet:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_log_dz")
 
     def __init__(self, coeffs):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a jet needs at least the constant slot")
         self.coeffs = cs
+        self._log_dz = None
 
     @property
     def degree(self) -> int:
@@ -99,6 +100,12 @@ class ZJet:
 
     # -- calculus --------------------------------------------------------
 
+    def log_dz(self) -> "ZJet":
+        """d/dz log f = f'/f, computed once per jet (f must be a unit)."""
+        if self._log_dz is None:
+            self._log_dz = self.d_dz().div(self)
+        return self._log_dz
+
     def d_dz(self) -> "ZJet":
         """Formal z-derivative: (a_0, ..., a_J) -> (a_1, 2 a_2, ..., J a_J)."""
         if self.degree == 0:
@@ -143,7 +150,7 @@ def T_of_log(f: ZJet) -> ZJet:
     if f.degree < 2:
         raise ValueError("T_of_log needs jet degree >= 2")
     qpart = f.q_ddq().div(f) * (-8)
-    zpart = f.d_dz().div(f).d_dz()
+    zpart = f.log_dz().d_dz()
     return qpart - zpart
 
 

@@ -7,9 +7,15 @@ Precision is an absolute exponent bound and only ever decreases through
 arithmetic.  Coefficients are ints, Fractions, or CyclotomicNumbers of a
 single conductor per series.
 
-Multiplication is schoolbook convolution in q; cyclotomic coefficient
-vectors are packed into bigints lane by lane first, so the inner loop is
-one bignum multiply per coefficient pair instead of a D^2 vector product.
+Multiplication is schoolbook convolution in q.  Cyclotomic coefficient
+vectors always take one packed path: they are packed into bigints lane by
+lane first, so the inner loop is one bignum multiply per coefficient pair
+instead of a D^2 vector product.
+
+Division a / b is the product a * b.inverse().  The inverse is computed
+once per divisor object by schoolbook division of 1 by b, and cached on
+it, so every quotient by the same series (all the slots of a jet quotient,
+say) shares one inversion.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ def _values_equal(x, y) -> bool:
 
 
 class QExpansion:
-    __slots__ = ("base", "coeffs", "precision")
+    __slots__ = ("base", "coeffs", "precision", "_inv")
 
     def __init__(self, base, coeffs, precision):
         base = Fraction(base)
@@ -80,6 +86,7 @@ class QExpansion:
         self.base = base
         self.coeffs = tuple(cs)
         self.precision = precision
+        self._inv = None
 
     # -- constructors -------------------------------------------------
 
@@ -227,7 +234,17 @@ class QExpansion:
             return self * other.invert()
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return _series_div(self, other)
+        return self * other.inverse()
+
+    def inverse(self) -> "QExpansion":
+        """1/self to the precision its own terms certify, computed once.
+
+        The result has base -base and precision precision - 2*base, so
+        a * b.inverse() has exactly the base and precision of a / b.
+        """
+        if self._inv is None:
+            self._inv = _series_div(QExpansion.one(self.precision - self.base), self)
+        return self._inv
 
     def q_ddq(self) -> "QExpansion":
         """Apply q d/dq: multiply each coefficient by its full exponent."""
@@ -306,9 +323,6 @@ def _mul_rational(A, B, n):
 def _mul_cyclo(m, A, B, n):
     ctx = _ctx(m)
     D = ctx.D
-    if D <= 4 or len(A) * len(B) <= 64:
-        lift = lambda c: c if isinstance(c, CyclotomicNumber) else CyclotomicNumber.rational(m, c)
-        return K.convolve_trunc([lift(c) for c in A], [lift(c) for c in B], n)
     va, da, amax = _gather_vectors(ctx, A)
     vb, db, bmax = _gather_vectors(ctx, B)
     b = lane_width(min(len(A), len(B)) * D * amax * bmax * (1 + D * ctx.row_abs))

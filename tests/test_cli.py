@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qtheta import kernel_backend
+from qtheta import identities, kernel_backend
 from qtheta._pack import BIGNUM
 from qtheta.cli import main
 
@@ -82,6 +82,39 @@ class TestSummaryLine:
         assert rc == 0
         assert err.startswith("# ") and "skipped" not in err
 
+    def test_time_by_identity_and_slowest(self, capsys):
+        rc = main(["verify", "bridges,k3,tan-sum", "--k-min", "2", "--k-max", "3",
+                   "--delta", "0", "--order", "15", "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        lines = [l for l in err.splitlines() if l.startswith("#")]
+        assert len(lines) == 1
+        by_identity = lines[0].split("; time by identity: ")[1].split(";")[0]
+        counts = {part.split()[0]: int(part.split()[1]) for part in by_identity.split(", ")}
+        assert counts == {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}
+        assert "; slowest " in lines[0] and lines[0].endswith(" ms")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failing_report_line_carries_note(self, capsys, monkeypatch, fmt):
+        def broken(order):
+            raise RuntimeError("no k3 today")
+
+        monkeypatch.setitem(identities._SUITE_JOBS, "k3", broken)
+        rc = main(["verify", "bridges,k3", "--order", "15", "--jobs", "1",
+                   "--format", fmt])
+        err = capsys.readouterr().err
+        assert rc == 1
+        lines = [l for l in err.splitlines() if l.startswith("#")]
+        assert len(lines) == 2
+        assert lines[0].startswith("# 3 reports, 1 failures")
+        assert lines[1].startswith("# fail k3: RuntimeError: no k3 today (in broken")
+
+    def test_no_reports(self, capsys):
+        rc = main(["verify", "lemd", "--k-min", "13", "--k-max", "13"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert err.startswith("# 0 reports, 0 failures") and "slowest" not in err
+
 
 class TestJsonFormat:
     def test_schema_stable(self, capsys):
@@ -141,6 +174,26 @@ class TestEnvironment:
         rc = main(["verify", "theorem", "--k-min", "2", "--k-max", "4",
                    "--order", "10"])
         assert rc == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_flag_below_one_is_usage_error(self, capsys, jobs):
+        assert main(["verify", "k3", "--order", "5", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert f"--jobs must be >= 1, got {jobs}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-1"])
+    def test_jobs_env_not_positive_integer_is_usage_error(self, capsys, monkeypatch,
+                                                          value):
+        monkeypatch.setenv("QTHETA_JOBS", value)
+        assert main(["verify", "k3", "--order", "5"]) == 2
+        captured = capsys.readouterr()
+        assert f"QTHETA_JOBS must be a positive integer, got '{value}'" in captured.err
+        assert captured.out == ""
+
+    def test_jobs_flag_wins_over_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTHETA_JOBS", "two")
+        assert main(["verify", "k3", "--order", "5", "--jobs", "1"]) == 0
 
     def test_module_entry_point(self):
         proc = subprocess.run(

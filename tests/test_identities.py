@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtheta import series
 from qtheta import (
     CyclotomicNumber,
     HalfSumSpec,
@@ -33,6 +34,19 @@ from qtheta.identities import (
     run_jobs,
 )
 from qtheta.modular import ThetaPoint
+
+
+def _record_series_div(monkeypatch) -> list:
+    """Divisors that reach the schoolbook series division, in call order."""
+    divisors = []
+    real = series._series_div
+
+    def recording(a, b):
+        divisors.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(series, "_series_div", recording)
+    return divisors
 
 
 class TestHalfSumSpec:
@@ -186,6 +200,13 @@ class TestVerifyMeq1:
         with pytest.raises(ValueError):
             verify_meq1(3, 3, 4, 20)
 
+    def test_one_series_inversion_per_job(self, monkeypatch):
+        # every quotient in meq1 is by the jet's constant slot, whose inverse
+        # is computed once and shared
+        divisors = _record_series_div(monkeypatch)
+        assert verify_meq1(1, 5, 4, 16).passed
+        assert len(divisors) == 1
+
     def test_points_helper(self):
         assert meq1_points(1) == [0]
         assert meq1_points(2) == [0, 1, 3]
@@ -194,6 +215,14 @@ class TestVerifyMeq1:
 
 
 class TestSecondDerivatives:
+    def test_each_divisor_inverted_once(self, monkeypatch):
+        # the two ratio parts share one quotient jet, so no divisor value
+        # is inverted twice
+        divisors = _record_series_div(monkeypatch)
+        assert all(r.passed for r in verify_second_derivatives(3, 20))
+        assert len(divisors) == 4
+        assert all(x != y for i, x in enumerate(divisors) for y in divisors[i + 1:])
+
     def test_k1_degenerate(self):
         reports = verify_second_derivatives(1, 30)
         assert len(reports) == 4

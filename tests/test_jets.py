@@ -126,6 +126,13 @@ class TestTOfLog:
         with pytest.raises(ValueError):
             T_of_log(ZJet([C(1), C(1)]))
 
+    def test_log_dz_is_computed_once(self):
+        rng = random.Random(24)
+        f = _rand_jet(rng, 4, unit=True)
+        r = f.log_dz()
+        assert f.log_dz() is r
+        assert compare_jets(r * f, f.d_dz(), 12) is None
+
 
 class TestScaleZ:
     def test_powers(self):

@@ -11,6 +11,7 @@ import qtheta
 import qtheta._kernels as K
 from qtheta import CyclotomicNumber, QExpansion, compare, root_of_unity
 from qtheta.cyclotomic import _ctx
+from qtheta.series import _mul_cyclo
 
 
 def _rand_cyclo(rng, m):
@@ -26,10 +27,37 @@ def test_packed_series_product_matches_elementwise():
         L = 14
         a = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
         b = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
-        prod = a * b  # len(a)*len(b) > 64 and D > 4: packed route
+        prod = a * b
         ref = K.convolve_trunc(list(a.coeffs), list(b.coeffs), L)
         for t in range(L):
             assert prod.coefficient(t) == ref[t], (m, t)
+
+
+def test_packed_series_product_small_fields():
+    # D <= 4 once took an object path that multiplied CyclotomicNumbers pair
+    # by pair; that convolution is the oracle for the one packed path
+    rng = random.Random(34)
+    lift = lambda m, c: c if isinstance(c, CyclotomicNumber) else CyclotomicNumber.rational(m, c)
+    for m in (3, 4, 6, 5, 8, 10, 12):
+        assert _ctx(m).D in (2, 4)
+
+        def coeff():
+            r = rng.random()
+            if r < 0.2:
+                return 0
+            if r < 0.4:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            return _rand_cyclo(rng, m)
+
+        for la in range(1, 9):
+            for lb in range(1, 9):
+                A = [coeff() for _ in range(la)]
+                B = [coeff() for _ in range(lb)]
+                for n in {la + lb - 1, max(1, (la + lb) // 2)}:
+                    got = _mul_cyclo(m, A, B, n)
+                    ref = K.convolve_trunc([lift(m, c) for c in A],
+                                           [lift(m, c) for c in B], n)
+                    assert got == ref, (m, A, B, n)
 
 
 def test_packed_single_products_match_schoolbook():
