@@ -134,8 +134,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     if args.command == "selftest":
-        fault = os.environ.get("QTHETA_SELFTEST_FAULT") or None
-        return run_selftest(fault=fault)
+        return run_selftest(fault=bool(os.environ.get("QTHETA_SELFTEST_FAULT")))
 
     which = frozenset(tok.strip() for tok in args.which.split(",") if tok.strip())
     if not which:

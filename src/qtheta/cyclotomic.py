@@ -161,22 +161,27 @@ class _Ctx:
                     low += dg * rp
         return unpack_signed(low, b, D)
 
+    def product_lane(self, terms: int, amax: int, bmax: int) -> int:
+        """Lane width for reduce_packed of a sum of `terms` vector products.
+
+        With operand lanes bounded by amax and bmax, each of the 2D-1
+        lanes of the sum is at most V = terms*D*amax*bmax, and reduction
+        adds at most D-1 high lanes times a row entry to a low lane, so
+        no lane ever exceeds V*(1 + D*row_abs).
+        """
+        D = self.D
+        return lane_width(terms * D * amax * bmax * (1 + D * self.row_abs))
+
     def mul_vec(self, u, v) -> list[int]:
         """Product of two canonical integer vectors, reduced mod Phi_m."""
-        D = self.D
-        if D == 1:
-            return [u[0] * v[0]]
-        au = max(abs(c) for c in u)
-        av = max(abs(c) for c in v)
-        if au == 0 or av == 0:
-            return [0] * D
-        if D <= 8:
-            return K.cyclo_rem(K.convolve(list(u), list(v)), self.phi_low)
-        b = lane_width(D * au * av * (1 + D * self.row_abs))
-        return self.reduce_packed(pack_signed(u, b) * pack_signed(v, b), b)
+        return K.cyclo_rem(K.convolve(u, v), self.phi_low)
 
     def galois_vec(self, vec, j: int) -> list[int]:
-        """Image of a canonical vector under zeta -> zeta^j (gcd(j, m) = 1)."""
+        """Canonical vector of sum_e vec[e] zeta^(e*j).
+
+        For gcd(j, m) = 1 this is the automorphism zeta -> zeta^j; for
+        j = m/n it embeds a vector of Q(zeta_n) into Q(zeta_m).
+        """
         rows = self.rows()
         out = [0] * self.D
         for e, c in enumerate(vec):
@@ -443,14 +448,7 @@ def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:
         raise ConductorError(f"{m} does not divide {M}")
     if M == m:
         return a
-    ctx = _ctx(M)
-    scale = M // m
-    out = [0] * ctx.D
-    rows = ctx.rows()
-    for e, c in enumerate(a._num):
-        if c:
-            K.scaled_add(out, list(rows[(e * scale) % M]), c)
-    return CyclotomicNumber._raw(M, out, a._den)
+    return CyclotomicNumber._raw(M, _ctx(M).galois_vec(a._num, M // m), a._den)
 
 
 def _inv_one_minus(ctx: _Ctx, e: int) -> tuple[list[int], int]:

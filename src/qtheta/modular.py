@@ -196,7 +196,7 @@ def _bracket_data(l: int, k: int, order):
     Returns (ctx, den, vecs): the series is vecs[0]/den at q^0 plus the
     integer vectors vecs[M] at q^M.  Constant term -tan(l pi / 2k); the
     coefficient of q^M collects 4 (-1)^h sin(l h pi / k) over divisors
-    d | M with d ≡ h (mod 2k).
+    d | M with d ≡ h (mod 2k), summed by a divisor sieve.
     """
     if k < 1 or not 0 <= l < 2 * k or l == k:
         raise ValueError("need 0 <= l < 2k with l != k")
@@ -218,18 +218,11 @@ def _bracket_data(l: int, k: int, order):
         sg = 2 if h % 2 else -2  # 2*(-1)^(h+1)
         svecs.append([sg * (x - y) for x, y in
                       zip(rows[(a + i_exp) % m], rows[(-a + i_exp) % m])])
-    vecs: list = [vec0]
-    for M in range(1, room):
-        v = [0] * D
-        d = 1
-        while d * d <= M:
-            if M % d == 0:
-                K.scaled_add(v, svecs[(d - 1) % (2 * k)], 1)
-                e = M // d
-                if e != d:
-                    K.scaled_add(v, svecs[(e - 1) % (2 * k)], 1)
-            d += 1
-        vecs.append(v)
+    vecs: list = [vec0] + [[0] * D for _ in range(1, room)]
+    for d in range(1, room):
+        sv = svecs[(d - 1) % (2 * k)]
+        for M in range(d, room, d):
+            K.scaled_add(vecs[M], sv, 1)
     return ctx, den, vecs
 
 
@@ -238,7 +231,7 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
 
     Constant term -tan(l pi/2k); the series part is
     4 sum_{h=1}^{2k} (-1)^h sin(l h pi / k) sum_{n>=1} q^{hn}/(1-q^{2kn}),
-    assembled coefficientwise by exact divisor enumeration.  The jet
+    assembled coefficientwise by a divisor sieve.  The jet
     ratio a1/a0 of theta2_jet is the independent route to the same
     series (exercised by the lemd verifier).
     """

@@ -7,10 +7,15 @@ Precision is an absolute exponent bound and only ever decreases through
 arithmetic.  Coefficients are ints, Fractions, or CyclotomicNumbers of a
 single conductor per series.
 
-Multiplication is schoolbook convolution in q.  Cyclotomic coefficient
-vectors always take one packed path: they are packed into bigints lane by
-lane first, so the inner loop is one bignum multiply per coefficient pair
-instead of a D^2 vector product.
+Multiplication is schoolbook convolution in q, with one path per
+coefficient kind.  Rational series are scaled to integers over one
+common denominator per operand.  Cyclotomic coefficient vectors are
+packed into bigints lane by lane, at the lane width _Ctx.product_lane
+gives for the whole convolution, so the inner loop is one bignum
+multiply per coefficient pair instead of a D^2 vector product.  A packed
+operand is reused across the convolution, which is what pays for the
+packing; a single product of two field elements (CyclotomicNumber
+__mul__) is schoolbook and shares no code with this path.
 
 Division a / b is the product a * b.inverse().  The inverse is computed
 once per divisor object by schoolbook division of 1 by b, and cached on
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
-from ._pack import lane_width, pack_signed
+from ._pack import pack_signed
 from .cyclotomic import ConductorError, CyclotomicNumber, _ctx, embed_conductor
 
 
@@ -309,8 +314,6 @@ def _gather_vectors(ctx, coeffs):
 def _mul_rational(A, B, n):
     da = math.lcm(*(Fraction(c).denominator for c in A))
     db = math.lcm(*(Fraction(c).denominator for c in B))
-    if da.bit_length() + db.bit_length() > 128:
-        return K.convolve_trunc([Fraction(c) for c in A], [Fraction(c) for c in B], n)
     ia = [int(c * da) for c in A]
     ib = [int(c * db) for c in B]
     prod = K.convolve_trunc(ia, ib, n)
@@ -322,10 +325,9 @@ def _mul_rational(A, B, n):
 
 def _mul_cyclo(m, A, B, n):
     ctx = _ctx(m)
-    D = ctx.D
     va, da, amax = _gather_vectors(ctx, A)
     vb, db, bmax = _gather_vectors(ctx, B)
-    b = lane_width(min(len(A), len(B)) * D * amax * bmax * (1 + D * ctx.row_abs))
+    b = ctx.product_lane(min(len(A), len(B)), amax, bmax)
     pa = [pack_signed(v, b) for v in va]
     pb = [pack_signed(v, b) for v in vb]
     prod = K.convolve_trunc(pa, pb, n)
@@ -393,24 +395,16 @@ def lambert(a: int, b: int, order) -> QExpansion:
     """sum_{n>=1} q^{an} / (1 - q^{bn}) to absolute precision `order`.
 
     The coefficient of q^M counts divisors d | M with d ≡ a (mod b) and
-    d >= a, which is how it is computed (exact divisor enumeration).
+    d >= a.  It is computed by a divisor sieve: each such d adds one to
+    every multiple of itself below the order.
     """
     if a < 1 or b < 1:
         raise ValueError("lambert parameters must be positive integers")
     n = math.ceil(Fraction(order))
     coeffs = [0] * max(n, 0)
-    for mm in range(1, n):
-        cnt = 0
-        d = 1
-        while d * d <= mm:
-            if mm % d == 0:
-                if d >= a and (d - a) % b == 0:
-                    cnt += 1
-                e = mm // d
-                if e != d and e >= a and (e - a) % b == 0:
-                    cnt += 1
-            d += 1
-        coeffs[mm] = cnt
+    for d in range(a, n, b):
+        for mm in range(d, n, d):
+            coeffs[mm] += 1
     return QExpansion(0, coeffs, order)
 
 

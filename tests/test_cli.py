@@ -99,7 +99,7 @@ class TestSummaryLine:
         def broken(order):
             raise RuntimeError("no k3 today")
 
-        monkeypatch.setitem(identities._SUITE_JOBS, "k3", broken)
+        monkeypatch.setattr(identities, "verify_k3_corollary", broken)
         rc = main(["verify", "bridges,k3", "--order", "15", "--jobs", "1",
                    "--format", fmt])
         err = capsys.readouterr().err
@@ -160,8 +160,11 @@ class TestSelftestCommand:
         assert len(lines) >= 5  # at least five named invariant groups
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_fault_injection_detected(self, capsys, monkeypatch):
-        monkeypatch.setenv("QTHETA_SELFTEST_FAULT", "1")
+    # any non-empty value corrupts the pentagonal group, another group's
+    # name included
+    @pytest.mark.parametrize("value", ["1", "pentagonal", "ring-laws"])
+    def test_fault_injection_detected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QTHETA_SELFTEST_FAULT", value)
         rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import series
+from qtheta import identities, series
 from qtheta import (
     CyclotomicNumber,
     HalfSumSpec,
+    QExpansion,
     compare,
     embed_conductor,
     eta_product,
@@ -326,6 +327,33 @@ class TestK3Corollary:
 
     def test_order_120(self):
         assert verify_k3_corollary(120).passed
+
+    def test_right_side_matches_sigma_sieve(self, monkeypatch):
+        # the right side the verifier compares, against the sigma sieve that
+        # once built it: 1 + 4 sum (sigma(M) + sigma(M/3) - 8 sigma(M/6)) q^M
+        order = 200
+        seen = []
+
+        def spy(lhs, rhs, n):
+            seen.append(rhs)
+            return compare(lhs, rhs, n)
+
+        monkeypatch.setattr(identities, "compare", spy)
+        report = verify_k3_corollary(order)
+        sigma = [0] * order
+        for d in range(1, order):
+            for mult in range(d, order, d):
+                sigma[mult] += d
+        coeffs = [1] + [0] * (order - 1)
+        for mm in range(1, order):
+            v = sigma[mm]
+            if mm % 3 == 0:
+                v += sigma[mm // 3]
+            if mm % 6 == 0:
+                v -= 8 * sigma[mm // 6]
+            coeffs[mm] = 4 * v
+        assert seen == [QExpansion(0, coeffs, order)]
+        assert report.passed
 
 
 class TestFullSuite:

@@ -15,7 +15,10 @@ from qtheta import (
     root_of_unity,
     theta2_jet,
     theta2_triple_product,
+    trig_value,
 )
+from qtheta.cyclotomic import _ctx
+from qtheta.modular import _bracket_data
 
 
 def _sigma(n):
@@ -197,6 +200,43 @@ class TestLogDerivLambert:
             jet = theta2_jet(ThetaPoint(l, 2 * k), 1, 17)
             S = log_deriv_lambert(l, k, 17)
             assert compare(jet.slot(1), S * jet.slot(0), 16) is None
+
+
+def _bracket_data_by_trial_division(l, k, order):
+    # the divisor loop _bracket_data used before its sieve: one trial
+    # division per M up to sqrt(M), each divisor pair added once
+    m = 4 * k
+    rows = _ctx(m).rows()
+    tan = trig_value("tan", l, 2 * k)
+    i_exp = m // 4
+    svecs = []
+    for h in range(1, 2 * k + 1):
+        a = (2 * l * h) % m
+        sg = 2 if h % 2 else -2
+        svecs.append([sg * (x - y) for x, y in
+                      zip(rows[(a + i_exp) % m], rows[(-a + i_exp) % m])])
+    vecs = [[-x for x in tan._num]]
+    for M in range(1, order):
+        v = [0] * len(rows[0])
+        d = 1
+        while d * d <= M:
+            if M % d == 0:
+                for e in {d, M // d}:
+                    v = [x + y for x, y in zip(v, svecs[(e - 1) % (2 * k)])]
+            d += 1
+        vecs.append(v)
+    return tan._den, vecs
+
+
+class TestBracketData:
+    def test_sieve_matches_trial_division(self):
+        for k in range(1, 13):
+            for l in range(2 * k):
+                if l == k:
+                    continue
+                ctx, den, vecs = _bracket_data(l, k, 40)
+                assert ctx.m == 4 * k
+                assert (den, vecs) == _bracket_data_by_trial_division(l, k, 40), (l, k)
 
 
 class TestHalfprodConstant:

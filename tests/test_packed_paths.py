@@ -7,9 +7,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import qtheta
 import qtheta._kernels as K
 from qtheta import CyclotomicNumber, QExpansion, compare, root_of_unity
+from qtheta._pack import pack_signed
 from qtheta.cyclotomic import _ctx
 from qtheta.series import _mul_cyclo
 
@@ -67,7 +70,7 @@ def test_packed_single_products_match_schoolbook():
         for _ in range(10):
             x = _rand_cyclo(rng, m)
             y = _rand_cyclo(rng, m)
-            fast = x * y  # D > 8: packed single multiply
+            fast = x * y  # integer schoolbook product reduced by cyclo_rem
             # schoolbook convolution + synthetic division over Fractions
             D = ctx.D
             conv = [Fraction(0)] * (2 * D - 1)
@@ -85,6 +88,24 @@ def test_packed_single_products_match_schoolbook():
                         conv[e - D + i] -= c * phi[i]
             ref = CyclotomicNumber(m, conv[:D])
             assert fast == ref
+
+
+@pytest.mark.parametrize("m", [5, 15, 105])
+def test_product_lane_holds_the_worst_reduction(m):
+    # 2D-1 lanes of size V = terms*D, the most a sum of `terms` products of
+    # vectors with lanes in {-1, 0, 1} can hold.  The high lanes take the
+    # signs of the reduction rows at the low lane whose rows have the largest
+    # absolute sum, so reduce_packed forms the largest value it ever can.
+    ctx = _ctx(m)
+    D = ctx.D
+    terms = ((1 << 14) - 1) // D
+    V = terms * D
+    assert V.bit_length() == 14
+    high = ctx.rows()[D:2 * D - 1]
+    worst = max(range(D), key=lambda i: sum(abs(r[i]) for r in high))
+    vec = [V] * D + [V if r[worst] >= 0 else -V for r in high]
+    b = ctx.product_lane(terms, 1, 1)
+    assert ctx.reduce_packed(pack_signed(vec, b), b) == ctx.reduce(vec)
 
 
 def test_big_conductor_product_roots():
