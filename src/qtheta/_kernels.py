@@ -18,6 +18,8 @@ def convolve(a, b):
         if not ai:
             continue
         for j, bj in enumerate(b):
+            if not bj:
+                continue
             k = i + j
             cur = out[k]
             if cur is None:

@@ -45,10 +45,9 @@ def _bias(b: int, count: int, stride: int = 0) -> tuple[int, int]:
     return hit
 
 
-def lane_width(max_abs: int, extra_factor: int = 1) -> int:
-    """Smallest byte-aligned lane width holding max_abs*extra_factor with slack."""
-    bound = max(1, max_abs) * max(1, extra_factor)
-    bits = bound.bit_length() + 2
+def lane_width(max_abs: int) -> int:
+    """Smallest byte-aligned lane width holding max_abs with slack."""
+    bits = max(1, max_abs).bit_length() + 2
     return ((bits + 7) // 8) * 8
 
 

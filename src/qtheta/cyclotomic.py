@@ -44,6 +44,22 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def ramanujan_sum(m: int, e: int) -> int:
+    """c_m(e) = Tr_{Q(zeta_m)/Q}(zeta_m^e) = mu(m/h) phi(m)/phi(m/h), h = gcd(e, m)."""
+    n = m // math.gcd(e, m)
+    mu, r, p = 1, n, 2
+    while p * p <= r:
+        if r % p == 0:
+            r //= p
+            if r % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    if r > 1:
+        mu = -mu
+    return mu * (euler_phi(m) // euler_phi(n))
+
+
 def _divisors(m: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -162,12 +178,14 @@ class _Ctx:
         return unpack_signed(low, b, D)
 
     def product_lane(self, terms: int, amax: int, bmax: int) -> int:
-        """Lane width for reduce_packed of a sum of `terms` vector products.
+        """Lane width for a sum of `terms` vector products, reduced or not.
 
         With operand lanes bounded by amax and bmax, each of the 2D-1
         lanes of the sum is at most V = terms*D*amax*bmax, and reduction
         adds at most D-1 high lanes times a row entry to a low lane, so
-        no lane ever exceeds V*(1 + D*row_abs).
+        no lane ever exceeds V*(1 + D*row_abs).  A caller that reads the
+        2D-1 unreduced lanes (the half-sum trace) needs only V; the one
+        bound covers it.
         """
         D = self.D
         return lane_width(terms * D * amax * bmax * (1 + D * self.row_abs))

@@ -10,6 +10,7 @@ data (VerificationReport), not exceptions.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -24,7 +25,13 @@ from ._pack import (
     unpack_signed,
     widen_signed,
 )
-from .cyclotomic import CyclotomicNumber, _ctx, embed_conductor
+from .cyclotomic import (
+    CyclotomicNumber,
+    _ctx,
+    embed_conductor,
+    euler_phi,
+    ramanujan_sum,
+)
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
@@ -125,62 +132,45 @@ def _finish(identity, params, order, t0, mm, precision, note="") -> Verification
 def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     """Sum over the index set of squared log-derivative brackets.
 
-    Each bracket is the Lambert form of d/dz log theta2(l pi/2k, q); the
-    squares are convolved over Q(zeta_4k) with packed coefficient
-    vectors, and the sum must collapse to rational coefficients, which
-    is asserted (a non-rational residue would disprove the bracket
-    decomposition itself).
+    F_l, the bracket d/dz log theta2(l pi/2k, q), depends only on l mod
+    2k, F_{2k-l} = -F_l and F_0 = 0.  The l in 0 < l < k with
+    gcd(l, 2k) = g are g u, u in (Z/n)^*, n = 2k/g, halved by the pairing
+    l <-> 2k - l; l has the parity of g, so the index set is a union of
+    such classes, one per divisor g < k of 2k with g = k + delta (mod 2).
+
+    Let F_g be the bracket at pi/n over Q(zeta_M) (_bracket_data(1, n/2)
+    for even n, _bracket_data(2, n) for odd n).  zeta -> zeta^j, j in
+    (Z/M)^*, sends i to +-i and each sine and tangent in F_g to one
+    common sign times its value at j times the angle, so F_g^2 to
+    F_{gj}^2; j mod n covers (Z/n)^* phi(M)/phi(n) times.  So a class
+    adds phi(n) / (2 phi(M)) Tr_{Q(zeta_M)/Q}(F_g^2): a trace, hence
+    rational by construction.  Tr is linear and Tr(zeta^e) = c_M(e), the
+    Ramanujan sum, for every e >= 0, so each coefficient of the packed
+    square is traced from its 2D-1 unreduced lanes, with no reduction
+    mod Phi_M.
     """
     order = Fraction(order)
-    idx = spec.index_set
-    if not idx:
-        return QExpansion.zero(order)
     k = spec.k
     room = math.ceil(order)
-    acc: list[list[int] | None] = [None] * room
-    data = [_bracket_data(l, k, order) for l in idx]
-    ctx = data[0][0]
-    D = ctx.D
-    dcom = math.lcm(*(den for _, den, _ in data))
-    for _, den, vecs in data:
+    coeffs: list = [0] * room
+    for g in range(2 - (k + spec.delta) % 2, k, 2):
+        if (2 * k) % g:
+            continue
+        n = 2 * k // g
+        ctx, den, vecs = (_bracket_data(1, n // 2, order) if n % 2 == 0
+                          else _bracket_data(2, n, order))
         w = [vecs[0]] + [[den * x for x in v] for v in vecs[1:]]
-        amax = 1
-        for v in w:
-            for x in v:
-                if x > amax:
-                    amax = x
-                elif -x > amax:
-                    amax = -x
+        amax = max(max(map(abs, v)) for v in w)
         b = ctx.product_lane(room, amax, amax)
         packed = [pack_signed(v, b) for v in w]
         sq = K.convolve_trunc(packed, packed, room)
-        scale = (dcom // den) ** 2
-        for mm in range(room):
-            x = sq[mm]
-            if not x:
-                continue
-            vec = ctx.reduce_packed(x, b)
-            if scale != 1:
-                vec = [scale * t for t in vec]
-            cur = acc[mm]
-            if cur is None:
-                acc[mm] = vec
-            else:
-                for t in range(D):
-                    cur[t] += vec[t]
-    d2 = dcom * dcom
-    coeffs: list = []
-    for mm in range(room):
-        v = acc[mm]
-        if v is None:
-            coeffs.append(0)
-            continue
-        if any(v[1:]):
-            raise NonRationalError(
-                f"half sum k={k} delta={spec.delta}: coefficient of q^{mm} "
-                f"did not reduce to a rational"
-            )
-        coeffs.append(Fraction(v[0], d2))
+        lanes = 2 * ctx.D - 1
+        trace = [ramanujan_sum(ctx.m, e) for e in range(lanes)]
+        weight = Fraction(euler_phi(n), 2 * euler_phi(ctx.m) * den * den)
+        for mm, x in enumerate(sq):
+            if x:
+                t = sum(map(operator.mul, trace, unpack_signed(x, b, lanes)))
+                coeffs[mm] += weight * t
     return QExpansion(0, coeffs, order)
 
 
@@ -204,20 +194,9 @@ def theorem_rhs(k: int, delta: int, order) -> QExpansion:
 
 
 def verify_theorem(k: int, delta: int, order) -> VerificationReport:
-    """half_sum(k, delta) == theorem_rhs(k, delta) exactly below `order`.
-
-    If the half sum does not collapse to rational coefficients, the report
-    fails with a sentinel mismatch: exponent -1, lhs "non-rational", rhs
-    "rational", and the NonRationalError message in its note.
-    """
+    """half_sum(k, delta) == theorem_rhs(k, delta) exactly below `order`."""
     t0 = time.perf_counter()
-    spec = HalfSumSpec(k, delta)
-    try:
-        lhs = half_sum(spec, order)
-    except NonRationalError as exc:
-        mm = Mismatch(Fraction(-1), "non-rational", "rational")
-        return _finish("theorem", {"k": k, "delta": delta}, order, t0, mm,
-                       0, note=str(exc))
+    lhs = half_sum(HalfSumSpec(k, delta), order)
     rhs = theorem_rhs(k, delta, order)
     mm = compare(lhs, rhs, order)
     return _finish("theorem", {"k": k, "delta": delta}, order, t0, mm, order)

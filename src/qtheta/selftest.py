@@ -16,11 +16,9 @@ from fractions import Fraction
 from .cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
-    euler_phi,
     root_of_unity,
     trig_value,
 )
-from .jets import compare_jets
 from .modular import ThetaPoint, eta_product, theta2_jet, theta2_triple_product
 from .series import QExpansion, compare, lambert
 

@@ -7,8 +7,6 @@ comparisons are exact coefficient equality, no epsilon anywhere.
 import sys
 from fractions import Fraction
 
-import pytest
-
 from qtheta import (
     HalfSumSpec,
     half_sum,

@@ -82,21 +82,22 @@ class TestHalfSum:
             assert isinstance(c, (int, Fraction))
 
     def test_against_direct_square_of_brackets(self):
-        # small case recomputed with generic series arithmetic
-        for (k, d) in [(3, 0), (4, 1), (5, 0)]:
-            order = 15
-            spec = HalfSumSpec(k, d)
-            direct = None
-            for l in spec.index_set:
-                b = log_deriv_lambert(l, k, order)
-                sq = b * b
-                direct = sq if direct is None else direct + sq
-            fast = half_sum(spec, order)
-            for mm in range(order):
-                lhs = direct.coefficient(mm)
-                if isinstance(lhs, CyclotomicNumber):
-                    lhs = lhs.as_rational()
-                assert lhs == fast.coefficient(mm), (k, d, mm)
+        # the per-l sum of squares in generic series arithmetic; index sets
+        # of one Galois orbit (prime k) and of several (e.g. k = 6, 9, 12)
+        order = 12
+        for k in range(2, 21):
+            for d in (0, 1):
+                spec = HalfSumSpec(k, d)
+                direct = None
+                for l in spec.index_set:
+                    b = log_deriv_lambert(l, k, order)
+                    direct = b * b if direct is None else direct + b * b
+                fast = half_sum(spec, order)
+                for mm in range(order):
+                    lhs = direct.coefficient(mm)
+                    if isinstance(lhs, CyclotomicNumber):
+                        lhs = lhs.as_rational()
+                    assert lhs == fast.coefficient(mm), (k, d, mm)
 
 
 class TestTheoremRhs:

@@ -16,11 +16,18 @@ def _naive_convolve(a, b):
 
 def test_convolve_matches_naive():
     rng = random.Random(1)
-    for _ in range(30):
+    for t in range(30):
         a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
         b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+        if t % 2:
+            # a run of zeros in the second operand, whose entries are skipped
+            j = rng.randrange(len(b))
+            b[j:j + 4] = [0] * len(b[j:j + 4])
         assert K.convolve(a, b) == _naive_convolve(a, b)
+        assert K.convolve(b, a) == _naive_convolve(b, a)
     assert K.convolve([], [1, 2]) == []
+    assert K.convolve([3, -1], [0, 0, 0]) == [0, 0, 0, 0]
+    assert K.convolve([1, 2, 3], [0, 5, 0, 0, 7]) == [0, 5, 10, 15, 7, 14, 21]
 
 
 def test_convolve_trunc_matches_naive():

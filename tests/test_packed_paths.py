@@ -11,7 +11,7 @@ import pytest
 
 import qtheta
 import qtheta._kernels as K
-from qtheta import CyclotomicNumber, QExpansion, compare, root_of_unity
+from qtheta import CyclotomicNumber, QExpansion, root_of_unity
 from qtheta._pack import pack_signed
 from qtheta.cyclotomic import _ctx
 from qtheta.series import _mul_cyclo
