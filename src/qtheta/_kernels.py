@@ -14,12 +14,11 @@ def convolve(a, b):
     if la == 0 or lb == 0:
         return []
     out = [None] * (la + lb - 1)
+    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
+        for j, bj in nonzero_b:
             k = i + j
             cur = out[k]
             if cur is None:

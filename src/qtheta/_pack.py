@@ -7,8 +7,8 @@ cyclotomic series arithmetic stays fast without native code.  The lane
 width b is always a multiple of 8 so digits align with bytes.
 
 Unpacking uses the bias trick: adding 2**(b-1) to every lane makes all
-digits non-negative without carries, after which the byte string can be
-sliced lane by lane.
+digits non-negative without carries, after which each lane is read off by
+mask and shift.
 """
 
 from __future__ import annotations
@@ -51,34 +51,46 @@ def lane_width(max_abs: int) -> int:
     return ((bits + 7) // 8) * 8
 
 
+# Up to this many lanes, packing and unpacking go lane by lane (shift and
+# add, mask and shift); longer vectors are halved first, so no step moves
+# more than about this many lanes of bits.
+_RUN = 16
+
+
+def _pack(vec, b: int) -> int:
+    n = len(vec)
+    if n > _RUN:
+        h = n // 2
+        return _pack(vec[:h], b) + (_pack(vec[h:], b) << (b * h))
+    x = 0
+    for v in reversed(vec):
+        x = (x << b) + v
+    return x
+
+
 def pack_signed(vec, b: int):
     """Pack a vector of (possibly negative) ints into one big integer."""
-    lane = b // 8
-    pos = bytearray(lane * len(vec))
-    neg = None
-    for i, v in enumerate(vec):
-        if v > 0:
-            pos[lane * i:lane * i + lane] = v.to_bytes(lane, "little")
-        elif v < 0:
-            if neg is None:
-                neg = bytearray(lane * len(vec))
-            neg[lane * i:lane * i + lane] = (-v).to_bytes(lane, "little")
-    x = int.from_bytes(pos, "little")
-    if neg is not None:
-        x -= int.from_bytes(neg, "little")
-    return bignum(x)
+    return bignum(_pack(vec, b))
+
+
+def _lanes(y: int, b: int, count: int, half: int) -> list[int]:
+    """`count` lanes of the non-negative y, each less `half`."""
+    if count > _RUN:
+        h = count // 2
+        s = b * h
+        low = _lanes(y & ((1 << s) - 1), b, h, half)
+        return low + _lanes(y >> s, b, count - h, half)
+    mask = (1 << b) - 1
+    out = []
+    for _ in range(count):
+        out.append((y & mask) - half)
+        y >>= b
+    return out
 
 
 def unpack_signed(x, b: int, count: int) -> list[int]:
     """Recover `count` signed lanes from a packed integer (any sign)."""
-    bias, nbytes = _bias(b, count)
-    buf = (int(x) + bias).to_bytes(nbytes, "little")
-    lane = b // 8
-    half = 1 << (b - 1)
-    return [
-        int.from_bytes(buf[i * lane:(i + 1) * lane], "little") - half
-        for i in range(count)
-    ]
+    return _lanes(int(x) + _bias(b, count)[0], b, count, 1 << (b - 1))
 
 
 def widen_signed(x, b: int, b_new: int, count: int):

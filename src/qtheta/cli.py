@@ -166,7 +166,10 @@ def main(argv=None) -> int:
     job_list = enumerate_jobs(
         k_min, args.k_max, deltas, args.order, args.jet_degree, which
     )
-    sink = open(args.output, "w") if args.output else sys.stdout
+    try:
+        sink = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        return _usage_error(f"cannot open --output {args.output!r}: {exc.strerror}")
     t0 = time.perf_counter()
     try:
         if args.fmt == "text":

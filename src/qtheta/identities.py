@@ -26,7 +26,6 @@ from ._pack import (
     widen_signed,
 )
 from .cyclotomic import (
-    CyclotomicNumber,
     _ctx,
     embed_conductor,
     euler_phi,
@@ -229,12 +228,6 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     return reports
 
 
-def _embed_series(s: QExpansion, M: int) -> QExpansion:
-    return s.map_coeffs(
-        lambda c: embed_conductor(c, M) if isinstance(c, CyclotomicNumber) else c
-    )
-
-
 def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationReport:
     """Half product of theta factors vs its eta-quotient closed form.
 
@@ -265,7 +258,7 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     th = theta2_jet(
         ThetaPoint((bd // 2) * (delta - 1) + 1, bd, q_power=k), 0, nw
     ).slot(0)
-    rhs = _embed_series(th, m_full) * ratio
+    rhs = th.embed(m_full) * ratio
     rhs = rhs * embed_conductor(halfprod_constant(k, delta), m_full)
     mm = compare(lhs, rhs, order)
     return _finish(

@@ -138,12 +138,8 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
         n += 1
     out = []
     for j in range(degree + 1):
-        fj = math.factorial(j)
-        coeffs = [
-            CyclotomicNumber._raw(m, v, fj) if v is not None else 0
-            for v in slots[j]
-        ]
-        out.append(QExpansion(base, coeffs, order))
+        vecs = [v if v is not None and any(v) else None for v in slots[j]]
+        out.append(QExpansion._from_vectors(m, base, vecs, math.factorial(j), order))
     return ZJet(out)
 
 
@@ -236,10 +232,10 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     series (exercised by the lemd verifier).
     """
     ctx, den, vecs = _bracket_data(l, k, order)
-    m = ctx.m
-    coeffs = [CyclotomicNumber._raw(m, vecs[0], den)]
-    coeffs += [CyclotomicNumber._raw(m, v, 1) for v in vecs[1:]]
-    return QExpansion(0, coeffs, order)
+    vecs = [vecs[0] if any(vecs[0]) else None] + [
+        [den * x for x in v] if any(v) else None for v in vecs[1:]
+    ]
+    return QExpansion._from_vectors(ctx.m, 0, vecs, den, order)
 
 
 def halfprod_constant(k: int, delta: int) -> CyclotomicNumber:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
+    euler_phi,
     root_of_unity,
     trig_value,
 )
@@ -29,51 +30,63 @@ def _eq(a: QExpansion, b: QExpansion) -> bool:
     return compare(a, b, min(a.precision, b.precision)) is None
 
 
-def _rand_series(rng, prec=14, span=4, base=0):
-    cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(span)]
-    return QExpansion(base, cs, prec)
+# None: rational series; m: series over Q(zeta_m), with denominators and
+# with some zero and rational coefficients
+_FIELDS = (None, 8, 12, 20)
+
+
+def _rand_series(rng, prec=14, span=4, base=0, m=None):
+    def coeff():
+        if m is None or rng.random() < 0.3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return CyclotomicNumber(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(euler_phi(m))])
+
+    return QExpansion(base, [coeff() for _ in range(span)], prec)
 
 
 def _group_ring_laws():
     rng = random.Random(_SEED)
-    for _ in range(40):
-        a, b, c = (_rand_series(rng) for _ in range(3))
-        if not _eq((a + b) + c, a + (b + c)):
-            return False, "associativity of + failed"
-        if not _eq(a * b, b * a):
-            return False, "commutativity of * failed"
-        if not _eq((a * b) * c, a * (b * c)):
-            return False, "associativity of * failed"
-        if not _eq(a * (b + c), a * b + a * c):
-            return False, "distributivity failed"
-    count = 0
-    while count < 100:
-        a, b = _rand_series(rng), _rand_series(rng)
-        if b.is_zero or not b.coeffs[0]:
-            continue
-        count += 1
-        q = a / b
-        if not _eq(b * q, a):
-            return False, "b*(a/b) != a"
-    return True, "ring laws + 100 division round trips"
+    for m in _FIELDS:
+        for _ in range(40 if m is None else 10):
+            a, b, c = (_rand_series(rng, m=m) for _ in range(3))
+            if not _eq((a + b) + c, a + (b + c)):
+                return False, f"associativity of + failed (field {m})"
+            if not _eq(a * b, b * a):
+                return False, f"commutativity of * failed (field {m})"
+            if not _eq((a * b) * c, a * (b * c)):
+                return False, f"associativity of * failed (field {m})"
+            if not _eq(a * (b + c), a * b + a * c):
+                return False, f"distributivity failed (field {m})"
+        count = 0
+        while count < (100 if m is None else 20):
+            a, b = _rand_series(rng, m=m), _rand_series(rng, m=m)
+            if b.is_zero or not b.coeffs[0]:
+                continue
+            count += 1
+            q = a / b
+            if not _eq(b * q, a):
+                return False, f"b*(a/b) != a (field {m})"
+    return True, "ring laws + 160 division round trips over Q and Q(zeta_8,12,20)"
 
 
 def _group_derivations():
     rng = random.Random(_SEED + 1)
-    for _ in range(40):
-        a, b = _rand_series(rng), _rand_series(rng)
-        lhs = (a * b).q_ddq()
-        rhs = a.q_ddq() * b + a * b.q_ddq()
-        if not _eq(lhs, rhs):
-            return False, "q d/dq is not a derivation"
-        s = rng.randint(1, 4)
-        if not _eq((a * b).scale_q(s), a.scale_q(s) * b.scale_q(s)):
-            return False, "scale_q is not multiplicative"
-        if not _eq((a + b).scale_q(s), a.scale_q(s) + b.scale_q(s)):
-            return False, "scale_q is not additive"
-        if not _eq(a.scale_q(s).q_ddq(), a.q_ddq().scale_q(s) * s):
-            return False, "scale_q chain rule failed"
-    return True, "derivation law and substitution morphism"
+    for m in _FIELDS:
+        for _ in range(40 if m is None else 10):
+            a, b = _rand_series(rng, m=m), _rand_series(rng, m=m)
+            lhs = (a * b).q_ddq()
+            rhs = a.q_ddq() * b + a * b.q_ddq()
+            if not _eq(lhs, rhs):
+                return False, f"q d/dq is not a derivation (field {m})"
+            s = rng.randint(1, 4)
+            if not _eq((a * b).scale_q(s), a.scale_q(s) * b.scale_q(s)):
+                return False, f"scale_q is not multiplicative (field {m})"
+            if not _eq((a + b).scale_q(s), a.scale_q(s) + b.scale_q(s)):
+                return False, f"scale_q is not additive (field {m})"
+            if not _eq(a.scale_q(s).q_ddq(), a.q_ddq().scale_q(s) * s):
+                return False, f"scale_q chain rule failed (field {m})"
+    return True, "derivation law and substitution morphism over Q and Q(zeta_8,12,20)"
 
 
 def _group_trig():

@@ -4,23 +4,38 @@ A QExpansion stores sum_{t < L} c_t q^(base+t) + O(q^precision): integer
 exponent steps on top of one fractional base, which covers everything
 built here (the q^{1/8} and q^{alpha/24} prefactors factor out exactly).
 Precision is an absolute exponent bound and only ever decreases through
-arithmetic.  Coefficients are ints, Fractions, or CyclotomicNumbers of a
-single conductor per series.
+arithmetic.
 
-Multiplication is schoolbook convolution in q, with one path per
-coefficient kind.  Rational series are scaled to integers over one
-common denominator per operand.  Cyclotomic coefficient vectors are
-packed into bigints lane by lane, at the lane width _Ctx.product_lane
-gives for the whole convolution, so the inner loop is one bignum
-multiply per coefficient pair instead of a D^2 vector product.  A packed
-operand is reused across the convolution, which is what pays for the
-packing; a single product of two field elements (CyclotomicNumber
-__mul__) is schoolbook and shares no code with this path.
+A series holds its coefficients in one of two forms.  A rational series
+holds ints and Fractions.  A series over Q(zeta_m) holds its conductor m,
+one canonical integer vector per coefficient (power-basis coordinates
+mod Phi_m, None for a zero coefficient) and one common denominator, in
+lowest terms after one gcd pass per series; the largest vector entry is
+found once, when a product first needs it.  Sums, scalar products,
+q d/dq, shifts, truncation, products, division and comparison all work
+on those vectors.  CyclotomicNumber objects are built only where a
+caller reads a coefficient: `coeffs` is a tuple built on first read and
+cached, and coefficient() and a Mismatch read it.  A series has a single
+conductor: building one from two conductors, or adding two, raises
+ConductorError, and a zero series is rational.
+
+Multiplication is schoolbook convolution in q.  Rational series are
+scaled to integers over one common denominator per operand.  Cyclotomic
+vectors are packed into bigints lane by lane, at the lane width
+_Ctx.product_lane gives for the whole convolution, so the inner loop is
+one bignum multiply per coefficient pair, and each product coefficient
+is reduced mod Phi_m from its packed lanes straight into a vector.  A
+packed operand is reused across the convolution, which is what pays for
+the packing; a single product of two field elements (CyclotomicNumber
+__mul__, or a series times a field element) is schoolbook.
 
 Division a / b is the product a * b.inverse().  The inverse is computed
 once per divisor object by schoolbook division of 1 by b, and cached on
-it, so every quotient by the same series (all the slots of a jet quotient,
-say) shares one inversion.
+it, so every quotient by the same series (all the slots of a jet
+quotient, say) shares one inversion.  Over Q(zeta_m) the lead of b is
+inverted once; each remainder is an unreduced integer vector over its
+own denominator, reduced mod Phi_m once, when its quotient coefficient
+is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ from fractions import Fraction
 
 from . import _kernels as K
 from ._pack import pack_signed
-from .cyclotomic import ConductorError, CyclotomicNumber, _ctx, embed_conductor
+from .cyclotomic import ConductorError, CyclotomicNumber, _ctx
 
 
 class PrecisionError(ValueError):
@@ -50,24 +65,72 @@ class Mismatch:
         return f"q^({self.exponent}): {self.lhs} != {self.rhs}"
 
 
-def _values_equal(x, y) -> bool:
-    if (
-        isinstance(x, CyclotomicNumber)
-        and isinstance(y, CyclotomicNumber)
-        and x.conductor != y.conductor
-    ):
-        m = math.lcm(x.conductor, y.conductor)
-        return embed_conductor(x, m) == embed_conductor(y, m)
-    return x == y
+def _lowest_terms(vecs, den):
+    """(vecs, den) divided by the gcd of den and every vector entry."""
+    g = den
+    for v in vecs:
+        if g == 1:
+            break
+        if v is not None:
+            g = math.gcd(g, *v)
+    if g == 1:
+        return vecs, den
+    return [None if v is None else [x // g for x in v] for v in vecs], den // g
+
+
+def _lane_max(vecs) -> int:
+    return max(max(max(v), -min(v)) for v in vecs if v is not None)
+
+
+def _scaled(vecs, f: int):
+    if f == 1:
+        return vecs
+    return [None if v is None else [f * x for x in v] for v in vecs]
+
+
+def _field_of(a: "QExpansion", b: "QExpansion") -> int | None:
+    """The one conductor of two operands, or None when both are rational."""
+    ma, mb = a._m, b._m
+    if ma is None:
+        return mb
+    if mb is not None and mb != ma:
+        raise ConductorError(f"conductor mismatch: {ma} vs {mb}")
+    return ma
 
 
 class QExpansion:
-    __slots__ = ("base", "coeffs", "precision", "_inv")
+    __slots__ = ("base", "precision", "_m", "_vecs", "_den", "_amax",
+                 "_coeffs", "_inv")
 
     def __init__(self, base, coeffs, precision):
+        cs = list(coeffs)
+        ms = {c.conductor for c in cs if isinstance(c, CyclotomicNumber)}
+        if len(ms) > 1:
+            raise ConductorError(f"one series with conductors {sorted(ms)}")
+        if not ms:
+            self._init_rational(base, cs, precision)
+            return
+        m = ms.pop()
+        D = _ctx(m).D
+        parts = []
+        for c in cs:
+            if not c:
+                parts.append(None)
+            elif isinstance(c, CyclotomicNumber):
+                parts.append((c._num, c._den))
+            else:
+                v = [0] * D
+                v[0] = c.numerator
+                parts.append((v, c.denominator))
+        den = math.lcm(*(p[1] for p in parts if p is not None))
+        vecs = [None if p is None else [den // p[1] * x for x in p[0]]
+                for p in parts]
+        # each part is in lowest terms, so the vectors over their lcm are too
+        self._init_vectors(m, base, vecs, den, precision, True)
+
+    def _init_rational(self, base, cs, precision):
         base = Fraction(base)
         precision = Fraction(precision)
-        cs = list(coeffs)
         i = 0
         while i < len(cs) and not cs[i]:
             i += 1
@@ -89,9 +152,92 @@ class QExpansion:
         if not cs:
             base = precision  # exponent of the first unknown term
         self.base = base
-        self.coeffs = tuple(cs)
         self.precision = precision
+        self._m = None
+        self._vecs = None
+        self._den = 1
+        self._amax = None
+        self._coeffs = tuple(cs)
         self._inv = None
+
+    def _init_vectors(self, m, base, vecs, den, precision, lowest):
+        base = Fraction(base)
+        precision = Fraction(precision)
+        i, j = 0, len(vecs)
+        while i < j and vecs[i] is None:
+            i += 1
+        while j > i and vecs[j - 1] is None:
+            j -= 1
+        base += i
+        room = precision - base
+        keep = math.ceil(room) if room > 0 else 0
+        if j - i > keep:
+            j = i + keep
+            while j > i and vecs[j - 1] is None:
+                j -= 1
+            lowest = False
+        if i == j:
+            self._init_rational(precision, (), precision)
+            return
+        if i or j < len(vecs):
+            vecs = vecs[i:j]
+        if not lowest:
+            vecs, den = _lowest_terms(vecs, den)
+        self.base = base
+        self.precision = precision
+        self._m = m
+        self._vecs = vecs
+        self._den = den
+        self._amax = None
+        self._coeffs = None
+        self._inv = None
+
+    @classmethod
+    def _from_vectors(cls, m, base, vecs, den, precision, lowest=False):
+        """A series over Q(zeta_m) from canonical vectors (lists of ints,
+        None for zero) over the positive denominator den.  The lists are
+        kept, not copied, so the caller must not change them afterwards."""
+        self = object.__new__(cls)
+        self._init_vectors(m, base, vecs, den, precision, lowest)
+        return self
+
+    def _rebuilt(self, base, items, precision):
+        """A series of this one's kind from the same kind of items
+        (coefficients, or vectors in lowest terms over this denominator)."""
+        if self._m is None:
+            return QExpansion(base, items, precision)
+        return QExpansion._from_vectors(
+            self._m, base, items, self._den, precision, True
+        )
+
+    def _items(self):
+        return self._coeffs if self._m is None else self._vecs
+
+    def _vectors(self, m):
+        """(vectors, denominator) over Q(zeta_m); a rational series is lifted."""
+        if self._m == m:
+            return self._vecs, self._den
+        cs = self._coeffs
+        den = math.lcm(*(c.denominator for c in cs))
+        D = _ctx(m).D
+        vecs = []
+        for c in cs:
+            if c:
+                v = [0] * D
+                v[0] = den // c.denominator * c.numerator
+                vecs.append(v)
+            else:
+                vecs.append(None)
+        return vecs, den
+
+    def _operand(self, m):
+        """(vectors, denominator, largest entry) for a product over Q(zeta_m)."""
+        if self._m != m:
+            vecs, den = self._vectors(m)
+            return vecs, den, _lane_max(vecs)
+        if self._amax is None:
+            self._amax = _lane_max(self._vecs)
+        return self._vecs, self._den, self._amax
 
     # -- constructors -------------------------------------------------
 
@@ -114,31 +260,52 @@ class QExpansion:
     # -- inspection ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients c_t: CyclotomicNumbers (0 for a zero) over
+        Q(zeta_m), ints and Fractions over Q."""
+        cs = self._coeffs
+        if cs is None:
+            m, den = self._m, self._den
+            cs = self._coeffs = tuple(
+                0 if v is None else CyclotomicNumber._raw(m, v, den)
+                for v in self._vecs
+            )
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._m is None and not self._coeffs
 
     def field(self) -> int | None:
         """Conductor of the coefficient field, or None for plain rationals."""
-        for c in self.coeffs:
-            if isinstance(c, CyclotomicNumber):
-                return c.conductor
-        return None
+        return self._m
 
     def exponents(self):
-        return [self.base + t for t in range(len(self.coeffs))]
+        return [self.base + t for t in range(len(self._items()))]
 
     def coefficient(self, e):
         e = Fraction(e)
         if e >= self.precision:
             raise PrecisionError(f"exponent {e} is beyond O(q^{self.precision})")
         t = e - self.base
-        if t.denominator != 1 or t < 0 or t >= len(self.coeffs):
+        if t.denominator != 1 or t < 0 or t >= len(self._items()):
             return 0
         return self.coeffs[int(t)]
 
     def truncate(self, precision) -> "QExpansion":
         p = min(Fraction(precision), self.precision)
-        return QExpansion(self.base if self.coeffs else p, self.coeffs, p)
+        return self._rebuilt(self.base if not self.is_zero else p, self._items(), p)
+
+    def embed(self, M: int) -> "QExpansion":
+        """The same series over Q(zeta_M), m | M; a rational one is unchanged."""
+        m = self._m
+        if m is None or m == M:
+            return self
+        if M % m:
+            raise ConductorError(f"{m} does not divide {M}")
+        ctx = _ctx(M)
+        vecs = [None if v is None else ctx.galois_vec(v, M // m) for v in self._vecs]
+        return QExpansion._from_vectors(M, self.base, vecs, self._den, self.precision)
 
     def __repr__(self):
         if self.is_zero:
@@ -156,19 +323,27 @@ class QExpansion:
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.precision == other.precision
-            and len(self.coeffs) == len(other.coeffs)
-            and all(_values_equal(x, y) for x, y in zip(self.coeffs, other.coeffs))
-        )
+        if (self.base != other.base or self.precision != other.precision
+                or len(self._items()) != len(other._items())):
+            return False
+        if self._m is None and other._m is None:
+            return self._coeffs == other._coeffs
+        # lowest terms make (vectors, denominator) canonical in one field
+        (va, da), (vb, db) = _common_vectors(self, other)
+        return da == db and va == vb
 
     def __hash__(self):
         # __eq__ compares non-rational coefficients across conductors by
         # embedding, so only rational values may enter the hash.
-        return hash((self.base, self.precision, len(self.coeffs), tuple(
-            None if isinstance(c, CyclotomicNumber) and not c.is_rational()
-            else c for c in self.coeffs)))
+        if self._m is None:
+            vals = self._coeffs
+        else:
+            den = self._den
+            vals = tuple(
+                0 if v is None else None if any(v[1:]) else Fraction(v[0], den)
+                for v in self._vecs
+            )
+        return hash((self.base, self.precision, len(vals), vals))
 
     # -- ring operations ----------------------------------------------
 
@@ -181,6 +356,7 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         prec = min(self.precision, other.precision)
+        m = _field_of(self, other)
         if self.is_zero:
             return other.truncate(prec)
         if other.is_zero:
@@ -191,23 +367,36 @@ class QExpansion:
                 f"incompatible base classes: {self.base} vs {other.base}"
             )
         base = min(self.base, other.base)
-        length = max(
-            len(self.coeffs) + int(self.base - base),
-            len(other.coeffs) + int(other.base - base),
-        )
-        out = [0] * length
-        off = int(self.base - base)
-        for t, c in enumerate(self.coeffs):
-            out[off + t] = c
-        off = int(other.base - base)
-        for t, c in enumerate(other.coeffs):
-            out[off + t] = out[off + t] + c
-        return QExpansion(base, out, prec)
+        oa, ob = int(self.base - base), int(other.base - base)
+        if m is None:
+            out = [0] * max(len(self._coeffs) + oa, len(other._coeffs) + ob)
+            for t, c in enumerate(self._coeffs):
+                out[oa + t] = c
+            for t, c in enumerate(other._coeffs):
+                out[ob + t] = out[ob + t] + c
+            return QExpansion(base, out, prec)
+        va, da = self._vectors(m)
+        vb, db = other._vectors(m)
+        den = math.lcm(da, db)
+        va, vb = _scaled(va, den // da), _scaled(vb, den // db)
+        out = [None] * max(len(va) + oa, len(vb) + ob)
+        out[oa:oa + len(va)] = va
+        for t, v in enumerate(vb):
+            if v is not None:
+                w = out[ob + t]
+                if w is not None:
+                    v = [x + y for x, y in zip(w, v)]
+                    if not any(v):
+                        v = None
+                out[ob + t] = v
+        return QExpansion._from_vectors(m, base, out, den, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QExpansion(self.base, [-c for c in self.coeffs], self.precision)
+        if self._m is None:
+            return QExpansion(self.base, [-c for c in self._coeffs], self.precision)
+        return self._rebuilt(self.base, _scaled(self._vecs, -1), self.precision)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -223,14 +412,35 @@ class QExpansion:
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             if not other:
                 return QExpansion.zero(self.precision)
-            return QExpansion(
-                self.base, [c * other for c in self.coeffs], self.precision
-            )
+            return self._times(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
         return _series_mul(self, other)
 
     __rmul__ = __mul__
+
+    def _times(self, c) -> "QExpansion":
+        """self * c for a nonzero int, Fraction or CyclotomicNumber c."""
+        m = self._m
+        if isinstance(c, CyclotomicNumber):
+            if m is not None and m != c.conductor:
+                raise ConductorError(f"conductor mismatch: {m} vs {c.conductor}")
+            m = c.conductor
+            if not c.is_rational():
+                vecs, den = self._vectors(m)
+                mul = _ctx(m).mul_vec
+                vecs = [None if v is None else mul(v, c._num) for v in vecs]
+                return QExpansion._from_vectors(
+                    m, self.base, vecs, den * c._den, self.precision
+                )
+            c = c.as_rational()
+        elif m is None:
+            return QExpansion(self.base, [x * c for x in self._coeffs], self.precision)
+        vecs, den = self._vectors(m)
+        return QExpansion._from_vectors(
+            m, self.base, _scaled(vecs, c.numerator), den * c.denominator,
+            self.precision,
+        )
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -253,62 +463,44 @@ class QExpansion:
 
     def q_ddq(self) -> "QExpansion":
         """Apply q d/dq: multiply each coefficient by its full exponent."""
-        new = [c * (self.base + t) for t, c in enumerate(self.coeffs)]
-        return QExpansion(self.base, new, self.precision)
+        if self._m is None:
+            new = [c * (self.base + t) for t, c in enumerate(self._coeffs)]
+            return QExpansion(self.base, new, self.precision)
+        p, q = self.base.numerator, self.base.denominator
+        vecs = [None if v is None or p + t * q == 0 else [(p + t * q) * x for x in v]
+                for t, v in enumerate(self._vecs)]
+        return QExpansion._from_vectors(
+            self._m, self.base, vecs, self._den * q, self.precision
+        )
 
     def scale_q(self, s: int) -> "QExpansion":
         """Substitute q -> q^s (s >= 1)."""
         if not isinstance(s, int) or s < 1:
             raise ValueError("scale factor must be a positive integer")
+        items = self._items()
         if self.is_zero or s == 1:
-            return QExpansion(self.base * s, self.coeffs, self.precision * s)
-        out = [0] * ((len(self.coeffs) - 1) * s + 1)
-        for t, c in enumerate(self.coeffs):
-            out[t * s] = c
-        return QExpansion(self.base * s, out, self.precision * s)
+            return self._rebuilt(self.base * s, items, self.precision * s)
+        out = [0 if self._m is None else None] * ((len(items) - 1) * s + 1)
+        out[::s] = items
+        return self._rebuilt(self.base * s, out, self.precision * s)
 
     def shift(self, e) -> "QExpansion":
         """Multiply by the exact monomial q^e."""
         e = Fraction(e)
-        return QExpansion(self.base + e, self.coeffs, self.precision + e)
+        return self._rebuilt(self.base + e, self._items(), self.precision + e)
 
     def map_coeffs(self, fn) -> "QExpansion":
         return QExpansion(self.base, [fn(c) for c in self.coeffs], self.precision)
 
 
+def _common_vectors(a: QExpansion, b: QExpansion):
+    """((vectors, den), (vectors, den)) of a and b over one field, the
+    lcm of their conductors; at least one of them is cyclotomic."""
+    m = math.lcm(a._m or 1, b._m or 1)
+    return a.embed(m)._vectors(m), b.embed(m)._vectors(m)
+
+
 # -- multiplication ----------------------------------------------------
-
-
-def _gather_vectors(ctx, coeffs):
-    """Common-denominator integer coordinate matrix of a coefficient list."""
-    dens = []
-    for c in coeffs:
-        if isinstance(c, CyclotomicNumber):
-            if c.conductor != ctx.m:
-                raise ConductorError(
-                    f"conductor mismatch in series product: {c.conductor} vs {ctx.m}"
-                )
-            dens.append(c._den)
-        else:
-            dens.append(Fraction(c).denominator)
-    den = math.lcm(*dens) if dens else 1
-    vecs = []
-    amax = 1
-    for c, dc in zip(coeffs, dens):
-        f = den // dc
-        if isinstance(c, CyclotomicNumber):
-            v = [f * x for x in c._num]
-        else:
-            fc = Fraction(c)
-            v = [0] * ctx.D
-            v[0] = fc.numerator * f
-        vecs.append(v)
-        for x in v:
-            if x > amax:
-                amax = x
-            elif -x > amax:
-                amax = -x
-    return vecs, den, amax
 
 
 def _mul_rational(A, B, n):
@@ -323,21 +515,6 @@ def _mul_rational(A, B, n):
     return [Fraction(p, dd) for p in prod]
 
 
-def _mul_cyclo(m, A, B, n):
-    ctx = _ctx(m)
-    va, da, amax = _gather_vectors(ctx, A)
-    vb, db, bmax = _gather_vectors(ctx, B)
-    b = ctx.product_lane(min(len(A), len(B)), amax, bmax)
-    pa = [pack_signed(v, b) for v in va]
-    pb = [pack_signed(v, b) for v in vb]
-    prod = K.convolve_trunc(pa, pb, n)
-    dd = da * db
-    return [
-        CyclotomicNumber._raw(m, ctx.reduce_packed(x, b), dd) if x else 0
-        for x in prod
-    ]
-
-
 def _series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     prec = min(a.precision + b.base, b.precision + a.base)
     if a.is_zero or b.is_zero:
@@ -346,15 +523,22 @@ def _series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     room = prec - base
     if room <= 0:
         return QExpansion.zero(prec)
-    n = min(math.ceil(room), len(a.coeffs) + len(b.coeffs) - 1)
-    fa, fb = a.field(), b.field()
-    if fa is None and fb is None:
-        coeffs = _mul_rational(a.coeffs, b.coeffs, n)
-    else:
-        if fa is not None and fb is not None and fa != fb:
-            raise ConductorError(f"conductor mismatch: {fa} vs {fb}")
-        coeffs = _mul_cyclo(fa or fb, a.coeffs, b.coeffs, n)
-    return QExpansion(base, coeffs, prec)
+    m = _field_of(a, b)
+    if m is None:
+        n = min(math.ceil(room), len(a._coeffs) + len(b._coeffs) - 1)
+        return QExpansion(base, _mul_rational(a._coeffs, b._coeffs, n), prec)
+    ctx = _ctx(m)
+    va, da, amax = a._operand(m)
+    vb, db, bmax = b._operand(m)
+    n = min(math.ceil(room), len(va) + len(vb) - 1)
+    lane = ctx.product_lane(min(len(va), len(vb)), amax, bmax)
+    pa = [0 if v is None else pack_signed(v, lane) for v in va]
+    pb = pa if b is a else [0 if v is None else pack_signed(v, lane) for v in vb]
+    out = []
+    for x in K.convolve_trunc(pa, pb, n):
+        v = ctx.reduce_packed(x, lane) if x else None
+        out.append(v if v is not None and any(v) else None)
+    return QExpansion._from_vectors(m, base, out, da * db, prec)
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -368,24 +552,74 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     if room <= 0:
         return QExpansion.zero(prec)
     n = math.ceil(room)
-    lead = b.coeffs[0]
-    if isinstance(lead, CyclotomicNumber):
-        linv = lead.invert()
-    else:
-        linv = Fraction(1) / Fraction(lead)
-    rem = list(a.coeffs[:n]) + [0] * max(0, n - len(a.coeffs))
+    m = _field_of(a, b)
+    if m is None:
+        return QExpansion(base, _div_rational(a._coeffs, b._coeffs, n), prec)
+    ctx = _ctx(m)
+    phi = ctx.phi_low
+    av, ad = a._vectors(m)
+    bv, bd = b._vectors(m)
+    lead = CyclotomicNumber._raw(m, bv[0], bd).invert()
+    L, lam = lead._num, lead._den
+    pad = [0] * (ctx.D - 1)
+    # remainder i is rem[i] / rden[i]: 2D-1 unreduced lanes
+    rem = [None if v is None else v + pad for v in av[:n]]
+    rem += [None] * (n - len(rem))
+    rden = [ad] * n
+    out = [None] * n
+    oden = [1] * n
+    for i in range(n):
+        r = rem[i]
+        if r is None:
+            continue
+        q = ctx.mul_vec(K.cyclo_rem(r, phi), L)
+        if not any(q):
+            continue
+        qd = rden[i] * lam
+        g = math.gcd(qd, *q)
+        if g > 1:
+            q = [x // g for x in q]
+            qd //= g
+        out[i], oden[i] = q, qd
+        td = qd * bd
+        for j in range(1, min(len(bv), n - i)):
+            bj = bv[j]
+            if bj is None:
+                continue
+            t = K.convolve(q, bj)
+            k = i + j
+            r = rem[k]
+            if r is None:
+                rem[k] = [-y for y in t]
+                rden[k] = td
+            elif rden[k] == td:
+                rem[k] = [x - y for x, y in zip(r, t)]
+            else:
+                d = math.lcm(rden[k], td)
+                fr, ft = d // rden[k], d // td
+                rem[k] = [fr * x - ft * y for x, y in zip(r, t)]
+                rden[k] = d
+    den = math.lcm(*oden)
+    vecs = [None if q is None else [den // qd * x for x in q]
+            for q, qd in zip(out, oden)]
+    # each quotient coefficient is in lowest terms, so the lcm is too
+    return QExpansion._from_vectors(m, base, vecs, den, prec, True)
+
+
+def _div_rational(A, B, n):
+    """First n coefficients of the quotient of two rational series."""
+    linv = Fraction(1) / Fraction(B[0])
+    rem = list(A[:n]) + [0] * max(0, n - len(A))
     out = [0] * n
-    bc = b.coeffs
     for i in range(n):
         ri = rem[i]
         qi = ri * linv if ri else ri
         out[i] = qi
         if qi:
-            jmax = min(len(bc), n - i)
-            for j in range(1, jmax):
-                if bc[j]:
-                    rem[i + j] = rem[i + j] - qi * bc[j]
-    return QExpansion(base, out, prec)
+            for j in range(1, min(len(B), n - i)):
+                if B[j]:
+                    rem[i + j] = rem[i + j] - qi * B[j]
+    return out
 
 
 # -- named operations ----------------------------------------------------
@@ -408,6 +642,34 @@ def lambert(a: int, b: int, order) -> QExpansion:
     return QExpansion(0, coeffs, order)
 
 
+def _first_difference(a: QExpansion, b: QExpansion, order):
+    """Least exponent below `order` where a and b differ, or None."""
+    if (a.base - b.base).denominator != 1:
+        # no exponent is shared, and a nonzero series is nonzero at its base
+        firsts = [s.base for s in (a, b) if not s.is_zero and s.base < order]
+        return min(firsts, default=None)
+    if a._m is None and b._m is None:
+        (va, da), (vb, db) = (a._coeffs, 1), (b._coeffs, 1)
+    else:
+        (va, da), (vb, db) = _common_vectors(a, b)
+    base = min(a.base, b.base)
+    oa, ob = int(a.base - base), int(b.base - base)
+    top = min(math.ceil(order - base), max(oa + len(va), ob + len(vb)))
+    for t in range(top):
+        x = va[t - oa] if 0 <= t - oa < len(va) else None
+        y = vb[t - ob] if 0 <= t - ob < len(vb) else None
+        if not x and not y:
+            continue
+        if not x or not y:
+            return base + t
+        if da == db:
+            if x != y:
+                return base + t
+        elif any(u * db != w * da for u, w in zip(x, y)):
+            return base + t
+    return None
+
+
 def compare(a: QExpansion, b: QExpansion, order) -> Mismatch | None:
     """First mismatching coefficient below `order`, or None if equal.
 
@@ -420,14 +682,8 @@ def compare(a: QExpansion, b: QExpansion, order) -> Mismatch | None:
             f"compare to O(q^{order}) needs precision >= {order}; "
             f"operands have {a.precision} and {b.precision}"
         )
-    exps = sorted(
-        {e for e in a.exponents() if e < order} | {e for e in b.exponents() if e < order}
-    )
-    for e in exps:
-        va, vb = a.coefficient(e), b.coefficient(e)
-        if not _values_equal(va, vb):
-            return Mismatch(e, va, vb)
-    return None
+    e = _first_difference(a, b, order)
+    return None if e is None else Mismatch(e, a.coefficient(e), b.coefficient(e))
 
 
 def equal_to(a: QExpansion, b: QExpansion, order) -> tuple[bool, Mismatch | None]:

@@ -150,6 +150,24 @@ class TestJsonFormat:
         content = path.read_text()
         assert content.count("PASS") == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unopenable_output_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              where):
+        path = tmp_path / "no-such-dir" / "r.txt"
+        if where == "directory":
+            path = tmp_path
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran although --output cannot be opened")
+
+        monkeypatch.setattr("qtheta.cli.run_jobs", no_jobs)
+        rc = main(["verify", "k3", "--order", "5", "--jobs", "1",
+                   "--output", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"error: cannot open --output {str(path)!r}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):

@@ -65,6 +65,7 @@ def test_pack_unpack_round_trip():
         vec = [rng.randint(-bound, bound) for _ in range(n)]
         b = lane_width(bound)
         x = pack_signed(vec, b)
+        assert x == sum(v << (b * i) for i, v in enumerate(vec))
         assert unpack_signed(x, b, n) == vec
         # packed addition is vector addition
         vec2 = [rng.randint(-bound // 2, bound // 2) for _ in range(n)]

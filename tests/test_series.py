@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtheta import (
+    ConductorError,
     CyclotomicNumber,
     PrecisionError,
     QExpansion,
@@ -314,3 +315,17 @@ def test_hash_agrees_with_equality_across_conductors():
     c = QExpansion(0, [z4 * z4, Fraction(1, 2)], 5)
     d = QExpansion(0, [-1, CyclotomicNumber.rational(8, Fraction(1, 2))], 5)
     assert c == d and hash(c) == hash(d)
+
+
+def test_one_conductor_per_series():
+    z8, z12 = root_of_unity(8, 1), root_of_unity(12, 1)
+    with pytest.raises(ConductorError):
+        QExpansion(0, [z8, z12], 10)
+    a, b = QExpansion(0, [z8], 10), QExpansion(1, [z12], 10)
+    with pytest.raises(ConductorError):
+        a + b
+    with pytest.raises(ConductorError):
+        a - b
+    # a rational series, the zero series included, adds to either
+    assert (a + QExpansion(1, [Fraction(1, 2)], 10)).field() == 8
+    assert (QExpansion.zero(10) + b).field() == 12

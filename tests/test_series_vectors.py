@@ -1,0 +1,250 @@
+"""Series over Q(zeta_m) are integer vectors over one denominator; every
+operation on them must agree with coefficient-wise CyclotomicNumber
+arithmetic, which here is the oracle: a dict from exponent to value."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtheta import (
+    CyclotomicNumber,
+    Mismatch,
+    QExpansion,
+    ThetaPoint,
+    compare,
+    embed_conductor,
+    root_of_unity,
+)
+from qtheta.cyclotomic import _ctx
+from qtheta.modular import theta2_jet
+from qtheta.series import _series_div
+
+CONDUCTORS = [4, 8, 12, 20, 40]
+small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+class Ref:
+    """A truncated series as {exponent: nonzero value} below a precision."""
+
+    def __init__(self, terms, prec):
+        self.prec = Fraction(prec)
+        self.terms = {Fraction(e): v for e, v in terms.items() if v and e < self.prec}
+
+    @classmethod
+    def of(cls, base, coeffs, prec):
+        return cls({Fraction(base) + t: c for t, c in enumerate(coeffs)}, prec)
+
+    @property
+    def base(self):
+        return min(self.terms, default=self.prec)
+
+    def at(self, e):
+        return self.terms.get(e, 0)
+
+    def check(self, s):
+        assert (s.base, s.precision) == (self.base, self.prec)
+        if not self.terms:
+            assert s.is_zero and s.coeffs == ()
+            return
+        assert len(s.coeffs) == int(max(self.terms) - self.base) + 1
+        for t, c in enumerate(s.coeffs):
+            assert c == self.at(self.base + t), (t, c, self.at(self.base + t))
+
+    def add(self, o):
+        terms = dict(self.terms)
+        for e, v in o.terms.items():
+            terms[e] = terms[e] + v if e in terms else v
+        return Ref(terms, min(self.prec, o.prec))
+
+    def scale(self, c):
+        return Ref({e: v * c for e, v in self.terms.items()}, self.prec)
+
+    def mul(self, o):
+        prec = min(self.prec + o.base, o.prec + self.base)
+        terms = {}
+        for e1, v1 in self.terms.items():
+            for e2, v2 in o.terms.items():
+                e = e1 + e2
+                terms[e] = terms[e] + v1 * v2 if e in terms else v1 * v2
+        return Ref(terms, prec)
+
+    def div(self, o):
+        # the schoolbook division on coefficient objects
+        prec = min(self.prec - o.base, o.prec + self.base - 2 * o.base)
+        base = self.base - o.base
+        if not self.terms or prec <= base:
+            return Ref({}, prec)
+        n = math.ceil(prec - base)
+        rem = [self.at(self.base + i) for i in range(n)]
+        bc = [o.at(o.base + j) for j in range(n)]
+        lead = bc[0]
+        if isinstance(lead, CyclotomicNumber):
+            linv = lead.invert()
+        else:
+            linv = 1 / Fraction(lead)
+        out = {}
+        for i in range(n):
+            q = rem[i] * linv
+            out[base + i] = q
+            for j in range(1, n - i):
+                rem[i + j] = rem[i + j] - q * bc[j]
+        return Ref(out, prec)
+
+    def first_mismatch(self, o, order):
+        for e in sorted(set(self.terms) | set(o.terms)):
+            if e < order and self.at(e) != o.at(e):
+                return e, self.at(e), o.at(e)
+        return None
+
+
+@st.composite
+def value(draw, m, rational):
+    kinds = ["zero", "int", "fraction"] + ([] if rational else ["cyc", "cyc", "cyc"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return draw(st.sampled_from([0, CyclotomicNumber.zero(m)]))
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    if kind == "fraction":
+        return draw(small_fraction)
+    coords = st.one_of(st.just(0), st.just(0), small_fraction)
+    D = _ctx(m).D
+    return CyclotomicNumber(m, draw(st.lists(coords, min_size=D, max_size=D)))
+
+
+@st.composite
+def series_pair(draw):
+    """(m, (series, Ref), (series, Ref)): one conductor, one base class;
+    either side may hold only rational values, or be zero."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    cls = Fraction(draw(st.integers(0, 7)), 8)
+
+    def one():
+        base = cls + draw(st.integers(-2, 3))
+        rational = draw(st.integers(0, 4)) == 0
+        coeffs = draw(st.lists(value(m, rational), max_size=7))
+        prec = base + draw(st.integers(0, 9))
+        return QExpansion(base, coeffs, prec), Ref.of(base, coeffs, prec)
+
+    a = one()
+    if draw(st.booleans()):
+        # a near copy of a, so that comparisons reach deep mismatches
+        s, r = a
+        terms = dict(r.terms)
+        if terms and draw(st.booleans()):
+            e = draw(st.sampled_from(sorted(terms)))
+            terms[e] = terms[e] + draw(value(m, False))
+        coeffs = [terms.get(r.base + t, 0) for t in range(len(s.coeffs))]
+        b = QExpansion(r.base, coeffs, r.prec), Ref(terms, r.prec)
+    else:
+        b = one()
+    return m, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=series_pair(), c=st.data())
+def test_vector_operations_match_object_arithmetic(data, c):
+    m, (a, ra), (b, rb) = data
+    ra.check(a)
+    rb.check(b)
+    ra.add(rb).check(a + b)
+    ra.add(rb.scale(-1)).check(a - b)
+    ra.scale(-1).check(-a)
+    ra.mul(rb).check(a * b)
+    ra.mul(ra).check(a * a)
+    scalars = (c.draw(st.integers(-3, 3)), c.draw(small_fraction),
+               c.draw(value(m, False)))
+    for k in scalars:
+        ra.scale(k).check(a * k)
+        ra.scale(k).check(k * a)
+    if a.base.denominator == 1:
+        ra.add(Ref({0: 2}, ra.prec)).check(a + 2)
+    Ref({e: v * e for e, v in ra.terms.items()}, ra.prec).check(a.q_ddq())
+    sh = Fraction(c.draw(st.integers(-9, 9)), 8)
+    Ref({e + sh: v for e, v in ra.terms.items()}, ra.prec + sh).check(a.shift(sh))
+    p = ra.prec - c.draw(st.integers(0, 4))
+    Ref(ra.terms, min(p, ra.prec)).check(a.truncate(p))
+    s = c.draw(st.integers(1, 3))
+    Ref({e * s: v for e, v in ra.terms.items()}, ra.prec * s).check(a.scale_q(s))
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        ref = ra.div(rb)
+        ref.check(a / b)
+        ref.check(_series_div(a, b))
+    order = min(a.precision, b.precision) - c.draw(st.integers(0, 2))
+    mm, want = compare(a, b, order), ra.first_mismatch(rb, order)
+    if want is None:
+        assert mm is None
+    else:
+        assert (mm.exponent, mm.lhs, mm.rhs) == want
+        assert mm.lhs == a.coefficient(mm.exponent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=series_pair())
+def test_equality_and_hash_agree(data):
+    m, (a, ra), (b, rb) = data
+    same = (ra.prec, ra.base, ra.terms) == (rb.prec, rb.base, rb.terms)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+    # the same values as other objects: rationals lifted, or one field up
+    lifted = QExpansion(
+        a.base, [CyclotomicNumber.rational(m, x) if not isinstance(x, CyclotomicNumber)
+                 else x for x in a.coeffs], a.precision)
+    up = a.embed(3 * m)
+    assert a == lifted == up and lifted == a and up == a
+    assert hash(a) == hash(lifted) == hash(up)
+    if a.field() is not None:
+        assert up.field() == 3 * m
+        assert up.coeffs == tuple(embed_conductor(x, 3 * m) if x else 0
+                                  for x in a.coeffs)
+
+
+def test_cyclotomic_products_build_no_coefficient_objects(monkeypatch):
+    f = theta2_jet(ThetaPoint(1, 10), 3, 30)
+    a, b = f.slot(2), f.slot(3)  # denominators 2 and 6, conductor 20
+    r = QExpansion(Fraction(1, 8), [Fraction(1, 3), 0, -2], 30)
+    raw = CyclotomicNumber._raw
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(CyclotomicNumber, "_raw", classmethod(counted))
+    prod = a * b
+    square = a * a
+    mixed = r * b
+    rest = [a + b, a - r, a * 3, a * Fraction(-2, 5), a.q_ddq(), a.shift(2),
+            a.truncate(10), compare(prod, b * a, 30)]
+    assert calls == []
+    monkeypatch.undo()
+    assert compare(square, a * a, 30) is None and rest[-1] is None
+    assert mixed.field() == 20 and prod.field() == 20
+
+
+def test_compare_across_base_classes_and_conductors():
+    z4, z8 = CyclotomicNumber(4, [0, Fraction(1, 3)]), root_of_unity(8, 3)
+    a = QExpansion(Fraction(1, 8), [z4, 1], 6)
+    b = QExpansion(0, [0, 0, 1], 6)
+    # no exponent is shared: the first mismatch is the lower base
+    assert compare(a, b, 6) == Mismatch(Fraction(1, 8), z4, 0)
+    assert compare(b, a.shift(3), 5) == Mismatch(2, 1, 0)
+    assert compare(a, b, Fraction(1, 8)) is None
+    # across conductors both sides are compared in Q(zeta_8), and the
+    # mismatch reports each side's own coefficient
+    c = QExpansion(Fraction(1, 8), [embed_conductor(z4, 8), 1, z8], 6)
+    assert compare(a, c, Fraction(17, 8)) is None
+    assert compare(a, c, 6) == Mismatch(Fraction(17, 8), 0, z8)
+    low_a, low_c = a.truncate(Fraction(17, 8)), c.truncate(Fraction(17, 8))
+    assert a != c and low_a == low_c and hash(low_a) == hash(low_c)
+    # equal coefficients over different common denominators (6 and 3)
+    d = QExpansion(0, [z4, Fraction(1, 2)], 6)
+    e = QExpansion(0, [z4, Fraction(1, 3)], 6)
+    assert compare(d, e, 6) == Mismatch(1, Fraction(1, 2), Fraction(1, 3))
