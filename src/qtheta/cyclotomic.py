@@ -233,6 +233,13 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; only ints and Fractions are exact rationals here."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"rationals are int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_m) in canonical reduced coordinates.
 
@@ -244,7 +251,7 @@ class CyclotomicNumber:
 
     def __init__(self, m: int, coords):
         ctx = _ctx(m)
-        fracs = [Fraction(c) for c in coords]
+        fracs = [_exact(c) for c in coords]
         if len(fracs) != ctx.D:
             raise ValueError(
                 f"expected {ctx.D} coordinates for conductor {m}, got {len(fracs)}"
@@ -263,7 +270,7 @@ class CyclotomicNumber:
 
     @classmethod
     def rational(cls, m: int, value) -> "CyclotomicNumber":
-        f = Fraction(value)
+        f = _exact(value)
         num = [0] * _ctx(m).D
         num[0] = f.numerator
         return cls._raw(m, num, f.denominator)

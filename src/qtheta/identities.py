@@ -151,7 +151,9 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     order = Fraction(order)
     k = spec.k
     room = math.ceil(order)
-    coeffs: list = [0] * room
+    # the sum is acc / acc_den: integers over one running denominator
+    acc = [0] * room
+    acc_den = 1
     for g in range(2 - (k + spec.delta) % 2, k, 2):
         if (2 * k) % g:
             continue
@@ -166,11 +168,17 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
         lanes = 2 * ctx.D - 1
         trace = [ramanujan_sum(ctx.m, e) for e in range(lanes)]
         weight = Fraction(euler_phi(n), 2 * euler_phi(ctx.m) * den * den)
+        f = math.lcm(acc_den, weight.denominator) // acc_den
+        if f > 1:
+            acc = [f * x for x in acc]
+            acc_den *= f
+        wn = weight.numerator * (acc_den // weight.denominator)
         for mm, x in enumerate(sq):
             if x:
                 t = sum(map(operator.mul, trace, unpack_signed(x, b, lanes)))
-                coeffs[mm] += weight * t
-    return QExpansion(0, coeffs, order)
+                acc[mm] += wn * t
+    vecs = [[x] if x else None for x in acc]
+    return QExpansion._from_vectors(1, 0, vecs, acc_den, order)
 
 
 def theorem_rhs(k: int, delta: int, order) -> QExpansion:

@@ -11,6 +11,7 @@ exponent, so exponent steps stay integral: (2n+1)^2/8 - 1/8 = n(n+1)/2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,47 +144,52 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
     return ZJet(out)
 
 
-def _mul_binomial(coeffs: list, exp: int, factor) -> None:
-    """In-place multiply a coefficient list by (1 + factor * q^exp)."""
-    for i in range(len(coeffs) - 1, exp - 1, -1):
-        low = coeffs[i - exp]
-        if low:
-            coeffs[i] = coeffs[i] + factor * low
-
-
 def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
     """Product form of the theta series at z0:
 
         q^{s/8} e^{-i z0} prod (1-q^{sn}) (1+e^{-2i z0} q^{sn}) (1+e^{2i z0} q^{s(n-1)})
 
-    with every phase an exact root of unity.  Equality with the summed
-    jet is the triple-product identity, exercised as an invariant.
+    with every phase an exact root of unity.  Each coefficient is kept in
+    Z[x]/(x^m - 1), x = zeta_m, so a phase zeta^a is a rotation, and is
+    reduced mod Phi_m once at the end.  Equality with the summed jet is
+    the triple-product identity, exercised as an invariant.
     """
     s = pt.q_power
     m = pt.conductor
-    ctx = _ctx(m)
-    rows = ctx.rows()
     w = m // (2 * pt.den)
     base = Fraction(s, 8)
     order = Fraction(order)
     room = math.ceil(order - base)
     if room <= 0:
         return QExpansion.zero(order)
-    pref = CyclotomicNumber._raw(m, list(rows[(-pt.num * w) % m]), 1)
-    c_minus = CyclotomicNumber._raw(m, list(rows[(-2 * pt.num * w) % m]), 1)
-    c_plus = CyclotomicNumber._raw(m, list(rows[(2 * pt.num * w) % m]), 1)
-    coeffs: list = [0] * room
-    coeffs[0] = pref * (1 + c_plus)  # n = 1 factor of the third family
+    minus, plus = (-2 * pt.num * w) % m, (2 * pt.num * w) % m
+    first = [0] * m
+    first[(-pt.num * w) % m] += 1
+    first[(pt.num * w) % m] += 1  # with the n = 1 factor of the third family
+    coeffs: list = [first] + [None] * (room - 1)
+
+    def times(exp, a, op):
+        """coeffs *= 1 +- zeta^a q^exp in place, op the sign's add or sub."""
+        for i in range(room - 1, exp - 1, -1):
+            low = coeffs[i - exp]
+            if low is not None:
+                cur = coeffs[i]
+                rot = low[m - a:] + low[:m - a]
+                coeffs[i] = list(map(op, cur or [0] * m, rot))
+
     n = 1
     while s * n < room:
-        _mul_binomial(coeffs, s * n, -1)        # 1 - q^{sn}
-        _mul_binomial(coeffs, s * n, c_minus)   # 1 + e^{-2iz0} q^{sn}
+        times(s * n, 0, operator.sub)      # 1 - q^{sn}
+        times(s * n, minus, operator.add)  # 1 + e^{-2iz0} q^{sn}
         n += 1
     n = 2
     while s * (n - 1) < room:
-        _mul_binomial(coeffs, s * (n - 1), c_plus)
+        times(s * (n - 1), plus, operator.add)
         n += 1
-    return QExpansion(base, coeffs, order)
+    ctx = _ctx(m)
+    vecs = [None if c is None else ctx.reduce(c) for c in coeffs]
+    vecs = [v if v is not None and any(v) else None for v in vecs]
+    return QExpansion._from_vectors(m, base, vecs, 1, order)
 
 
 def _bracket_data(l: int, k: int, order):

@@ -6,28 +6,30 @@ built here (the q^{1/8} and q^{alpha/24} prefactors factor out exactly).
 Precision is an absolute exponent bound and only ever decreases through
 arithmetic.
 
-A series holds its coefficients in one of two forms.  A rational series
-holds ints and Fractions.  A series over Q(zeta_m) holds its conductor m,
-one canonical integer vector per coefficient (power-basis coordinates
-mod Phi_m, None for a zero coefficient) and one common denominator, in
-lowest terms after one gcd pass per series; the largest vector entry is
-found once, when a product first needs it.  Sums, scalar products,
-q d/dq, shifts, truncation, products, division and comparison all work
-on those vectors.  CyclotomicNumber objects are built only where a
-caller reads a coefficient: `coeffs` is a tuple built on first read and
-cached, and coefficient() and a Mismatch read it.  A series has a single
-conductor: building one from two conductors, or adding two, raises
-ConductorError, and a zero series is rational.
+A series over Q(zeta_m) holds its conductor m, one canonical integer
+vector per coefficient (power-basis coordinates mod Phi_m, None for a
+zero coefficient) and one common denominator, in lowest terms after one
+gcd pass per series; the largest vector entry is found once, when a
+product first needs it.  A rational series is the case m = 1, with
+vectors of length one.  Sums, scalar products, q d/dq, shifts,
+truncation, products, division and comparison all work on those
+vectors.  Coefficient objects are built only where a caller reads a
+coefficient: `coeffs` is a tuple built on first read and cached (ints
+and Fractions for a rational series, CyclotomicNumbers otherwise), and
+coefficient() and a Mismatch read it.  Coefficients are exact: int,
+Fraction or CyclotomicNumber, anything else is a TypeError.  A series
+has a single conductor: building one from two conductors, or adding
+two, raises ConductorError; conductor 1 joins any field, and the zero
+series is rational.
 
-Multiplication is schoolbook convolution in q.  Rational series are
-scaled to integers over one common denominator per operand.  Cyclotomic
-vectors are packed into bigints lane by lane, at the lane width
-_Ctx.product_lane gives for the whole convolution, so the inner loop is
-one bignum multiply per coefficient pair, and each product coefficient
-is reduced mod Phi_m from its packed lanes straight into a vector.  A
-packed operand is reused across the convolution, which is what pays for
-the packing; a single product of two field elements (CyclotomicNumber
-__mul__, or a series times a field element) is schoolbook.
+Multiplication is schoolbook convolution in q.  The vectors are packed
+into bigints lane by lane, at the lane width _Ctx.product_lane gives for
+the whole convolution, so the inner loop is one bignum multiply per
+coefficient pair, and each product coefficient is reduced mod Phi_m from
+its packed lanes straight into a vector.  A packed operand is reused
+across the convolution, which is what pays for the packing; a single
+product of two field elements (CyclotomicNumber __mul__, or a series
+times a field element) is schoolbook.
 
 Division a / b is the product a * b.inverse().  The inverse is computed
 once per divisor object by schoolbook division of 1 by b, and cached on
@@ -88,12 +90,11 @@ def _scaled(vecs, f: int):
     return [None if v is None else [f * x for x in v] for v in vecs]
 
 
-def _field_of(a: "QExpansion", b: "QExpansion") -> int | None:
-    """The one conductor of two operands, or None when both are rational."""
-    ma, mb = a._m, b._m
-    if ma is None:
+def _field_of(ma: int, mb: int) -> int:
+    """The one conductor of two operands; conductor 1 (Q) joins any field."""
+    if ma == 1 or ma == mb:
         return mb
-    if mb is not None and mb != ma:
+    if mb != 1:
         raise ConductorError(f"conductor mismatch: {ma} vs {mb}")
     return ma
 
@@ -103,62 +104,27 @@ class QExpansion:
                  "_coeffs", "_inv")
 
     def __init__(self, base, coeffs, precision):
-        cs = list(coeffs)
-        ms = {c.conductor for c in cs if isinstance(c, CyclotomicNumber)}
-        if len(ms) > 1:
-            raise ConductorError(f"one series with conductors {sorted(ms)}")
-        if not ms:
-            self._init_rational(base, cs, precision)
-            return
-        m = ms.pop()
-        D = _ctx(m).D
+        m = 1
         parts = []
-        for c in cs:
-            if not c:
-                parts.append(None)
-            elif isinstance(c, CyclotomicNumber):
-                parts.append((c._num, c._den))
+        for c in coeffs:
+            if isinstance(c, CyclotomicNumber):
+                m = _field_of(m, c.conductor)
+                parts.append((c._num, c._den) if c else None)
+            elif isinstance(c, (int, Fraction)):
+                parts.append(((c.numerator,), c.denominator) if c else None)
             else:
-                v = [0] * D
-                v[0] = c.numerator
-                parts.append((v, c.denominator))
+                raise TypeError(
+                    f"series coefficients are int, Fraction or CyclotomicNumber, "
+                    f"not {type(c).__name__}"
+                )
+        D = _ctx(m).D
         den = math.lcm(*(p[1] for p in parts if p is not None))
-        vecs = [None if p is None else [den // p[1] * x for x in p[0]]
+        # a rational value in a larger field is padded with zero coordinates
+        vecs = [None if p is None else
+                [den // p[1] * x for x in p[0]] + [0] * (D - len(p[0]))
                 for p in parts]
         # each part is in lowest terms, so the vectors over their lcm are too
         self._init_vectors(m, base, vecs, den, precision, True)
-
-    def _init_rational(self, base, cs, precision):
-        base = Fraction(base)
-        precision = Fraction(precision)
-        i = 0
-        while i < len(cs) and not cs[i]:
-            i += 1
-        j = len(cs)
-        while j > i and not cs[j - 1]:
-            j -= 1
-        cs = cs[i:j]
-        base += i
-        if cs:
-            room = precision - base
-            if room <= 0:
-                cs = []
-            else:
-                keep = math.ceil(room)
-                if keep < len(cs):
-                    cs = cs[:keep]
-                    while cs and not cs[-1]:
-                        cs.pop()
-        if not cs:
-            base = precision  # exponent of the first unknown term
-        self.base = base
-        self.precision = precision
-        self._m = None
-        self._vecs = None
-        self._den = 1
-        self._amax = None
-        self._coeffs = tuple(cs)
-        self._inv = None
 
     def _init_vectors(self, m, base, vecs, den, precision, lowest):
         base = Fraction(base)
@@ -177,9 +143,9 @@ class QExpansion:
                 j -= 1
             lowest = False
         if i == j:
-            self._init_rational(precision, (), precision)
-            return
-        if i or j < len(vecs):
+            # the zero series is rational; its base is the first unknown exponent
+            m, vecs, den, base = 1, [], 1, precision
+        elif i or j < len(vecs):
             vecs = vecs[i:j]
         if not lowest:
             vecs, den = _lowest_terms(vecs, den)
@@ -201,40 +167,15 @@ class QExpansion:
         self._init_vectors(m, base, vecs, den, precision, lowest)
         return self
 
-    def _rebuilt(self, base, items, precision):
-        """A series of this one's kind from the same kind of items
-        (coefficients, or vectors in lowest terms over this denominator)."""
-        if self._m is None:
-            return QExpansion(base, items, precision)
+    def _rebuilt(self, base, vecs, precision):
+        """A series over this field from vectors in lowest terms over this
+        denominator."""
         return QExpansion._from_vectors(
-            self._m, base, items, self._den, precision, True
+            self._m, base, vecs, self._den, precision, True
         )
 
-    def _items(self):
-        return self._coeffs if self._m is None else self._vecs
-
-    def _vectors(self, m):
-        """(vectors, denominator) over Q(zeta_m); a rational series is lifted."""
-        if self._m == m:
-            return self._vecs, self._den
-        cs = self._coeffs
-        den = math.lcm(*(c.denominator for c in cs))
-        D = _ctx(m).D
-        vecs = []
-        for c in cs:
-            if c:
-                v = [0] * D
-                v[0] = den // c.denominator * c.numerator
-                vecs.append(v)
-            else:
-                vecs.append(None)
-        return vecs, den
-
-    def _operand(self, m):
-        """(vectors, denominator, largest entry) for a product over Q(zeta_m)."""
-        if self._m != m:
-            vecs, den = self._vectors(m)
-            return vecs, den, _lane_max(vecs)
+    def _operand(self):
+        """(vectors, denominator, largest entry) for a packed product."""
         if self._amax is None:
             self._amax = _lane_max(self._vecs)
         return self._vecs, self._den, self._amax
@@ -266,40 +207,44 @@ class QExpansion:
         cs = self._coeffs
         if cs is None:
             m, den = self._m, self._den
-            cs = self._coeffs = tuple(
-                0 if v is None else CyclotomicNumber._raw(m, v, den)
-                for v in self._vecs
-            )
+            if m == 1:
+                cs = tuple(0 if v is None else v[0] // den if v[0] % den == 0
+                           else Fraction(v[0], den) for v in self._vecs)
+            else:
+                cs = tuple(0 if v is None else CyclotomicNumber._raw(m, v, den)
+                           for v in self._vecs)
+            self._coeffs = cs
         return cs
 
     @property
     def is_zero(self) -> bool:
-        return self._m is None and not self._coeffs
+        return not self._vecs
 
     def field(self) -> int | None:
         """Conductor of the coefficient field, or None for plain rationals."""
-        return self._m
+        return None if self._m == 1 else self._m
 
     def exponents(self):
-        return [self.base + t for t in range(len(self._items()))]
+        return [self.base + t for t in range(len(self._vecs))]
 
     def coefficient(self, e):
         e = Fraction(e)
         if e >= self.precision:
             raise PrecisionError(f"exponent {e} is beyond O(q^{self.precision})")
         t = e - self.base
-        if t.denominator != 1 or t < 0 or t >= len(self._items()):
+        if t.denominator != 1 or t < 0 or t >= len(self._vecs):
             return 0
         return self.coeffs[int(t)]
 
     def truncate(self, precision) -> "QExpansion":
         p = min(Fraction(precision), self.precision)
-        return self._rebuilt(self.base if not self.is_zero else p, self._items(), p)
+        return self._rebuilt(self.base, self._vecs, p)
 
     def embed(self, M: int) -> "QExpansion":
-        """The same series over Q(zeta_M), m | M; a rational one is unchanged."""
+        """The same series over Q(zeta_M), m | M; a rational series is the
+        case m = 1."""
         m = self._m
-        if m is None or m == M:
+        if m == M:
             return self
         if M % m:
             raise ConductorError(f"{m} does not divide {M}")
@@ -324,25 +269,20 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         if (self.base != other.base or self.precision != other.precision
-                or len(self._items()) != len(other._items())):
+                or len(self._vecs) != len(other._vecs)):
             return False
-        if self._m is None and other._m is None:
-            return self._coeffs == other._coeffs
         # lowest terms make (vectors, denominator) canonical in one field
-        (va, da), (vb, db) = _common_vectors(self, other)
-        return da == db and va == vb
+        a, b = _common_field(self, other)
+        return a._den == b._den and a._vecs == b._vecs
 
     def __hash__(self):
         # __eq__ compares non-rational coefficients across conductors by
         # embedding, so only rational values may enter the hash.
-        if self._m is None:
-            vals = self._coeffs
-        else:
-            den = self._den
-            vals = tuple(
-                0 if v is None else None if any(v[1:]) else Fraction(v[0], den)
-                for v in self._vecs
-            )
+        den = self._den
+        vals = tuple(
+            0 if v is None else None if any(v[1:]) else Fraction(v[0], den)
+            for v in self._vecs
+        )
         return hash((self.base, self.precision, len(vals), vals))
 
     # -- ring operations ----------------------------------------------
@@ -356,7 +296,7 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         prec = min(self.precision, other.precision)
-        m = _field_of(self, other)
+        m = _field_of(self._m, other._m)
         if self.is_zero:
             return other.truncate(prec)
         if other.is_zero:
@@ -368,17 +308,9 @@ class QExpansion:
             )
         base = min(self.base, other.base)
         oa, ob = int(self.base - base), int(other.base - base)
-        if m is None:
-            out = [0] * max(len(self._coeffs) + oa, len(other._coeffs) + ob)
-            for t, c in enumerate(self._coeffs):
-                out[oa + t] = c
-            for t, c in enumerate(other._coeffs):
-                out[ob + t] = out[ob + t] + c
-            return QExpansion(base, out, prec)
-        va, da = self._vectors(m)
-        vb, db = other._vectors(m)
-        den = math.lcm(da, db)
-        va, vb = _scaled(va, den // da), _scaled(vb, den // db)
+        a, b = self.embed(m), other.embed(m)
+        den = math.lcm(a._den, b._den)
+        va, vb = _scaled(a._vecs, den // a._den), _scaled(b._vecs, den // b._den)
         out = [None] * max(len(va) + oa, len(vb) + ob)
         out[oa:oa + len(va)] = va
         for t, v in enumerate(vb):
@@ -394,8 +326,6 @@ class QExpansion:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._m is None:
-            return QExpansion(self.base, [-c for c in self._coeffs], self.precision)
         return self._rebuilt(self.base, _scaled(self._vecs, -1), self.precision)
 
     def __sub__(self, other):
@@ -423,24 +353,17 @@ class QExpansion:
         """self * c for a nonzero int, Fraction or CyclotomicNumber c."""
         m = self._m
         if isinstance(c, CyclotomicNumber):
-            if m is not None and m != c.conductor:
-                raise ConductorError(f"conductor mismatch: {m} vs {c.conductor}")
-            m = c.conductor
-            if not c.is_rational():
-                vecs, den = self._vectors(m)
-                mul = _ctx(m).mul_vec
-                vecs = [None if v is None else mul(v, c._num) for v in vecs]
-                return QExpansion._from_vectors(
-                    m, self.base, vecs, den * c._den, self.precision
-                )
-            c = c.as_rational()
-        elif m is None:
-            return QExpansion(self.base, [x * c for x in self._coeffs], self.precision)
-        vecs, den = self._vectors(m)
-        return QExpansion._from_vectors(
-            m, self.base, _scaled(vecs, c.numerator), den * c.denominator,
-            self.precision,
-        )
+            m = _field_of(m, c.conductor)
+            if c.is_rational():
+                c = c.as_rational()
+        s = self.embed(m)
+        if isinstance(c, CyclotomicNumber):
+            mul = _ctx(m).mul_vec
+            vecs = [None if v is None else mul(v, c._num) for v in s._vecs]
+            den = s._den * c._den
+        else:
+            vecs, den = _scaled(s._vecs, c.numerator), s._den * c.denominator
+        return QExpansion._from_vectors(m, self.base, vecs, den, self.precision)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -463,9 +386,6 @@ class QExpansion:
 
     def q_ddq(self) -> "QExpansion":
         """Apply q d/dq: multiply each coefficient by its full exponent."""
-        if self._m is None:
-            new = [c * (self.base + t) for t, c in enumerate(self._coeffs)]
-            return QExpansion(self.base, new, self.precision)
         p, q = self.base.numerator, self.base.denominator
         vecs = [None if v is None or p + t * q == 0 else [(p + t * q) * x for x in v]
                 for t, v in enumerate(self._vecs)]
@@ -477,42 +397,26 @@ class QExpansion:
         """Substitute q -> q^s (s >= 1)."""
         if not isinstance(s, int) or s < 1:
             raise ValueError("scale factor must be a positive integer")
-        items = self._items()
-        if self.is_zero or s == 1:
-            return self._rebuilt(self.base * s, items, self.precision * s)
-        out = [0 if self._m is None else None] * ((len(items) - 1) * s + 1)
-        out[::s] = items
-        return self._rebuilt(self.base * s, out, self.precision * s)
+        vecs = self._vecs
+        if vecs and s > 1:
+            out = [None] * ((len(vecs) - 1) * s + 1)
+            out[::s] = vecs
+            vecs = out
+        return self._rebuilt(self.base * s, vecs, self.precision * s)
 
     def shift(self, e) -> "QExpansion":
         """Multiply by the exact monomial q^e."""
         e = Fraction(e)
-        return self._rebuilt(self.base + e, self._items(), self.precision + e)
-
-    def map_coeffs(self, fn) -> "QExpansion":
-        return QExpansion(self.base, [fn(c) for c in self.coeffs], self.precision)
+        return self._rebuilt(self.base + e, self._vecs, self.precision + e)
 
 
-def _common_vectors(a: QExpansion, b: QExpansion):
-    """((vectors, den), (vectors, den)) of a and b over one field, the
-    lcm of their conductors; at least one of them is cyclotomic."""
-    m = math.lcm(a._m or 1, b._m or 1)
-    return a.embed(m)._vectors(m), b.embed(m)._vectors(m)
+def _common_field(a: QExpansion, b: QExpansion):
+    """a and b over one field, the lcm of their conductors."""
+    m = math.lcm(a._m, b._m)
+    return a.embed(m), b.embed(m)
 
 
 # -- multiplication ----------------------------------------------------
-
-
-def _mul_rational(A, B, n):
-    da = math.lcm(*(Fraction(c).denominator for c in A))
-    db = math.lcm(*(Fraction(c).denominator for c in B))
-    ia = [int(c * da) for c in A]
-    ib = [int(c * db) for c in B]
-    prod = K.convolve_trunc(ia, ib, n)
-    dd = da * db
-    if dd == 1:
-        return prod
-    return [Fraction(p, dd) for p in prod]
 
 
 def _series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -523,13 +427,12 @@ def _series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     room = prec - base
     if room <= 0:
         return QExpansion.zero(prec)
-    m = _field_of(a, b)
-    if m is None:
-        n = min(math.ceil(room), len(a._coeffs) + len(b._coeffs) - 1)
-        return QExpansion(base, _mul_rational(a._coeffs, b._coeffs, n), prec)
+    m = _field_of(a._m, b._m)
     ctx = _ctx(m)
-    va, da, amax = a._operand(m)
-    vb, db, bmax = b._operand(m)
+    # a rational operand is not embedded: its vector [x] packs to x, and so
+    # does its lift [x, 0, ..., 0] to any field
+    va, da, amax = a._operand()
+    vb, db, bmax = b._operand()
     n = min(math.ceil(room), len(va) + len(vb) - 1)
     lane = ctx.product_lane(min(len(va), len(vb)), amax, bmax)
     pa = [0 if v is None else pack_signed(v, lane) for v in va]
@@ -552,13 +455,12 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     if room <= 0:
         return QExpansion.zero(prec)
     n = math.ceil(room)
-    m = _field_of(a, b)
-    if m is None:
-        return QExpansion(base, _div_rational(a._coeffs, b._coeffs, n), prec)
+    m = _field_of(a._m, b._m)
     ctx = _ctx(m)
     phi = ctx.phi_low
-    av, ad = a._vectors(m)
-    bv, bd = b._vectors(m)
+    a, b = a.embed(m), b.embed(m)
+    av, ad = a._vecs, a._den
+    bv, bd = b._vecs, b._den
     lead = CyclotomicNumber._raw(m, bv[0], bd).invert()
     L, lam = lead._num, lead._den
     pad = [0] * (ctx.D - 1)
@@ -606,22 +508,6 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     return QExpansion._from_vectors(m, base, vecs, den, prec, True)
 
 
-def _div_rational(A, B, n):
-    """First n coefficients of the quotient of two rational series."""
-    linv = Fraction(1) / Fraction(B[0])
-    rem = list(A[:n]) + [0] * max(0, n - len(A))
-    out = [0] * n
-    for i in range(n):
-        ri = rem[i]
-        qi = ri * linv if ri else ri
-        out[i] = qi
-        if qi:
-            for j in range(1, min(len(B), n - i)):
-                if B[j]:
-                    rem[i + j] = rem[i + j] - qi * B[j]
-    return out
-
-
 # -- named operations ----------------------------------------------------
 
 
@@ -648,10 +534,8 @@ def _first_difference(a: QExpansion, b: QExpansion, order):
         # no exponent is shared, and a nonzero series is nonzero at its base
         firsts = [s.base for s in (a, b) if not s.is_zero and s.base < order]
         return min(firsts, default=None)
-    if a._m is None and b._m is None:
-        (va, da), (vb, db) = (a._coeffs, 1), (b._coeffs, 1)
-    else:
-        (va, da), (vb, db) = _common_vectors(a, b)
+    a, b = _common_field(a, b)
+    (va, da), (vb, db) = (a._vecs, a._den), (b._vecs, b._den)
     base = min(a.base, b.base)
     oa, ob = int(a.base - base), int(b.base - base)
     top = min(math.ceil(order - base), max(oa + len(va), ob + len(vb)))

@@ -150,6 +150,14 @@ class TestFieldOps:
         b = CyclotomicNumber(5, a.coords)
         assert a == b
 
+    def test_inexact_coordinates_raise(self):
+        for bad in (0.1, "1", None):
+            with pytest.raises(TypeError):
+                CyclotomicNumber(4, [bad, 0])
+            with pytest.raises(TypeError):
+                CyclotomicNumber.rational(4, bad)
+        assert CyclotomicNumber(4, [Fraction(1, 10), 0]) == Fraction(1, 10)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

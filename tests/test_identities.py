@@ -184,8 +184,7 @@ class TestVerifyLem2:
         ratio = e1 * e1 * e1 / eta_product(k, order + 3)
         th = theta2_jet(ThetaPoint(4 * (delta - 1) + 1, bd, q_power=k), 0, order + 3).slot(0)
         base_rhs = embed_conductor(halfprod_constant(k, delta), m_full) * (
-            ratio * th.map_coeffs(lambda c: embed_conductor(c, m_full)
-                                  if isinstance(c, CyclotomicNumber) else c)
+            ratio * th.embed(m_full)
         )
         assert compare(lhs, base_rhs, order) is None
         assert compare(lhs, -base_rhs, order) is not None

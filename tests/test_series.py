@@ -329,3 +329,28 @@ def test_one_conductor_per_series():
     # a rational series, the zero series included, adds to either
     assert (a + QExpansion(1, [Fraction(1, 2)], 10)).field() == 8
     assert (QExpansion.zero(10) + b).field() == 12
+
+
+def test_conductor_one_values_are_rational():
+    # CyclotomicNumbers of conductor 1 are rationals: the series they make
+    # equals the int/Fraction one and, like it, joins any field
+    c = QExpansion(0, [CyclotomicNumber(1, [Fraction(1, 2)]), CyclotomicNumber(1, [3])], 10)
+    r = QExpansion(0, [Fraction(1, 2), 3], 10)
+    assert c == r and hash(c) == hash(r)
+    z8 = QExpansion(0, [root_of_unity(8, 1), 1], 10)
+    for s in (c, r):
+        assert (s + z8).field() == 8 and (s * z8).field() == 8
+    assert c + z8 == r + z8 and c * z8 == r * z8
+    assert c.field() is None and c.coeffs == (Fraction(1, 2), 3)
+    # a conductor-1 value also sits beside a conductor-8 one
+    mixed = QExpansion(0, [root_of_unity(8, 1), CyclotomicNumber(1, [3])], 10)
+    assert mixed.field() == 8 and mixed.coeffs[1] == 3
+
+
+def test_inexact_coefficients_raise():
+    for bad in (0.1, "1", 1j, None):
+        with pytest.raises(TypeError):
+            QExpansion(0, [bad, 1], 10)
+    # an exact series never turns inexact through arithmetic
+    with pytest.raises(TypeError):
+        QExpansion(0, [Fraction(1, 10), 1], 10) + 0.1

@@ -1,6 +1,7 @@
-"""Series over Q(zeta_m) are integer vectors over one denominator; every
-operation on them must agree with coefficient-wise CyclotomicNumber
-arithmetic, which here is the oracle: a dict from exponent to value."""
+"""Series over Q(zeta_m) are integer vectors over one denominator, a
+rational series the case m = 1; every operation on them must agree with
+coefficient-wise CyclotomicNumber and Fraction arithmetic, which here is
+the oracle: a dict from exponent to value."""
 
 import math
 from fractions import Fraction
@@ -22,7 +23,7 @@ from qtheta.cyclotomic import _ctx
 from qtheta.modular import theta2_jet
 from qtheta.series import _series_div
 
-CONDUCTORS = [4, 8, 12, 20, 40]
+CONDUCTORS = [1, 4, 8, 12, 20, 40]
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
