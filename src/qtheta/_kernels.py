@@ -30,26 +30,51 @@ def convolve(a, b):
 
 
 def convolve_trunc(a, b, n):
-    """First n coefficients of the Cauchy product."""
-    la, lb = len(a), len(b)
+    """First n coefficients of the Cauchy product.
+
+    A square (b is a) forms each cross product a_i a_j, i < j, once,
+    doubles the sums, then adds the diagonal a_i^2.
+    """
     out = [None] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        jmax = min(lb, n - i)
-        for j in range(jmax):
-            bj = b[j]
-            if not bj:
-                continue
-            k = i + j
+    if b is a:
+        nonzero = [(i, x) for i, x in enumerate(a[:n]) if x]
+        for p, (i, ai) in enumerate(nonzero):
+            if 2 * i >= n:
+                break
+            for j, aj in nonzero[p + 1:]:
+                k = i + j
+                if k >= n:
+                    break
+                cur = out[k]
+                if cur is None:
+                    out[k] = ai * aj
+                else:
+                    out[k] = cur + ai * aj
+        out = [c if c is None else c + c for c in out]
+        for i, ai in nonzero:
+            k = 2 * i
+            if k >= n:
+                break
             cur = out[k]
             if cur is None:
-                out[k] = ai * bj
+                out[k] = ai * ai
             else:
-                out[k] = cur + ai * bj
-    zero = (a[0] - a[0]) if la else 0
+                out[k] = cur + ai * ai
+    else:
+        nonzero_b = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
+        for i, ai in enumerate(a[:n]):
+            if not ai:
+                continue
+            for j, bj in nonzero_b:
+                k = i + j
+                if k >= n:
+                    break
+                cur = out[k]
+                if cur is None:
+                    out[k] = ai * bj
+                else:
+                    out[k] = cur + ai * bj
+    zero = (a[0] - a[0]) if a else 0
     return [zero if c is None else c for c in out]
 
 

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"q-expansion order N (default {DEFAULT_ORDER})")
     v.add_argument("--jet-degree", type=int, default=DEFAULT_JET_DEGREE,
-                   help=f"z-jet degree J (default {DEFAULT_JET_DEGREE})")
+                   help=f"z-jet degree J of meq1 (default {DEFAULT_JET_DEGREE})")
     v.add_argument("--jobs", type=int, default=None,
                    help="parallel worker processes (default: QTHETA_JOBS or CPU count)")
     v.add_argument("--format", choices=["text", "json"], default="text",
@@ -154,9 +154,8 @@ def main(argv=None) -> int:
         return _usage_error(f"--k-min {k_min} exceeds --k-max {args.k_max}")
     if args.order < 1:
         return _usage_error("--order must be >= 1")
-    needs_jets = bool(which & {"meq1", "lem22", "all"})
-    if needs_jets and args.jet_degree < 2:
-        return _usage_error("--jet-degree must be >= 2 for meq1/lem22")
+    if which & {"meq1", "all"} and args.jet_degree < 2:
+        return _usage_error("--jet-degree must be >= 2 for meq1")
     deltas = {"0": (0,), "1": (1,), "both": (0, 1)}[args.delta]
     try:
         jobs = _resolve_jobs(args.jobs)

@@ -62,6 +62,8 @@ class ZJet:
 
     def __mul__(self, other):
         if isinstance(other, ZJet):
+            if other is self:
+                return self._square()
             j = min(self.degree, other.degree)
             out = []
             for t in range(j + 1):
@@ -75,6 +77,33 @@ class ZJet:
         return ZJet([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
+
+    def _square(self) -> "ZJet":
+        """self * self, each cross product formed once.
+
+        Slot t is 2 sum_{i < t-i} a_i a_{t-i} + a_{t/2}^2, the last term
+        for even t only.
+        """
+        a = self.coeffs
+        out = []
+        for t in range(len(a)):
+            acc = None
+            for i in range((t + 1) // 2):
+                term = a[i] * a[t - i]
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                acc = acc * 2
+            if t % 2 == 0:
+                term = a[t // 2] * a[t // 2]
+                acc = term if acc is None else acc + term
+            out.append(acc)
+        return ZJet(out)
+
+    def truncate(self, degree: int) -> "ZJet":
+        """The jet to z^degree: slots 0..degree."""
+        if degree < 0 or degree > self.degree:
+            raise ValueError(f"cannot truncate a degree-{self.degree} jet to {degree}")
+        return ZJet(self.coeffs[:degree + 1])
 
     def div(self, other: "ZJet") -> "ZJet":
         """Quotient by a unit jet (invertible constant slot)."""
@@ -145,21 +174,29 @@ def T_of_log(f: ZJet) -> ZJet:
     """Heat-type operator -8 q d/dq - d^2/dz^2 applied to log f.
 
     Computed without any logarithm as -8 (q d/dq f)/f - d/dz(f'/f);
-    f must be a unit jet of degree >= 2, and the result has degree J-2.
+    f must be a unit jet of degree >= 2, and the result has degree J-2,
+    so the q-part is divided only to that degree.
     """
     if f.degree < 2:
         raise ValueError("T_of_log needs jet degree >= 2")
-    qpart = f.q_ddq().div(f) * (-8)
+    qpart = f.truncate(f.degree - 2).q_ddq().div(f) * (-8)
     zpart = f.log_dz().d_dz()
     return qpart - zpart
 
 
 def compare_jets(f: ZJet, g: ZJet, order):
-    """First mismatch between two jets, slot by slot, below q-order."""
+    """First mismatch between two jets, slot by slot, below q-order.
+
+    The jets must have one degree: comparing only the slots both hold
+    would verify less than one side states.
+    """
     from .series import compare
 
-    j = min(f.degree, g.degree)
-    for t in range(j + 1):
+    if f.degree != g.degree:
+        raise ValueError(
+            f"cannot compare a degree-{f.degree} jet with a degree-{g.degree} jet"
+        )
+    for t in range(f.degree + 1):
         mm = compare(f.coeffs[t], g.coeffs[t], order)
         if mm is not None:
             return t, mm

@@ -57,6 +57,12 @@ class TestVerifyCommand:
     def test_jet_degree_validation(self):
         assert main(["verify", "meq1", "--k-max", "2", "--jet-degree", "1"]) == 2
 
+    def test_jet_degree_is_not_checked_for_lem22(self, capsys):
+        # lem22 builds its own jets and never reads --jet-degree
+        assert main(["verify", "lem22", "--k-max", "2", "--order", "6",
+                     "--jet-degree", "1"]) == 0
+        assert "jet-degree" not in capsys.readouterr().err
+
 
 class TestSummaryLine:
     def test_names_capped_identities_and_backends(self, capsys):

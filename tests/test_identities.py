@@ -9,6 +9,7 @@ from qtheta import (
     CyclotomicNumber,
     HalfSumSpec,
     QExpansion,
+    ZJet,
     compare,
     embed_conductor,
     eta_product,
@@ -207,6 +208,24 @@ class TestVerifyMeq1:
         divisors = _record_series_div(monkeypatch)
         assert verify_meq1(1, 5, 4, 16).passed
         assert len(divisors) == 1
+
+    @pytest.mark.parametrize("J,slot", [(4, 2), (5, 3), (4, 0)])
+    def test_fault_in_one_slot_fails(self, monkeypatch, J, slot):
+        # a monomial added to one slot of the right side must fail the
+        # report at that slot; slot J-2 is the last one the identity fixes
+        real = identities.T_of_log
+
+        def faulty(f):
+            t = real(f)
+            cs = list(t.coeffs)
+            cs[slot] = cs[slot] + QExpansion.monomial(1, 3, cs[slot].precision)
+            return ZJet(cs)
+
+        monkeypatch.setattr(identities, "T_of_log", faulty)
+        r = verify_meq1(1, 3, J, 12)
+        assert not r.passed
+        assert r.note == f"slot {slot}"
+        assert r.first_mismatch.exponent == 3
 
     def test_points_helper(self):
         assert meq1_points(1) == [0]

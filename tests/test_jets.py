@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import QExpansion, T_of_log, ZJet, compare, compare_jets
+from qtheta import (
+    CyclotomicNumber,
+    QExpansion,
+    T_of_log,
+    ThetaPoint,
+    ZJet,
+    compare,
+    compare_jets,
+)
+from qtheta.cyclotomic import _ctx
+from qtheta.modular import theta2_jet
 
 P = Fraction(24)
 
@@ -29,6 +39,33 @@ def _rand_jet(rng, degree=4, unit=False):
     return ZJet([_rand_series(rng, unit=unit and j == 0) for j in range(degree + 1)])
 
 
+def _rand_cyclo_jet(rng, m, degree):
+    """A jet over Q(zeta_m) with zero slots and zero coefficients; every
+    nonzero slot is q^(1/8) times a series in q."""
+    D = _ctx(m).D
+
+    def coeff():
+        if rng.random() < 0.3:
+            return 0
+        return CyclotomicNumber(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                    for _ in range(D)])
+
+    slots = []
+    for _ in range(degree + 1):
+        if rng.random() < 0.2:
+            slots.append(Z())
+        else:
+            slots.append(QExpansion(Fraction(1, 8) + rng.randint(0, 2),
+                                    [coeff() for _ in range(5)], P))
+    return ZJet(slots)
+
+
+def _same_jet(f, g):
+    # QExpansion equality includes base and precision
+    assert f.degree == g.degree
+    assert f.coeffs == g.coeffs
+
+
 class TestArith:
     def test_z_times_z(self):
         j = ZJet([Z(), C(1), Z()])
@@ -48,6 +85,15 @@ class TestArith:
             f = _rand_jet(rng, 3, unit=True)
             g = _rand_jet(rng, 3)
             assert compare_jets(f * g.div(f), g, 12) is None
+
+    def test_square_matches_general_product(self):
+        # f * f takes the symmetric path; a copy of f takes the general one
+        rng = random.Random(25)
+        jets = [_rand_jet(rng, d) for d in range(6) for _ in range(3)]
+        jets += [_rand_cyclo_jet(rng, m, d) for m in (8, 20) for d in range(6)]
+        jets.append(ZJet([Z(), C(1), Z(), Z()]))
+        for f in jets:
+            _same_jet(f * f, f * ZJet(list(f.coeffs)))
 
     def test_division_by_non_unit_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -90,6 +136,31 @@ class TestDerivatives:
             assert compare_jets(lhs, rhs, 10) is None
 
 
+class TestTruncate:
+    def test_keeps_low_slots(self):
+        rng = random.Random(26)
+        f = _rand_jet(rng, 4)
+        for d in range(5):
+            t = f.truncate(d)
+            assert t.degree == d
+            assert t.coeffs == f.coeffs[:d + 1]
+
+    def test_out_of_range_raises(self):
+        f = ZJet([C(1), C(2)])
+        for d in (-1, 2):
+            with pytest.raises(ValueError):
+                f.truncate(d)
+
+
+class TestCompareJets:
+    def test_unequal_degrees_raise(self):
+        f = ZJet([C(1), C(2), C(3)])
+        with pytest.raises(ValueError):
+            compare_jets(f, f.truncate(1), 12)
+        with pytest.raises(ValueError):
+            compare_jets(f.truncate(1), f, 12)
+
+
 class TestShiftZero:
     def test_basic(self):
         s = ZJet([Z(), C(2), C(3)]).shift_zero(1)
@@ -121,6 +192,20 @@ class TestTOfLog:
             lhs = T_of_log(f * g)
             rhs = T_of_log(f) + T_of_log(g)
             assert compare_jets(lhs, rhs, 8) is None
+
+    def test_matches_full_degree_formula(self):
+        # T_of_log divides only the slots it returns; the formula that
+        # divides all of q d/dq f is the oracle
+        rng = random.Random(27)
+        for J in range(2, 7):
+            jets = [_rand_jet(rng, J, unit=True) for _ in range(3)]
+            jets.append(theta2_jet(ThetaPoint(1, 6), J, 20))
+            jets.append(theta2_jet(ThetaPoint(3, 10), J, 16))
+            for f in jets:
+                ref = f.q_ddq().div(f) * (-8) - f.log_dz().d_dz()
+                got = T_of_log(f)
+                assert got.degree == J - 2
+                _same_jet(got, ref)
 
     def test_degree_requirement(self):
         with pytest.raises(ValueError):

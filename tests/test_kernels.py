@@ -42,6 +42,54 @@ def test_convolve_trunc_matches_naive():
         assert got == expect
 
 
+def test_convolve_trunc_skips_zeros_of_b():
+    # a dense series against a theta-like one, nonzero at triangular offsets
+    rng = random.Random(3)
+    for m in (1, 7, 20, 40):
+        a = [rng.randint(-9, 9) for _ in range(m)]
+        b = [0] * m
+        for n in range(m):
+            if n * (n + 1) // 2 < m:
+                b[n * (n + 1) // 2] = rng.choice([-3, -1, 1, 2])
+        full = _naive_convolve(a, b)
+        for n in (1, m // 2 + 1, m, 2 * m + 1):
+            expect = (full + [0] * n)[:n]
+            assert K.convolve_trunc(a, b, n) == expect
+            assert K.convolve_trunc(b, a, n) == expect
+
+
+def _square_operands():
+    rng = random.Random(4)
+    yield []
+    yield [0]
+    yield [5]
+    yield [-3, 0]
+    yield [0, 0, 0, 0, 0]
+    yield [0, 0, 0, 4, -2, 7]       # leading zero run
+    yield [3, 0, 0, 0, -1, 0, 2]    # inner zero runs
+    for _ in range(12):
+        a = [rng.randint(-20, 20) for _ in range(rng.randint(2, 14))]
+        j = rng.randrange(len(a))
+        a[j:j + 3] = [0] * len(a[j:j + 3])
+        yield a
+    # packed bigints, with 0 for a zero vector as the series product passes them
+    for _ in range(8):
+        vecs = [[rng.randint(-99, 99) for _ in range(4)] if rng.random() < 0.7 else None
+                for _ in range(rng.randint(1, 10))]
+        yield [0 if v is None else pack_signed(v, 40) for v in vecs]
+
+
+def test_convolve_trunc_square_matches_general_path():
+    # a square (b is a) against the general path on an equal copy, and both
+    # against the naive product
+    for a in _square_operands():
+        full = _naive_convolve(a, a)
+        for n in {0, 1, max(len(a) - 1, 1), len(a), 2 * len(a) - 1, 2 * len(a) + 3}:
+            got = K.convolve_trunc(a, a, n)
+            assert got == K.convolve_trunc(a, list(a), n), (a, n)
+            assert got == (full + [0] * n)[:n], (a, n)
+
+
 def test_cyclo_rem_is_polynomial_remainder():
     # remainder mod x^2 + 1: reduce powers of x with x^2 = -1
     phi_low = [1, 0]  # x^2 + 1, monic part stripped
