@@ -6,6 +6,17 @@ over one common denominator.  That representation is canonical, so
 equality, realness and rationality tests are plain coordinate
 comparisons, which is what zero-tolerance series verification needs.
 
+A packed product of two vectors has 2D-1 lanes, D = phi(m), and
+_Ctx.reduce_packed brings it back to D.  For even m it first folds:
+Phi_m divides x^{m/2} + 1 (zeta^{m/2} = -1; Washington, Introduction to
+Cyclotomic Fields, GTM 83, ch. 2), so lane e >= m/2 may be subtracted
+from lane e - m/2 without changing the value mod Phi_m.  As
+2D-2 < 2(m/2) whenever there is a lane to fold, one subtraction of the
+high part from the low m/2 lanes does it, and only the lanes
+D .. m/2-1 are left for the table of x^e mod Phi_m: none for m a power
+of two (phi(m) = m/2), 4 instead of 15 for m = 40.  _Ctx.product_lane
+proves the lane bound of that reduction.
+
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
 
@@ -106,16 +117,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class _Ctx:
     """Per-conductor machinery: reduction table mod Phi_m and fast kernels."""
 
-    __slots__ = ("m", "D", "phi_low", "_rows", "_packed_rows", "_row_abs")
+    __slots__ = ("m", "D", "phi_low", "fold", "top", "_rows", "_packed_rows",
+                 "_growth")
 
     def __init__(self, m: int):
         poly = cyclotomic_polynomial(m)
         self.m = m
-        self.D = len(poly) - 1
+        self.D = D = len(poly) - 1
         self.phi_low = poly[:-1]
+        # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2, when there are
+        # any, fold onto lanes 0 .. m/2-1 with a sign, leaving `top` lanes
+        h = m // 2
+        self.fold = h if m % 2 == 0 and h < 2 * D - 1 else 0
+        self.top = self.fold or 2 * D - 1
         self._rows: list[tuple[int, ...]] | None = None
         self._packed_rows: dict[int, list] = {}
-        self._row_abs: int | None = None
+        self._growth: int | None = None
 
     def rows(self) -> list[tuple[int, ...]]:
         """Canonical vectors of x^e mod Phi_m for 0 <= e < max(m, 2D-1)."""
@@ -141,15 +158,6 @@ class _Ctx:
             self._rows = rows
         return self._rows
 
-    @property
-    def row_abs(self) -> int:
-        if self._row_abs is None:
-            rows = self.rows()
-            self._row_abs = max(
-                [1] + [max(abs(c) for c in r) for r in rows[self.D:]]
-            )
-        return self._row_abs
-
     def monomial(self, e: int) -> tuple[int, ...]:
         return self.rows()[e % self.m]
 
@@ -158,37 +166,62 @@ class _Ctx:
         return K.cyclo_rem(list(vec), self.phi_low)
 
     def packed_rows(self, b: int) -> list:
+        """Rows D .. top-1 packed at lane width b: the lanes that survive
+        the fold and lie above the canonical D."""
         prs = self._packed_rows.get(b)
         if prs is None:
             rows = self.rows()
-            prs = [pack_signed(rows[e], b) for e in range(self.D, 2 * self.D - 1)]
+            prs = [pack_signed(rows[e], b) for e in range(self.D, self.top)]
             self._packed_rows[b] = prs
         return prs
 
     def reduce_packed(self, x, b: int) -> list[int]:
-        """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes."""
+        """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes.
+
+        For even m with lanes at or above h = m/2, the high part is first
+        subtracted from the low h lanes (one negacyclic fold, since
+        zeta^h = -1); the lanes D .. top-1 left then go through the rows.
+        """
         D = self.D
-        low, high = split_low(x, b, D)
-        if high:
-            digits = unpack_signed(high, b, D - 1)
-            prs = self.packed_rows(b)
-            for dg, rp in zip(digits, prs):
-                if dg:
-                    low += dg * rp
-        return unpack_signed(low, b, D)
+        if self.fold:
+            low, high = split_low(x, b, self.fold)
+            x = low - high
+        if self.top > D:
+            x, high = split_low(x, b, D)
+            if high:
+                digits = unpack_signed(high, b, self.top - D)
+                for dg, rp in zip(digits, self.packed_rows(b)):
+                    if dg:
+                        x += dg * rp
+        return unpack_signed(x, b, D)
 
     def product_lane(self, terms: int, amax: int, bmax: int) -> int:
         """Lane width for a sum of `terms` vector products, reduced or not.
 
         With operand lanes bounded by amax and bmax, each of the 2D-1
-        lanes of the sum is at most V = terms*D*amax*bmax, and reduction
-        adds at most D-1 high lanes times a row entry to a low lane, so
-        no lane ever exceeds V*(1 + D*row_abs).  A caller that reads the
-        2D-1 unreduced lanes (the half-sum trace) needs only V; the one
-        bound covers it.
+        lanes of the sum is at most V = terms*D*amax*bmax.  Only that
+        product matters, so a weighted sum sum_t w_t (a_t * b_t) may pass
+        terms = sum_t w_t amax_t bmax_t with unit operand bounds.
+
+        Every lane reduce_packed forms is at most V*G, G the growth
+        factor computed here:
+        - The fold (even m, h = m/2 < 2D-1) sets lane e < h to
+          x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more than
+          one partner, so the lanes are at most V' = 2V; without a fold
+          V' = V.
+        - The row pass adds digit e times row e, for the top - D lanes
+          D <= e < top, to the D low lanes.  Each digit is at most V' and
+          each row entry at most R, the largest entry of those rows, so
+          every partial sum is at most V'*(1 + (top - D)*R).
+        For m a power of two, top = D and G = 2: no row is needed.  A
+        caller that reads the 2D-1 unreduced lanes (the half-sum trace)
+        needs only V; the one bound covers it.
         """
-        D = self.D
-        return lane_width(terms * D * amax * bmax * (1 + D * self.row_abs))
+        if self._growth is None:
+            D, top = self.D, self.top
+            r = max((abs(c) for row in self.rows()[D:top] for c in row), default=0)
+            self._growth = (2 if self.fold else 1) * (1 + (top - D) * r)
+        return lane_width(terms * self.D * amax * bmax * self._growth)
 
     def mul_vec(self, u, v) -> list[int]:
         """Product of two canonical integer vectors, reduced mod Phi_m."""

@@ -9,6 +9,7 @@ data (VerificationReport), not exceptions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -39,6 +40,7 @@ from .modular import (
     eta_product,
     halfprod_constant,
     log_deriv_lambert,
+    reduced_point,
     theta2_jet,
 )
 from .series import Mismatch, QExpansion, compare, lambert
@@ -125,6 +127,36 @@ def _finish(identity, params, order, t0, mm, precision, note="") -> Verification
     )
 
 
+def _raised(identity, params, order, t0, exc) -> VerificationReport:
+    """A `fail` report for a check that raised exc, naming where it did."""
+    from traceback import extract_tb  # only on failure: keeps import time
+
+    where = extract_tb(exc.__traceback__)[-1]
+    return VerificationReport(
+        identity=identity,
+        params=params,
+        status="fail",
+        first_mismatch=None,
+        elapsed=time.perf_counter() - t0,
+        precision_certified=Fraction(0),
+        order=int(order),
+        note=f"{type(exc).__name__}: {exc} (in {where.name}, "
+             f"{os.path.basename(where.filename)}:{where.lineno})",
+    )
+
+
+def _part(identity, params, order, check) -> VerificationReport:
+    """One report of a verifier that makes several: check() returns the
+    first mismatch or None, and an exception it raises fails this report
+    only, so the verifier's other reports are still made."""
+    t0 = time.perf_counter()
+    try:
+        mm = check()
+    except Exception as exc:
+        return _raised(identity, params, order, t0, exc)
+    return _finish(identity, params, order, t0, mm, order)
+
+
 # -- the half sum and the main modular equation -------------------------
 
 
@@ -137,9 +169,10 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     l <-> 2k - l; l has the parity of g, so the index set is a union of
     such classes, one per divisor g < k of 2k with g = k + delta (mod 2).
 
-    Let F_g be the bracket at pi/n over Q(zeta_M) (_bracket_data(1, n/2)
-    for even n, _bracket_data(2, n) for odd n).  zeta -> zeta^j, j in
-    (Z/M)^*, sends i to +-i and each sine and tangent in F_g to one
+    Let F_g be the bracket at pi/n over its smallest field Q(zeta_M),
+    M = lcm(2n, 4) (_bracket_data at reduced_point(g, k): (1, n/2) for
+    even n, (2, n) for odd n).  zeta -> zeta^j, j in (Z/M)^*, sends i
+    to +-i and each sine and tangent in F_g to one
     common sign times its value at j times the angle, so F_g^2 to
     F_{gj}^2; j mod n covers (Z/n)^* phi(M)/phi(n) times.  So a class
     adds phi(n) / (2 phi(M)) Tr_{Q(zeta_M)/Q}(F_g^2): a trace, hence
@@ -158,8 +191,7 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
         if (2 * k) % g:
             continue
         n = 2 * k // g
-        ctx, den, vecs = (_bracket_data(1, n // 2, order) if n % 2 == 0
-                          else _bracket_data(2, n, order))
+        ctx, den, vecs = _bracket_data(*reduced_point(g, k), order)
         w = [vecs[0]] + [[den * x for x in v] for v in vecs[1:]]
         amax = max(max(map(abs, v)) for v in w)
         b = ctx.product_lane(room, amax, amax)
@@ -216,24 +248,21 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     """Lambert form vs jet ratio of d/dz log theta2, one report per l.
 
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
-    the Lambert-form series; the two routes are fully independent.
+    the Lambert-form series; the two routes are fully independent.  Each
+    point is checked in its smallest field (reduced_point), and a point
+    whose check raises fails alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    reports = []
-    for l in range(2 * k):
-        if l == k:
-            continue
-        t0 = time.perf_counter()
-        jet = theta2_jet(ThetaPoint(l, 2 * k), 1, order + 1)
-        S = log_deriv_lambert(l, k, order + 1)
-        lhs = jet.slot(1)
-        rhs = S * jet.slot(0)
-        mm = compare(lhs, rhs, Fraction(order) + Fraction(1, 8))
-        reports.append(
-            _finish("lemd", {"k": k, "l": l}, order, t0, mm, order)
-        )
-    return reports
+
+    def check(l):
+        lr, kr = reduced_point(l, k)
+        jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, order + 1)
+        S = log_deriv_lambert(lr, kr, order + 1)
+        return compare(jet.slot(1), S * jet.slot(0), Fraction(order) + Fraction(1, 8))
+
+    return [_part("lemd", {"k": k, "l": l}, order, functools.partial(check, l))
+            for l in range(2 * k) if l != k]
 
 
 def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationReport:
@@ -283,7 +312,8 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     """(d/dz log theta2)^2 == (-8 q d/dq - d2/dz2) log theta2 as jets.
 
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
-    the same base point (q unsubstituted).
+    the same base point (q unsubstituted).  The jet is built in the
+    point's smallest field (reduced_point).
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -291,7 +321,8 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     if jet_degree < 2:
         raise ValueError("need jet degree >= 2")
     t0 = time.perf_counter()
-    f = theta2_jet(pt, jet_degree, Fraction(order) + 2)
+    lr, kr = reduced_point(l, k)
+    f = theta2_jet(ThetaPoint(lr, 2 * kr), jet_degree, Fraction(order) + 2)
     rhs = T_of_log(f)  # degree J-2; caches f'/f, of degree J-1
     ratio = f.log_dz().truncate(rhs.degree)
     lhs = ratio * ratio
@@ -311,53 +342,68 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     )
 
 
+def _lem22_margin(k: int) -> int:
+    """Precision lem22 works above the order: the q-valuation it divides by.
+
+    A quotient by a series of valuation v certifies v less than its
+    operands.  d2-origin divides by the theta series at 0 (valuation 1/8);
+    T-scaled by the theta series in q^k (k/8); both ratio parts by the
+    theta series at -pi/2 (1/8) and then by the constant slot of that
+    quotient jet ((k-1)/8): k/8 at most, so ceil(k/8) suffices.  It is
+    never below 3, the margin the checks for k <= 24 have always used.
+    """
+    return max(3, -(-k // 8))
+
+
 def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     """The z=0 second-derivative bridges and both operator identities.
 
     Four parts per k: the plain second log-derivative, the ratio variant
     with the simple zero shifted out, and the two T-operator evaluations
-    against their eta combinations.
+    against their eta combinations.  A part that raises fails alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    nw = Fraction(order) + 3
-    out = []
+    nw = Fraction(order) + _lem22_margin(k)
 
     def log_d2(jet):
         a0, a1, a2 = jet.slot(0), jet.slot(1), jet.slot(2)
         r1 = a1 / a0
         return (a2 * 2) / a0 - r1 * r1
 
-    t0 = time.perf_counter()
-    f = theta2_jet(ThetaPoint(0, 1), 2, nw)
-    rhs = (eta_log_ddq(1, nw) - eta_log_ddq(2, nw) * 2) * 8
-    mm = compare(log_d2(f), rhs, order)
-    out.append(_finish("lem22", {"k": k, "part": "d2-origin"}, order, t0, mm, order))
+    def d2_origin():
+        f = theta2_jet(ThetaPoint(0, 1), 2, nw)
+        rhs = (eta_log_ddq(1, nw) - eta_log_ddq(2, nw) * 2) * 8
+        return compare(log_d2(f), rhs, order)
 
-    t0 = time.perf_counter()
-    # one quotient jet for both ratio parts: each reads slots 0..2 (slot 0
-    # of T depends on slots 0..2 only), and slot t of a jet quotient
-    # depends on slots <= t
-    nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
-    dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
-    r = nj.div(dj)
-    rhs = (eta_log_ddq(1, nw) - eta_log_ddq(k, nw) * k) * 8
-    mm = compare(log_d2(r), rhs, order)
-    out.append(_finish("lem22", {"k": k, "part": "d2-ratio"}, order, t0, mm, order))
+    @functools.cache
+    def ratio():
+        # one quotient jet for both ratio parts: each reads slots 0..2 (slot
+        # 0 of T depends on slots 0..2 only), and slot t of a jet quotient
+        # depends on slots <= t
+        nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
+        dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
+        return nj.div(dj)
 
-    t0 = time.perf_counter()
-    g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
-    val = T_of_log(g).slot(0)
-    rhs = (eta_log_ddq(2 * k, nw) * 2 - eta_log_ddq(k, nw)) * (8 * (k - 1))
-    mm = compare(val, rhs, order)
-    out.append(_finish("lem22", {"k": k, "part": "T-scaled"}, order, t0, mm, order))
+    def d2_ratio():
+        rhs = (eta_log_ddq(1, nw) - eta_log_ddq(k, nw) * k) * 8
+        return compare(log_d2(ratio()), rhs, order)
 
-    t0 = time.perf_counter()
-    val = T_of_log(r).slot(0)
-    rhs = (eta_log_ddq(k, nw) * (k - 3) + eta_log_ddq(1, nw) * 2) * 8
-    mm = compare(val, rhs, order)
-    out.append(_finish("lem22", {"k": k, "part": "T-ratio"}, order, t0, mm, order))
-    return out
+    def t_scaled():
+        g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
+        val = T_of_log(g).slot(0)
+        rhs = (eta_log_ddq(2 * k, nw) * 2 - eta_log_ddq(k, nw)) * (8 * (k - 1))
+        return compare(val, rhs, order)
+
+    def t_ratio():
+        val = T_of_log(ratio()).slot(0)
+        rhs = (eta_log_ddq(k, nw) * (k - 3) + eta_log_ddq(1, nw) * 2) * 8
+        return compare(val, rhs, order)
+
+    parts = (("d2-origin", d2_origin), ("d2-ratio", d2_ratio),
+             ("T-scaled", t_scaled), ("T-ratio", t_ratio))
+    return [_part("lem22", {"k": k, "part": name}, order, check)
+            for name, check in parts]
 
 
 def verify_eta_theta_bridges(order) -> list[VerificationReport]:
@@ -598,20 +644,8 @@ def _run_job(job) -> list[VerificationReport]:
         out = globals()[_SUITE_JOBS[kind]](**kwargs)
         return out if isinstance(out, list) else [out]
     except Exception as exc:
-        from traceback import extract_tb  # only on failure: keeps import time
-
-        where = extract_tb(exc.__traceback__)[-1]
-        return [VerificationReport(
-            identity=kind,
-            params={n: v for n, v in kwargs.items() if n != "order"},
-            status="fail",
-            first_mismatch=None,
-            elapsed=time.perf_counter() - t0,
-            precision_certified=Fraction(0),
-            order=int(kwargs.get("order", 0)),
-            note=f"{type(exc).__name__}: {exc} (in {where.name}, "
-                 f"{os.path.basename(where.filename)}:{where.lineno})",
-        )]
+        params = {n: v for n, v in kwargs.items() if n != "order"}
+        return [_raised(kind, params, kwargs.get("order", 0), t0, exc)]
 
 
 def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:

@@ -4,13 +4,16 @@ A ZJet holds f(z0 + z) = sum_{j<=J} a_j z^j + O(z^{J+1}) at a fixed base
 point, with each a_j a QExpansion.  Logarithms are never materialized:
 everything stated through log f is computed from f'/f and (q d/dq f)/f,
 and analytic limits z -> 0 become shift_zero plus slot extraction.
+Each slot of a product, a square and a quotient's numerator is one
+q-series sum of products (series._series_mul), reduced mod Phi_m once
+per coefficient rather than once per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QExpansion
+from .series import QExpansion, _series_mul
 
 
 class ZJet:
@@ -64,15 +67,9 @@ class ZJet:
         if isinstance(other, ZJet):
             if other is self:
                 return self._square()
-            j = min(self.degree, other.degree)
-            out = []
-            for t in range(j + 1):
-                acc = None
-                for i in range(t + 1):
-                    term = self.coeffs[i] * other.coeffs[t - i]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
-            return ZJet(out)
+            a, b = self.coeffs, other.coeffs
+            return ZJet([_series_mul([(1, a[i], b[t - i]) for i in range(t + 1)])
+                         for t in range(min(self.degree, other.degree) + 1)])
         # scalar (exact constant in z and q)
         return ZJet([c * other for c in self.coeffs])
 
@@ -87,16 +84,10 @@ class ZJet:
         a = self.coeffs
         out = []
         for t in range(len(a)):
-            acc = None
-            for i in range((t + 1) // 2):
-                term = a[i] * a[t - i]
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                acc = acc * 2
+            terms = [(2, a[i], a[t - i]) for i in range((t + 1) // 2)]
             if t % 2 == 0:
-                term = a[t // 2] * a[t // 2]
-                acc = term if acc is None else acc + term
-            out.append(acc)
+                terms.append((1, a[t // 2], a[t // 2]))
+            out.append(_series_mul(terms))
         return ZJet(out)
 
     def truncate(self, degree: int) -> "ZJet":
@@ -113,13 +104,13 @@ class ZJet:
             raise ZeroDivisionError(
                 "jet division by a non-unit (zero constant slot)"
             )
-        j = min(self.degree, other.degree)
+        b = other.coeffs
         out = []
-        for t in range(j + 1):
+        for t in range(min(self.degree, other.degree) + 1):
             acc = self.coeffs[t]
-            for i in range(t):
-                acc = acc - out[i] * other.coeffs[t - i]
-            out.append(acc / other.coeffs[0])
+            if t:
+                acc = acc + _series_mul([(-1, out[i], b[t - i]) for i in range(t)])
+            out.append(acc / b[0])
         return ZJet(out)
 
     def __truediv__(self, other):

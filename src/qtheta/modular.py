@@ -43,7 +43,10 @@ class ThetaPoint:
 
     @property
     def conductor(self) -> int:
-        """Smallest field holding every phase e^{i(2n+1)z0} together with i."""
+        """Conductor lcm(2 den, 4) of a field holding i and every phase
+        e^{i(2n+1)z0}: the smallest such field when num/den is in lowest
+        terms, and possibly a larger one otherwise (reduced_point gives
+        the form of a point l pi/2k in its smallest field)."""
         return math.lcm(2 * self.den, 4)
 
     @property
@@ -54,6 +57,28 @@ class ThetaPoint:
     def label(self) -> str:
         s = f"{self.num}pi/{self.den}" if self.den > 1 else f"{self.num}pi"
         return s if self.q_power == 1 else f"{s};q^{self.q_power}"
+
+
+def reduced_point(l: int, k: int) -> tuple[int, int]:
+    """(l', k') with l' pi/2k' = l pi/2k, the base point in its smallest field.
+
+    In lowest terms l pi/2k = u pi/n, with g = gcd(l, 2k), u = l/g and
+    n = 2k/g.  Then (l', k') = (u, n/2) for even n and (2u, n) for odd n,
+    so 4k' = lcm(2n, 4), and ThetaPoint(l', 2k') and
+    log_deriv_lambert(l', k') both work over Q(zeta_lcm(2n, 4)).
+
+    That field is the smallest one holding i and the phases
+    e^{i t u pi/n} = zeta_2n^{t u}, t odd (Washington, Introduction to
+    Cyclotomic Fields, GTM 83, ch. 2): for odd u, zeta_2n^u is a
+    primitive 2n-th root of unity and they generate Q(zeta_2n); for even
+    u (then n is odd) zeta_2n^u is a primitive n-th root and they
+    generate Q(zeta_n) = Q(zeta_2n); adjoining i gives
+    Q(zeta_lcm(2n, 4)).  Over Q(zeta_4k) the same jet and Lambert form
+    are the embeddings of these.
+    """
+    g = math.gcd(l, 2 * k)
+    u, n = l // g, 2 * k // g
+    return (u, n // 2) if n % 2 == 0 else (2 * u, n)
 
 
 def eta_product(alpha: int, order) -> QExpansion:

@@ -20,7 +20,13 @@ from .cyclotomic import (
     root_of_unity,
     trig_value,
 )
-from .modular import ThetaPoint, eta_product, theta2_jet, theta2_triple_product
+from .modular import (
+    ThetaPoint,
+    eta_product,
+    reduced_point,
+    theta2_jet,
+    theta2_triple_product,
+)
 from .series import QExpansion, compare, lambert
 
 _SEED = 20250810
@@ -196,7 +202,12 @@ def _group_theta_symmetries():
             shifted = theta2_jet(ThetaPoint(l + 2 * k, 2 * k), 0, order).slot(0)
             if compare(shifted, -fwd.slot(0), order) is not None:
                 return False, f"pi-shift law failed at l={l}, k={k}"
-    return True, "evenness and pi-shift of the theta series (k <= 6)"
+            lr, kr = reduced_point(l, k)
+            small = theta2_jet(ThetaPoint(lr, 2 * kr), 2, order)
+            for j in range(3):
+                if small.slot(j).embed(4 * k) != fwd.slot(j):
+                    return False, f"reduced point differs at l={l}, k={k}, slot {j}"
+    return True, "evenness, pi-shift and reduced points of the theta series (k <= 6)"
 
 
 def _group_heat():

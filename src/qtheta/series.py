@@ -22,14 +22,21 @@ has a single conductor: building one from two conductors, or adding
 two, raises ConductorError; conductor 1 joins any field, and the zero
 series is rational.
 
-Multiplication is schoolbook convolution in q.  The vectors are packed
-into bigints lane by lane, at the lane width _Ctx.product_lane gives for
-the whole convolution, so the inner loop is one bignum multiply per
-coefficient pair, and each product coefficient is reduced mod Phi_m from
-its packed lanes straight into a vector.  A packed operand is reused
-across the convolution, which is what pays for the packing; a single
-product of two field elements (CyclotomicNumber __mul__, or a series
-times a field element) is schoolbook.
+Multiplication is schoolbook convolution in q, and its one entry point,
+_series_mul, forms a sum of products sum c*a*b (a plain product is the
+one-term sum).  The vectors are packed into bigints lane by lane, at the
+lane width _Ctx.product_lane gives for the whole sum, so the inner loop
+is one bignum multiply per coefficient pair.  The packed products of all
+the terms are added lane-wise, and each coefficient of the sum is
+reduced mod Phi_m from its packed lanes straight into a vector, once:
+reduction is linear, so reducing the sum gives the sum of the reduced
+products, and one lowest-terms pass makes the result canonical, equal
+to the chain of single products and sums (the proof and the lane bound
+are in _series_mul).  A jet slot of a product, a square or a quotient
+numerator is one such sum.  A packed operand is reused across the
+convolution, which is what pays for the packing; a single product of
+two field elements (CyclotomicNumber __mul__, or a series times a field
+element) is schoolbook.
 
 Division a / b is the product a * b.inverse().  The inverse is computed
 once per divisor object by schoolbook division of 1 by b, and cached on
@@ -345,7 +352,7 @@ class QExpansion:
             return self._times(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return _series_mul(self, other)
+        return _series_mul(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -419,29 +426,77 @@ def _common_field(a: QExpansion, b: QExpansion):
 # -- multiplication ----------------------------------------------------
 
 
-def _series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
-    prec = min(a.precision + b.base, b.precision + a.base)
-    if a.is_zero or b.is_zero:
+def _series_mul(terms) -> QExpansion:
+    """The sum of products sum c*a*b over the triples (c, a, b) of terms,
+    c a nonzero int; a plain product a*b is the one term (1, a, b).
+
+    The precision is the least of the terms' product precisions, and the
+    conductor the one field of the terms with nonzero operands, as a
+    chain of products and sums would give.  A term that is zero, or lies
+    wholly at or above that precision, adds nothing to the coefficients.
+    Every other term is convolved from packed operands (each distinct
+    operand packed once, one list for a square), scaled by c*den/(da*db)
+    onto the common denominator den, the lcm of the da*db, and added
+    lane-wise into the packed sum at its offset from the least base.
+    Each coefficient of the sum is then reduced mod Phi_m once, and the
+    series takes one lowest-terms pass.
+
+    Why one reduction suffices: reduction mod Phi_m is linear, so the
+    reduced sum is the sum of the reduced products; and lowest terms make
+    the (vectors, denominator) form canonical, so the result equals the
+    chain c_1*a_1*b_1 + c_2*a_2*b_2 + ... exactly.  Why one lane width
+    suffices: a coefficient of a_t*b_t is a sum of at most min(la, lb)
+    vector products with lanes below amax and bmax, so the packed sum is
+    a sum of at most sum_t |c_t| den/(da_t db_t) min(la_t, lb_t) amax_t
+    bmax_t products of vectors with unit lanes, the count from which
+    _Ctx.product_lane sizes the lanes and their reduction.
+    """
+    prec = min(min(a.precision + b.base, b.precision + a.base)
+               for _, a, b in terms)
+    nonzero = [(c, a, b) for c, a, b in terms if not a.is_zero and not b.is_zero]
+    if not nonzero:
         return QExpansion.zero(prec)
-    base = a.base + b.base
-    room = prec - base
-    if room <= 0:
+    m = 1
+    for _, a, b in nonzero:
+        m = _field_of(m, _field_of(a._m, b._m))
+    bases = [a.base + b.base for _, a, b in nonzero]
+    if any((e - bases[0]).denominator != 1 for e in bases):
+        raise ValueError(f"incompatible base classes: {sorted(set(bases))}")
+    live = [(t, e) for t, e in zip(nonzero, bases) if e < prec]
+    if not live:
         return QExpansion.zero(prec)
-    m = _field_of(a._m, b._m)
+    base = min(e for _, e in live)
     ctx = _ctx(m)
+    den = math.lcm(*(a._den * b._den for (_, a, b), _ in live))
+    units = 0
+    for (c, a, b), _ in live:
+        va, da, amax = a._operand()
+        vb, db, bmax = b._operand()
+        units += abs(c) * (den // (da * db)) * min(len(va), len(vb)) * amax * bmax
+    lane = ctx.product_lane(units, 1, 1)
     # a rational operand is not embedded: its vector [x] packs to x, and so
     # does its lift [x, 0, ..., 0] to any field
-    va, da, amax = a._operand()
-    vb, db, bmax = b._operand()
-    n = min(math.ceil(room), len(va) + len(vb) - 1)
-    lane = ctx.product_lane(min(len(va), len(vb)), amax, bmax)
-    pa = [0 if v is None else pack_signed(v, lane) for v in va]
-    pb = pa if b is a else [0 if v is None else pack_signed(v, lane) for v in vb]
+    packed = {}
+    for (_, a, b), _ in live:
+        for s in (a, b):
+            if id(s) not in packed:
+                packed[id(s)] = [0 if v is None else pack_signed(v, lane)
+                                 for v in s._vecs]
+    n = math.ceil(prec - base)
+    acc = [0] * n
+    for (c, a, b), e in live:
+        off = int(e - base)
+        f = c * (den // (a._den * b._den))
+        pa, pb = packed[id(a)], packed[id(b)]
+        top = min(n - off, len(pa) + len(pb) - 1)
+        for t, x in enumerate(K.convolve_trunc(pa, pb, top), off):
+            if x:
+                acc[t] += x if f == 1 else f * x
     out = []
-    for x in K.convolve_trunc(pa, pb, n):
+    for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return QExpansion._from_vectors(m, base, out, da * db, prec)
+    return QExpansion._from_vectors(m, base, out, den, prec)
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:

@@ -154,6 +154,23 @@ class TestVerifyLemd:
     def test_l_zero_trivial(self):
         assert all(r.passed for r in verify_lemd(1, 40))
 
+    def test_raising_point_fails_alone(self, monkeypatch):
+        # 2 pi/8 = pi/4 is the only point of k = 4 built at (l', k') = (1, 2)
+        real = identities.log_deriv_lambert
+
+        def lambert(l, k, order):
+            if (l, k) == (1, 2):
+                raise RuntimeError("lambert broke")
+            return real(l, k, order)
+
+        monkeypatch.setattr(identities, "log_deriv_lambert", lambert)
+        reports = verify_lemd(4, 20)
+        assert [r.params["l"] for r in reports] == [0, 1, 2, 3, 5, 6, 7]
+        bad = [r for r in reports if not r.passed]
+        assert [r.params for r in bad] == [{"k": 4, "l": 2}]
+        assert bad[0].note.startswith("RuntimeError: lambert broke (in lambert, ")
+        assert bad[0].first_mismatch is None and bad[0].order == 20
+
 
 class TestVerifyLem2:
     def test_identity_instance_k1(self):
@@ -254,6 +271,36 @@ class TestSecondDerivatives:
     def test_part_labels(self):
         parts = {r.params["part"] for r in verify_second_derivatives(2, 20)}
         assert parts == {"d2-origin", "d2-ratio", "T-scaled", "T-ratio"}
+
+    def test_margin_covers_large_k(self, monkeypatch):
+        # the ratio and T-scaled parts divide by series of total valuation
+        # k/8, which passed the old fixed margin of 3 at k = 25
+        for k in range(25, 41):
+            reports = verify_second_derivatives(k, 30)
+            assert all(r.passed for r in reports), (k, [r.note for r in reports])
+        margin = identities._lem22_margin
+        monkeypatch.setattr(identities, "_lem22_margin", lambda k: margin(k) - 1)
+        for k in (25, 32, 33, 40):
+            reports = {r.params["part"]: r for r in verify_second_derivatives(k, 30)}
+            assert reports["d2-origin"].passed  # it loses only 1/8
+            for part in ("d2-ratio", "T-scaled", "T-ratio"):
+                assert reports[part].note.startswith("PrecisionError: "), (k, part)
+
+    def test_raising_part_fails_alone(self, monkeypatch):
+        real = identities.theta2_jet
+
+        def jet(pt, degree, order):
+            if pt == ThetaPoint(0, 1):  # only d2-origin builds this jet
+                raise RuntimeError("jet broke")
+            return real(pt, degree, order)
+
+        monkeypatch.setattr(identities, "theta2_jet", jet)
+        reports = verify_second_derivatives(3, 20)
+        assert [r.params["part"] for r in reports] == [
+            "d2-origin", "d2-ratio", "T-scaled", "T-ratio"]
+        assert [r.status for r in reports] == ["fail", "pass", "pass", "pass"]
+        assert reports[0].params == {"k": 3, "part": "d2-origin"}
+        assert reports[0].note.startswith("RuntimeError: jet broke")
 
 
 class TestBridges:

@@ -1,5 +1,6 @@
 """Special-function expansions: eta products, theta jets, Lambert form."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from qtheta import (
     trig_value,
 )
 from qtheta.cyclotomic import _ctx
-from qtheta.modular import _bracket_data
+from qtheta.modular import _bracket_data, reduced_point
 
 
 def _sigma(n):
@@ -237,6 +238,35 @@ class TestBracketData:
                 ctx, den, vecs = _bracket_data(l, k, 40)
                 assert ctx.m == 4 * k
                 assert (den, vecs) == _bracket_data_by_trial_division(l, k, 40), (l, k)
+
+
+class TestReducedPoint:
+    def test_smallest_field_embeds_to_the_common_one(self):
+        # the jet and the Lambert form at l pi/2k, built in the point's
+        # smallest field Q(zeta_lcm(2n, 4)), n = 2k/gcd(l, 2k), and embedded
+        # into Q(zeta_4k), equal the ones built there, slot by slot
+        for k in range(1, 13):
+            for l in range(2 * k):
+                if l == k:
+                    continue
+                lr, kr = reduced_point(l, k)
+                n = 2 * k // math.gcd(l, 2 * k)
+                assert Fraction(lr, 2 * kr) == Fraction(l, 2 * k)
+                assert 4 * kr == math.lcm(2 * n, 4), (l, k)
+                small = theta2_jet(ThetaPoint(lr, 2 * kr), 2, 12)
+                full = theta2_jet(ThetaPoint(l, 2 * k), 2, 12)
+                assert small.slot(0).field() == 4 * kr
+                for j in range(3):
+                    assert small.slot(j).embed(4 * k) == full.slot(j), (l, k, j)
+                lam = log_deriv_lambert(lr, kr, 12)
+                assert lam.embed(4 * k) == log_deriv_lambert(l, k, 12), (l, k)
+
+    def test_reduction(self):
+        assert reduced_point(0, 5) == (0, 1)
+        assert reduced_point(4, 6) == (2, 3)   # 4 pi/12 = pi/3 = 2 pi/6: n = 3
+        assert reduced_point(6, 9) == (2, 3)   # 6 pi/18 = pi/3
+        assert reduced_point(3, 6) == (1, 2)   # 3 pi/12 = pi/4: n = 4 even
+        assert reduced_point(5, 6) == (5, 6)   # already smallest
 
 
 class TestHalfprodConstant:

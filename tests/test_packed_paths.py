@@ -110,6 +110,29 @@ def test_product_lane_holds_the_worst_reduction(m):
     assert ctx.reduce_packed(pack_signed(vec, b), b) == ctx.reduce(vec)
 
 
+@pytest.mark.parametrize("m", range(2, 121, 2))
+def test_folded_reduction_holds_the_product_lane_bound(m):
+    # Every lane is +-V, V the unreduced-lane bound product_lane is sized
+    # for.  Each lane above the fold point takes the opposite sign of its
+    # partner below it, so the fold doubles it, and the lanes the rows
+    # reduce take the signs of their rows at the low lane with the largest
+    # absolute row sum: the largest value reduce_packed ever forms.
+    ctx = _ctx(m)
+    D, top = ctx.D, ctx.top
+    assert ctx.fold == (m // 2 if m // 2 < 2 * D - 1 else 0)
+    assert top - D == (m // 2 - D if ctx.fold else D - 1)
+    terms = ((1 << 14) - 1) // D
+    V = terms * D
+    rows = ctx.rows()
+    worst = max(range(D), key=lambda i: sum(abs(rows[e][i]) for e in range(D, top)))
+    sign = [1] * D + [1 if rows[e][worst] >= 0 else -1 for e in range(D, top)]
+    vec = [sign[e] * V if e < top else -sign[e - top] * V
+           for e in range(2 * D - 1)]
+    b = ctx.product_lane(terms, 1, 1)
+    for v in (vec, [-x for x in vec]):
+        assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, ctx.phi_low)
+
+
 def test_big_conductor_product_roots():
     # zeta^a * zeta^b = zeta^{a+b} survives the packed route at phi(m) = 56
     m = 116

@@ -21,7 +21,7 @@ from qtheta import (
 )
 from qtheta.cyclotomic import _ctx
 from qtheta.modular import theta2_jet
-from qtheta.series import _series_div
+from qtheta.series import _series_div, _series_mul
 
 CONDUCTORS = [1, 4, 8, 12, 20, 40]
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -184,6 +184,46 @@ def test_vector_operations_match_object_arithmetic(data, c):
     else:
         assert (mm.exponent, mm.lhs, mm.rhs) == want
         assert mm.lhs == a.coefficient(mm.exponent)
+
+
+@st.composite
+def product_terms(draw):
+    """Terms (c, a, b) over one conductor, rational operands mixed in, whose
+    products share one base class but not their bases, denominators or
+    precisions; one operand recurs and one term is a square."""
+    m = draw(st.sampled_from([1, 4, 8, 12, 20]))
+    cls_a = Fraction(draw(st.integers(0, 7)), 8)
+    cls_b = cls_a if draw(st.booleans()) else Fraction(draw(st.integers(0, 7)), 8)
+
+    def one(cls):
+        base = cls + draw(st.integers(-2, 3))
+        rational = m == 1 or draw(st.integers(0, 3)) == 0
+        coeffs = draw(st.lists(value(m, rational), max_size=6))
+        return QExpansion(base, coeffs, base + draw(st.integers(0, 8)))
+
+    coef = st.sampled_from([1, -1, 2])
+    a = one(cls_a)
+    terms = [(draw(coef), a, one(cls_b))]
+    for _ in range(draw(st.integers(0, 3))):
+        terms.append((draw(coef), draw(st.sampled_from([a, one(cls_a)])), one(cls_b)))
+    # the square of a series of base class (cls_a + cls_b)/2 joins the sum
+    sq = one((cls_a + cls_b) / 2)
+    terms.insert(draw(st.integers(0, len(terms))), (draw(coef), sq, sq))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=product_terms())
+def test_sum_of_products_matches_its_single_products(terms):
+    want = None
+    for c, a, b in terms:
+        p = _series_mul([(1, a, b)]) * c
+        want = p if want is None else want + p
+    got = _series_mul(terms)
+    assert got == want
+    assert (got.base, got.precision, got.field()) == (want.base, want.precision,
+                                                     want.field())
+    assert _series_mul([(1, a, b)]) == a * b
 
 
 @settings(max_examples=100, deadline=None)
