@@ -75,7 +75,6 @@ class VerificationReport:
     status: str
     first_mismatch: Mismatch | None
     elapsed: float
-    precision_certified: Fraction
     order: int
     note: str = ""
 
@@ -114,14 +113,13 @@ class VerificationReport:
         }
 
 
-def _finish(identity, params, order, t0, mm, precision, note="") -> VerificationReport:
+def _finish(identity, params, order, t0, mm, note="") -> VerificationReport:
     return VerificationReport(
         identity=identity,
         params=params,
         status="pass" if mm is None else "fail",
         first_mismatch=mm,
         elapsed=time.perf_counter() - t0,
-        precision_certified=Fraction(precision),
         order=int(order),
         note=note,
     )
@@ -138,7 +136,6 @@ def _raised(identity, params, order, t0, exc) -> VerificationReport:
         status="fail",
         first_mismatch=None,
         elapsed=time.perf_counter() - t0,
-        precision_certified=Fraction(0),
         order=int(order),
         note=f"{type(exc).__name__}: {exc} (in {where.name}, "
              f"{os.path.basename(where.filename)}:{where.lineno})",
@@ -154,7 +151,7 @@ def _part(identity, params, order, check) -> VerificationReport:
         mm = check()
     except Exception as exc:
         return _raised(identity, params, order, t0, exc)
-    return _finish(identity, params, order, t0, mm, order)
+    return _finish(identity, params, order, t0, mm)
 
 
 # -- the half sum and the main modular equation -------------------------
@@ -238,7 +235,7 @@ def verify_theorem(k: int, delta: int, order) -> VerificationReport:
     lhs = half_sum(HalfSumSpec(k, delta), order)
     rhs = theorem_rhs(k, delta, order)
     mm = compare(lhs, rhs, order)
-    return _finish("theorem", {"k": k, "delta": delta}, order, t0, mm, order)
+    return _finish("theorem", {"k": k, "delta": delta}, order, t0, mm)
 
 
 # -- lemma-level verifiers ----------------------------------------------
@@ -269,7 +266,11 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     """Half product of theta factors vs its eta-quotient closed form.
 
     Verified at the generic base point z0 = pi/(base_den * k), where both
-    sides are nonzero for every parity; conductor 2*base_den*k.
+    sides are nonzero for every parity; conductor 2*base_den*k.  A side
+    that is zero below `order` raises ValueError, since 0 = 0 proves
+    nothing.  That happens when base_den = 2 with delta = 1 puts the
+    factor l = k - 1 and the right side's point at pi/2, a zero of theta2,
+    and when order <= k/8, the q-valuation of both sides.
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
@@ -297,15 +298,11 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     ).slot(0)
     rhs = th.embed(m_full) * ratio
     rhs = rhs * embed_conductor(halfprod_constant(k, delta), m_full)
+    for side, series in (("left", lhs), ("right", rhs)):
+        if series.truncate(order).is_zero:
+            raise ValueError(f"the {side} side is zero below q^{order}")
     mm = compare(lhs, rhs, order)
-    return _finish(
-        "lem2",
-        {"k": k, "delta": delta, "base_den": bd * k},
-        order,
-        t0,
-        mm,
-        order,
-    )
+    return _finish("lem2", {"k": k, "delta": delta, "base_den": bd * k}, order, t0, mm)
 
 
 def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
@@ -337,9 +334,7 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
         if not heat.is_zero():
             mm = Mismatch(Fraction(0), "nonzero", 0)
             note = "heat-equation residue"
-    return _finish(
-        "meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, order, note
-    )
+    return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
 
 
 def _lem22_margin(k: int) -> int:
@@ -416,14 +411,14 @@ def verify_eta_theta_bridges(order) -> list[VerificationReport]:
     e2 = eta_product(2, nw)
     rhs = (e2 * e2) / eta_product(1, nw) * 2
     mm = compare(lhs, rhs, order)
-    out.append(_finish("bridge-t0", {}, order, t0, mm, order))
+    out.append(_finish("bridge-t0", {}, order, t0, mm))
 
     t0 = time.perf_counter()
     val = theta2_jet(ThetaPoint(-1, 2), 1, nw).shift_zero(1).slot(0)
     e1 = eta_product(1, nw)
     rhs = e1 * e1 * e1 * 2
     mm = compare(val, rhs, order)
-    out.append(_finish("bridge-t1", {}, order, t0, mm, order))
+    out.append(_finish("bridge-t1", {}, order, t0, mm))
     return out
 
 
@@ -512,9 +507,7 @@ def tan_square_sum(k: int, delta: int) -> tuple[Fraction, VerificationReport]:
         expect = Fraction(k * (k - 1), 2)
         note = _TAN_SUM_NOTE
     mm = None if value == expect else Mismatch(Fraction(0), value, expect)
-    report = _finish(
-        "tan-sum", {"k": k, "delta": delta}, 0, t0, mm, 0, note
-    )
+    report = _finish("tan-sum", {"k": k, "delta": delta}, 0, t0, mm, note)
     return value, report
 
 
@@ -545,7 +538,7 @@ def verify_k3_corollary(order) -> VerificationReport:
         - eta_log_ddq(6, order) * Fraction(4, 3)
     ) * -4
     mm = compare(lhs, rhs, order)
-    return _finish("k3", {}, order, t0, mm, order)
+    return _finish("k3", {}, order, t0, mm)
 
 
 # -- suite orchestration --------------------------------------------------
@@ -582,12 +575,6 @@ _SUITE_JOBS = {
 }
 
 
-# lemd, lem2, meq1 and lem22 run only for k <= SMALL_K_MAX; their cost
-# grows fastest with k (conductors up to 16k, jets, series division)
-SMALL_K_MAX = 12
-SMALL_K_ONLY = ("lemd", "lem2", "meq1", "lem22")
-
-
 def meq1_points(k: int) -> list[int]:
     """Up to five admissible base-point residues l for a given k."""
     return [l for l in range(2 * k) if l != k][:5]
@@ -604,26 +591,25 @@ def enumerate_jobs(
     if "all" in which:
         which = frozenset(WHICH_TOKENS) - {"all"}
     jobs: list[tuple[str, dict]] = []
-    small_max = min(k_max, SMALL_K_MAX)
     if "theorem" in which:
         for k in range(k_min, k_max + 1):
             for d in deltas:
                 jobs.append(("theorem", {"k": k, "delta": d, "order": order}))
     if "lemd" in which:
-        for k in range(k_min, small_max + 1):
+        for k in range(k_min, k_max + 1):
             jobs.append(("lemd", {"k": k, "order": order}))
     if "lem2" in which:
-        for k in range(k_min, small_max + 1):
+        for k in range(k_min, k_max + 1):
             for d in deltas:
                 jobs.append(("lem2", {"k": k, "delta": d, "order": order}))
     if "meq1" in which:
-        for k in range(k_min, small_max + 1):
+        for k in range(k_min, k_max + 1):
             for l in meq1_points(k):
                 jobs.append(
                     ("meq1", {"k": k, "l": l, "jet_degree": jet_degree, "order": order})
                 )
     if "lem22" in which:
-        for k in range(k_min, small_max + 1):
+        for k in range(k_min, k_max + 1):
             jobs.append(("lem22", {"k": k, "order": order}))
     if "bridges" in which:
         jobs.append(("bridges", {"order": order}))

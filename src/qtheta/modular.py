@@ -239,8 +239,8 @@ def _bracket_data(l: int, k: int, order):
     den = tan._den
     vec0 = [-x for x in tan._num]
     i_exp = m // 4
-    svecs = []
-    for h in range(1, 2 * k + 1):
+    svecs = []  # the sieve reads h = 1 + (d - 1) mod 2k for d < room only
+    for h in range(1, min(2 * k, room - 1) + 1):
         a = (2 * l * h) % m
         sg = 2 if h % 2 else -2  # 2*(-1)^(h+1)
         svecs.append([sg * (x - y) for x, y in

@@ -8,7 +8,7 @@ import pytest
 
 from qtheta import identities, kernel_backend
 from qtheta._pack import BIGNUM
-from qtheta.cli import main
+from qtheta.cli import _summary_lines, main
 
 
 class TestVerifyCommand:
@@ -65,22 +65,24 @@ class TestVerifyCommand:
 
 
 class TestSummaryLine:
-    def test_names_capped_identities_and_backends(self, capsys):
+    def test_names_backends(self, capsys):
         rc = main(["verify", "tan-sum,meq1,lem2", "--k-min", "12", "--k-max", "14",
                    "--order", "5"])
         err = capsys.readouterr().err
         assert rc == 0
         lines = [l for l in err.splitlines() if l.startswith("#")]
         assert len(lines) == 1
-        assert "skipped lem2,meq1 for k=13..14" in lines[0]
         assert f"bignum {BIGNUM}," in lines[0] and BIGNUM in ("gmpy2", "int")
         assert f"kernel {kernel_backend}" in lines[0]
 
-    def test_all_names_every_capped_identity(self, capsys):
-        rc = main(["verify", "all", "--k-min", "13", "--k-max", "13", "--order", "6"])
-        err = capsys.readouterr().err
+    def test_all_runs_every_identity_above_twelve(self, capsys):
+        rc = main(["verify", "all", "--k-min", "13", "--k-max", "13", "--order", "8"])
+        cap = capsys.readouterr()
         assert rc == 0
-        assert "skipped lemd,lem2,meq1,lem22 for k=13..13" in err
+        # theorem 2, lemd 25, lem2 2, meq1 5, lem22 4, bridges 2, tan-sum 2, k3 1
+        assert len(cap.out.splitlines()) == 43
+        assert cap.err.startswith("# 43 reports, 0 failures")
+        assert "skipped" not in cap.err
 
     def test_no_skip_within_cap(self, capsys):
         rc = main(["verify", "lemd,tan-sum", "--k-max", "3", "--order", "5"])
@@ -115,11 +117,9 @@ class TestSummaryLine:
         assert lines[0].startswith("# 3 reports, 1 failures")
         assert lines[1].startswith("# fail k3: RuntimeError: no k3 today (in broken")
 
-    def test_no_reports(self, capsys):
-        rc = main(["verify", "lemd", "--k-min", "13", "--k-max", "13"])
-        err = capsys.readouterr().err
-        assert rc == 0
-        assert err.startswith("# 0 reports, 0 failures") and "slowest" not in err
+    def test_no_reports(self):
+        [line] = _summary_lines([], 0.0)
+        assert line.startswith("# 0 reports, 0 failures") and "slowest" not in line
 
 
 class TestJsonFormat:

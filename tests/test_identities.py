@@ -1,5 +1,7 @@
 """Verifier layer: half sums, the modular equation, lemma checks, reports."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -130,7 +132,7 @@ class TestVerifyTheorem:
         r = verify_theorem(5, 1, 30)
         assert r.passed and r.identity == "theorem"
         assert r.params == {"k": 5, "delta": 1}
-        assert r.precision_certified >= 30
+        assert r.order == 30
         assert r.first_mismatch is None
 
     def test_failure_is_reported_not_raised(self):
@@ -184,6 +186,19 @@ class TestVerifyLem2:
 
     def test_second_base_point(self):
         assert verify_lem2(3, 0, 30, base_den=12).passed
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_zero_side_raises(self, k):
+        # base_den = 2, delta = 1: the factor l = k - 1 and the right side's
+        # point sit at pi/2, a zero of theta2, so both sides are 0
+        with pytest.raises(ValueError, match="side is zero below q\\^30"):
+            verify_lem2(k, 1, 30, base_den=2)
+        [rep] = run_jobs([("lem2", {"k": k, "delta": 1, "order": 30, "base_den": 2})])
+        assert rep.status == "fail" and rep.note.startswith("ValueError: the left side")
+
+    def test_base_den_2_delta0_checks_nonzero_sides(self):
+        # delta = 0 puts no point at pi/2, so the guard stays out of the way
+        assert verify_lem2(5, 0, 30, base_den=2).passed
 
     def test_printed_constant_variant_fails(self):
         # the sign-flipped indicator variant of the closing constant breaks
@@ -443,6 +458,32 @@ class TestFullSuite:
                 expected += 1
         assert len(reports) == expected
 
+    @pytest.mark.parametrize("args, count, digest", [
+        ((2, 10, (0, 1), 64, 4, ("meq1", "lem22", "lemd")), 61, "6cc3f5882ced13b4"),
+        ((2, 10, (0, 1), 64, 4, ("all",)), 117, "8e728b2420f3ac6f"),
+        ((2, 40, (0, 1), 80, 4, ("theorem",)), 78, "f312a8c553e66a90"),
+        ((2, 125, (0, 1), 100, 4, ("tan-sum",)), 248, "4e55822b2d4a30a4"),
+        ((2, 12, (0, 1), 100, 4, ("all",)), 143, "fe971d43059135dc"),
+        ((3, 12, (1,), 30, 6, ("lemd", "lem2", "meq1", "lem22")), 80,
+         "63c1e2e31744a19a"),
+    ], ids=["jet-sweep", "pool-all", "theorem-sweep", "tan-sum", "all-k12",
+            "lemmas-k12"])
+    def test_job_list_pinned(self, args, count, digest):
+        # the four benchmark sweeps and two more: the job list, in order, of
+        # the version that ran lemd, lem2, meq1 and lem22 for k <= 12 only
+        jobs = enumerate_jobs(*args[:5], frozenset(args[5]))
+        assert len(jobs) == count
+        assert hashlib.sha256(json.dumps(jobs).encode()).hexdigest()[:16] == digest
+
+    def test_every_identity_covers_every_k(self):
+        jobs = enumerate_jobs(11, 15, (0, 1), 20, 4, frozenset({"all"}))
+        ks = {}
+        for kind, kw in jobs:
+            if "k" in kw:
+                ks.setdefault(kind, set()).add(kw["k"])
+        assert ks == {kind: set(range(11, 16)) for kind in
+                      ("theorem", "lemd", "lem2", "meq1", "lem22", "tan-sum")}
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_raising_job_becomes_fail_report(self, parallelism):
         bad = ("meq1", {"k": 2, "l": 2, "jet_degree": 4, "order": 8})  # l = k
@@ -482,7 +523,6 @@ class TestFullSuite:
             status="fail",
             first_mismatch=Mismatch(Fraction(9, 8), Fraction(1, 3), 0),
             elapsed=0.25,
-            precision_certified=Fraction(0),
             order=40,
         )
         obj = rep.to_json_obj()
