@@ -20,7 +20,10 @@ coefficient() and a Mismatch read it.  Coefficients are exact: int,
 Fraction or CyclotomicNumber, anything else is a TypeError.  A series
 has a single conductor: building one from two conductors, or adding
 two, raises ConductorError; conductor 1 joins any field, and the zero
-series is rational.
+series is rational.  A sum or product whose coefficients are all
+rational is rational too, so its field depends only on its values, not
+on the order of the sums and products that formed it nor on the terms
+that cancel or fall beyond its precision.
 
 Multiplication is schoolbook convolution in q, and its one entry point,
 _series_mul, forms a sum of products sum c*a*b (a plain product is the
@@ -95,6 +98,14 @@ def _scaled(vecs, f: int):
     if f == 1:
         return vecs
     return [None if v is None else [f * x for x in v] for v in vecs]
+
+
+def _narrowed(s: "QExpansion") -> "QExpansion":
+    """s over Q if every coefficient is rational, else s."""
+    if s._m == 1 or any(any(v[1:]) for v in s._vecs if v is not None):
+        return s
+    vecs = [None if v is None else v[:1] for v in s._vecs]
+    return QExpansion._from_vectors(1, s.base, vecs, s._den, s.precision, True)
 
 
 def _field_of(ma: int, mb: int) -> int:
@@ -305,9 +316,9 @@ class QExpansion:
         prec = min(self.precision, other.precision)
         m = _field_of(self._m, other._m)
         if self.is_zero:
-            return other.truncate(prec)
+            return _narrowed(other.truncate(prec))
         if other.is_zero:
-            return self.truncate(prec)
+            return _narrowed(self.truncate(prec))
         step = self.base - other.base
         if step.denominator != 1:
             raise ValueError(
@@ -328,7 +339,7 @@ class QExpansion:
                     if not any(v):
                         v = None
                 out[ob + t] = v
-        return QExpansion._from_vectors(m, base, out, den, prec)
+        return _narrowed(QExpansion._from_vectors(m, base, out, den, prec))
 
     __radd__ = __add__
 
@@ -431,8 +442,9 @@ def _series_mul(terms) -> QExpansion:
     c a nonzero int; a plain product a*b is the one term (1, a, b).
 
     The precision is the least of the terms' product precisions, and the
-    conductor the one field of the terms with nonzero operands, as a
-    chain of products and sums would give.  A term that is zero, or lies
+    conductor the one field of the terms with nonzero operands, or 1 when
+    every coefficient of the sum is rational, as a chain of products and
+    sums gives in any order.  A term that is zero, or lies
     wholly at or above that precision, adds nothing to the coefficients.
     Every other term is convolved from packed operands (each distinct
     operand packed once, one list for a square), scaled by c*den/(da*db)
@@ -496,7 +508,7 @@ def _series_mul(terms) -> QExpansion:
     for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return QExpansion._from_vectors(m, base, out, den, prec)
+    return _narrowed(QExpansion._from_vectors(m, base, out, den, prec))
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:

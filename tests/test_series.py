@@ -331,6 +331,21 @@ def test_one_conductor_per_series():
     assert (QExpansion.zero(10) + b).field() == 12
 
 
+def test_rational_results_are_rational_in_any_order():
+    # z*q^0 cancels, or falls beyond O(q^0); the rational value left is
+    # over Q whichever order the sum is formed in
+    z = QExpansion(0, [root_of_unity(8, 3)], 1)
+    r = QExpansion(-1, [1], 0)
+    for parts in ([z, -z, r], [r, z, -z], [QExpansion.zero(0), z, r], [r, z]):
+        total = parts[0]
+        for p in parts[1:]:
+            total = total + p
+        assert total == r.truncate(0) and total.field() is None
+    one_z = QExpansion(0, [1, root_of_unity(8, 1)], 10)
+    assert (one_z * QExpansion.one(1)).field() is None and (z * z).field() == 8
+    assert (z * QExpansion(0, [2], 1) - z * 2).field() is None
+
+
 def test_conductor_one_values_are_rational():
     # CyclotomicNumbers of conductor 1 are rationals: the series they make
     # equals the int/Fraction one and, like it, joins any field
