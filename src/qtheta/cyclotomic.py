@@ -55,20 +55,24 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def ramanujan_sum(m: int, e: int) -> int:
-    """c_m(e) = Tr_{Q(zeta_m)/Q}(zeta_m^e) = mu(m/h) phi(m)/phi(m/h), h = gcd(e, m)."""
-    n = m // math.gcd(e, m)
-    mu, r, p = 1, n, 2
-    while p * p <= r:
-        if r % p == 0:
-            r //= p
-            if r % p == 0:
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
                 return 0
             mu = -mu
         p += 1
-    if r > 1:
-        mu = -mu
-    return mu * (euler_phi(m) // euler_phi(n))
+    return -mu if n > 1 else mu
+
+
+def ramanujan_sum(m: int, e: int) -> int:
+    """c_m(e) = Tr_{Q(zeta_m)/Q}(zeta_m^e) = mu(m/h) phi(m)/phi(m/h), h = gcd(e, m)."""
+    n = m // math.gcd(e, m)
+    mu = _mobius(n)
+    return mu * (euler_phi(m) // euler_phi(n)) if mu else 0
 
 
 def _divisors(m: int) -> list[int]:
@@ -83,35 +87,34 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_div_exact(num: list[int], den) -> list[int]:
-    """Exact division of integer polynomials (constant term first, den monic)."""
-    num = list(num)
-    dd = len(den) - 1
-    dq = len(num) - 1 - dd
-    out = [0] * (dq + 1)
-    for e in range(dq, -1, -1):
-        c = num[e + dd]
-        out[e] = c
-        if c:
-            for i in range(dd + 1):
-                num[e + i] -= c * den[i]
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, constant term first, monic of degree phi(m).
 
-    Computed by dividing x^m - 1 by Phi_d for every proper divisor d.
+    Moebius inversion of x^m - 1 = prod_{d | m} Phi_d gives
+    Phi_m = prod_{d | m} (x^d - 1)^mu(m/d).  The product is formed by
+    multiplying by each binomial with mu = 1, then dividing exactly by
+    each with mu = -1, one pass over the coefficients per binomial.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
-        num = _poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    poly = [1]
+    # mu = 1 first, so every division is exact
+    for mu, d in sorted(((_mobius(m // d), d) for d in _divisors(m)),
+                        reverse=True):
+        if mu == 1:
+            # times x^d - 1
+            out = [0] * d + poly
+            for i, c in enumerate(poly):
+                out[i] -= c
+            poly = out
+        elif mu == -1:
+            # over x^d - 1: q x^d - q = poly, so q_i = q_{i-d} - poly_i
+            out = [0] * (len(poly) - d)
+            for i in range(len(out)):
+                out[i] = (out[i - d] if i >= d else 0) - poly[i]
+            poly = out
+    return tuple(poly)
 
 
 class _Ctx:
@@ -213,9 +216,7 @@ class _Ctx:
           D <= e < top, to the D low lanes.  Each digit is at most V' and
           each row entry at most R, the largest entry of those rows, so
           every partial sum is at most V'*(1 + (top - D)*R).
-        For m a power of two, top = D and G = 2: no row is needed.  A
-        caller that reads the 2D-1 unreduced lanes (the half-sum trace)
-        needs only V; the one bound covers it.
+        For m a power of two, top = D and G = 2: no row is needed.
         """
         if self._growth is None:
             D, top = self.D, self.top

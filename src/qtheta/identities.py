@@ -191,7 +191,8 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
         ctx, den, vecs = _bracket_data(*reduced_point(g, k), order)
         w = [vecs[0]] + [[den * x for x in v] for v in vecs[1:]]
         amax = max(max(map(abs, v)) for v in w)
-        b = ctx.product_lane(room, amax, amax)
+        # the trace reads the 2D-1 unreduced lanes, each <= room D amax^2
+        b = lane_width(room * ctx.D * amax * amax)
         packed = [pack_signed(v, b) for v in w]
         sq = K.convolve_trunc(packed, packed, room)
         lanes = 2 * ctx.D - 1
@@ -429,52 +430,56 @@ def _tan_square_sum_exact(k: int, delta: int) -> Fraction:
     """Sum of tan^2(l pi/2k) over the half-sum index set, in Q(zeta_2k).
 
     tan^2(l pi/2k) = u/v with u = 2 - y^l - y^-l and v = 2 + y^l + y^-l
-    at y = zeta_2k.  The fractions u/v are added pairwise up a tree,
-    (n1, d1) + (n2, d2) = (n1 d2 + n2 d1, d1 d2), as packed vectors in
-    the cyclic ring Z[y]/(y^2k - 1); an unpaired node goes up a level
-    unchanged.  The root is folded to k lanes mod y^k + 1 (a multiple of
-    Phi_2k) and reduced once mod Phi_2k, and the rational quotient is
-    extracted by coordinate ratio with an exact cross-check.
+    at y = zeta_2k.  As u = 4 - v, tan^2 = 4/v - 1, and the sum is
+    4 sum 1/v - |idx|.  y^k = -1, so y^-l = -y^(k-l) for 0 < l < k, and
+    every vector lives in the negacyclic ring Z[y]/(y^k + 1), with k
+    lanes (Phi_2k divides y^k + 1): a leaf is (1, v),
+    v = 2 + y^l - y^(k-l), and v = 4 at l = 0.  The fractions are added
+    pairwise up a tree, (n1, d1) + (n2, d2) = (n1 d2 + n2 d1, d1 d2),
+    each product folded mod y^k + 1 (low k lanes less the high ones); an
+    unpaired node goes up a level unchanged.  The root is reduced once
+    mod Phi_2k, and the rational quotient is extracted by coordinate
+    ratio with an exact cross-check.
 
-    Lanes are sized per node: a leaf has l1-norm <= 4, products multiply
-    l1-norms, cyclic folding does not raise them, and a numerator over s
-    leaves is a sum of s products, so (s+1) 4^s bounds every lane.  A
-    child is widened only where its parent's lanes are wider.
+    Lanes are sized per node.  A leaf has l1-norm <= 4 (its numerator
+    1), products multiply l1-norms, and a negacyclic fold does not raise
+    them, as each folded lane is a difference of two lanes.  So over s
+    leaves the denominator has l1-norm <= 4^s and the numerator, a sum
+    of s products of s - 1 leaf denominators, <= s 4^(s-1); (s+1) 4^s
+    bounds every lane, folded or not.  A child is widened only where its
+    parent's lanes are wider.
     """
     idx = HalfSumSpec(k, delta).index_set
     if not idx:
         return Fraction(0)
-    m = 2 * k
 
-    def cyc(x, b):
-        # fold lanes >= m back onto the low lanes: x mod y^m - 1
-        lo, hi = split_low(x, b, m)
-        return lo + hi
+    def fold(x, b):
+        # x mod y^k + 1: lane e >= k is subtracted from lane e - k
+        lo, hi = split_low(x, b, k)
+        return lo - hi
 
     b = lane_width(2 * 4)  # (s+1) 4^s at s = 1
     nodes = []
     for l in idx:
-        a = bignum((1 << (b * l)) + (1 << (b * (-l % m))))
-        nodes.append((2 - a, 2 + a, 1, b))
+        v = 2 + (1 << (b * l)) - (1 << (b * (k - l))) if l else 4
+        nodes.append((1, bignum(v), 1, b))
     while len(nodes) > 1:
         up = []
         for (n1, d1, s1, b1), (n2, d2, s2, b2) in zip(nodes[::2], nodes[1::2]):
             s = s1 + s2
             b = lane_width((s + 1) * 4**s)
             if b1 < b:
-                n1, d1 = widen_signed(n1, b1, b, m), widen_signed(d1, b1, b, m)
+                n1, d1 = widen_signed(n1, b1, b, k), widen_signed(d1, b1, b, k)
             if b2 < b:
-                n2, d2 = widen_signed(n2, b2, b, m), widen_signed(d2, b2, b, m)
-            up.append((cyc(n1 * d2 + n2 * d1, b), cyc(d1 * d2, b), s, b))
+                n2, d2 = widen_signed(n2, b2, b, k), widen_signed(d2, b2, b, k)
+            up.append((fold(n1 * d2 + n2 * d1, b), fold(d1 * d2, b), s, b))
         if len(nodes) % 2:
             up.append(nodes[-1])
         nodes = up
     num, den, _, b = nodes[0]
-    ctx = _ctx(m)
-    lo, hi = split_low(num, b, k)
-    num_vec = ctx.reduce(unpack_signed(lo - hi, b, k))
-    lo, hi = split_low(den, b, k)
-    den_vec = ctx.reduce(unpack_signed(lo - hi, b, k))
+    ctx = _ctx(2 * k)
+    num_vec = ctx.reduce(unpack_signed(num, b, k))
+    den_vec = ctx.reduce(unpack_signed(den, b, k))
     pivot = next(i for i, c in enumerate(den_vec) if c)
     np_, dp = num_vec[pivot], den_vec[pivot]
     for i in range(ctx.D):
@@ -482,7 +487,7 @@ def _tan_square_sum_exact(k: int, delta: int) -> Fraction:
             raise NonRationalError(
                 f"tan-square sum k={k} delta={delta} is not rational"
             )
-    return Fraction(np_, dp)
+    return 4 * Fraction(np_, dp) - len(idx)
 
 
 _TAN_SUM_NOTE = (

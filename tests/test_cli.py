@@ -84,22 +84,22 @@ class TestSummaryLine:
         assert cap.err.startswith("# 43 reports, 0 failures")
         assert "skipped" not in cap.err
 
-    def test_no_skip_within_cap(self, capsys):
-        rc = main(["verify", "lemd,tan-sum", "--k-max", "3", "--order", "5"])
-        err = capsys.readouterr().err
-        assert rc == 0
-        assert err.startswith("# ") and "skipped" not in err
-
-    def test_time_by_identity_and_slowest(self, capsys):
-        rc = main(["verify", "bridges,k3,tan-sum", "--k-min", "2", "--k-max", "3",
-                   "--delta", "0", "--order", "15", "--jobs", "1"])
+    @pytest.mark.parametrize("argv, expect", [
+        (["bridges,k3,tan-sum", "--k-min", "2", "--k-max", "3", "--delta", "0",
+          "--order", "15", "--jobs", "1"],
+         {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}),
+        (["lemd,tan-sum", "--k-max", "3", "--order", "5"],
+         {"lemd": 8, "tan-sum": 4}),
+    ], ids=["bridges-k3-tan-sum", "lemd-tan-sum"])
+    def test_time_by_identity_and_slowest(self, capsys, argv, expect):
+        rc = main(["verify", *argv])
         err = capsys.readouterr().err
         assert rc == 0
         lines = [l for l in err.splitlines() if l.startswith("#")]
         assert len(lines) == 1
         by_identity = lines[0].split("; time by identity: ")[1].split(";")[0]
         counts = {part.split()[0]: int(part.split()[1]) for part in by_identity.split(", ")}
-        assert counts == {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}
+        assert counts == expect
         assert "; slowest " in lines[0] and lines[0].endswith(" ms")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -22,16 +22,17 @@ from qtheta.cyclotomic import ramanujan_sum
 
 
 def _poly_div(num, den):
-    """Test-local exact polynomial division oracle (constant term first)."""
-    num = [Fraction(c) for c in num]
-    dd = len(den) - 1
-    out = [Fraction(0)] * (len(num) - dd)
+    """Test-local exact division oracle by a monic integer polynomial
+    (constant term first); the remainder must vanish."""
+    assert den[-1] == 1
+    num, dd = list(num), len(den) - 1
+    out = [0] * (len(num) - dd)
     for e in range(len(out) - 1, -1, -1):
-        c = num[e + dd] / den[dd]
-        out[e] = c
-        for i in range(dd + 1):
-            num[e + i] -= c * den[i]
-    assert all(c == 0 for c in num), "division was not exact"
+        c = out[e] = num[e + dd]
+        if c:
+            for i, x in enumerate(den):
+                num[e + i] -= c * x
+    assert not any(num), "division was not exact"
     return out
 
 
@@ -48,6 +49,18 @@ class TestCyclotomicPolynomial:
         for d in (1, 2, 3, 4, 6):
             num = _poly_div(num, cyclotomic_polynomial(d))
         assert tuple(num) == cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    def test_matches_recursive_division_oracle(self):
+        # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d, every Phi_d taken
+        # from this same recursion, never from cyclotomic_polynomial
+        phi = {}
+        for m in range(1, 301):
+            num = [-1] + [0] * (m - 1) + [1]
+            for d in range(1, m):
+                if m % d == 0:
+                    num = _poly_div(num, phi[d])
+            phi[m] = tuple(num)
+            assert cyclotomic_polynomial(m) == phi[m], m
 
     def test_degree_is_phi(self):
         for m in range(1, 65):

@@ -358,8 +358,10 @@ class TestTanSquareSum:
     def test_tree_matches_naive_cyclic_sum(self):
         # N = sum_i u_i prod_{j != i} v_j and D = prod_j v_j in Z[y]/(y^2k - 1)
         # from plain integer lists, reduced mod Phi_2k; their quotient must
-        # be the fraction tree's value.  k = 1..16 covers Phi_2 (D = 1),
-        # 1, 2, 3 and 5 leaves (unpaired nodes) and the l = 0 leaf (u = 0).
+        # be the fraction tree's value.  k = 1..24 covers Phi_2 (D = 1),
+        # 1, 2, 3 and 5 leaves (unpaired nodes), the l = 0 leaf (u = 0) and
+        # the l = k/2 leaf (v = 2); k = 50 and 64 have deep trees, where a
+        # lane bound short of (s+1) 4^s first overflows.
         def cyc_mul(x, y):
             m = len(x)
             out = [0] * m
@@ -369,14 +371,15 @@ class TestTanSquareSum:
                         out[(i + j) % m] += a * b
             return out
 
-        leaf_counts, saw_l0 = set(), False
-        for k in range(1, 17):
+        leaf_counts, saw_l0, saw_half = set(), False, False
+        for k in [*range(1, 25), 50, 64]:
             m = 2 * k
             ctx = _ctx(m)
             for delta in (0, 1):
                 idx = HalfSumSpec(k, delta).index_set
                 leaf_counts.add(len(idx))
                 saw_l0 = saw_l0 or 0 in idx
+                saw_half = saw_half or k % 2 == 0 and k // 2 in idx
                 num, den = [0] * m, [1] + [0] * (m - 1)
                 for l in idx:
                     u, v = [0] * m, [0] * m
@@ -392,7 +395,7 @@ class TestTanSquareSum:
                 q = Fraction(num_vec[pivot], den_vec[pivot])
                 assert all(n == q * d for n, d in zip(num_vec, den_vec))
                 assert _tan_square_sum_exact(k, delta) == q, (k, delta)
-        assert {1, 2, 3, 5} <= leaf_counts and saw_l0
+        assert {1, 2, 3, 5} <= leaf_counts and saw_l0 and saw_half
 
 
 class TestK3Corollary:
