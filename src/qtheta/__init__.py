@@ -20,7 +20,6 @@ from .cyclotomic import (
 )
 from .identities import (
     HalfSumSpec,
-    NonRationalError,
     VerificationReport,
     full_suite,
     half_sum,
@@ -61,7 +60,6 @@ __all__ = [
     "CyclotomicNumber",
     "HalfSumSpec",
     "Mismatch",
-    "NonRationalError",
     "PoleError",
     "PrecisionError",
     "QExpansion",

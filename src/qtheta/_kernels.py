@@ -88,13 +88,13 @@ def cyclo_rem(vec, phi_low):
     v = list(vec)
     if len(v) < d:
         return v + [0] * (d - len(v))
+    terms = [(i, p) for i, p in enumerate(phi_low) if p]
     for e in range(len(v) - 1, d - 1, -1):
         c = v[e]
         if c:
             base = e - d
-            for i in range(d):
-                if phi_low[i]:
-                    v[base + i] -= c * phi_low[i]
+            for i, p in terms:
+                v[base + i] -= c * p
         # slot e is now dead; no need to zero it
     return v[:d]
 

@@ -27,20 +27,18 @@ except ImportError:  # gmpy2 is optional (the "gmpy2" extra); int is exact too
         return x
 
 
-_BIAS_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}
+_BIAS_CACHE: dict[tuple[int, int], int] = {}
 
 
-def _bias(b: int, count: int, stride: int = 0) -> tuple[int, int]:
-    """(bias integer, total byte length): 2**(b-1) in each of `count` lanes
-    laid `stride` bits apart (default b)."""
-    stride = stride or b
-    key = (b, count, stride)
+def _bias(b: int, count: int) -> int:
+    """The integer with 2**(b-1) in each of `count` lanes of width b."""
+    key = (b, count)
     hit = _BIAS_CACHE.get(key)
     if hit is None:
-        step = stride // 8
+        step = b // 8
         buf = bytearray(step * count)
-        buf[b // 8 - 1::step] = b"\x80" * count
-        hit = (int.from_bytes(buf, "little"), step * count)
+        buf[step - 1::step] = b"\x80" * count
+        hit = int.from_bytes(buf, "little")
         _BIAS_CACHE[key] = hit
     return hit
 
@@ -90,23 +88,7 @@ def _lanes(y: int, b: int, count: int, half: int) -> list[int]:
 
 def unpack_signed(x, b: int, count: int) -> list[int]:
     """Recover `count` signed lanes from a packed integer (any sign)."""
-    return _lanes(int(x) + _bias(b, count)[0], b, count, 1 << (b - 1))
-
-
-def widen_signed(x, b: int, b_new: int, count: int):
-    """Re-lay `count` signed lanes of width b at the larger width b_new.
-
-    The same as pack_signed(unpack_signed(x, b, count), b_new), but byte j
-    of every lane moves in one strided slice copy, so the cost is b/8
-    slice copies rather than one Python step per lane.
-    """
-    bias, nbytes = _bias(b, count)
-    buf = (int(x) + bias).to_bytes(nbytes, "little")
-    lane, lane_new = b // 8, b_new // 8
-    out = bytearray(lane_new * count)
-    for j in range(lane):
-        out[j::lane_new] = buf[j::lane]
-    return bignum(int.from_bytes(out, "little") - _bias(b, count, b_new)[0])
+    return _lanes(int(x) + _bias(b, count), b, count, 1 << (b - 1))
 
 
 def split_low(x, b: int, d: int):

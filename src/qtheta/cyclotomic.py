@@ -411,8 +411,8 @@ class CyclotomicNumber:
     def invert(self) -> "CyclotomicNumber":
         """Exact inverse via the product of all nontrivial conjugates.
 
-        a^{-1} = (prod_{j != 1} sigma_j(a)) / N(a); the norm N(a) reduces
-        to a rational, which is asserted.
+        a^{-1} = (prod_{j != 1} sigma_j(a)) / N(a); the norm N(a) must
+        reduce to a rational, and ArithmeticError is raised if it does not.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -510,63 +510,49 @@ def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:
     return CyclotomicNumber._raw(M, _ctx(M).galois_vec(a._num, M // m), a._den)
 
 
-def _inv_one_minus(ctx: _Ctx, e: int) -> tuple[list[int], int]:
-    """(1 - zeta^e)^{-1} as (redundant coefficient vector, denominator).
+def _inv_one_minus(ctx: _Ctx, a: int) -> CyclotomicNumber:
+    """(1 - zeta^a)^{-1} for zeta^a != 1.
 
-    Uses prod_{j=1}^{r-1} (1 - w^j) = r for w = zeta^e of order r, so the
-    inverse is the product over j >= 2 divided by r.
+    x = zeta^a has order s = m/gcd(a, m) > 1, so sum_{j<s} x^j = 0 and
+    (1 - x) sum_{j<s} j x^j = sum_{0<j<s} x^j - (s - 1) x^s = -s: the
+    inverse is -sum_{j<s} j x^j / s, one pass over the powers of x.
     """
     m = ctx.m
-    e %= m
-    if e == 0:
+    s = m // math.gcd(a, m)
+    if s == 1:
         raise ZeroDivisionError("1 - zeta^0 is zero")
-    r = m // math.gcd(e, m)
-    acc = [0] * m
-    acc[0] = 1
-    for j in range(2, r):
-        c = (e * j) % m
-        rot = acc[m - c:] + acc[:m - c]
-        acc = [x - y for x, y in zip(acc, rot)]
-    return acc, r
-
-
-def _inv_one_plus(ctx: _Ctx, e: int) -> tuple[list[int], int]:
-    """(1 + zeta^e)^{-1} as (redundant coefficient vector, denominator)."""
-    m = ctx.m
-    e %= m
-    r = m // math.gcd(e, m)
-    if r == 1:
-        v = [0] * m
-        v[0] = 1
-        return v, 2
-    if r == 2:
-        raise PoleError("1 + zeta^e vanishes (zeta^e = -1)")
-    if r % 2:
-        # (1+w) * sum_j (-w)^j = 1 + w^r = 2 for odd r
-        v = [0] * m
-        for j in range(r):
-            v[(e * j) % m] += -1 if j % 2 else 1
-        return v, 2
-    # even r >= 4: (1+w)^{-1} = (1-w) * (1-w^2)^{-1}; e != 0 here
-    inner, den = _inv_one_minus(ctx, 2 * e)
-    rot = inner[m - e:] + inner[:m - e]
-    return [x - y for x, y in zip(inner, rot)], den
+    vec = [0] * m
+    for j in range(1, s):
+        vec[(a * j) % m] = -j
+    return CyclotomicNumber._raw(m, ctx.reduce(vec), s)
 
 
 def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
     """Exact sin/cos/tan of p*pi/q inside Q(zeta_lcm(2q,4)).
 
-    sin = (zeta - zeta^{-1}) / (2i) and cos = (zeta + zeta^{-1}) / 2 with
-    zeta = zeta_{2q}^p; tan divides them, using a closed-form inverse of
-    the binomial 1 + zeta^{2p} so no generic field inversion is needed.
+    With zeta^u = e^{i p pi/q}, sin = (zeta^u - zeta^-u) / (2i) and
+    cos = (zeta^u + zeta^-u) / 2.  tan = i (1 - w) (1 + w)^{-1} with
+    w = zeta^{2u}, and 1 + w = 1 - zeta^{2u + M/2}, so the inverse is
+    the closed form of _inv_one_minus; tan has a pole exactly where
+    2u + M/2 = 0 (mod M).  Neither tan nor its factors read the table of
+    powers _Ctx.rows().
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     M = math.lcm(2 * q, 4)
     ctx = _ctx(M)
-    rows = ctx.rows()
     u = (p * (M // (2 * q))) % M
     i_exp = M // 4
+    if kind == "tan":
+        a = (2 * u + M // 2) % M
+        if a == 0:
+            raise PoleError(f"tan({p} pi/{q}) is a pole")
+        # i (1 - w) = zeta^{M/4} - zeta^{M/4 + 2u}
+        vec = [0] * M
+        vec[i_exp] += 1
+        vec[(i_exp + 2 * u) % M] -= 1
+        return CyclotomicNumber._raw(M, ctx.reduce(vec), 1) * _inv_one_minus(ctx, a)
+    rows = ctx.rows()
     if kind == "cos":
         num = [x + y for x, y in zip(rows[u], rows[(-u) % M])]
         return CyclotomicNumber._raw(M, num, 2)
@@ -575,14 +561,4 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
         a, b = (-u + i_exp) % M, (u + i_exp) % M
         num = [x - y for x, y in zip(rows[a], rows[b])]
         return CyclotomicNumber._raw(M, num, 2)
-    if kind == "tan":
-        # cos = zeta^{-u} (1 + zeta^{2u}) / 2, so
-        # 1/cos = 2 zeta^{u} (1 + zeta^{2u})^{-1}
-        inv_red, den = _inv_one_plus(ctx, 2 * u)
-        shifted = [0] * M
-        for e, c in enumerate(inv_red):
-            if c:
-                shifted[(e + u) % M] += c
-        inv_cos = CyclotomicNumber._raw(M, ctx.reduce(shifted), den) * 2
-        return trig_value("sin", p, q) * inv_cos
     raise ValueError(f"unknown trig kind {kind!r}")

@@ -18,20 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
-from ._pack import (
-    bignum,
-    lane_width,
-    pack_signed,
-    split_low,
-    unpack_signed,
-    widen_signed,
-)
-from .cyclotomic import (
-    _ctx,
-    embed_conductor,
-    euler_phi,
-    ramanujan_sum,
-)
+from ._pack import lane_width, pack_signed, unpack_signed
+from .cyclotomic import embed_conductor, euler_phi, ramanujan_sum
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
@@ -44,10 +32,6 @@ from .modular import (
     theta2_jet,
 )
 from .series import Mismatch, QExpansion, compare, lambert
-
-
-class NonRationalError(ArithmeticError):
-    """A sum that must collapse to rational coefficients failed to."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +141,12 @@ def _part(identity, params, order, check) -> VerificationReport:
 # -- the half sum and the main modular equation -------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_row(m: int) -> tuple[int, ...]:
+    """Tr(zeta_m^e) = c_m(e) for the 2 phi(m) - 1 lanes of a product."""
+    return tuple(ramanujan_sum(m, e) for e in range(2 * euler_phi(m) - 1))
+
+
 def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     """Sum over the index set of squared log-derivative brackets.
 
@@ -176,7 +166,11 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     rational by construction.  Tr is linear and Tr(zeta^e) = c_M(e), the
     Ramanujan sum, for every e >= 0, so each coefficient of the packed
     square is traced from its 2D-1 unreduced lanes, with no reduction
-    mod Phi_M.
+    mod Phi_M; the row of those sums is formed once per conductor.
+
+    F_l starts at -tan(l pi/2k), so the constant term is the sum of
+    tan^2(l pi/2k) over the index set (_tan_square_sum_exact), and at
+    order 1 only the tangents are built.
     """
     order = Fraction(order)
     k = spec.k
@@ -195,8 +189,8 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
         b = lane_width(room * ctx.D * amax * amax)
         packed = [pack_signed(v, b) for v in w]
         sq = K.convolve_trunc(packed, packed, room)
-        lanes = 2 * ctx.D - 1
-        trace = [ramanujan_sum(ctx.m, e) for e in range(lanes)]
+        trace = _trace_row(ctx.m)
+        lanes = len(trace)
         weight = Fraction(euler_phi(n), 2 * euler_phi(ctx.m) * den * den)
         f = math.lcm(acc_den, weight.denominator) // acc_den
         if f > 1:
@@ -427,67 +421,13 @@ def verify_eta_theta_bridges(order) -> list[VerificationReport]:
 
 
 def _tan_square_sum_exact(k: int, delta: int) -> Fraction:
-    """Sum of tan^2(l pi/2k) over the half-sum index set, in Q(zeta_2k).
+    """Sum of tan^2(l pi/2k) over the half-sum index set, exactly.
 
-    tan^2(l pi/2k) = u/v with u = 2 - y^l - y^-l and v = 2 + y^l + y^-l
-    at y = zeta_2k.  As u = 4 - v, tan^2 = 4/v - 1, and the sum is
-    4 sum 1/v - |idx|.  y^k = -1, so y^-l = -y^(k-l) for 0 < l < k, and
-    every vector lives in the negacyclic ring Z[y]/(y^k + 1), with k
-    lanes (Phi_2k divides y^k + 1): a leaf is (1, v),
-    v = 2 + y^l - y^(k-l), and v = 4 at l = 0.  The fractions are added
-    pairwise up a tree, (n1, d1) + (n2, d2) = (n1 d2 + n2 d1, d1 d2),
-    each product folded mod y^k + 1 (low k lanes less the high ones); an
-    unpaired node goes up a level unchanged.  The root is reduced once
-    mod Phi_2k, and the rational quotient is extracted by coordinate
-    ratio with an exact cross-check.
-
-    Lanes are sized per node.  A leaf has l1-norm <= 4 (its numerator
-    1), products multiply l1-norms, and a negacyclic fold does not raise
-    them, as each folded lane is a difference of two lanes.  So over s
-    leaves the denominator has l1-norm <= 4^s and the numerator, a sum
-    of s products of s - 1 leaf denominators, <= s 4^(s-1); (s+1) 4^s
-    bounds every lane, folded or not.  A child is widened only where its
-    parent's lanes are wider.
+    Each bracket of the half sum has constant term -tan(l pi/2k), so this
+    sum is the constant term of half_sum(HalfSumSpec(k, delta), 1): one
+    Galois trace per divisor orbit, rational by construction.
     """
-    idx = HalfSumSpec(k, delta).index_set
-    if not idx:
-        return Fraction(0)
-
-    def fold(x, b):
-        # x mod y^k + 1: lane e >= k is subtracted from lane e - k
-        lo, hi = split_low(x, b, k)
-        return lo - hi
-
-    b = lane_width(2 * 4)  # (s+1) 4^s at s = 1
-    nodes = []
-    for l in idx:
-        v = 2 + (1 << (b * l)) - (1 << (b * (k - l))) if l else 4
-        nodes.append((1, bignum(v), 1, b))
-    while len(nodes) > 1:
-        up = []
-        for (n1, d1, s1, b1), (n2, d2, s2, b2) in zip(nodes[::2], nodes[1::2]):
-            s = s1 + s2
-            b = lane_width((s + 1) * 4**s)
-            if b1 < b:
-                n1, d1 = widen_signed(n1, b1, b, k), widen_signed(d1, b1, b, k)
-            if b2 < b:
-                n2, d2 = widen_signed(n2, b2, b, k), widen_signed(d2, b2, b, k)
-            up.append((fold(n1 * d2 + n2 * d1, b), fold(d1 * d2, b), s, b))
-        if len(nodes) % 2:
-            up.append(nodes[-1])
-        nodes = up
-    num, den, _, b = nodes[0]
-    ctx = _ctx(2 * k)
-    num_vec = ctx.reduce(unpack_signed(num, b, k))
-    den_vec = ctx.reduce(unpack_signed(den, b, k))
-    pivot = next(i for i, c in enumerate(den_vec) if c)
-    np_, dp = num_vec[pivot], den_vec[pivot]
-    for i in range(ctx.D):
-        if num_vec[i] * dp != np_ * den_vec[i]:
-            raise NonRationalError(
-                f"tan-square sum k={k} delta={delta} is not rational"
-            )
-    return 4 * Fraction(np_, dp) - len(idx)
+    return Fraction(half_sum(HalfSumSpec(k, delta), 1).coefficient(0))
 
 
 _TAN_SUM_NOTE = (
@@ -657,7 +597,8 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
         return reports
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    # a fork pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         for batch in pool.map(_run_job, jobs):
             for rep in batch:
                 reports.append(rep)

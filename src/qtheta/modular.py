@@ -229,7 +229,6 @@ def _bracket_data(l: int, k: int, order):
         raise ValueError("need 0 <= l < 2k with l != k")
     m = 4 * k
     ctx = _ctx(m)
-    rows = ctx.rows()
     D = ctx.D
     room = math.ceil(Fraction(order))
     tan = trig_value("tan", l, 2 * k)
@@ -239,7 +238,10 @@ def _bracket_data(l: int, k: int, order):
     den = tan._den
     vec0 = [-x for x in tan._num]
     i_exp = m // 4
-    svecs = []  # the sieve reads h = 1 + (d - 1) mod 2k for d < room only
+    # the sieve reads h = 1 + (d - 1) mod 2k for d < room only; at
+    # room <= 1 there is none, and the table of powers is not built
+    svecs = []
+    rows = ctx.rows() if room > 1 else None
     for h in range(1, min(2 * k, room - 1) + 1):
         a = (2 * l * h) % m
         sg = 2 if h % 2 else -2  # 2*(-1)^(h+1)

@@ -13,6 +13,7 @@ from qtheta import (
     run_selftest,
     tan_square_sum,
     theorem_rhs,
+    trig_value,
     verify_eta_theta_bridges,
     verify_k3_corollary,
     verify_lem2,
@@ -157,12 +158,18 @@ def test_criterion_8_property_suites():
 
 
 def test_constant_term_law():
-    """Constant term of the half sum equals the tangent-square sum."""
+    """Constant term of the half sum equals the tangent-square sum, and
+    the sum of sin^2/cos^2 formed by field division."""
     for k in range(1, 13):
         for delta in (0, 1):
             hs = half_sum(HalfSumSpec(k, delta), 3)
             value, _ = tan_square_sum(k, delta)
             assert hs.coefficient(0) == value
+            direct = 0
+            for l in HalfSumSpec(k, delta).index_set:
+                s, c = trig_value("sin", l, 2 * k), trig_value("cos", l, 2 * k)
+                direct = (s * s) / (c * c) + direct
+            assert direct == value
             expect = (
                 Fraction((k - 1) * (k - 2), 6)
                 if delta == 0

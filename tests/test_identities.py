@@ -355,13 +355,12 @@ class TestTanSquareSum:
                 v, _ = tan_square_sum(k, d)
                 assert hs.coefficient(0) == v
 
-    def test_tree_matches_naive_cyclic_sum(self):
+    def test_matches_naive_cyclic_sum(self):
         # N = sum_i u_i prod_{j != i} v_j and D = prod_j v_j in Z[y]/(y^2k - 1)
         # from plain integer lists, reduced mod Phi_2k; their quotient must
-        # be the fraction tree's value.  k = 1..24 covers Phi_2 (D = 1),
-        # 1, 2, 3 and 5 leaves (unpaired nodes), the l = 0 leaf (u = 0) and
-        # the l = k/2 leaf (v = 2); k = 50 and 64 have deep trees, where a
-        # lane bound short of (s+1) 4^s first overflows.
+        # be the half sum's constant term.  k = 1..24 covers Phi_2 (D = 1),
+        # 1, 2, 3 and 5 terms, the l = 0 term (u = 0) and the l = k/2 term
+        # (v = 2); k = 50 and 64 have 25 and 32 terms.
         def cyc_mul(x, y):
             m = len(x)
             out = [0] * m
@@ -501,6 +500,31 @@ class TestFullSuite:
         assert set(rep.to_json_obj()) == {
             "identity", "params", "status", "first_mismatch", "elapsed_ms", "order",
         }
+
+    def test_pool_has_no_more_workers_than_jobs(self, monkeypatch):
+        # a fork pool starts every worker at the first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        job = ("tan-sum", {"k": 3, "delta": 1})
+        assert len(run_jobs([job, job], 64)) == 2
+        assert len(run_jobs([job] * 3, 2)) == 3
+        assert sizes == [2, 2]
 
     def test_parallel_matches_sequential(self):
         seq = full_suite(k_max=2, order=8)

@@ -3,7 +3,8 @@
 import random
 
 import qtheta._kernels as K
-from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed, widen_signed
+from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed
+from qtheta.cyclotomic import cyclotomic_polynomial
 
 
 def _naive_convolve(a, b):
@@ -97,6 +98,19 @@ def test_cyclo_rem_is_polynomial_remainder():
     # x^2 = -1, x^3 = -x, x^4 = 1 -> (3 - 5 + 7) + (4 - 6) x
     assert K.cyclo_rem(v, phi_low) == [5, -2]
     assert K.cyclo_rem([1], phi_low) == [1, 0]
+    # sparse divisors: Phi_64 = x^32 + 1, Phi_500 = Phi_10(x^50) (5 terms),
+    # against dense long division by the full polynomial
+    rng = random.Random(7)
+    for m in (64, 500):
+        phi = cyclotomic_polynomial(m)
+        d = len(phi) - 1
+        v = [rng.randint(-9, 9) for _ in range(m)]
+        want = list(v)
+        for e in range(len(want) - 1, d - 1, -1):
+            c = want[e]
+            for i, p in enumerate(phi):
+                want[e - d + i] -= c * p
+        assert K.cyclo_rem(v, phi[:-1]) == want[:d], m
 
 
 def test_scaled_add():
@@ -137,17 +151,6 @@ def test_split_low_exact():
         assert low + (high << (b * d)) == x
         assert unpack_signed(low, b, d) == vec[:d]
         assert unpack_signed(high, b, n - d) == vec[d:]
-
-
-def test_widen_signed_is_repacking():
-    rng = random.Random(6)
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        bound = 10 ** rng.randint(0, 10)
-        vec = [rng.randint(-bound, bound) for _ in range(n)]
-        b = lane_width(bound)
-        b_new = b + 8 * rng.randint(1, 4)
-        assert widen_signed(pack_signed(vec, b), b, b_new, n) == pack_signed(vec, b_new)
 
 
 def test_lane_width_is_byte_aligned_with_slack():
