@@ -97,17 +97,26 @@ class ZJet:
         return ZJet(self.coeffs[:degree + 1])
 
     def div(self, other: "ZJet") -> "ZJet":
-        """Quotient by a unit jet (invertible constant slot)."""
+        """Quotient by a unit jet (invertible constant slot).
+
+        Both jets are first scaled by 1/c, c the lead coefficient of the
+        divisor's constant slot (inverted once per slot series), so that
+        every slot division has lead 1 and needs no field product.
+        """
         if not isinstance(other, ZJet):
             raise TypeError("jet division needs a jet divisor")
         if other.coeffs[0].is_zero:
             raise ZeroDivisionError(
                 "jet division by a non-unit (zero constant slot)"
             )
-        b = other.coeffs
+        n = min(self.degree, other.degree) + 1
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        inv = b[0]._lead_inverse()
+        if inv != 1:
+            a, b = [s * inv for s in a], [s * inv for s in b]
         out = []
-        for t in range(min(self.degree, other.degree) + 1):
-            acc = self.coeffs[t]
+        for t in range(n):
+            acc = a[t]
             if t:
                 acc = acc + _series_mul([(-1, out[i], b[t - i]) for i in range(t)])
             out.append(acc / b[0])

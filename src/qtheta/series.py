@@ -41,13 +41,13 @@ convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
 
-Division a / b is the product a * b.inverse().  The inverse is computed
-once per divisor object by schoolbook division of 1 by b, and cached on
-it, so every quotient by the same series (all the slots of a jet
-quotient, say) shares one inversion.  Over Q(zeta_m) the lead of b is
-inverted once; each remainder is an unreduced integer vector over its
-own denominator, reduced mod Phi_m once, when its quotient coefficient
-is formed.
+Division a / b is long division on the same packed vectors, and no
+series is ever inverted on its own.  Each quotient coefficient is one
+packed sum over the nonzero divisor coefficients, reduced mod Phi_m
+once, multiplied by the inverse of the divisor's lead (computed once
+per divisor object) and packed once for the later sums; the quotients
+share one common denominator, and the lanes widen only when growing
+quotients outrun their bound (the proof is in _series_div).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _field_of(ma: int, mb: int) -> int:
 
 class QExpansion:
     __slots__ = ("base", "precision", "_m", "_vecs", "_den", "_amax",
-                 "_coeffs", "_inv")
+                 "_coeffs", "_lead_inv")
 
     def __init__(self, base, coeffs, precision):
         m = 1
@@ -174,7 +174,7 @@ class QExpansion:
         self._den = den
         self._amax = None
         self._coeffs = None
-        self._inv = None
+        self._lead_inv = None
 
     @classmethod
     def _from_vectors(cls, m, base, vecs, den, precision, lowest=False):
@@ -197,6 +197,19 @@ class QExpansion:
         if self._amax is None:
             self._amax = _lane_max(self._vecs)
         return self._vecs, self._den, self._amax
+
+    def _lead_inverse(self):
+        """1/c for the lead coefficient c, computed once per series: a
+        Fraction, or a CyclotomicNumber for an irrational c."""
+        if self._lead_inv is None:
+            if self.is_zero:
+                raise ZeroDivisionError("the zero series has no lead coefficient")
+            v = self._vecs[0]
+            if any(v[1:]):
+                self._lead_inv = CyclotomicNumber._raw(self._m, v, self._den).invert()
+            else:
+                self._lead_inv = Fraction(self._den, v[0])
+        return self._lead_inv
 
     # -- constructors -------------------------------------------------
 
@@ -390,17 +403,7 @@ class QExpansion:
             return self * other.invert()
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "QExpansion":
-        """1/self to the precision its own terms certify, computed once.
-
-        The result has base -base and precision precision - 2*base, so
-        a * b.inverse() has exactly the base and precision of a / b.
-        """
-        if self._inv is None:
-            self._inv = _series_div(QExpansion.one(self.precision - self.base), self)
-        return self._inv
+        return _series_div(self, other)
 
     def q_ddq(self) -> "QExpansion":
         """Apply q d/dq: multiply each coefficient by its full exponent."""
@@ -512,67 +515,114 @@ def _series_mul(terms) -> QExpansion:
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
+    """a / b by long division on packed vectors.
+
+    With a = A/ad and b = B/bd over integer vectors A_i and B_j, the
+    quotient is (bd/ad) A/B.  Coefficient k of A/B is C_k/E, over one
+    common denominator E that grows as the division goes on.  Step i forms
+    one packed sum
+
+        E A_i - sum_{j in S, j <= i} C_{i-j} B_j,
+
+    S the nonzero divisor coefficients past the lead, reduces it mod Phi_m
+    once (_Ctx.reduce_packed) and multiplies it by 1/B_0 = L/lam, a field
+    product only for an irrational lead (L is +-1 otherwise).  That gives
+    lam E times coefficient i.  When E lacks a factor f of that
+    coefficient's lowest-terms denominator (f divides lam, so this
+    happens only for a non-unit lead, such as sqrt 2 or a rational other
+    than +-1), E becomes f E and every earlier packed C_k is multiplied by
+    f.  C_i is then packed once, for the later sums.  The lead of b is
+    inverted once per divisor object (QExpansion._lead_inverse), and
+    ZJet.div scales its jets so that each slot division has lead 1.
+
+    Lanes: each of the 2D-1 lanes of the packed sum is at most
+    E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
+    A, B and the C_k so far.  _Ctx.product_lane(bound, 1, 1) sizes the lane
+    for D times E amax + |S| Cmax bmax, which is more, times the growth of
+    the reduction.  Before each step the bound is checked against the one
+    the lane was sized for; when growing quotients outrun it, B and the
+    C_k are packed again at a lane sized for 2**_HEADROOM times the new
+    bound.  Over Q a one-lane vector is its own packing, so nothing is
+    packed or unpacked.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero series")
     prec = min(a.precision - b.base, b.precision + a.base - 2 * b.base)
     base = a.base - b.base
-    if a.is_zero:
+    if a.is_zero or prec <= base:
         return QExpansion.zero(prec)
-    room = prec - base
-    if room <= 0:
-        return QExpansion.zero(prec)
-    n = math.ceil(room)
+    n = math.ceil(prec - base)
     m = _field_of(a._m, b._m)
     ctx = _ctx(m)
-    phi = ctx.phi_low
     a, b = a.embed(m), b.embed(m)
-    av, ad = a._vecs, a._den
-    bv, bd = b._vecs, b._den
-    lead = CyclotomicNumber._raw(m, bv[0], bd).invert()
-    L, lam = lead._num, lead._den
-    pad = [0] * (ctx.D - 1)
-    # remainder i is rem[i] / rden[i]: 2D-1 unreduced lanes
-    rem = [None if v is None else v + pad for v in av[:n]]
-    rem += [None] * (n - len(rem))
-    rden = [ad] * n
-    out = [None] * n
-    oden = [1] * n
+    av, ad, amax = a._operand()
+    bv, bd, bmax = b._operand()
+    # 1/B_0 = sign L/lam; L is None (one) for a rational lead
+    lead = bv[0]
+    if any(lead[1:]):
+        inv = b._lead_inverse()
+        L, lam, sign = inv._num, inv._den * bd, 1
+    else:
+        L, lam, sign = None, abs(lead[0]), 1 if lead[0] > 0 else -1
+    S = [(j, v) for j, v in enumerate(bv[1:n], 1) if v is not None]
+    if ctx.D == 1:
+        # a one-lane vector is its own packing, at any lane width
+        def pack(v, lane):
+            return v[0]
+
+        def reduce(x, lane):
+            return [x]
+    else:
+        pack, reduce = pack_signed, ctx.reduce_packed
+    av = av[:n]
+    out = [None] * n  # (C_k, E_k): coefficient k is C_k/E_k
+    pc = [0] * n  # C_k E/E_k, packed at the current lane
+    E, cmax, cap, lane, pb = 1, 0, -1, 0, []
     for i in range(n):
-        r = rem[i]
-        if r is None:
+        bound = E * amax + len(S) * cmax * bmax
+        if bound > cap:
+            cap = bound << _HEADROOM
+            lane = ctx.product_lane(cap, 1, 1)
+            pb = [(j, pack(v, lane)) for j, v in S]
+            for k in range(i):
+                if out[k] is not None:
+                    c, ek = out[k]
+                    pc[k] = pack(c, lane) * (E // ek)
+        x = E * pack(av[i], lane) if i < len(av) and av[i] is not None else 0
+        for j, y in pb:
+            if j > i:
+                break
+            c = pc[i - j]
+            if c:
+                x -= c * y
+        if not x:
             continue
-        q = ctx.mul_vec(K.cyclo_rem(r, phi), L)
-        if not any(q):
+        w = reduce(x if sign > 0 else -x, lane)
+        if L is not None:
+            w = ctx.mul_vec(w, L)
+        if not any(w):
             continue
-        qd = rden[i] * lam
-        g = math.gcd(qd, *q)
-        if g > 1:
-            q = [x // g for x in q]
-            qd //= g
-        out[i], oden[i] = q, qd
-        td = qd * bd
-        for j in range(1, min(len(bv), n - i)):
-            bj = bv[j]
-            if bj is None:
-                continue
-            t = K.convolve(q, bj)
-            k = i + j
-            r = rem[k]
-            if r is None:
-                rem[k] = [-y for y in t]
-                rden[k] = td
-            elif rden[k] == td:
-                rem[k] = [x - y for x, y in zip(r, t)]
-            else:
-                d = math.lcm(rden[k], td)
-                fr, ft = d // rden[k], d // td
-                rem[k] = [fr * x - ft * y for x, y in zip(r, t)]
-                rden[k] = d
-    den = math.lcm(*oden)
-    vecs = [None if q is None else [den // qd * x for x in q]
-            for q, qd in zip(out, oden)]
-    # each quotient coefficient is in lowest terms, so the lcm is too
-    return QExpansion._from_vectors(m, base, vecs, den, prec, True)
+        if lam != 1:
+            # coefficient i is w/(lam E), of lowest-terms denominator d
+            d = lam * E // math.gcd(lam * E, *w)
+            f = d // math.gcd(E, d)
+            if f > 1:
+                E *= f
+                cmax *= f
+                for k in range(i):
+                    if pc[k]:
+                        pc[k] *= f
+            w = [y * f // lam for y in w]
+        cmax = max(cmax, max(w), -min(w))
+        out[i] = (w, E)
+        pc[i] = pack(w, lane)
+    vecs = [None if o is None else [E // o[1] * bd * y for y in o[0]] for o in out]
+    return _narrowed(QExpansion._from_vectors(m, base, vecs, E * ad, prec))
+
+
+# Bits of slack a packed division lane keeps above its current bound, so
+# that quotients whose entries grow are repacked only now and then.
+_HEADROOM = 16
 
 
 # -- named operations ----------------------------------------------------

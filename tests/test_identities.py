@@ -41,16 +41,33 @@ from qtheta.modular import ThetaPoint
 
 
 def _record_series_div(monkeypatch) -> list:
-    """Divisors that reach the schoolbook series division, in call order."""
-    divisors = []
+    """(numerator, divisor) of every series division, in call order."""
+    pairs = []
     real = series._series_div
 
     def recording(a, b):
-        divisors.append(b)
+        pairs.append((a, b))
         return real(a, b)
 
     monkeypatch.setattr(series, "_series_div", recording)
-    return divisors
+    return pairs
+
+
+def _record_inversions(monkeypatch) -> list:
+    """Every field element inverted, in call order."""
+    inverted = []
+    real = CyclotomicNumber.invert
+
+    def recording(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "invert", recording)
+    return inverted
+
+
+def _no_numerator_one(pairs) -> bool:
+    return all(a != QExpansion.one(a.precision) for a, _ in pairs)
 
 
 class TestHalfSumSpec:
@@ -234,12 +251,17 @@ class TestVerifyMeq1:
         with pytest.raises(ValueError):
             verify_meq1(3, 3, 4, 20)
 
-    def test_one_series_inversion_per_job(self, monkeypatch):
-        # every quotient in meq1 is by the jet's constant slot, whose inverse
-        # is computed once and shared
-        divisors = _record_series_div(monkeypatch)
-        assert verify_meq1(1, 5, 4, 16).passed
-        assert len(divisors) == 1
+    @pytest.mark.parametrize("J", [2, 4, 5])
+    def test_one_division_per_quotient_slot(self, monkeypatch, J):
+        # (q d/dq f)/f to degree J-2 and f'/f to degree J-1, one long
+        # division per slot; no series is inverted on its own, and the lead
+        # of the divisor f (an irrational at pi/10) is inverted once
+        pairs = _record_series_div(monkeypatch)
+        inverted = _record_inversions(monkeypatch)
+        assert verify_meq1(1, 5, J, 16).passed
+        assert len(pairs) == (J - 1) + J
+        assert _no_numerator_one(pairs)
+        assert len(inverted) == 1
 
     @pytest.mark.parametrize("J,slot", [(4, 2), (5, 3), (4, 0)])
     def test_fault_in_one_slot_fails(self, monkeypatch, J, slot):
@@ -267,13 +289,17 @@ class TestVerifyMeq1:
 
 
 class TestSecondDerivatives:
-    def test_each_divisor_inverted_once(self, monkeypatch):
-        # the two ratio parts share one quotient jet, so no divisor value
-        # is inverted twice
-        divisors = _record_series_div(monkeypatch)
-        assert all(r.passed for r in verify_second_derivatives(3, 20))
-        assert len(divisors) == 4
-        assert all(x != y for i, x in enumerate(divisors) for y in divisors[i + 1:])
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_no_series_inverted_and_no_lead_twice(self, monkeypatch, k):
+        # every quotient is one long division of its own numerator, and no
+        # divisor lead is inverted twice: every lead here is rational (the
+        # theta series at 0 and -pi/2 and their quotients), so no field
+        # element is inverted at all
+        pairs = _record_series_div(monkeypatch)
+        inverted = _record_inversions(monkeypatch)
+        assert all(r.passed for r in verify_second_derivatives(k, 20))
+        assert pairs and _no_numerator_one(pairs)
+        assert inverted == []
 
     def test_k1_degenerate(self):
         reports = verify_second_derivatives(1, 30)

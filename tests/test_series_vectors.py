@@ -187,6 +187,76 @@ def test_vector_operations_match_object_arithmetic(data, c):
 
 
 @st.composite
+def division_pair(draw):
+    """(a, b) over Q or Q(zeta_m), m in {4, 8, 12, 20}: fractional bases,
+    a possibly zero numerator, a divisor with any base and any precision."""
+    m = draw(st.sampled_from([None, 4, 8, 12, 20]))
+
+    def coeff():
+        if m is None or draw(st.booleans()):
+            return draw(small_fraction)
+        return CyclotomicNumber(m, draw(st.lists(small_fraction, min_size=_ctx(m).D,
+                                                 max_size=_ctx(m).D)))
+
+    def series(coeffs):
+        base = Fraction(draw(st.integers(-16, 16)), 8)
+        return QExpansion(base, coeffs, base + draw(st.integers(1, 8)))
+
+    a = series([coeff() for _ in range(draw(st.integers(0, 6)))])
+    lead = coeff() or 1
+    b = series([lead] + [coeff() for _ in range(draw(st.integers(0, 5)))])
+    return a, b
+
+
+def _ref(s):
+    return Ref.of(s.base, s.coeffs, s.precision)
+
+
+@settings(deadline=None)
+@given(pair=division_pair())
+def test_division_matches_schoolbook(pair):
+    a, b = pair
+    _ref(a).div(_ref(b)).check(a / b)
+
+
+def _division_cases():
+    z8 = root_of_unity(8, 1)
+    sqrt2 = z8 + z8 ** 7
+    z12 = root_of_unity(12, 1)
+    f = theta2_jet(ThetaPoint(1, 10), 3, 30)
+    log_dz = f.d_dz().div(f)
+    nj = theta2_jet(ThetaPoint(-1, 2, q_power=3), 3, 24).scale_z(3).shift_zero(1)
+    ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, 24).shift_zero(1))
+    return {
+        # entries of 7^79 z^79: the lanes widen on the way to 222 bits
+        "widening": (QExpansion(0, [1 + z8 ** 3], 80),
+                     QExpansion(0, [1, -7 * z8], 80)),
+        # sqrt 2 = z + z^7 is no unit: the quotient denominator grows
+        "sqrt2-lead": (QExpansion(0, [z8, 0, 3, Fraction(1, 2)], 30),
+                       QExpansion(0, [sqrt2, 1, 0, z8 ** 2], 30)),
+        "growing-denominator": (QExpansion(0, [1, z8 ** 3], 70),
+                                QExpansion(0, [Fraction(2, 3) * sqrt2, z8, 0, -1], 70)),
+        "fractional-base": (QExpansion(Fraction(3, 8), [z12, 2, 0, z12 ** 5], 20),
+                            QExpansion(Fraction(5, 8), [3 - z12, 0, z12 ** 2], 21)),
+        # the dense rational quotient slot the T-ratio part of lem22 divides by
+        "dense-rational": (ratio.slot(2), ratio.slot(0)),
+        # a dense slot of f'/f over Q(zeta_20)
+        "dense-cyclotomic": (f.slot(1), log_dz.slot(0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_division_cases()))
+def test_division_branches_match_schoolbook(name):
+    a, b = _division_cases()[name]
+    q = a / b
+    _ref(a).div(_ref(b)).check(q)
+    if name == "widening":
+        assert max(abs(x) for v in q._vecs for x in v).bit_length() >= 222
+    if name == "growing-denominator":
+        assert q._den.bit_length() > 100
+
+
+@st.composite
 def product_terms(draw):
     """Terms (c, a, b) over one conductor, rational operands mixed in, whose
     products share one base class but not their bases, denominators or
