@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels as K
 from ._pack import lane_width, pack_signed, unpack_signed
 from .cyclotomic import embed_conductor, euler_phi, ramanujan_sum
 from .jets import T_of_log, compare_jets
@@ -147,62 +146,180 @@ def _trace_row(m: int) -> tuple[int, ...]:
     return tuple(ramanujan_sum(m, e) for e in range(2 * euler_phi(m) - 1))
 
 
-def half_sum(spec: HalfSumSpec, order) -> QExpansion:
-    """Sum over the index set of squared log-derivative brackets.
+def _tan_square_trace(k: int, p: int) -> Fraction:
+    """Sum of tan^2(l pi/2k) over 0 < l < k with l = p (mod 2), exactly.
 
-    F_l, the bracket d/dz log theta2(l pi/2k, q), depends only on l mod
-    2k, F_{2k-l} = -F_l and F_0 = 0.  The l in 0 < l < k with
-    gcd(l, 2k) = g are g u, u in (Z/n)^*, n = 2k/g, halved by the pairing
-    l <-> 2k - l; l has the parity of g, so the index set is a union of
-    such classes, one per divisor g < k of 2k with g = k + delta (mod 2).
-
-    Let F_g be the bracket at pi/n over its smallest field Q(zeta_M),
-    M = lcm(2n, 4) (_bracket_data at reduced_point(g, k): (1, n/2) for
-    even n, (2, n) for odd n).  zeta -> zeta^j, j in (Z/M)^*, sends i
-    to +-i and each sine and tangent in F_g to one
-    common sign times its value at j times the angle, so F_g^2 to
-    F_{gj}^2; j mod n covers (Z/n)^* phi(M)/phi(n) times.  So a class
-    adds phi(n) / (2 phi(M)) Tr_{Q(zeta_M)/Q}(F_g^2): a trace, hence
-    rational by construction.  Tr is linear and Tr(zeta^e) = c_M(e), the
-    Ramanujan sum, for every e >= 0, so each coefficient of the packed
-    square is traced from its 2D-1 unreduced lanes, with no reduction
-    mod Phi_M; the row of those sums is formed once per conductor.
-
-    F_l starts at -tan(l pi/2k), so the constant term is the sum of
-    tan^2(l pi/2k) over the index set (_tan_square_sum_exact), and at
-    order 1 only the tangents are built.
+    The l in 0 < l < k with gcd(l, 2k) = g are g u, u in (Z/n)^*,
+    n = 2k/g, halved by the pairing l <-> 2k - l; l has the parity of g,
+    so the sum runs over one such class per divisor g < k of 2k with
+    g = p (mod 2).  tan(pi/n) lies in Q(zeta_M), M = lcm(2n, 4) (the
+    constant of _bracket_data at reduced_point(g, k)).  zeta -> zeta^j,
+    j in (Z/M)^*, sends i to +-i and tan(pi/n) to +-tan(j pi/n), so
+    tan^2(pi/n) to tan^2(j pi/n); j mod n covers (Z/n)^* phi(M)/phi(n)
+    times.  So a class adds phi(n) / (2 phi(M)) Tr_{Q(zeta_M)/Q}(tan^2):
+    a trace, hence rational by construction.  Tr is linear and
+    Tr(zeta^e) = c_M(e), the Ramanujan sum, for every e >= 0, so the
+    packed square is traced from its 2D-1 unreduced lanes, with no
+    reduction mod Phi_M.
     """
-    order = Fraction(order)
-    k = spec.k
-    room = math.ceil(order)
-    # the sum is acc / acc_den: integers over one running denominator
-    acc = [0] * room
-    acc_den = 1
-    for g in range(2 - (k + spec.delta) % 2, k, 2):
+    total = Fraction(0)
+    for g in range(2 - p, k, 2):
         if (2 * k) % g:
             continue
         n = 2 * k // g
-        ctx, den, vecs = _bracket_data(*reduced_point(g, k), order)
-        w = [vecs[0]] + [[den * x for x in v] for v in vecs[1:]]
-        amax = max(max(map(abs, v)) for v in w)
-        # the trace reads the 2D-1 unreduced lanes, each <= room D amax^2
-        b = lane_width(room * ctx.D * amax * amax)
-        packed = [pack_signed(v, b) for v in w]
-        sq = K.convolve_trunc(packed, packed, room)
+        ctx, den, vecs = _bracket_data(*reduced_point(g, k), 1)
+        v = vecs[0]
+        # each of the 2D-1 lanes of the square is <= D max|v|^2
+        b = lane_width(ctx.D * max(map(abs, v)) ** 2)
+        x = pack_signed(v, b)
         trace = _trace_row(ctx.m)
-        lanes = len(trace)
-        weight = Fraction(euler_phi(n), 2 * euler_phi(ctx.m) * den * den)
-        f = math.lcm(acc_den, weight.denominator) // acc_den
-        if f > 1:
-            acc = [f * x for x in acc]
-            acc_den *= f
-        wn = weight.numerator * (acc_den // weight.denominator)
-        for mm, x in enumerate(sq):
-            if x:
-                t = sum(map(operator.mul, trace, unpack_signed(x, b, lanes)))
-                acc[mm] += wn * t
-    vecs = [[x] if x else None for x in acc]
-    return QExpansion._from_vectors(1, 0, vecs, acc_den, order)
+        t = sum(map(operator.mul, trace, unpack_signed(x * x, b, len(trace))))
+        total += Fraction(euler_phi(n) * t, 2 * euler_phi(ctx.m) * den * den)
+    return total
+
+
+def _sine_classes(k: int, p: int):
+    """The classes of s mod 2k on which sin(s l pi/k), l = p (mod 2), agree.
+
+    Returns (cls, reps, weights): cls[s] = (j, c) with
+    sin(s l pi/k) = c sin(reps[j] l pi/k) for every such l, c = 0 where
+    that sine is 0 for every such l, and weights[j] = 1 or 2 (half_sum
+    gives the proof).
+    """
+    eps = -1 if p else 1
+    cls = [(0, 0)] * (2 * k)
+    reps, weights = [], []
+    for r in range(1, (k + 1) // 2):
+        for s, c in ((r, 1), (r + k, eps), (2 * k - r, -1), (k - r, -eps)):
+            cls[s] = (len(reps), c)
+        reps.append(r)
+        weights.append(1)
+    if k % 2 == 0 and eps == -1:
+        cls[k // 2], cls[3 * k // 2] = (len(reps), 1), (len(reps), -1)
+        reps.append(k // 2)
+        weights.append(2)
+    return cls, reps, weights
+
+
+def _tan_sine_sums(k: int, p: int) -> list[int]:
+    """2 tau(r) for r = 0..2k-1, where
+    tau(r) = sum tan(l pi/2k) sin(r l pi/k) over 0 < l < k, l = p (mod 2).
+
+    By the recurrence tau(r) = P(r-1) - P(r) - tau(r-1), tau(0) = 0, with
+    2 P(j) = k [k | j] eps^(j/k) - [p = 0] - [k = p (mod 2)] (-1)^j twice
+    the cosine sum (half_sum gives both proofs).  The term [p = 0] is the
+    same for every j and cancels in P(r-1) - P(r), so cos2 leaves it out.
+    """
+    eps = -1 if p else 1
+
+    def cos2(j):
+        full = k * eps ** (j // k) if j % k == 0 else 0
+        return full - ((k - p) % 2 == 0) * (-1) ** j
+
+    out = [0]
+    for r in range(1, 2 * k):
+        out.append(cos2(r - 1) - cos2(r) - out[-1])
+    return out
+
+
+def half_sum(spec: HalfSumSpec, order) -> QExpansion:
+    """Sum over the index set of squared log-derivative brackets, over Q.
+
+    Write x_l = l pi/2k, p = (k + delta) mod 2, eps = (-1)^p and
+    I = {0 < l < k : l = p (mod 2)}, the index set less l = 0, whose
+    bracket is 0.  The bracket at x_l, in _bracket_data's Lambert form, is
+
+        F_l = -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d).
+
+    Classes.  For l in I, sin((s + k) l pi/k) = (-1)^l sin(s l pi/k)
+    = eps sin(s l pi/k), and the sine is odd, so up to a sign c(s) it
+    depends only on the class of s mod 2k under s -> s + k and s -> -s
+    (_sine_classes).  The class of r, 1 <= r < k/2, is {r, r + k, -r,
+    k - r} with signs 1, eps, -1, -eps.  For even k, 3k/2 is both
+    k/2 + k and -k/2, so the class {k/2, 3k/2} has signs 1 and eps = -1
+    if eps = -1, and its sines are 0 if eps = 1, like those of {0, k}
+    (sin 0 = sin l pi = 0).  Grouping the d by
+    class, F_l = -tan x_l + 4 sum_j sin(r_j l pi/k) V_j over the
+    representatives r_j, with the integer series
+    V_j = sum_d c(d) (-1)^d q^d/(1 - q^d) over the d in the class of r_j.
+
+    Orthogonality.  The sum of e^{i j l pi/k} over all l = p (mod 2) in
+    0 <= l < 2k is e^{i j p pi/k} sum_{t<k} e^{2 pi i j t/k}
+    = k [k | j] eps^{j/k}.  Its cosines are even under l -> 2k - l, which
+    keeps the parity, so it is 2 P(j) plus the terms of l = 0 (if p = 0)
+    and l = k (if k = p mod 2), where P(j) = sum_{l in I} cos(j l pi/k):
+
+        2 P(j) = k [k | j] eps^{j/k} - [p = 0] - [k = p (mod 2)] (-1)^j.
+
+    With sin A sin B = (cos(A - B) - cos(A + B))/2 the last two terms
+    cancel, since (-1)^{a-b} = (-1)^{a+b}, leaving
+
+        sum_{l in I} sin(a l pi/k) sin(b l pi/k) = (k/4)(chi(a-b) - chi(a+b)),
+
+    chi(x) = 1 for x = 0, eps for x = k and 0 otherwise (mod 2k).  For
+    two representatives a - b = 0 (mod k) only if a = b, and a + b only
+    if a = b = k/2, so the sines at the representatives are orthogonal
+    over I, with squared norm (k/4) w_j: w_j = 1 for r_j < k/2 and
+    w_j = 1 - eps = 2 for r_j = k/2.  Expanding the squares,
+
+        sum_{l in I} F_l^2 = T0 - 8 sum_j tau(r_j) V_j + 4k sum_j w_j V_j^2,
+
+    T0 = sum_{l in I} tan^2 x_l (_tan_square_trace, the order-1 path)
+    and tau(r) = sum_{l in I} tan x_l sin(2 r x_l).
+
+    The tau recurrence.  tan x (sin 2rx + sin(2r - 2)x)
+    = 2 tan x sin((2r - 1)x) cos x = 2 sin x sin((2r - 1)x)
+    = cos((2r - 2)x) - cos 2rx, so summed over I,
+    tau(r) = P(r - 1) - P(r) - tau(r - 1), with tau(0) = 0
+    (_tan_sine_sums, which returns the integers 2 tau, since 2 P is an
+    integer).
+
+    Packed squares.  Each d < room adds c(d) (-1)^d to one V_j at every
+    multiple of d (one signed divisor sieve), so sum_j |V_j[n]| is at
+    most the number of those d that divide n, whose largest value below
+    room the sieve counts as s; V_j[0] = 0.
+    V_j is packed in q as X_j at lane width b; lane n of the sum of
+    X_j (k w_j X_j - 2 tau(r_j)) is
+    sum_j (k w_j sum_{a+b=n} V_j[a] V_j[b] - 2 tau(r_j) V_j[n]), at most
+    k (n - 1) 2 s^2 + t s in absolute value, t = max_j |2 tau(r_j)|, and
+    b holds that bound for n < room.  The lanes at n >= room only add a
+    multiple of 2^(b room), so one unpack_signed reads the room low lanes,
+    and the coefficient of q^n is 4 times lane n.
+    """
+    order = Fraction(order)
+    k = spec.k
+    p = (k + spec.delta) % 2
+    room = math.ceil(order)
+    if room <= 0:
+        return QExpansion.zero(order)
+    t0 = _tan_square_trace(k, p)
+    lanes = [0] * room
+    cls, reps, weights = _sine_classes(k, p)
+    if room > 1 and reps:
+        vs = [[0] * room for _ in reps]
+        hits = [0] * room  # the divisors of n that reach some V_j
+        for d in range(1, room):
+            j, c = cls[d % (2 * k)]
+            if c:
+                v = vs[j]
+                c = -c if d % 2 else c
+                for mult in range(d, room, d):
+                    v[mult] += c
+                    hits[mult] += 1
+        tau2 = _tan_sine_sums(k, p)
+        s = max(hits)
+        t = max(abs(tau2[r]) for r in reps)
+        b = lane_width(s * (2 * k * room * s + t))
+        total = 0
+        for v, r, w in zip(vs, reps, weights):
+            x = pack_signed(v, b)
+            total += x * (k * w * x - tau2[r])
+        lanes = unpack_signed(total, b, room)
+    den = t0.denominator
+    vecs = [[t0.numerator] if t0 else None] + [
+        [4 * den * x] if x else None for x in lanes[1:]
+    ]
+    return QExpansion._from_vectors(1, 0, vecs, den, order)
 
 
 def theorem_rhs(k: int, delta: int, order) -> QExpansion:

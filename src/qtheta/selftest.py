@@ -20,9 +20,11 @@ from .cyclotomic import (
     root_of_unity,
     trig_value,
 )
+from .identities import HalfSumSpec, half_sum
 from .modular import (
     ThetaPoint,
     eta_product,
+    log_deriv_lambert,
     reduced_point,
     theta2_jet,
     theta2_triple_product,
@@ -233,6 +235,20 @@ def _group_lambert():
     return True, "divisor-count reconstruction, order 200"
 
 
+def _group_half_sum():
+    order = 16
+    for k in range(1, 9):
+        for delta in (0, 1):
+            spec = HalfSumSpec(k, delta)
+            direct = QExpansion.zero(order)
+            for l in spec.index_set:
+                b = log_deriv_lambert(l, k, order)
+                direct = direct + b * b
+            if compare(half_sum(spec, order), direct, order) is not None:
+                return False, f"half sum != summed squares at k={k}, delta={delta}"
+    return True, "half sum over Q = summed squares of the brackets (k <= 8, order 16)"
+
+
 GROUPS = [
     ("ring-laws", _group_ring_laws),
     ("derivations", _group_derivations),
@@ -243,6 +259,7 @@ GROUPS = [
     ("theta-symmetries", _group_theta_symmetries),
     ("heat-equation", _group_heat),
     ("lambert-series", _group_lambert),
+    ("half-sum", _group_half_sum),
 ]
 
 

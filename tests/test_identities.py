@@ -22,6 +22,7 @@ from qtheta import (
     tan_square_sum,
     theorem_rhs,
     theta2_jet,
+    trig_value,
     verify_eta_theta_bridges,
     verify_k3_corollary,
     verify_lem2,
@@ -102,10 +103,12 @@ class TestHalfSum:
             assert isinstance(c, (int, Fraction))
 
     def test_against_direct_square_of_brackets(self):
-        # the per-l sum of squares in generic series arithmetic; index sets
-        # of one Galois orbit (prime k) and of several (e.g. k = 6, 9, 12)
-        order = 12
+        # the per-l sum of squares in generic series arithmetic, the one
+        # check of the sum over Q against the brackets over Q(zeta_4k);
+        # index sets of one Galois orbit (prime k) and of several (e.g.
+        # k = 6, 9, 12)
         for k in range(2, 21):
+            order = 40 if k <= 12 else 12
             for d in (0, 1):
                 spec = HalfSumSpec(k, d)
                 direct = None
@@ -118,6 +121,78 @@ class TestHalfSum:
                     if isinstance(lhs, CyclotomicNumber):
                         lhs = lhs.as_rational()
                     assert lhs == fast.coefficient(mm), (k, d, mm)
+
+
+    # sha256 of the coefficients below q^80, recorded from the half sum
+    # that squared each Galois orbit's bracket over Q(zeta_M) and traced it
+    PINNED_80 = {
+        (3, 0): "1733c68fb51a6154",
+        (6, 1): "d9fda7fa42fb8716",
+        (9, 0): "adbfc02e1660998e",
+        (12, 1): "1d2571381ca99dec",
+        (25, 0): "682bc09b0af2ec89",
+        (30, 1): "b1548d84fe832708",
+        (37, 0): "554c32ec05d5b6a7",
+        (40, 1): "3e218d4aaebcef56",
+    }
+
+    def test_pinned_digests_at_order_80(self):
+        for (k, d), want in self.PINNED_80.items():
+            hs = half_sum(HalfSumSpec(k, d), 80)
+            text = ",".join(str(hs.coefficient(n)) for n in range(80))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (k, d)
+
+    @staticmethod
+    def _index_set(k, p):
+        return [l for l in range(1, k) if l % 2 == p]
+
+    @staticmethod
+    def _trig(kind, num, den, k):
+        # num pi/den over Q(zeta_4k), the field of every value below
+        return embed_conductor(trig_value(kind, num, den), 4 * k)
+
+    def test_tan_sine_recurrence(self):
+        # 2 tau(r) = 2 sum_l tan(l pi/2k) sin(r l pi/k), every r mod 2k
+        for k in range(1, 17):
+            for p in (0, 1):
+                idx = self._index_set(k, p)
+                tans = [self._trig("tan", l, 2 * k, k) for l in idx]
+                got = identities._tan_sine_sums(k, p)
+                assert len(got) == 2 * k
+                for r in range(2 * k):
+                    want = CyclotomicNumber.zero(4 * k)
+                    for l, t in zip(idx, tans):
+                        want = want + t * self._trig("sin", r * l, k, k)
+                    assert want * 2 == got[r], (k, p, r)
+
+    def test_sine_orthogonality_and_classes(self):
+        # 4 sum_l sin(a l pi/k) sin(b l pi/k) = k (chi(a-b) - chi(a+b)), and
+        # the class table: the sines at a and b are c_a and c_b times those
+        # at the representatives, which are orthogonal with norm k w_j / 4
+        for k in range(1, 17):
+            for p in (0, 1):
+                eps = -1 if p else 1
+
+                def chi(x):
+                    return {0: 1, k: eps}.get(x % (2 * k), 0)
+
+                idx = self._index_set(k, p)
+                sines = [[self._trig("sin", a * l, k, k) for l in idx]
+                         for a in range(2 * k)]
+                cls, reps, weights = identities._sine_classes(k, p)
+                for a in range(2 * k):
+                    ja, ca = cls[a]
+                    if ca:
+                        assert [x * ca for x in sines[reps[ja]]] == sines[a], (k, p, a)
+                    else:
+                        assert not any(sines[a]), (k, p, a)
+                    for b in range(a, 2 * k):
+                        dot = sum((x * y for x, y in zip(sines[a], sines[b])),
+                                  CyclotomicNumber.zero(4 * k))
+                        assert dot * 4 == k * (chi(a - b) - chi(a + b)), (k, p, a, b)
+                        jb, cb = cls[b]
+                        same = ca and cb and ja == jb
+                        assert dot * 4 == (k * weights[ja] * ca * cb if same else 0)
 
 
 class TestTheoremRhs:
@@ -144,6 +219,14 @@ class TestVerifyTheorem:
 
     def test_k4_delta1_order100(self):
         assert verify_theorem(4, 1, 100).passed
+
+    # the Sturm bounds of weight 2 on Gamma_1(2k): both sides agree to
+    # these orders, so they are equal as modular forms
+    def test_k40_delta1_at_sturm_bound_385(self):
+        assert verify_theorem(40, 1, 385).passed
+
+    def test_k59_delta0_at_sturm_bound_871(self):
+        assert verify_theorem(59, 0, 871).passed
 
     def test_report_fields(self):
         r = verify_theorem(5, 1, 30)
