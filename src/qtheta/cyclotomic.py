@@ -68,13 +68,6 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-def ramanujan_sum(m: int, e: int) -> int:
-    """c_m(e) = Tr_{Q(zeta_m)/Q}(zeta_m^e) = mu(m/h) phi(m)/phi(m/h), h = gcd(e, m)."""
-    n = m // math.gcd(e, m)
-    mu = _mobius(n)
-    return mu * (euler_phi(m) // euler_phi(n)) if mu else 0
-
-
 def _divisors(m: int) -> list[int]:
     small, large = [], []
     d = 1

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pack import lane_width, pack_signed, unpack_signed
-from .cyclotomic import embed_conductor, euler_phi, ramanujan_sum
+from .cyclotomic import embed_conductor
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
-    _bracket_data,
     eta_log_ddq,
     eta_product,
     halfprod_constant,
@@ -140,44 +138,6 @@ def _part(identity, params, order, check) -> VerificationReport:
 # -- the half sum and the main modular equation -------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_row(m: int) -> tuple[int, ...]:
-    """Tr(zeta_m^e) = c_m(e) for the 2 phi(m) - 1 lanes of a product."""
-    return tuple(ramanujan_sum(m, e) for e in range(2 * euler_phi(m) - 1))
-
-
-def _tan_square_trace(k: int, p: int) -> Fraction:
-    """Sum of tan^2(l pi/2k) over 0 < l < k with l = p (mod 2), exactly.
-
-    The l in 0 < l < k with gcd(l, 2k) = g are g u, u in (Z/n)^*,
-    n = 2k/g, halved by the pairing l <-> 2k - l; l has the parity of g,
-    so the sum runs over one such class per divisor g < k of 2k with
-    g = p (mod 2).  tan(pi/n) lies in Q(zeta_M), M = lcm(2n, 4) (the
-    constant of _bracket_data at reduced_point(g, k)).  zeta -> zeta^j,
-    j in (Z/M)^*, sends i to +-i and tan(pi/n) to +-tan(j pi/n), so
-    tan^2(pi/n) to tan^2(j pi/n); j mod n covers (Z/n)^* phi(M)/phi(n)
-    times.  So a class adds phi(n) / (2 phi(M)) Tr_{Q(zeta_M)/Q}(tan^2):
-    a trace, hence rational by construction.  Tr is linear and
-    Tr(zeta^e) = c_M(e), the Ramanujan sum, for every e >= 0, so the
-    packed square is traced from its 2D-1 unreduced lanes, with no
-    reduction mod Phi_M.
-    """
-    total = Fraction(0)
-    for g in range(2 - p, k, 2):
-        if (2 * k) % g:
-            continue
-        n = 2 * k // g
-        ctx, den, vecs = _bracket_data(*reduced_point(g, k), 1)
-        v = vecs[0]
-        # each of the 2D-1 lanes of the square is <= D max|v|^2
-        b = lane_width(ctx.D * max(map(abs, v)) ** 2)
-        x = pack_signed(v, b)
-        trace = _trace_row(ctx.m)
-        t = sum(map(operator.mul, trace, unpack_signed(x * x, b, len(trace))))
-        total += Fraction(euler_phi(n) * t, 2 * euler_phi(ctx.m) * den * den)
-    return total
-
-
 def _sine_classes(k: int, p: int):
     """The classes of s mod 2k on which sin(s l pi/k), l = p (mod 2), agree.
 
@@ -227,7 +187,8 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
 
     Write x_l = l pi/2k, p = (k + delta) mod 2, eps = (-1)^p and
     I = {0 < l < k : l = p (mod 2)}, the index set less l = 0, whose
-    bracket is 0.  The bracket at x_l, in _bracket_data's Lambert form, is
+    bracket is 0.  The bracket at x_l, in the Lambert form of
+    log_deriv_lambert, is
 
         F_l = -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d).
 
@@ -260,12 +221,28 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     two representatives a - b = 0 (mod k) only if a = b, and a + b only
     if a = b = k/2, so the sines at the representatives are orthogonal
     over I, with squared norm (k/4) w_j: w_j = 1 for r_j < k/2 and
-    w_j = 1 - eps = 2 for r_j = k/2.  Expanding the squares,
+    w_j = 1 - eps = 2 for r_j = k/2.
 
-        sum_{l in I} F_l^2 = T0 - 8 sum_j tau(r_j) V_j + 4k sum_j w_j V_j^2,
+    Completeness.  There are as many representatives as points in I: for
+    odd k, (k - 1)/2 of each, for either parity; for even k and p = 0,
+    k/2 - 1 of each; for even k and p = 1, the k/2 - 1 representatives
+    below k/2 and the class of k/2, against the k/2 odd l < k.  Being
+    orthogonal and nonzero, the sines at the representatives are then a
+    basis of the functions on I.
 
-    T0 = sum_{l in I} tan^2 x_l (_tan_square_trace, the order-1 path)
-    and tau(r) = sum_{l in I} tan x_l sin(2 r x_l).
+    Parseval.  With tau(r) = sum_{l in I} tan x_l sin(2 r x_l), the
+    coefficient of tan x_l on the basis sine at r_j is tau(r_j) over its
+    squared norm, so tan x_l = sum_j (4 tau(r_j)/(k w_j)) sin(r_j l pi/k)
+    and
+
+        F_l = sum_j (4 V_j - 4 tau(r_j)/(k w_j)) sin(r_j l pi/k).
+
+    Summing the squares over I with the norms (k/4) w_j,
+
+        sum_{l in I} F_l^2 = sum_j (2k w_j V_j - 2 tau(r_j))^2 / (k w_j),
+
+    whose constant term is T0 = sum_{l in I} tan^2 x_l
+    = sum_j (2 tau(r_j))^2 / (k w_j).
 
     The tau recurrence.  tan x (sin 2rx + sin(2r - 2)x)
     = 2 tan x sin((2r - 1)x) cos x = 2 sin x sin((2r - 1)x)
@@ -274,17 +251,20 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     (_tan_sine_sums, which returns the integers 2 tau, since 2 P is an
     integer).
 
-    Packed squares.  Each d < room adds c(d) (-1)^d to one V_j at every
-    multiple of d (one signed divisor sieve), so sum_j |V_j[n]| is at
-    most the number of those d that divide n, whose largest value below
-    room the sieve counts as s; V_j[0] = 0.
-    V_j is packed in q as X_j at lane width b; lane n of the sum of
-    X_j (k w_j X_j - 2 tau(r_j)) is
-    sum_j (k w_j sum_{a+b=n} V_j[a] V_j[b] - 2 tau(r_j) V_j[n]), at most
-    k (n - 1) 2 s^2 + t s in absolute value, t = max_j |2 tau(r_j)|, and
-    b holds that bound for n < room.  The lanes at n >= room only add a
-    multiple of 2^(b room), so one unpack_signed reads the room low lanes,
-    and the coefficient of q^n is 4 times lane n.
+    Packed squares.  Y_j = 2k w_j V_j - 2 tau(r_j) is an integer series,
+    and the half sum is sum_j (2/w_j) Y_j^2 over the denominator 2k.  One
+    signed divisor sieve fills the Y_j: each d < room adds
+    2k w_j c(d) (-1)^d to one Y_j at every multiple of d, so
+    sum_j |V_j[a]| is at most h(a), the number of those d that divide a.
+    By |Y_j[a] Y_j[n-a]| <= (Y_j[a]^2 + Y_j[n-a]^2)/2, lane n of
+    sum_j (2/w_j) Y_j^2 is at most sum_{a<=n} E(a) in absolute value,
+    where E(a) = sum_j (2/w_j) Y_j[a]^2.  E(0) = sum_j (2/w_j) (2 tau(r_j))^2
+    (= 2k T0), and for a > 0, E(a) = 8 k^2 sum_j w_j V_j[a]^2
+    <= 16 k^2 h(a)^2 (w_j <= 2).  Each Y_j is packed in q as X_j at a
+    lane width b holding E(0) + 16 k^2 sum_{0<a<room} h(a)^2, and the sum
+    of the (2/w_j) X_j^2 is formed.  Its lanes at n >= room only add a
+    multiple of 2^(b room), so one unpack_signed reads the room low
+    lanes, and lane n is 2k times the coefficient of q^n.
     """
     order = Fraction(order)
     k = spec.k
@@ -292,34 +272,26 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     room = math.ceil(order)
     if room <= 0:
         return QExpansion.zero(order)
-    t0 = _tan_square_trace(k, p)
-    lanes = [0] * room
     cls, reps, weights = _sine_classes(k, p)
-    if room > 1 and reps:
-        vs = [[0] * room for _ in reps]
-        hits = [0] * room  # the divisors of n that reach some V_j
-        for d in range(1, room):
-            j, c = cls[d % (2 * k)]
-            if c:
-                v = vs[j]
-                c = -c if d % 2 else c
-                for mult in range(d, room, d):
-                    v[mult] += c
-                    hits[mult] += 1
-        tau2 = _tan_sine_sums(k, p)
-        s = max(hits)
-        t = max(abs(tau2[r]) for r in reps)
-        b = lane_width(s * (2 * k * room * s + t))
-        total = 0
-        for v, r, w in zip(vs, reps, weights):
-            x = pack_signed(v, b)
-            total += x * (k * w * x - tau2[r])
-        lanes = unpack_signed(total, b, room)
-    den = t0.denominator
-    vecs = [[t0.numerator] if t0 else None] + [
-        [4 * den * x] if x else None for x in lanes[1:]
-    ]
-    return QExpansion._from_vectors(1, 0, vecs, den, order)
+    tau2 = _tan_sine_sums(k, p)
+    ys = [[-tau2[r]] + [0] * (room - 1) for r in reps]
+    hits = [0] * room  # h(n): the divisors of n that reach some Y_j
+    for d in range(1, room):
+        j, c = cls[d % (2 * k)]
+        if c:
+            y = ys[j]
+            c *= 2 * k * weights[j] * (-1 if d % 2 else 1)
+            for mult in range(d, room, d):
+                y[mult] += c
+                hits[mult] += 1
+    e0 = sum((2 // w) * y[0] * y[0] for y, w in zip(ys, weights))
+    b = lane_width(e0 + 16 * k * k * sum(h * h for h in hits))
+    total = 0
+    for y, w in zip(ys, weights):
+        x = pack_signed(y, b)
+        total += (2 // w) * x * x
+    vecs = [[c] if c else None for c in unpack_signed(total, b, room)]
+    return QExpansion._from_vectors(1, 0, vecs, 2 * k, order)
 
 
 def theorem_rhs(k: int, delta: int, order) -> QExpansion:
@@ -541,8 +513,9 @@ def _tan_square_sum_exact(k: int, delta: int) -> Fraction:
     """Sum of tan^2(l pi/2k) over the half-sum index set, exactly.
 
     Each bracket of the half sum has constant term -tan(l pi/2k), so this
-    sum is the constant term of half_sum(HalfSumSpec(k, delta), 1): one
-    Galois trace per divisor orbit, rational by construction.
+    sum is the constant term of half_sum(HalfSumSpec(k, delta), 1): a sum
+    of integer squares over 2k, by Parseval's identity on the sine basis
+    (half_sum gives the proof).
     """
     return Fraction(half_sum(HalfSumSpec(k, delta), 1).coefficient(0))
 

@@ -117,11 +117,11 @@ def eta_log_ddq(alpha: int, order) -> QExpansion:
     for d in range(1, top + 1):
         for mult in range(d, top + 1, d):
             sigma[mult] += d
-    coeffs: list = [0] * room
-    coeffs[0] = Fraction(alpha, 24)
+    vecs: list = [None] * room
+    vecs[0] = [alpha]
     for n in range(1, top + 1):
-        coeffs[alpha * n] = -alpha * sigma[n]
-    return QExpansion(0, coeffs, order)
+        vecs[alpha * n] = [-24 * alpha * sigma[n]]
+    return QExpansion._from_vectors(1, 0, vecs, 24, order)
 
 
 def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
@@ -224,6 +224,7 @@ def _bracket_data(l: int, k: int, order):
     integer vectors vecs[M] at q^M.  Constant term -tan(l pi / 2k); the
     coefficient of q^M collects 4 (-1)^h sin(l h pi / k) over divisors
     d | M with d ≡ h (mod 2k), summed by a divisor sieve.
+    log_deriv_lambert (the lemd check) is its only caller.
     """
     if k < 1 or not 0 <= l < 2 * k or l == k:
         raise ValueError("need 0 <= l < 2k with l != k")
@@ -238,10 +239,8 @@ def _bracket_data(l: int, k: int, order):
     den = tan._den
     vec0 = [-x for x in tan._num]
     i_exp = m // 4
-    # the sieve reads h = 1 + (d - 1) mod 2k for d < room only; at
-    # room <= 1 there is none, and the table of powers is not built
     svecs = []
-    rows = ctx.rows() if room > 1 else None
+    rows = ctx.rows()
     for h in range(1, min(2 * k, room - 1) + 1):
         a = (2 * l * h) % m
         sg = 2 if h % 2 else -2  # 2*(-1)^(h+1)

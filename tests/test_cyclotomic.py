@@ -18,7 +18,6 @@ from qtheta import (
     root_of_unity,
     trig_value,
 )
-from qtheta.cyclotomic import ramanujan_sum
 
 
 def _poly_div(num, den):
@@ -104,15 +103,6 @@ class TestRootsOfUnity:
                     new[t] = new[t] - c * root
                 poly = new
             assert [c.as_rational() for c in poly] == list(cyclotomic_polynomial(m))
-
-    def test_ramanujan_sum_is_trace_of_root(self):
-        # c_m(e) = sum of zeta_m^(e j) over j in (Z/m)^*, e beyond m included
-        for m in range(1, 41):
-            units = [j for j in range(m) if math.gcd(j, m) == 1]
-            for e in range(2 * m):
-                tr = sum((root_of_unity(m, e * j) for j in units),
-                         CyclotomicNumber.zero(m))
-                assert tr == ramanujan_sum(m, e), (m, e)
 
 
 class TestFieldOps:

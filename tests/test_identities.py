@@ -193,6 +193,12 @@ class TestHalfSum:
                         jb, cb = cls[b]
                         same = ca and cb and ja == jb
                         assert dot * 4 == (k * weights[ja] * ca * cb if same else 0)
+        # completeness: as many representatives as points, so the sines at
+        # the representatives are a basis on the index set (Parseval)
+        for k in range(1, 201):
+            for p in (0, 1):
+                reps = identities._sine_classes(k, p)[1]
+                assert len(reps) == len(self._index_set(k, p)), (k, p)
 
 
 class TestTheoremRhs:
