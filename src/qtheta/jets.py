@@ -4,16 +4,17 @@ A ZJet holds f(z0 + z) = sum_{j<=J} a_j z^j + O(z^{J+1}) at a fixed base
 point, with each a_j a QExpansion.  Logarithms are never materialized:
 everything stated through log f is computed from f'/f and (q d/dq f)/f,
 and analytic limits z -> 0 become shift_zero plus slot extraction.
-Each slot of a product, a square and a quotient's numerator is one
-q-series sum of products (series._series_mul), reduced mod Phi_m once
-per coefficient rather than once per term.
+Each slot of a product and a square is one q-series sum of products
+(series._series_mul), reduced mod Phi_m once per coefficient rather than
+once per term.  A quotient is one long division over all its slots
+(series._long_div), reduced mod Phi_m once per quotient coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QExpansion, _series_mul
+from .series import QExpansion, _long_div, _series_mul
 
 
 class ZJet:
@@ -97,30 +98,16 @@ class ZJet:
         return ZJet(self.coeffs[:degree + 1])
 
     def div(self, other: "ZJet") -> "ZJet":
-        """Quotient by a unit jet (invertible constant slot).
-
-        Both jets are first scaled by 1/c, c the lead coefficient of the
-        divisor's constant slot (inverted once per slot series), so that
-        every slot division has lead 1 and needs no field product.
-        """
+        """Quotient by a unit jet (invertible constant slot), to the lower
+        of the two degrees: one long division over all slots
+        (series._long_div)."""
         if not isinstance(other, ZJet):
             raise TypeError("jet division needs a jet divisor")
         if other.coeffs[0].is_zero:
             raise ZeroDivisionError(
                 "jet division by a non-unit (zero constant slot)"
             )
-        n = min(self.degree, other.degree) + 1
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        inv = b[0]._lead_inverse()
-        if inv != 1:
-            a, b = [s * inv for s in a], [s * inv for s in b]
-        out = []
-        for t in range(n):
-            acc = a[t]
-            if t:
-                acc = acc + _series_mul([(-1, out[i], b[t - i]) for i in range(t)])
-            out.append(acc / b[0])
-        return ZJet(out)
+        return ZJet(_long_div(self.coeffs, other.coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, ZJet):

@@ -21,6 +21,7 @@ from .cyclotomic import (
     trig_value,
 )
 from .identities import HalfSumSpec, half_sum
+from .jets import ZJet
 from .modular import (
     ThetaPoint,
     eta_product,
@@ -75,7 +76,22 @@ def _group_ring_laws():
             q = a / b
             if not _eq(b * q, a):
                 return False, f"b*(a/b) != a (field {m})"
-    return True, "ring laws + 160 division round trips over Q and Q(zeta_8,12,20)"
+    # jet round trips f*(g/f) == g, each quotient one long division over
+    # all slots; the first lead over Q(zeta_8) is sqrt 2, which is no unit
+    z8 = root_of_unity(8, 1)
+    sqrt2 = z8 + z8 ** 7
+    for m in _FIELDS[1:]:
+        for i in range(3):
+            f, g = (ZJet([_rand_series(rng, m=m) for _ in range(4)]) for _ in range(2))
+            if m == 8 and i == 0:
+                f = ZJet([QExpansion(0, (sqrt2,) + f.slot(0).coeffs[1:], 14),
+                          *f.coeffs[1:]])
+            if f.slot(0).is_zero or f.slot(0).base:
+                f = ZJet([f.slot(0) + 1, *f.coeffs[1:]])
+            if not all(_eq(x, y) for x, y in zip((f * g.div(f)).coeffs, g.coeffs)):
+                return False, f"f*(g/f) != g for jets (field {m})"
+    return True, ("ring laws + 160 series and 9 jet division round trips over "
+                  "Q and Q(zeta_8,12,20), one jet lead sqrt 2")
 
 
 def _group_derivations():

@@ -35,19 +35,23 @@ reduced mod Phi_m from its packed lanes straight into a vector, once:
 reduction is linear, so reducing the sum gives the sum of the reduced
 products, and one lowest-terms pass makes the result canonical, equal
 to the chain of single products and sums (the proof and the lane bound
-are in _series_mul).  A jet slot of a product, a square or a quotient
-numerator is one such sum.  A packed operand is reused across the
+are in _series_mul).  A jet slot of a product or a square is one such
+sum.  A packed operand is reused across the
 convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
 
-Division a / b is long division on the same packed vectors, and no
-series is ever inverted on its own.  Each quotient coefficient is one
-packed sum over the nonzero divisor coefficients, reduced mod Phi_m
-once, multiplied by the inverse of the divisor's lead (computed once
-per divisor object) and packed once for the later sums; the quotients
-share one common denominator, and the lanes widen only when growing
-quotients outrun their bound (the proof is in _series_div).
+Division is long division on the same packed vectors, and no series is
+ever inverted on its own.  One routine, _long_div, divides a z-jet by a
+z-jet over all its slots at once (ZJet.div), and a series division a / b
+is its one-slot case (_series_div).  The inverse of the divisor's lead
+(computed once per series) is folded into the integer vectors of both
+operands once, which makes that lead a positive integer.  Each quotient
+coefficient is then one packed sum, its cross-slot part taken from one
+convolve_trunc product per pair of slots, reduced mod Phi_m once and
+packed once for the later sums.  All quotient slots share one common
+denominator, and the lanes widen only when growing quotients outrun
+their bound (the proof is in _long_div).
 """
 
 from __future__ import annotations
@@ -198,17 +202,14 @@ class QExpansion:
             self._amax = _lane_max(self._vecs)
         return self._vecs, self._den, self._amax
 
-    def _lead_inverse(self):
-        """1/c for the lead coefficient c, computed once per series: a
-        Fraction, or a CyclotomicNumber for an irrational c."""
+    def _lead_inverse(self) -> CyclotomicNumber:
+        """1/c for the lead coefficient c, computed once per series (a
+        division by a series with a rational lead needs no inverse)."""
         if self._lead_inv is None:
             if self.is_zero:
                 raise ZeroDivisionError("the zero series has no lead coefficient")
-            v = self._vecs[0]
-            if any(v[1:]):
-                self._lead_inv = CyclotomicNumber._raw(self._m, v, self._den).invert()
-            else:
-                self._lead_inv = Fraction(self._den, v[0])
+            self._lead_inv = CyclotomicNumber._raw(
+                self._m, self._vecs[0], self._den).invert()
         return self._lead_inv
 
     # -- constructors -------------------------------------------------
@@ -515,56 +516,75 @@ def _series_mul(terms) -> QExpansion:
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
-    """a / b by long division on packed vectors.
+    """a / b by long division on packed vectors: the one-slot case of
+    _long_div, which holds the proof and the lane bound (with one slot, S
+    is the nonzero coefficients of b past its lead)."""
+    return _long_div((a,), (b,))[0]
 
-    With a = A/ad and b = B/bd over integer vectors A_i and B_j, the
-    quotient is (bd/ad) A/B.  Coefficient k of A/B is C_k/E, over one
-    common denominator E that grows as the division goes on.  Step i forms
+
+def _long_div(a, b) -> list:
+    """The slots of the z-jet quotient a / b, by one long division over
+    (slot, q) on packed vectors.
+
+    a and b are the q-series slots of two jets, a_t and b_s the
+    coefficients of z^t and z^s, and b_0 must be nonzero.  The quotient
+    has min(len(a), len(b)) slots, c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0,
+    and each has the base, precision, conductor and values that this
+    chain of series sums, products and divisions gives slot by slot: the
+    numerator's precision is the least of a_t's and each product's, its
+    base its first nonzero exponent, and c_t's precision then that of a
+    series division by b_0.
+
+    The inverse L/Ld of b_0's lead (computed once per series,
+    QExpansion._lead_inverse) is folded into the integer vectors once:
+    each nonzero vector of a and b is multiplied by L (by a sign for a
+    rational lead), and each jet is put over one denominator, a = A/ad and
+    b = B/bd.  The lead of B_0 is then a positive integer lam, and
+    c = (bd/ad) A/B.
+
+    Coefficient i of slot t of A/B is C_{t,i}/E, over one common
+    denominator E for all slots that grows as the division goes on.  Slot
+    t starts from its cross-slot numerator
+
+        X_t = E A_t - sum_{s>=1} C_{t-s} B_s,
+
+    a sum of packed convolve_trunc products, never reduced.  Step i forms
     one packed sum
 
-        E A_i - sum_{j in S, j <= i} C_{i-j} B_j,
+        X_{t,i} - sum_{j in S_0, j <= i} C_{t,i-j} B_{0,j},
 
-    S the nonzero divisor coefficients past the lead, reduces it mod Phi_m
-    once (_Ctx.reduce_packed) and multiplies it by 1/B_0 = L/lam, a field
-    product only for an irrational lead (L is +-1 otherwise).  That gives
-    lam E times coefficient i.  When E lacks a factor f of that
-    coefficient's lowest-terms denominator (f divides lam, so this
-    happens only for a non-unit lead, such as sqrt 2 or a rational other
-    than +-1), E becomes f E and every earlier packed C_k is multiplied by
-    f.  C_i is then packed once, for the later sums.  The lead of b is
-    inverted once per divisor object (QExpansion._lead_inverse), and
-    ZJet.div scales its jets so that each slot division has lead 1.
+    S_0 the nonzero coefficients of B_0 past the lead, and reduces it mod
+    Phi_m once (_Ctx.reduce_packed), which gives lam E times coefficient i.
+    When E lacks a factor f of that coefficient's lowest-terms denominator
+    (f divides lam, so this happens only for lam > 1, as for a lead sqrt 2
+    or 3), E becomes f E, and every packed C so far and the rest of X_t
+    are multiplied by f.  C_{t,i} is then packed once, for the later sums.
+    The first nonzero C_{t,i} fixes the slot's base, and with it where
+    b_0's precision ends the slot.
 
-    Lanes: each of the 2D-1 lanes of the packed sum is at most
+    Lanes: each of the 2D-1 lanes of a packed sum is at most
     E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
-    A, B and the C_k so far.  _Ctx.product_lane(bound, 1, 1) sizes the lane
-    for D times E amax + |S| Cmax bmax, which is more, times the growth of
-    the reduction.  Before each step the bound is checked against the one
-    the lane was sized for; when growing quotients outrun it, B and the
-    C_k are packed again at a lane sized for 2**_HEADROOM times the new
-    bound.  Over Q a one-lane vector is its own packing, so nothing is
-    packed or unpacked.
+    A, B and the C so far, and S the nonzero coefficients of all divisor
+    slots but the lead of B_0: each meets at most one C in a sum.
+    _Ctx.product_lane(bound, 1, 1) sizes the lane for D times
+    E amax + |S| Cmax bmax, which is more, times the growth of the
+    reduction.  Before each step the bound is checked against the one the
+    lane was sized for; when growing quotients outrun it, B and the C are
+    packed again at a lane sized for 2**_HEADROOM times the new bound, and
+    X_t is formed again from them (not unpacked: its lanes, scaled with E,
+    may have outgrown the old lane).  Over Q a one-lane vector is its own
+    packing, so nothing is packed or unpacked.
     """
-    if b.is_zero:
+    b0 = b[0]
+    if b0.is_zero:
         raise ZeroDivisionError("division by the zero series")
-    prec = min(a.precision - b.base, b.precision + a.base - 2 * b.base)
-    base = a.base - b.base
-    if a.is_zero or prec <= base:
-        return QExpansion.zero(prec)
-    n = math.ceil(prec - base)
-    m = _field_of(a._m, b._m)
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    m = 1
+    for s in (*a, *b):
+        if not s.is_zero:
+            m = _field_of(m, s._m)
     ctx = _ctx(m)
-    a, b = a.embed(m), b.embed(m)
-    av, ad, amax = a._operand()
-    bv, bd, bmax = b._operand()
-    # 1/B_0 = sign L/lam; L is None (one) for a rational lead
-    lead = bv[0]
-    if any(lead[1:]):
-        inv = b._lead_inverse()
-        L, lam, sign = inv._num, inv._den * bd, 1
-    else:
-        L, lam, sign = None, abs(lead[0]), 1 if lead[0] > 0 else -1
-    S = [(j, v) for j, v in enumerate(bv[1:n], 1) if v is not None]
     if ctx.D == 1:
         # a one-lane vector is its own packing, at any lane width
         def pack(v, lane):
@@ -574,50 +594,162 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
             return [x]
     else:
         pack, reduce = pack_signed, ctx.reduce_packed
-    av = av[:n]
-    out = [None] * n  # (C_k, E_k): coefficient k is C_k/E_k
-    pc = [0] * n  # C_k E/E_k, packed at the current lane
-    E, cmax, cap, lane, pb = 1, 0, -1, 0, []
-    for i in range(n):
-        bound = E * amax + len(S) * cmax * bmax
-        if bound > cap:
-            cap = bound << _HEADROOM
-            lane = ctx.product_lane(cap, 1, 1)
-            pb = [(j, pack(v, lane)) for j, v in S]
-            for k in range(i):
-                if out[k] is not None:
-                    c, ek = out[k]
-                    pc[k] = pack(c, lane) * (E // ek)
-        x = E * pack(av[i], lane) if i < len(av) and av[i] is not None else 0
-        for j, y in pb:
-            if j > i:
-                break
-            c = pc[i - j]
-            if c:
-                x -= c * y
-        if not x:
-            continue
-        w = reduce(x if sign > 0 else -x, lane)
-        if L is not None:
-            w = ctx.mul_vec(w, L)
-        if not any(w):
-            continue
-        if lam != 1:
-            # coefficient i is w/(lam E), of lowest-terms denominator d
-            d = lam * E // math.gcd(lam * E, *w)
-            f = d // math.gcd(E, d)
-            if f > 1:
-                E *= f
-                cmax *= f
-                for k in range(i):
-                    if pc[k]:
-                        pc[k] *= f
-            w = [y * f // lam for y in w]
-        cmax = max(cmax, max(w), -min(w))
-        out[i] = (w, E)
-        pc[i] = pack(w, lane)
-    vecs = [None if o is None else [E // o[1] * bd * y for y in o[0]] for o in out]
-    return _narrowed(QExpansion._from_vectors(m, base, vecs, E * ad, prec))
+    # a zero numerator needs no fold: every quotient slot is zero
+    if any(not s.is_zero for s in a):
+        lead = b0._vecs[0]
+        if any(lead[1:]):
+            L = b0._lead_inverse()._num
+        else:
+            L = -1 if lead[0] < 0 else 1
+        A, ad, amax = _folded(a, L, ctx)
+        B, bd, bmax = _folded(b, L, ctx)
+        lam = B[0][0][0]
+        nS = sum(v is not None for vecs in B for v in vecs) - 1
+    beta0, prec0 = b0.base, b0.precision
+    # per slot: [base, precision, (C_k, E_k) or None per coefficient, the
+    # C_k E/E_k packed at the current lane]; no lists for a zero slot
+    done = []
+    E, cmax, cap, lane, pb, pb0 = 1, 0, -1, 0, None, None
+
+    def repack(cs, pc):
+        for k, o in enumerate(cs):
+            if o is not None:
+                pc[k] = pack(o[0], lane) * (E // o[1])
+
+    def numerator(t, live, nu, N):
+        # X_t at the exponents nu + k, k < N
+        X = [0] * N
+        for e, u, s in live:
+            off = int(e - nu)
+            if u is None:
+                for k, v in enumerate(A[t][:N - off], off):
+                    if v is not None:
+                        X[k] += E * pack(v, lane)
+            else:
+                pc, y = done[u][3], pb[s]
+                top = min(N - off, len(pc) + len(y) - 1)
+                for k, x in enumerate(K.convolve_trunc(pc, y, top), off):
+                    if x:
+                        X[k] -= x
+        return X
+
+    for t in range(n):
+        prec, live = _slot_terms(a[t], b, done)
+        first = None
+        if live:
+            nu = min(e for e, _, _ in live)
+            N = stop = math.ceil(prec - nu)
+            cs, pc, X = [None] * N, [0] * N, None
+            for i in range(N):
+                if i == stop:
+                    break
+                bound = E * amax + nS * cmax * bmax
+                if bound > cap:
+                    cap = bound << _HEADROOM
+                    lane = ctx.product_lane(cap, 1, 1)
+                    pb = [[0 if v is None else pack(v, lane) for v in vecs]
+                          for vecs in B]
+                    pb0 = [(j, y) for j, y in enumerate(pb[0][1:], 1) if y]
+                    for slot in done:
+                        if slot[2] is not None:
+                            repack(slot[2], slot[3])
+                    repack(cs, pc)
+                    X = None
+                if X is None:
+                    X = numerator(t, live, nu, N)
+                x = X[i]
+                for j, y in pb0:
+                    if j > i:
+                        break
+                    c = pc[i - j]
+                    if c:
+                        x -= c * y
+                if not x:
+                    continue
+                w = reduce(x, lane)
+                if not any(w):
+                    continue
+                if first is None:
+                    first, stop = i, min(N, i + math.ceil(prec0 - beta0))
+                if lam != 1:
+                    # coefficient i is w/(lam E), of lowest-terms denominator d
+                    d = lam * E // math.gcd(lam * E, *w)
+                    f = d // math.gcd(E, d)
+                    if f > 1:
+                        E *= f
+                        cmax *= f
+                        for ps in [slot[3] for slot in done if slot[3]] + [pc]:
+                            for k, c in enumerate(ps):
+                                if c:
+                                    ps[k] = c * f
+                        for k in range(i + 1, stop):
+                            if X[k]:
+                                X[k] *= f
+                    w = [y * f // lam for y in w]
+                cmax = max(cmax, max(w), -min(w))
+                cs[i] = (w, E)
+                pc[i] = pack(w, lane)
+        if first is None:
+            # a_t - sum_s c_{t-s} b_s is zero below prec: so is c_t
+            p = min(prec - beta0, prec0 + prec - 2 * beta0)
+            done.append([p, p, None, None])
+        else:
+            p = min(prec - beta0, prec0 + nu + first - 2 * beta0)
+            done.append([nu + first - beta0, p, cs[first:stop], pc[first:stop]])
+    quotient = []
+    for base, p, cs, _ in done:
+        if cs is None:
+            quotient.append(QExpansion.zero(p))
+        else:
+            vecs = [None if o is None else [E // o[1] * bd * y for y in o[0]]
+                    for o in cs]
+            quotient.append(
+                _narrowed(QExpansion._from_vectors(m, base, vecs, E * ad, p)))
+    return quotient
+
+
+def _slot_terms(at, b, done):
+    """(precision, live terms) of the numerator a_t - sum_{s>=1} c_{t-s} b_s
+    of the next quotient slot, t = len(done): its precision is the least
+    of a_t's and each product's, and a term (base, quotient slot or None
+    for a_t, divisor slot) is live when nonzero below it."""
+    prec = at.precision
+    terms = [] if at.is_zero else [(at.base, None, 0)]
+    t = len(done)
+    for s in range(1, t + 1):
+        base, p, cs, _ = done[t - s]
+        bs = b[s]
+        prec = min(prec, p + bs.base, bs.precision + base)
+        if cs is not None and not bs.is_zero:
+            terms.append((base + bs.base, t - s, s))
+    if any((e - terms[0][0]).denominator != 1 for e, _, _ in terms):
+        raise ValueError(
+            f"incompatible base classes: {sorted({e for e, _, _ in terms})}"
+        )
+    return prec, [x for x in terms if x[0] < prec]
+
+
+def _folded(slots, L, ctx):
+    """(the vectors of every slot times L, over one denominator; that
+    denominator; their largest entry), for L +-1 or a canonical vector."""
+    den = math.lcm(*(s._den for s in slots))
+    out, top = [], 0
+    for s in slots:
+        f = den // s._den
+        if L == 1 and f == 1:
+            vecs = s._vecs
+            if vecs:
+                top = max(top, s._operand()[2])
+        else:
+            if isinstance(L, int):
+                vecs, f = s._vecs, f * L
+            else:
+                vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
+            vecs = _scaled(vecs, f)
+            if vecs:
+                top = max(top, _lane_max(vecs))
+        out.append(vecs)
+    return out, den, top
 
 
 # Bits of slack a packed division lane keeps above its current bound, so

@@ -67,6 +67,20 @@ def _record_inversions(monkeypatch) -> list:
     return inverted
 
 
+def _record_jet_divisions(monkeypatch) -> list:
+    """(numerator, divisor, quotient) of every jet division, in call order."""
+    calls = []
+    real = ZJet.div
+
+    def recording(self, other):
+        q = real(self, other)
+        calls.append((self, other, q))
+        return q
+
+    monkeypatch.setattr(ZJet, "div", recording)
+    return calls
+
+
 def _no_numerator_one(pairs) -> bool:
     return all(a != QExpansion.one(a.precision) for a, _ in pairs)
 
@@ -341,16 +355,24 @@ class TestVerifyMeq1:
             verify_meq1(3, 3, 4, 20)
 
     @pytest.mark.parametrize("J", [2, 4, 5])
-    def test_one_division_per_quotient_slot(self, monkeypatch, J):
-        # (q d/dq f)/f to degree J-2 and f'/f to degree J-1, one long
-        # division per slot; no series is inverted on its own, and the lead
-        # of the divisor f (an irrational at pi/10) is inverted once
+    def test_two_jet_divisions_by_f(self, monkeypatch, J):
+        # (q d/dq f)/f to degree J-2 and f'/f to degree J-1: two jet
+        # divisions by f, each one long division over all its slots, with
+        # no series division per slot and no series inverted on its own;
+        # the lead of f (an irrational at pi/10) is inverted once, and the
+        # second division reads the inverse cached on f's constant slot
+        divs = _record_jet_divisions(monkeypatch)
         pairs = _record_series_div(monkeypatch)
         inverted = _record_inversions(monkeypatch)
         assert verify_meq1(1, 5, J, 16).passed
-        assert len(pairs) == (J - 1) + J
-        assert _no_numerator_one(pairs)
-        assert len(inverted) == 1
+        assert len(divs) == 2
+        assert sorted(q.degree + 1 for _, _, q in divs) == [J - 1, J]
+        f = divs[0][1]
+        assert divs[1][1] is f
+        assert _no_numerator_one([(a.slot(0), b) for a, b, _ in divs])
+        assert pairs == []
+        assert inverted == [f.slot(0).coeffs[0]]
+        assert f.slot(0)._lead_inv * inverted[0] == 1
 
     @pytest.mark.parametrize("J,slot", [(4, 2), (5, 3), (4, 0)])
     def test_fault_in_one_slot_fails(self, monkeypatch, J, slot):
@@ -380,10 +402,12 @@ class TestVerifyMeq1:
 class TestSecondDerivatives:
     @pytest.mark.parametrize("k", [3, 7])
     def test_no_series_inverted_and_no_lead_twice(self, monkeypatch, k):
-        # every quotient is one long division of its own numerator, and no
-        # divisor lead is inverted twice: every lead here is rational (the
-        # theta series at 0 and -pi/2 and their quotients), so no field
-        # element is inverted at all
+        # every series quotient (the slot ratios of log_d2) is one long
+        # division of its own numerator, and every jet quotient (the ratio
+        # jet, T_of_log) one long division over its slots, so no series
+        # is inverted on its own; every lead here is rational (the theta
+        # series at 0 and -pi/2 and their quotients), so no field element
+        # is inverted at all
         pairs = _record_series_div(monkeypatch)
         inverted = _record_inversions(monkeypatch)
         assert all(r.passed for r in verify_second_derivatives(k, 20))

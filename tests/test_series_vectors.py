@@ -15,11 +15,12 @@ from qtheta import (
     Mismatch,
     QExpansion,
     ThetaPoint,
+    ZJet,
     compare,
     embed_conductor,
     root_of_unity,
 )
-from qtheta.cyclotomic import _ctx
+from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.modular import theta2_jet
 from qtheta.series import _series_div, _series_mul
 
@@ -254,6 +255,147 @@ def test_division_branches_match_schoolbook(name):
         assert max(abs(x) for v in q._vecs for x in v).bit_length() >= 222
     if name == "growing-denominator":
         assert q._den.bit_length() > 100
+
+
+def _jet_ref(a, b):
+    """The quotient slots of the jets a / b (lists of Refs), slot by slot:
+    c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0."""
+    out = []
+    for t in range(min(len(a), len(b))):
+        acc = a[t]
+        for s in range(1, t + 1):
+            acc = acc.add(out[t - s].mul(b[s]).scale(-1))
+        out.append(acc.div(b[0]))
+    return out
+
+
+def _check_jet_quotient(a, b):
+    q = a.div(b)
+    want = _jet_ref([_ref(s) for s in a.coeffs], [_ref(s) for s in b.coeffs])
+    assert q.degree + 1 == len(want)
+    m = max((s.field() or 1 for s in a.coeffs + b.coeffs), default=1)
+    for r, s in zip(want, q.coeffs):
+        r.check(s)
+        rational = all(not isinstance(v, CyclotomicNumber) or v.is_rational()
+                       for v in r.terms.values())
+        assert s.field() == (None if rational else m)
+    return q
+
+
+@st.composite
+def jet_division_pair(draw):
+    """(a, b) z-jets over Q or Q(zeta_m), m in {4, 8, 12, 20}, whose
+    quotient exercises every branch of the long division: a divisor lead
+    that is no unit (sqrt 2, 1 + i, 3/2, or dense of large norm), so that
+    the quotient denominator grows; in long slots a second divisor
+    coefficient with a factor 7, so that the lanes widen in the middle of
+    a slot; zero slots, rational slots inside a cyclotomic jet, and
+    fractional slot bases that differ from slot to slot (in one base
+    class per jet)."""
+    m = draw(st.sampled_from([None, 4, 8, 12, 20]))
+    long = draw(st.integers(0, 2)) == 0
+
+    def coeff(rational=False):
+        if m is None or rational or draw(st.booleans()):
+            return draw(small_fraction)
+        return CyclotomicNumber(m, draw(st.lists(small_fraction, min_size=_ctx(m).D,
+                                                 max_size=_ctx(m).D)))
+
+    def slot(cls, head=()):
+        kind = draw(st.sampled_from(["zero", "rational", "any", "any"]))
+        if kind == "zero" and not head:
+            coeffs = []
+        else:
+            size = draw(st.integers(0, 4 if long else 5))
+            coeffs = list(head) + [coeff(kind == "rational") for _ in range(size)]
+        base = cls + draw(st.integers(-2, 2))
+        span = draw(st.integers(12, 22) if long else st.integers(1, 8))
+        return QExpansion(base, coeffs, base + span)
+
+    cls_a, cls_b = (Fraction(draw(st.integers(0, 7)), 8) for _ in range(2))
+    leads = [coeff() or 1, Fraction(3, 2)]
+    if m is not None:
+        # a dense lead of large norm: the denominator jumps at one step
+        leads.append(CyclotomicNumber(m, draw(st.lists(
+            small_fraction.filter(bool), min_size=_ctx(m).D, max_size=_ctx(m).D))))
+    if m == 8:
+        leads.append(root_of_unity(8, 1) + root_of_unity(8, 7))
+    if m == 4:
+        leads.append(1 + root_of_unity(4, 1))
+    head = [draw(st.sampled_from(leads))]
+    if long:
+        head.append(7 * (coeff() or 1))
+    a = ZJet([slot(cls_a) for _ in range(draw(st.integers(1, 4)))])
+    b = ZJet([slot(cls_b, head)] + [slot(cls_b) for _ in range(draw(st.integers(0, 3)))])
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=jet_division_pair())
+def test_jet_division_matches_slot_by_slot_reference(pair):
+    _check_jet_quotient(*pair)
+
+
+def _jet_division_cases():
+    z8, z12, z20 = root_of_unity(8, 1), root_of_unity(12, 1), root_of_unity(20, 1)
+    i = root_of_unity(4, 1)
+    sqrt2 = z8 + z8 ** 7
+    r8 = Fraction(1, 8)
+    return {
+        # lead sqrt 2: the denominator of the quotient grows at most steps,
+        # and the factor 7 widens the lanes again and again, within slots
+        # whose cross-slot numerators are still being read
+        "growth-and-widening": (
+            ZJet([QExpansion(0, [1, z8], 30), QExpansion(0, [z8 ** 3, 0, 2], 30),
+                  QExpansion(1, [Fraction(1, 3), z8], 30)]),
+            ZJet([QExpansion(0, [sqrt2, -7 * z8, 0, 1], 30),
+                  QExpansion(0, [1, z8 ** 2], 30), QExpansion(0, [z8], 30)])),
+        # a rational lead 3 grows the denominator over Q too
+        "rational-growth": (
+            ZJet([QExpansion(0, [1, 2], 40), QExpansion(0, [0, 5], 40)]),
+            ZJet([QExpansion(0, [3, -7, 1], 40), QExpansion(0, [2], 40)])),
+        "fractional-bases": (
+            ZJet([QExpansion(3 * r8, [z12, 2, 0, z12 ** 5], 20),
+                  QExpansion(3 * r8 + 2, [1, z12], 19),
+                  QExpansion(3 * r8 - 1, [z12 ** 2], 21)]),
+            ZJet([QExpansion(5 * r8, [3 - z12, 0, z12 ** 2], 21),
+                  QExpansion(5 * r8 + 1, [z12], 22),
+                  QExpansion(5 * r8 - 2, [1, 1], 18)])),
+        # zero slots in both jets and rational slots in a jet over Q(zeta_4)
+        "zero-and-rational-slots": (
+            ZJet([QExpansion(0, [1 + i, 0, 2], 16), QExpansion.zero(16),
+                  QExpansion(0, [Fraction(1, 2), 3], 16), QExpansion(0, [i], 16)]),
+            ZJet([QExpansion(0, [1 + i, 1], 16), QExpansion(0, [2, 0, 1], 16),
+                  QExpansion.zero(16), QExpansion(0, [0, i], 16)])),
+        # a dense lead of large norm over Q(zeta_20): the denominator jumps
+        # by a large factor while the rest of a numerator waits, packed
+        "large-norm-lead": (
+            ZJet([QExpansion(0, [1, z20, z20 ** 3], 12), QExpansion(0, [z20 ** 2], 12)]),
+            ZJet([QExpansion(0, [2 + Fraction(2, 3) * z20 + z20 ** 4 - z20 ** 5
+                                 - 4 * z20 ** 6 + Fraction(1, 4) * z20 ** 7, 3 - z20], 12),
+                  QExpansion(0, [z20 ** 3], 12)])),
+        "zero-numerator": (
+            ZJet([QExpansion.zero(10), QExpansion.zero(12)]),
+            ZJet([QExpansion(0, [sqrt2, 1], 10), QExpansion(0, [z8], 10)])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_jet_division_cases()))
+def test_jet_division_branches_match_slot_by_slot_reference(name, monkeypatch):
+    lanes = []
+    real = _Ctx.product_lane
+
+    def recording(self, *args):
+        lanes.append(real(self, *args))
+        return lanes[-1]
+
+    monkeypatch.setattr(_Ctx, "product_lane", recording)
+    q = _check_jet_quotient(*_jet_division_cases()[name])
+    if name == "growth-and-widening":
+        # the lane is sized once and widened more often than a slot starts,
+        # so some slot widens past its first step; 1/sqrt 2^30 needs 2^15
+        assert len(lanes) > q.degree + 2
+        assert all(s._den % 2 ** 15 == 0 for s in q.coeffs)
 
 
 @st.composite
