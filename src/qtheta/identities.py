@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .cyclotomic import embed_conductor
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
+    _bracket_data,
     eta_log_ddq,
     eta_product,
     halfprod_constant,
@@ -138,154 +140,46 @@ def _part(identity, params, order, check) -> VerificationReport:
 # -- the half sum and the main modular equation -------------------------
 
 
-def _sine_classes(k: int, p: int):
-    """The classes of s mod 2k on which sin(s l pi/k), l = p (mod 2), agree.
-
-    Returns (cls, reps, weights): cls[s] = (j, c) with
-    sin(s l pi/k) = c sin(reps[j] l pi/k) for every such l, c = 0 where
-    that sine is 0 for every such l, and weights[j] = 1 or 2 (half_sum
-    gives the proof).
-    """
-    eps = -1 if p else 1
-    cls = [(0, 0)] * (2 * k)
-    reps, weights = [], []
-    for r in range(1, (k + 1) // 2):
-        for s, c in ((r, 1), (r + k, eps), (2 * k - r, -1), (k - r, -eps)):
-            cls[s] = (len(reps), c)
-        reps.append(r)
-        weights.append(1)
-    if k % 2 == 0 and eps == -1:
-        cls[k // 2], cls[3 * k // 2] = (len(reps), 1), (len(reps), -1)
-        reps.append(k // 2)
-        weights.append(2)
-    return cls, reps, weights
-
-
-def _tan_sine_sums(k: int, p: int) -> list[int]:
-    """2 tau(r) for r = 0..2k-1, where
-    tau(r) = sum tan(l pi/2k) sin(r l pi/k) over 0 < l < k, l = p (mod 2).
-
-    By the recurrence tau(r) = P(r-1) - P(r) - tau(r-1), tau(0) = 0, with
-    2 P(j) = k [k | j] eps^(j/k) - [p = 0] - [k = p (mod 2)] (-1)^j twice
-    the cosine sum (half_sum gives both proofs).  The term [p = 0] is the
-    same for every j and cancels in P(r-1) - P(r), so cos2 leaves it out.
-    """
-    eps = -1 if p else 1
-
-    def cos2(j):
-        full = k * eps ** (j // k) if j % k == 0 else 0
-        return full - ((k - p) % 2 == 0) * (-1) ** j
-
-    out = [0]
-    for r in range(1, 2 * k):
-        out.append(cos2(r - 1) - cos2(r) - out[-1])
-    return out
-
-
 def half_sum(spec: HalfSumSpec, order) -> QExpansion:
     """Sum over the index set of squared log-derivative brackets, over Q.
 
-    Write x_l = l pi/2k, p = (k + delta) mod 2, eps = (-1)^p and
+    Write x_l = l pi/2k, p = (k + delta) mod 2 and
     I = {0 < l < k : l = p (mod 2)}, the index set less l = 0, whose
-    bracket is 0.  The bracket at x_l, in the Lambert form of
-    log_deriv_lambert, is
+    bracket is 0.  The brackets at l = p (mod 2) are, by _bracket_data,
 
-        F_l = -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d).
+        F_l = sum_j (2/(k w_j)) Y_j sin(r_j l pi/k)
 
-    Classes.  For l in I, sin((s + k) l pi/k) = (-1)^l sin(s l pi/k)
-    = eps sin(s l pi/k), and the sine is odd, so up to a sign c(s) it
-    depends only on the class of s mod 2k under s -> s + k and s -> -s
-    (_sine_classes).  The class of r, 1 <= r < k/2, is {r, r + k, -r,
-    k - r} with signs 1, eps, -1, -eps.  For even k, 3k/2 is both
-    k/2 + k and -k/2, so the class {k/2, 3k/2} has signs 1 and eps = -1
-    if eps = -1, and its sines are 0 if eps = 1, like those of {0, k}
-    (sin 0 = sin l pi = 0).  Grouping the d by
-    class, F_l = -tan x_l + 4 sum_j sin(r_j l pi/k) V_j over the
-    representatives r_j, with the integer series
-    V_j = sum_d c(d) (-1)^d q^d/(1 - q^d) over the d in the class of r_j.
+    with integer series Y_j, and the sines at the representatives r_j
+    are an orthogonal basis of the functions on I with squared norms
+    (k/4) w_j.
 
-    Orthogonality.  The sum of e^{i j l pi/k} over all l = p (mod 2) in
-    0 <= l < 2k is e^{i j p pi/k} sum_{t<k} e^{2 pi i j t/k}
-    = k [k | j] eps^{j/k}.  Its cosines are even under l -> 2k - l, which
-    keeps the parity, so it is 2 P(j) plus the terms of l = 0 (if p = 0)
-    and l = k (if k = p mod 2), where P(j) = sum_{l in I} cos(j l pi/k):
+    Parseval.  Summing the squares over I with these norms,
 
-        2 P(j) = k [k | j] eps^{j/k} - [p = 0] - [k = p (mod 2)] (-1)^j.
-
-    With sin A sin B = (cos(A - B) - cos(A + B))/2 the last two terms
-    cancel, since (-1)^{a-b} = (-1)^{a+b}, leaving
-
-        sum_{l in I} sin(a l pi/k) sin(b l pi/k) = (k/4)(chi(a-b) - chi(a+b)),
-
-    chi(x) = 1 for x = 0, eps for x = k and 0 otherwise (mod 2k).  For
-    two representatives a - b = 0 (mod k) only if a = b, and a + b only
-    if a = b = k/2, so the sines at the representatives are orthogonal
-    over I, with squared norm (k/4) w_j: w_j = 1 for r_j < k/2 and
-    w_j = 1 - eps = 2 for r_j = k/2.
-
-    Completeness.  There are as many representatives as points in I: for
-    odd k, (k - 1)/2 of each, for either parity; for even k and p = 0,
-    k/2 - 1 of each; for even k and p = 1, the k/2 - 1 representatives
-    below k/2 and the class of k/2, against the k/2 odd l < k.  Being
-    orthogonal and nonzero, the sines at the representatives are then a
-    basis of the functions on I.
-
-    Parseval.  With tau(r) = sum_{l in I} tan x_l sin(2 r x_l), the
-    coefficient of tan x_l on the basis sine at r_j is tau(r_j) over its
-    squared norm, so tan x_l = sum_j (4 tau(r_j)/(k w_j)) sin(r_j l pi/k)
-    and
-
-        F_l = sum_j (4 V_j - 4 tau(r_j)/(k w_j)) sin(r_j l pi/k).
-
-    Summing the squares over I with the norms (k/4) w_j,
-
-        sum_{l in I} F_l^2 = sum_j (2k w_j V_j - 2 tau(r_j))^2 / (k w_j),
+        sum_{l in I} F_l^2 = sum_j (4/(k^2 w_j^2)) Y_j^2 (k/4) w_j
+                           = sum_j (2/w_j) Y_j^2 / (2k),
 
     whose constant term is T0 = sum_{l in I} tan^2 x_l
-    = sum_j (2 tau(r_j))^2 / (k w_j).
+    = sum_j (2 tau(r_j))^2 / (k w_j), since Y_j[0] = -2 tau(r_j).
 
-    The tau recurrence.  tan x (sin 2rx + sin(2r - 2)x)
-    = 2 tan x sin((2r - 1)x) cos x = 2 sin x sin((2r - 1)x)
-    = cos((2r - 2)x) - cos 2rx, so summed over I,
-    tau(r) = P(r - 1) - P(r) - tau(r - 1), with tau(0) = 0
-    (_tan_sine_sums, which returns the integers 2 tau, since 2 P is an
-    integer).
-
-    Packed squares.  Y_j = 2k w_j V_j - 2 tau(r_j) is an integer series,
-    and the half sum is sum_j (2/w_j) Y_j^2 over the denominator 2k.  One
-    signed divisor sieve fills the Y_j: each d < room adds
-    2k w_j c(d) (-1)^d to one Y_j at every multiple of d, so
-    sum_j |V_j[a]| is at most h(a), the number of those d that divide a.
-    By |Y_j[a] Y_j[n-a]| <= (Y_j[a]^2 + Y_j[n-a]^2)/2, lane n of
-    sum_j (2/w_j) Y_j^2 is at most sum_{a<=n} E(a) in absolute value,
-    where E(a) = sum_j (2/w_j) Y_j[a]^2.  E(0) = sum_j (2/w_j) (2 tau(r_j))^2
-    (= 2k T0), and for a > 0, E(a) = 8 k^2 sum_j w_j V_j[a]^2
-    <= 16 k^2 h(a)^2 (w_j <= 2).  Each Y_j is packed in q as X_j at a
-    lane width b holding E(0) + 16 k^2 sum_{0<a<room} h(a)^2, and the sum
-    of the (2/w_j) X_j^2 is formed.  Its lanes at n >= room only add a
-    multiple of 2^(b room), so one unpack_signed reads the room low
-    lanes, and lane n is 2k times the coefficient of q^n.
+    Packed squares.  The half sum is sum_j (2/w_j) Y_j^2 over the
+    denominator 2k.  By Cauchy-Schwarz, |sum_a Y_j[a] Y_j[n-a]| <= |Y_j|^2,
+    the sum of the squares of Y_j's room coefficients, so every lane n of
+    sum_j (2/w_j) Y_j^2, at n >= room too, is at most
+    sum_j (2/w_j) |Y_j|^2 = sum_a E(a) in absolute value, where
+    E(a) = sum_j (2/w_j) Y_j[a]^2.  Each Y_j is packed in q as X_j at a
+    lane width b holding that bound, and the sum of the (2/w_j) X_j^2 is
+    formed.  Its lanes at n >= room only add a multiple of 2^(b room),
+    so one unpack_signed reads the room low lanes, and lane n is 2k
+    times the coefficient of q^n.
     """
     order = Fraction(order)
     k = spec.k
-    p = (k + spec.delta) % 2
     room = math.ceil(order)
     if room <= 0:
         return QExpansion.zero(order)
-    cls, reps, weights = _sine_classes(k, p)
-    tau2 = _tan_sine_sums(k, p)
-    ys = [[-tau2[r]] + [0] * (room - 1) for r in reps]
-    hits = [0] * room  # h(n): the divisors of n that reach some Y_j
-    for d in range(1, room):
-        j, c = cls[d % (2 * k)]
-        if c:
-            y = ys[j]
-            c *= 2 * k * weights[j] * (-1 if d % 2 else 1)
-            for mult in range(d, room, d):
-                y[mult] += c
-                hits[mult] += 1
-    e0 = sum((2 // w) * y[0] * y[0] for y, w in zip(ys, weights))
-    b = lane_width(e0 + 16 * k * k * sum(h * h for h in hits))
+    _, weights, ys = _bracket_data(k, (k + spec.delta) % 2, room)
+    b = lane_width(sum((2 // w) * sum(map(operator.mul, y, y))
+                       for y, w in zip(ys, weights)))
     total = 0
     for y, w in zip(ys, weights):
         x = pack_signed(y, b)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
-from .cyclotomic import (
-    ConductorError,
-    CyclotomicNumber,
-    _ctx,
-    root_of_unity,
-    trig_value,
-)
+from .cyclotomic import CyclotomicNumber, _ctx, root_of_unity
 from .jets import ZJet
 from .series import QExpansion
 
@@ -217,57 +211,169 @@ def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
     return QExpansion._from_vectors(m, base, vecs, 1, order)
 
 
-def _bracket_data(l: int, k: int, order):
-    """Coefficient vectors of d/dz log theta2 at l*pi/(2k) in Q(zeta_4k).
+def _sine_classes(k: int, p: int):
+    """The classes of s mod 2k on which sin(s l pi/k), l = p (mod 2), agree.
 
-    Returns (ctx, den, vecs): the series is vecs[0]/den at q^0 plus the
-    integer vectors vecs[M] at q^M.  Constant term -tan(l pi / 2k); the
-    coefficient of q^M collects 4 (-1)^h sin(l h pi / k) over divisors
-    d | M with d ≡ h (mod 2k), summed by a divisor sieve.
-    log_deriv_lambert (the lemd check) is its only caller.
+    Returns (cls, reps, weights): cls[s] = (j, c) with
+    sin(s l pi/k) = c sin(reps[j] l pi/k) for every such l, c = 0 where
+    that sine is 0 for every such l, and weights[j] = 1 or 2
+    (_bracket_data gives the proof).
     """
-    if k < 1 or not 0 <= l < 2 * k or l == k:
-        raise ValueError("need 0 <= l < 2k with l != k")
-    m = 4 * k
-    ctx = _ctx(m)
-    D = ctx.D
-    room = math.ceil(Fraction(order))
-    tan = trig_value("tan", l, 2 * k)
-    if tan.conductor != m:
-        raise ConductorError(f"tan({l} pi/{2 * k}) has conductor "
-                             f"{tan.conductor}, not {m}")
-    den = tan._den
-    vec0 = [-x for x in tan._num]
-    i_exp = m // 4
-    svecs = []
-    rows = ctx.rows()
-    for h in range(1, min(2 * k, room - 1) + 1):
-        a = (2 * l * h) % m
-        sg = 2 if h % 2 else -2  # 2*(-1)^(h+1)
-        svecs.append([sg * (x - y) for x, y in
-                      zip(rows[(a + i_exp) % m], rows[(-a + i_exp) % m])])
-    vecs: list = [vec0] + [[0] * D for _ in range(1, room)]
+    eps = -1 if p else 1
+    cls = [(0, 0)] * (2 * k)
+    reps, weights = [], []
+    for r in range(1, (k + 1) // 2):
+        for s, c in ((r, 1), (r + k, eps), (2 * k - r, -1), (k - r, -eps)):
+            cls[s] = (len(reps), c)
+        reps.append(r)
+        weights.append(1)
+    if k % 2 == 0 and eps == -1:
+        cls[k // 2], cls[3 * k // 2] = (len(reps), 1), (len(reps), -1)
+        reps.append(k // 2)
+        weights.append(2)
+    return cls, reps, weights
+
+
+def _tan_sine_sums(k: int, p: int) -> list[int]:
+    """2 tau(r) for r = 0..2k-1, where
+    tau(r) = sum tan(l pi/2k) sin(r l pi/k) over 0 < l < k, l = p (mod 2).
+
+    By the recurrence tau(r) = P(r-1) - P(r) - tau(r-1), tau(0) = 0, with
+    2 P(j) = k [k | j] eps^(j/k) - [p = 0] - [k = p (mod 2)] (-1)^j twice
+    the cosine sum (_bracket_data gives both proofs).  The term [p = 0]
+    is the same for every j and cancels in P(r-1) - P(r), so cos2 leaves
+    it out.
+    """
+    eps = -1 if p else 1
+
+    def cos2(j):
+        full = k * eps ** (j // k) if j % k == 0 else 0
+        return full - ((k - p) % 2 == 0) * (-1) ** j
+
+    out = [0]
+    for r in range(1, 2 * k):
+        out.append(cos2(r - 1) - cos2(r) - out[-1])
+    return out
+
+
+def _bracket_data(k: int, p: int, room: int):
+    """The brackets F_l = d/dz log theta2 at x_l = l pi/2k, l = p (mod 2),
+    on one sine basis: returns (reps, weights, ys) with
+
+        F_l = sum_j (2/(k w_j)) Y_j sin(r_j l pi/k)
+
+    for the representatives r_j = reps[j], their weights w_j = weights[j]
+    and the integer series Y_j = ys[j], each a list of its room
+    coefficients.  Write eps = (-1)^p and I = {0 < l < k : l = p (mod 2)}.
+    Proved here for l in I; log_deriv_lambert extends it to every
+    0 <= l < 2k, l != k, of this parity.  The bracket has the Lambert form
+    (Whittaker and Watson, A Course of Modern Analysis, ch. 21)
+
+        F_l = -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d).
+
+    Classes.  For l = p (mod 2), sin((s + k) l pi/k) = (-1)^l sin(s l pi/k)
+    = eps sin(s l pi/k), and the sine is odd, so up to a sign c(s) it
+    depends only on the class of s mod 2k under s -> s + k and s -> -s
+    (_sine_classes).  The class of r, 1 <= r < k/2, is {r, r + k, -r,
+    k - r} with signs 1, eps, -1, -eps.  For even k, 3k/2 is both
+    k/2 + k and -k/2, so the class {k/2, 3k/2} has signs 1 and eps = -1
+    if eps = -1, and its sines are 0 if eps = 1, like those of {0, k}
+    (sin 0 = sin l pi = 0).  Grouping the d by
+    class, F_l = -tan x_l + 4 sum_j sin(r_j l pi/k) V_j over the
+    representatives r_j, with the integer series
+    V_j = sum_d c(d) (-1)^d q^d/(1 - q^d) over the d in the class of r_j.
+
+    Orthogonality.  The sum of e^{i j l pi/k} over all l = p (mod 2) in
+    0 <= l < 2k is e^{i j p pi/k} sum_{t<k} e^{2 pi i j t/k}
+    = k [k | j] eps^{j/k}.  Its cosines are even under l -> 2k - l, which
+    keeps the parity, so it is 2 P(j) plus the terms of l = 0 (if p = 0)
+    and l = k (if k = p mod 2), where P(j) = sum_{l in I} cos(j l pi/k):
+
+        2 P(j) = k [k | j] eps^{j/k} - [p = 0] - [k = p (mod 2)] (-1)^j.
+
+    With sin A sin B = (cos(A - B) - cos(A + B))/2 the last two terms
+    cancel, since (-1)^{a-b} = (-1)^{a+b}, leaving
+
+        sum_{l in I} sin(a l pi/k) sin(b l pi/k) = (k/4)(chi(a-b) - chi(a+b)),
+
+    chi(x) = 1 for x = 0, eps for x = k and 0 otherwise (mod 2k).  For
+    two representatives a - b = 0 (mod k) only if a = b, and a + b only
+    if a = b = k/2, so the sines at the representatives are orthogonal
+    over I, with squared norm (k/4) w_j: w_j = 1 for r_j < k/2 and
+    w_j = 1 - eps = 2 for r_j = k/2.
+
+    Completeness.  There are as many representatives as points in I: for
+    odd k, (k - 1)/2 of each, for either parity; for even k and p = 0,
+    k/2 - 1 of each; for even k and p = 1, the k/2 - 1 representatives
+    below k/2 and the class of k/2, against the k/2 odd l < k.  Being
+    orthogonal and nonzero, the sines at the representatives are then a
+    basis of the functions on I.
+
+    The tangent.  With tau(r) = sum_{l in I} tan x_l sin(2 r x_l), the
+    coefficient of tan x_l on the basis sine at r_j is tau(r_j) over its
+    squared norm, so tan x_l = sum_j (4 tau(r_j)/(k w_j)) sin(r_j l pi/k)
+    and F_l = sum_j (4 V_j - 4 tau(r_j)/(k w_j)) sin(r_j l pi/k), which
+    is the form above with Y_j = 2k w_j V_j - 2 tau(r_j).
+
+    The tau recurrence.  tan x (sin 2rx + sin(2r - 2)x)
+    = 2 tan x sin((2r - 1)x) cos x = 2 sin x sin((2r - 1)x)
+    = cos((2r - 2)x) - cos 2rx, so summed over I,
+    tau(r) = P(r - 1) - P(r) - tau(r - 1), with tau(0) = 0
+    (_tan_sine_sums, which returns the integers 2 tau, since 2 P is an
+    integer).
+
+    The sieve.  Each Y_j starts at -2 tau(r_j) in q^0, and each
+    0 < d < room adds 2k w_j c(d) (-1)^d to the Y_j of its class at every
+    multiple of d.
+    """
+    cls, reps, weights = _sine_classes(k, p)
+    tau2 = _tan_sine_sums(k, p)
+    ys = [[-tau2[r]] + [0] * (room - 1) for r in reps]
     for d in range(1, room):
-        sv = svecs[(d - 1) % (2 * k)]
-        for M in range(d, room, d):
-            K.scaled_add(vecs[M], sv, 1)
-    return ctx, den, vecs
+        j, c = cls[d % (2 * k)]
+        if c:
+            y = ys[j]
+            c *= 2 * k * weights[j] * (-1 if d % 2 else 1)
+            for mult in range(d, room, d):
+                y[mult] += c
+    return reps, weights, ys
 
 
 def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
-    """d/dz log theta2 at l*pi/(2k) in Lambert form, over Q(zeta_4k).
+    """d/dz log theta2 at x_l = l*pi/(2k) in Lambert form, over Q(zeta_4k).
 
-    Constant term -tan(l pi/2k); the series part is
-    4 sum_{h=1}^{2k} (-1)^h sin(l h pi / k) sum_{n>=1} q^{hn}/(1-q^{2kn}),
-    assembled coefficientwise by a divisor sieve.  The jet
-    ratio a1/a0 of theta2_jet is the independent route to the same
-    series (exercised by the lemd verifier).
+    The series is -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d),
+    built on the sine basis of _bracket_data: the coefficient of q^M is
+    sum_j (2/w_j) Y_j[M] (2 sin(r_j l pi/k)) over the denominator 2k, with
+    2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a), i = zeta^k, zeta = zeta_4k,
+    read from the rows of Q(zeta_4k), and each coordinate of that vector
+    summed as one series over the j.  The jet ratio a1/a0 of theta2_jet
+    is the independent route to the same series (the lemd verifier).
+
+    _bracket_data proves the expansion for 0 < l < k.  It also holds for
+    k < l < 2k: l -> 2k - l keeps the parity of l, so the classes and the
+    series Y_j are the same at both points, and both sides are odd under
+    it, since tan(pi - x_l) = -tan x_l and
+    sin(r (2k - l) pi/k) = -sin(r l pi/k).  At l = 0 both sides are 0:
+    tan 0 = 0 and every sin(r 0 pi/k) = 0.
     """
-    ctx, den, vecs = _bracket_data(l, k, order)
-    vecs = [vecs[0] if any(vecs[0]) else None] + [
-        [den * x for x in v] if any(v) else None for v in vecs[1:]
-    ]
-    return QExpansion._from_vectors(ctx.m, 0, vecs, den, order)
+    if k < 1 or not 0 <= l < 2 * k or l == k:
+        raise ValueError("need 0 <= l < 2k with l != k")
+    room = math.ceil(Fraction(order))
+    if room <= 0:
+        return QExpansion.zero(order)
+    m = 4 * k
+    ctx = _ctx(m)
+    rows = ctx.rows()
+    reps, weights, ys = _bracket_data(k, l % 2, room)
+    cols = [[0] * room for _ in range(ctx.D)]
+    for r, w, y in zip(reps, weights, ys):
+        a = 2 * r * l % m
+        for col, x, z in zip(cols, rows[(k - a) % m], rows[(k + a) % m]):
+            if x != z:
+                K.scaled_add(col, y, (2 // w) * (x - z))
+    vecs = [list(v) if any(v) else None for v in zip(*cols)]
+    return QExpansion._from_vectors(m, 0, vecs, 2 * k, order)
 
 
 def halfprod_constant(k: int, delta: int) -> CyclotomicNumber:

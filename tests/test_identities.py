@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import identities, series
+from qtheta import identities, modular, series
 from qtheta import (
     CyclotomicNumber,
     HalfSumSpec,
@@ -117,10 +117,11 @@ class TestHalfSum:
             assert isinstance(c, (int, Fraction))
 
     def test_against_direct_square_of_brackets(self):
-        # the per-l sum of squares in generic series arithmetic, the one
-        # check of the sum over Q against the brackets over Q(zeta_4k);
-        # index sets of one Galois orbit (prime k) and of several (e.g.
-        # k = 6, 9, 12)
+        # the per-l sum of squares in generic series arithmetic over
+        # Q(zeta_4k) against the packed sum over Q: both read the brackets'
+        # sine basis from _bracket_data, so this checks Parseval's step and
+        # the packing; index sets of one Galois orbit (prime k) and of
+        # several (e.g. k = 6, 9, 12)
         for k in range(2, 21):
             order = 40 if k <= 12 else 12
             for d in (0, 1):
@@ -171,7 +172,7 @@ class TestHalfSum:
             for p in (0, 1):
                 idx = self._index_set(k, p)
                 tans = [self._trig("tan", l, 2 * k, k) for l in idx]
-                got = identities._tan_sine_sums(k, p)
+                got = modular._tan_sine_sums(k, p)
                 assert len(got) == 2 * k
                 for r in range(2 * k):
                     want = CyclotomicNumber.zero(4 * k)
@@ -193,7 +194,7 @@ class TestHalfSum:
                 idx = self._index_set(k, p)
                 sines = [[self._trig("sin", a * l, k, k) for l in idx]
                          for a in range(2 * k)]
-                cls, reps, weights = identities._sine_classes(k, p)
+                cls, reps, weights = modular._sine_classes(k, p)
                 for a in range(2 * k):
                     ja, ca = cls[a]
                     if ca:
@@ -211,7 +212,7 @@ class TestHalfSum:
         # the representatives are a basis on the index set (Parseval)
         for k in range(1, 201):
             for p in (0, 1):
-                reps = identities._sine_classes(k, p)[1]
+                reps = modular._sine_classes(k, p)[1]
                 assert len(reps) == len(self._index_set(k, p)), (k, p)
 
 

@@ -1,5 +1,6 @@
 """Special-function expansions: eta products, theta jets, Lambert form."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qtheta import (
     CyclotomicNumber,
+    QExpansion,
     ThetaPoint,
     compare,
     eta_log_ddq,
@@ -19,7 +21,7 @@ from qtheta import (
     trig_value,
 )
 from qtheta.cyclotomic import _ctx
-from qtheta.modular import _bracket_data, reduced_point
+from qtheta.modular import reduced_point
 
 
 def _sigma(n):
@@ -202,6 +204,27 @@ class TestLogDerivLambert:
             S = log_deriv_lambert(l, k, 17)
             assert compare(jet.slot(1), S * jet.slot(0), 16) is None
 
+    # sha256 of the coefficients below q^65, recorded from the Lambert form
+    # that summed 2k sine vectors over Q(zeta_4k) from -tan x_l: both
+    # parities, l = 0, l > k, odd l at even k (the class k/2 of weight 2)
+    # and a point already in its smallest field, (2, 5)
+    PINNED_65 = {
+        (0, 1): "ecf4e96ac64cb1ec",
+        (1, 2): "79de97d2fed83145",
+        (3, 4): "6856a175499b2c77",
+        (5, 4): "5f1b9707378f97df",
+        (7, 6): "f0ace0dca4565f0f",
+        (2, 5): "2c8e9528426b560c",
+        (9, 10): "0645543a5f57f003",
+        (13, 10): "3929d800af4ce026",
+    }
+
+    def test_pinned_digests_at_order_65(self):
+        for (l, k), want in self.PINNED_65.items():
+            s = log_deriv_lambert(l, k, 65)
+            text = ",".join(str(s.coefficient(n)) for n in range(65))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (l, k)
+
 
 def _bracket_data_by_trial_division(l, k, order):
     # the divisor loop _bracket_data used before its sieve: one trial
@@ -229,15 +252,27 @@ def _bracket_data_by_trial_division(l, k, order):
     return tan._den, vecs
 
 
+def _lambert_by_trial_division(l, k, order):
+    # the Lambert form from the reference above, through the public
+    # constructors: the q^0 vector is over den, the others are integers
+    den, vecs = _bracket_data_by_trial_division(l, k, math.ceil(order))
+    scales = [Fraction(1, den)] + [1] * (len(vecs) - 1)
+    return QExpansion(0, [CyclotomicNumber(4 * k, [x * s for x in v])
+                          for v, s in zip(vecs, scales)], order)
+
+
 class TestBracketData:
     def test_sieve_matches_trial_division(self):
+        # the class sieve behind log_deriv_lambert against one trial
+        # division per coefficient over the 2k sine vectors, every l != k
         for k in range(1, 13):
+            orders = (40, 0, 1, 2, Fraction(7, 2)) if k <= 6 else (40,)
             for l in range(2 * k):
                 if l == k:
                     continue
-                ctx, den, vecs = _bracket_data(l, k, 40)
-                assert ctx.m == 4 * k
-                assert (den, vecs) == _bracket_data_by_trial_division(l, k, 40), (l, k)
+                for order in orders:
+                    want = _lambert_by_trial_division(l, k, order)
+                    assert log_deriv_lambert(l, k, order) == want, (l, k, order)
 
 
 class TestReducedPoint:
