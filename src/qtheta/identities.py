@@ -23,8 +23,8 @@ from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
     _bracket_data,
-    eta_log_ddq,
     eta_product,
+    eta_quotient_log_ddq,
     halfprod_constant,
     log_deriv_lambert,
     reduced_point,
@@ -189,22 +189,25 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
 
 
 def theorem_rhs(k: int, delta: int, order) -> QExpansion:
-    """Eta-quotient side of the modular equation.
+    """Eta-quotient side of the modular equation, eta_a = eta(a tau):
 
     delta=0:  4(k-2) q d/dq log(eta_k / eta_1)
     delta=1:  4 q d/dq log(eta_{2k}^{2k-2} / (eta_1^k eta_k^{k-2}))
+
+    One eta_quotient_log_ddq call with the exponents e_a taken times 4(k-2)
+    or 4: {k: 4(k-2), 1: -4(k-2)} and {2k: 8(k-1), 1: -4k, k: -4(k-2)}.
+    Since eta_a = q^{a/24} prod (1 - q^{an}), the side is
+    sum e_a a/24 - sum_M (sum_{a | M} e_a a sigma(M/a)) q^M (derivation
+    there); the exponents are integers, so its denominator is 24.  For
+    k = 1 (where 1 and k repeat) and for k = 2, delta = 0 the exponents
+    cancel and the side is the zero series.
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
     if delta == 0:
-        if k == 2:
-            return QExpansion.zero(order)
-        return (eta_log_ddq(k, order) - eta_log_ddq(1, order)) * (4 * (k - 2))
-    return (
-        eta_log_ddq(2 * k, order) * (2 * k - 2)
-        - eta_log_ddq(1, order) * k
-        - eta_log_ddq(k, order) * (k - 2)
-    ) * 4
+        return eta_quotient_log_ddq(((k, 4 * (k - 2)), (1, -4 * (k - 2))), order)
+    return eta_quotient_log_ddq(
+        ((2 * k, 8 * (k - 1)), (1, -4 * k), (k, -4 * (k - 2))), order)
 
 
 def verify_theorem(k: int, delta: int, order) -> VerificationReport:
@@ -266,11 +269,7 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
         a0 = theta2_jet(ThetaPoint(1 + (bd // 2) * l, bd * k), 0, nw).slot(0)
         lhs = a0 if lhs is None else lhs * a0
     e1 = eta_product(1, nw)
-    ek = eta_product(k, nw)
-    ratio = e1
-    for _ in range(k - 1):
-        ratio = ratio * e1
-    ratio = ratio / ek
+    ratio = math.prod([e1] * (k - 1), start=e1) / eta_product(k, nw)
     th = theta2_jet(
         ThetaPoint((bd // 2) * (delta - 1) + 1, bd, q_power=k), 0, nw
     ).slot(0)
@@ -346,7 +345,7 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
 
     def d2_origin():
         f = theta2_jet(ThetaPoint(0, 1), 2, nw)
-        rhs = (eta_log_ddq(1, nw) - eta_log_ddq(2, nw) * 2) * 8
+        rhs = eta_quotient_log_ddq(((1, 8), (2, -16)), nw)
         return compare(log_d2(f), rhs, order)
 
     @functools.cache
@@ -359,18 +358,18 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
         return nj.div(dj)
 
     def d2_ratio():
-        rhs = (eta_log_ddq(1, nw) - eta_log_ddq(k, nw) * k) * 8
+        rhs = eta_quotient_log_ddq(((1, 8), (k, -8 * k)), nw)
         return compare(log_d2(ratio()), rhs, order)
 
     def t_scaled():
         g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
         val = T_of_log(g).slot(0)
-        rhs = (eta_log_ddq(2 * k, nw) * 2 - eta_log_ddq(k, nw)) * (8 * (k - 1))
+        rhs = eta_quotient_log_ddq(((2 * k, 16 * (k - 1)), (k, -8 * (k - 1))), nw)
         return compare(val, rhs, order)
 
     def t_ratio():
         val = T_of_log(ratio()).slot(0)
-        rhs = (eta_log_ddq(k, nw) * (k - 3) + eta_log_ddq(1, nw) * 2) * 8
+        rhs = eta_quotient_log_ddq(((k, 8 * (k - 3)), (1, 16)), nw)
         return compare(val, rhs, order)
 
     parts = (("d2-origin", d2_origin), ("d2-ratio", d2_ratio),
@@ -447,10 +446,11 @@ def verify_k3_corollary(order) -> VerificationReport:
     """(1 + 2 sum (q^n+q^2n-q^4n-q^5n)/(1-q^6n))^2 as a divisor-sum series.
 
     The right side 1 + 4 sum(n q^n/(1-q^n) + n q^3n/(1-q^3n) - 8n q^6n/(1-q^6n))
-    is -4 (L_1 + L_3/3 - (4/3) L_6) with L_a = eta_log_ddq(a), whose
-    constant terms 1/24 + 1/24 - 8/24 give the 1.  It comes from the
-    sigma sieve of eta_log_ddq and not from lambert, so the two sides
-    share no divisor sum.
+    is -4 (L_1 + L_3/3 - (4/3) L_6) with L_a = q d/dq log eta(a tau),
+    whose constant terms 1/24 + 1/24 - 8/24 give the 1: the log-derivative
+    of eta_1^-4 eta_3^(-4/3) eta_6^(16/3), one eta_quotient_log_ddq call
+    over the denominator 72.  It comes from that function's sigma sieve
+    and not from lambert, so the two sides share no divisor sum.
     """
     t0 = time.perf_counter()
     order = Fraction(order)
@@ -461,11 +461,8 @@ def verify_k3_corollary(order) -> VerificationReport:
         - lambert(5, 6, order)
     ) * 2 + 1
     lhs = inner * inner
-    rhs = (
-        eta_log_ddq(1, order)
-        + eta_log_ddq(3, order) / 3
-        - eta_log_ddq(6, order) * Fraction(4, 3)
-    ) * -4
+    rhs = eta_quotient_log_ddq(
+        ((1, -4), (3, Fraction(-4, 3)), (6, Fraction(16, 3))), order)
     mm = compare(lhs, rhs, order)
     return _finish("k3", {}, order, t0, mm)
 

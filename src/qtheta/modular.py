@@ -95,27 +95,54 @@ def eta_product(alpha: int, order) -> QExpansion:
     return QExpansion(base, coeffs, order)
 
 
-def eta_log_ddq(alpha: int, order) -> QExpansion:
-    """q d/dq log of the alpha-scaled eta product: alpha/24 - alpha*sum sigma.
+def eta_quotient_log_ddq(exponents, order) -> QExpansion:
+    """q d/dq log prod_alpha eta(alpha tau)^{e_alpha}, truncated below `order`.
 
-    The coefficient of q^M is -alpha * sigma(M/alpha) when alpha | M and
-    zero otherwise, computed by a divisor-sum sieve.
+    `exponents` holds (alpha, e_alpha) pairs: alpha a positive integer,
+    e_alpha an int or Fraction; the exponents of a repeated alpha add up.
+    From eta(alpha tau) = q^{alpha/24} prod_{n>=1} (1 - q^{alpha n}) and
+    q d/dq log(1 - q^{alpha n}) = -alpha sum_{j>=1} n q^{alpha n j},
+
+        q d/dq log eta(alpha tau) = alpha/24 - alpha sum_{N>=1} sigma(N) q^{alpha N},
+
+    so the quotient's series is the one divisor sum
+
+        sum_alpha e_alpha alpha/24
+            - sum_{M>=1} (sum_{alpha | M} e_alpha alpha sigma(M/alpha)) q^M.
+
+    With L the lcm of the exponents' denominators, each coefficient is an
+    integer over 24 L: sum (L e_alpha) alpha at q^0, and
+    -24 sum (L e_alpha) alpha sigma(M/alpha) at q^M.  One sieve forms sigma
+    below `order`, every coefficient is written into one integer list
+    over 24 L, and one gcd over that list and 24 L puts it in lowest
+    terms.  Exponents that cancel give the zero series.  This sieve
+    shares nothing with _bracket_data's, so the two sides of the
+    modular equation stay independent routes.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-    room = math.ceil(Fraction(order))
-    if room <= 0:
-        return QExpansion.zero(order)
-    top = (room - 1) // alpha
-    sigma = [0] * (top + 1)
-    for d in range(1, top + 1):
-        for mult in range(d, top + 1, d):
-            sigma[mult] += d
-    vecs: list = [None] * room
-    vecs[0] = [alpha]
-    for n in range(1, top + 1):
-        vecs[alpha * n] = [-24 * alpha * sigma[n]]
-    return QExpansion._from_vectors(1, 0, vecs, 24, order)
+    weights: dict = {}
+    for alpha, e in exponents:
+        if alpha < 1:
+            raise ValueError("alpha must be a positive integer")
+        weights[alpha] = weights.get(alpha, 0) + e
+    lcm = math.lcm(*(e.denominator for e in weights.values()))
+    ws = {a: (e * lcm).numerator * a for a, e in weights.items() if e}
+    # below order 1 only q^0 is formed, and _from_vectors truncates it away
+    room = max(math.ceil(Fraction(order)), 1)
+    coeffs = [sum(ws.values())] + [0] * (room - 1)
+    sigma = [0] * room
+    for d in range(1, room):
+        sigma[d::d] = [s + d for s in sigma[d::d]]
+    for a, w in ws.items():
+        coeffs[a::a] = [c - 24 * w * s for c, s in zip(coeffs[a::a], sigma[1:])]
+    g = math.gcd(24 * lcm, *coeffs)
+    vecs = [[c // g] if c else None for c in coeffs]
+    return QExpansion._from_vectors(1, 0, vecs, 24 * lcm // g, order, True)
+
+
+def eta_log_ddq(alpha: int, order) -> QExpansion:
+    """q d/dq log eta(alpha tau) = alpha/24 - alpha sum sigma(N) q^{alpha N},
+    the one-term case of eta_quotient_log_ddq."""
+    return eta_quotient_log_ddq(((alpha, 1),), order)
 
 
 def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:

@@ -20,10 +20,11 @@ from .cyclotomic import (
     root_of_unity,
     trig_value,
 )
-from .identities import HalfSumSpec, half_sum
+from .identities import HalfSumSpec, half_sum, theorem_rhs
 from .jets import ZJet
 from .modular import (
     ThetaPoint,
+    eta_log_ddq,
     eta_product,
     reduced_point,
     theta2_jet,
@@ -169,20 +170,11 @@ def _group_pentagonal(fault=False):
     e = eta_product(1, n)
     base = Fraction(1, 24)
     coeffs = {}
-    j = 0
-    while True:
-        hit = False
-        for jj in (j, -j) if j else (0,):
-            g = jj * (3 * jj - 1) // 2
-            if base + g < n:
-                coeffs[base + g] = coeffs.get(base + g, 0) + (-1) ** (jj % 2)
-                hit = True
-        if not hit:
-            break
-        j += 1
-    sparse = sorted(coeffs.items())
-    exps = [x for x, _ in sparse]
-    vals = [v for _, v in sparse]
+    for j in range(-n, n + 1):  # the pentagonal numbers j(3j-1)/2 are distinct
+        g = j * (3 * j - 1) // 2
+        if base + g < n:
+            coeffs[base + g] = (-1) ** (j % 2)
+    exps, vals = map(list, zip(*sorted(coeffs.items())))
     if fault:
         vals[3] += 1  # fault-injection hook: corrupt one expected coefficient
     got = {x: e.coefficient(x) for x in e.exponents()}
@@ -192,6 +184,24 @@ def _group_pentagonal(fault=False):
     if any(got.values()):
         return False, "eta product has extra nonzero coefficients"
     return True, "eta product vs pentagonal series, order 200"
+
+
+def _group_eta_log():
+    """The sigma sieve's log-derivatives against eta_product's Euler
+    product, cross-multiplied so no series is divided: L_a eta_a equals
+    q d/dq eta_a, and theorem_rhs(5, 1) = 4 q d/dq log(N/D) with
+    N = eta_10^8 and D = eta_1^5 eta_5^3 satisfies rhs N D = 4 (N' D - N D')."""
+    order = 100
+    for alpha in range(1, 13):
+        e = eta_product(alpha, order)
+        if not _eq(eta_log_ddq(alpha, order) * e, e.q_ddq()):
+            return False, f"L_{alpha} eta_{alpha} != q d/dq eta_{alpha}"
+    num = math.prod([eta_product(10, order)] * 8)
+    den = math.prod([eta_product(1, order)] * 5 + [eta_product(5, order)] * 3)
+    if not _eq(theorem_rhs(5, 1, order) * num * den,
+               (num.q_ddq() * den - num * den.q_ddq()) * 4):
+        return False, "theorem_rhs(5, 1) != 4 q d/dq log of its eta quotient"
+    return True, "q d/dq log eta_a (a <= 12) and theorem_rhs(5, 1) vs Euler products, order 100"
 
 
 def _group_triple_product():
@@ -271,6 +281,7 @@ GROUPS = [
     ("trig-identities", _group_trig),
     ("cyclotomic-roots", _group_roots),
     ("pentagonal", _group_pentagonal),
+    ("eta-log", _group_eta_log),
     ("triple-product", _group_triple_product),
     ("theta-symmetries", _group_theta_symmetries),
     ("heat-equation", _group_heat),

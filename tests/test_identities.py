@@ -230,6 +230,26 @@ class TestTheoremRhs:
         for k in (2, 3, 5, 8):
             assert theorem_rhs(k, 1, 5).coefficient(0) == Fraction(k * (k - 1), 2)
 
+    # sha256 of the coefficients below q^80, recorded from the right side
+    # that scaled and summed one eta_log_ddq series per eta factor; by the
+    # theorem they are also TestHalfSum.PINNED_80, pinned here on their own
+    PINNED_80 = {
+        (3, 0): "1733c68fb51a6154",
+        (6, 1): "d9fda7fa42fb8716",
+        (9, 0): "adbfc02e1660998e",
+        (12, 1): "1d2571381ca99dec",
+        (25, 0): "682bc09b0af2ec89",
+        (30, 1): "b1548d84fe832708",
+        (37, 0): "554c32ec05d5b6a7",
+        (40, 1): "3e218d4aaebcef56",
+    }
+
+    def test_pinned_digests_at_order_80(self):
+        for (k, d), want in self.PINNED_80.items():
+            rhs = theorem_rhs(k, d, 80)
+            text = ",".join(str(rhs.coefficient(n)) for n in range(80))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (k, d)
+
 
 class TestVerifyTheorem:
     def test_k3_delta0_order100(self):

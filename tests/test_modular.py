@@ -1,5 +1,6 @@
 """Special-function expansions: eta products, theta jets, Lambert form."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -16,12 +17,13 @@ from qtheta import (
     halfprod_constant,
     log_deriv_lambert,
     root_of_unity,
+    theorem_rhs,
     theta2_jet,
     theta2_triple_product,
     trig_value,
 )
 from qtheta.cyclotomic import _ctx
-from qtheta.modular import reduced_point
+from qtheta.modular import eta_quotient_log_ddq, reduced_point
 
 
 def _sigma(n):
@@ -77,6 +79,94 @@ class TestEtaLogDdq:
         e = eta_log_ddq(2, 15)
         for mm in range(1, 15, 2):
             assert e.coefficient(mm) == 0
+
+    def test_alpha_must_be_positive(self):
+        with pytest.raises(ValueError):
+            eta_log_ddq(0, 5)
+
+
+_sigma_table = functools.cache(_sigma)
+
+
+def _eta_quotient_oracle(exponents, order):
+    # sum e a/24 - sum_M (sum_{a | M} e a sigma(M/a)) q^M, one coefficient
+    # at a time with a trial-division sigma
+    coeffs = [sum(Fraction(e) * a for a, e in exponents) / 24]
+    for mm in range(1, math.ceil(Fraction(order))):
+        coeffs.append(-sum(Fraction(e) * a * _sigma_table(mm // a)
+                           for a, e in exponents if mm % a == 0))
+    return QExpansion(0, coeffs, order)
+
+
+class TestEtaQuotientLogDdq:
+    ORDERS = (0, 1, 2, Fraction(7, 2), 5, 80)
+
+    @staticmethod
+    def _theorem_exponents(k, delta):
+        # 4(k-2) log(eta_k/eta_1) and 4 log(eta_2k^(2k-2) / (eta_1^k eta_k^(k-2)))
+        if delta == 0:
+            return [(k, 4 * (k - 2)), (1, -4 * (k - 2))]
+        return [(2 * k, 4 * (2 * k - 2)), (1, -4 * k), (k, -4 * (k - 2))]
+
+    def _check(self, exponents, order):
+        want = _eta_quotient_oracle(exponents, order)
+        got = eta_quotient_log_ddq(exponents, order)
+        assert (got.base, got.precision, got.field()) == \
+            (want.base, want.precision, want.field()), (exponents, order)
+        assert [got.coefficient(n) for n in range(math.ceil(Fraction(order)))] \
+            == [want.coefficient(n) for n in range(math.ceil(Fraction(order)))]
+        assert got == want
+        return got
+
+    def test_theorem_exponents_vs_trial_division(self):
+        for k in range(1, 61):
+            for delta in (0, 1):
+                for order in self.ORDERS:
+                    got = self._check(self._theorem_exponents(k, delta), order)
+                    assert theorem_rhs(k, delta, order) == got, (k, delta, order)
+        got = self._check(self._theorem_exponents(59, 0), 871)
+        assert theorem_rhs(59, 0, 871) == got
+
+    def test_lem22_exponents_vs_trial_division(self):
+        # 8(L_1 - 2 L_2), 8(L_1 - k L_k), 8(k-1)(2 L_2k - L_k), 8((k-3) L_k + 2 L_1)
+        for k in range(1, 31):
+            for order in (5, 43):
+                for exps in ([(1, 8), (2, -16)],
+                             [(1, 8), (k, -8 * k)],
+                             [(2 * k, 16 * (k - 1)), (k, -8 * (k - 1))],
+                             [(k, 8 * (k - 3)), (1, 16)]):
+                    self._check(exps, order)
+
+    def test_k3_rational_exponents(self):
+        exps = [(1, -4), (3, Fraction(-4, 3)), (6, Fraction(16, 3))]
+        for order in (0, 1, 2, 80, 200):
+            got = self._check(exps, order)
+        # -4 (L_1 + L_3/3 - (4/3) L_6) = 1 + 4 sum (n q^n/(1-q^n) + ...)
+        assert got.coefficient(0) == 1 and got.coefficient(1) == 4
+
+    def test_repeated_alpha_adds_exponents(self):
+        got = self._check([(3, 1), (1, -2), (3, Fraction(1, 2))], 40)
+        assert got == eta_quotient_log_ddq([(3, Fraction(3, 2)), (1, -2)], 40)
+
+    def test_cancelling_exponents_give_the_zero_series(self):
+        for order in self.ORDERS:
+            assert eta_quotient_log_ddq([(4, 2), (4, -2)], order) == QExpansion.zero(order)
+            assert eta_quotient_log_ddq([], order) == QExpansion.zero(order)
+            for k, delta in ((1, 0), (1, 1), (2, 0)):
+                assert theorem_rhs(k, delta, order) == QExpansion.zero(order)
+
+    def test_vanishing_constant_term_moves_the_base(self):
+        # 2 L_1 - L_2 has constant term (2 - 2)/24 = 0
+        got = self._check([(1, 2), (2, -1)], 30)
+        assert got.base == 1
+
+    def test_one_term_case_is_eta_log_ddq(self):
+        for alpha in (1, 2, 7, 12):
+            assert eta_log_ddq(alpha, 50) == self._check([(alpha, 1)], 50)
+
+    def test_alpha_must_be_positive(self):
+        with pytest.raises(ValueError):
+            eta_quotient_log_ddq([(1, 1), (0, 2)], 5)
 
 
 class TestThetaJet:
