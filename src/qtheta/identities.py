@@ -29,6 +29,7 @@ from .modular import (
     log_deriv_lambert,
     reduced_point,
     theta2_jet,
+    theta2_product,
 )
 from .series import Mismatch, QExpansion, compare, lambert
 
@@ -247,11 +248,18 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     """Half product of theta factors vs its eta-quotient closed form.
 
     Verified at the generic base point z0 = pi/(base_den * k), where both
-    sides are nonzero for every parity; conductor 2*base_den*k.  A side
+    sides are nonzero for every parity; conductor 2*base_den*k.  The
+    report's `base_den` param holds base_den*k, the denominator of z0
+    (renaming it would change every report).  A side
     that is zero below `order` raises ValueError, since 0 = 0 proves
     nothing.  That happens when base_den = 2 with delta = 1 puts the
     factor l = k - 1 and the right side's point at pi/2, a zero of theta2,
     and when order <= k/8, the q-valuation of both sides.
+
+    The left side is the k-fold product itself, not its closed form:
+    theta2_product multiplies the k theta series, whose coefficients
+    are sums of roots of unity, by shifts in Z[x]/(x^{m/2} + 1) and
+    reduces mod Phi_m once (modular.root_product has the proof).
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
@@ -262,12 +270,8 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     margin = k // 24 + 2
     nw = Fraction(order) + margin
     m_full = 2 * bd * k
-    lhs = None
-    for l in range(2 * k):
-        if (l - k) % 2 != delta:
-            continue
-        a0 = theta2_jet(ThetaPoint(1 + (bd // 2) * l, bd * k), 0, nw).slot(0)
-        lhs = a0 if lhs is None else lhs * a0
+    lhs = theta2_product([ThetaPoint(1 + (bd // 2) * l, bd * k)
+                          for l in range(2 * k) if (l - k) % 2 == delta], nw)
     e1 = eta_product(1, nw)
     ratio = math.prod([e1] * (k - 1), start=e1) / eta_product(k, nw)
     th = theta2_jet(

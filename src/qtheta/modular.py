@@ -11,11 +11,11 @@ exponent, so exponent steps stay integral: (2n+1)^2/8 - 1/8 = n(n+1)/2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as K
+from ._pack import lane_width, split_low, unpack_signed
 from .cyclotomic import CyclotomicNumber, _ctx, root_of_unity
 from .jets import ZJet
 from .series import QExpansion
@@ -145,6 +145,25 @@ def eta_log_ddq(alpha: int, order) -> QExpansion:
     return eta_quotient_log_ddq(((alpha, 1),), order)
 
 
+def _theta_terms(pt: ThetaPoint, room: int):
+    """The terms of theta2(z0, q^s) below q^{s/8 + room}, in order.
+
+    Yields (off, t, phase) for each term zeta_m^phase q^{s/8 + off}:
+    off = s n(n+1)/2, the pair t = +-(2n+1), n >= 0, and
+    phase = num t w mod m, with m = pt.conductor and w = m/(2 den), so
+    that zeta_m^phase = e^{i t z0}.  theta2_jet and theta2_product read
+    the series from here, so it has one definition.
+    """
+    s, m = pt.q_power, pt.conductor
+    w = m // (2 * pt.den)
+    n = 0
+    while (off := s * n * (n + 1) // 2) < room:
+        t = 2 * n + 1
+        for tt in (t, -t):
+            yield off, tt, (pt.num * tt * w) % m
+        n += 1
+
+
 def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
     """Degree-`degree` z-jet of theta2(z0 + z, q^s) about z0 = num*pi/den.
 
@@ -153,36 +172,26 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
     """
     if degree < 0:
         raise ValueError("jet degree must be >= 0")
-    s = pt.q_power
     m = pt.conductor
     ctx = _ctx(m)
     rows = ctx.rows()
     D = ctx.D
-    w = m // (2 * pt.den)
     i_exp = m // 4
-    base = Fraction(s, 8)
+    base = Fraction(pt.q_power, 8)
     order = Fraction(order)
     room = math.ceil(order - base)
     if room <= 0:
         zero = QExpansion.zero(order)
         return ZJet([zero] * (degree + 1))
     slots: list[list] = [[None] * room for _ in range(degree + 1)]
-    n = 0
-    while True:
-        off = s * n * (n + 1) // 2
-        if off >= room:
-            break
-        t = 2 * n + 1
-        for tt in (t, -t):
-            phase = (pt.num * tt * w) % m
-            for j in range(degree + 1):
-                row = rows[(phase + j * i_exp) % m]
-                vec = slots[j][off]
-                if vec is None:
-                    vec = [0] * D
-                    slots[j][off] = vec
-                K.scaled_add(vec, list(row), tt**j)
-        n += 1
+    for off, tt, phase in _theta_terms(pt, room):
+        for j in range(degree + 1):
+            row = rows[(phase + j * i_exp) % m]
+            vec = slots[j][off]
+            if vec is None:
+                vec = [0] * D
+                slots[j][off] = vec
+            K.scaled_add(vec, list(row), tt**j)
     out = []
     for j in range(degree + 1):
         vecs = [v if v is not None and any(v) else None for v in slots[j]]
@@ -190,15 +199,103 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
     return ZJet(out)
 
 
+def root_product(m: int, factors, room: int) -> list:
+    """The coefficients below q^room of prod_j F_j over Q(zeta_m), m even,
+    where each factor F_j = sum_{(o, s, e) in F_j} s zeta_m^e q^o is a
+    list of signed monomials: offset o >= 0, sign s = +-1, exponent e.
+    Returns one canonical vector mod Phi_m per power of q (None for 0).
+
+    The product is formed in R = Z[x]/(x^h + 1), h = m/2, and mapped to
+    Q(zeta_m) by x -> zeta_m once at the end.  That map is a ring
+    homomorphism, since zeta_m^h = -1 makes Phi_m divide x^h + 1.  In R,
+    zeta_m^e is x^(e mod h), negated when e mod m >= h, so each
+    coefficient is packed at one lane width b as h lanes, and a product
+    by s zeta_m^e is a shift by b (e mod h) bits and a sign.  Each factor
+    adds its shifted monomials into a fresh series (up to 2h - 1 lanes
+    per coefficient), and every coefficient is then folded once by
+    x^(h + i) = -x^i (split_low: the low h lanes less the high ones);
+    a factor whose shifts are all 0 leaves h lanes and needs no fold.
+    At the end each coefficient is unpacked once and reduced mod Phi_m
+    once (_Ctx.reduce).
+
+    The lane width.  Write |c| for the sum of the absolute values of the
+    lanes of c, and N_J for the integer series prod_{j <= J} T_j, where
+    T_j = sum_{(o, s, e) in F_j} q^o counts the monomials of F_j at each
+    offset below q^room.  Then every coefficient P_J[i] of the first J
+    factors' product has |P_J[i]| <= N_J[i].  From N_0 = 1 = P_0, by
+    induction: a shift by e lanes and a sign keep |.|, and P_{J+1}[i] is
+    the sum of s x^e P_J[i - o] over the monomials of F_{J+1} with o <= i,
+    so every partial sum of it, before the fold or after it (which only
+    adds lanes together), has |.| <= sum_o N_J[i - o] = N_{J+1}[i].  A
+    lane is at most the |.| of its coefficient, so every lane formed
+    while the product runs is at most the largest entry of N_0 .. N_J,
+    which is at most prod_j L_j, L_j the number of monomials of F_j below
+    q^room.  b comes from lane_width of that largest entry.  The bound is
+    tight: when every monomial is +zeta^0 at offset 0, lane 0 of q^0
+    reaches prod_j L_j.
+    """
+    if m % 2:
+        raise ValueError("the conductor must be even")
+    h = m // 2
+    factors = [[(o, s, e % m) for o, s, e in f if o < room] for f in factors]
+    if room <= 0 or not all(factors):
+        return [None] * max(room, 0)
+    count, most = [1] + [0] * (room - 1), 1  # N_J, the largest entry so far
+    for f in factors:
+        new = [0] * room
+        for o, _, _ in f:
+            new[o:] = [x + y for x, y in zip(new[o:], count)]
+        count = new
+        most = max(most, *count)
+    b = lane_width(most)
+    acc = [1] + [0] * (room - 1)
+    for f in factors:
+        new = [0] * room
+        for o, s, e in f:
+            sh = b * (e % h)
+            if (s > 0) == (e < h):
+                new[o:] = [x + (y << sh) for x, y in zip(new[o:], acc)]
+            else:
+                new[o:] = [x - (y << sh) for x, y in zip(new[o:], acc)]
+        if any(e % h for _, _, e in f):
+            for i, x in enumerate(new):
+                if x:
+                    low, high = split_low(x, b, h)
+                    new[i] = low - high
+        acc = new
+    ctx = _ctx(m)
+    vecs = [ctx.reduce(unpack_signed(x, b, h)) if x else None for x in acc]
+    return [v if v is not None and any(v) else None for v in vecs]
+
+
+def theta2_product(points, order) -> QExpansion:
+    """prod_j theta2(z_j, q^{s_j}) over the points, all of one conductor.
+
+    Each factor is its _theta_terms, and root_product multiplies them.
+    Unless a factor is zero, this equals the chain of products of the
+    theta2_jet(pt, 0, order).slot(0), base sum_j s_j/8 and precision
+    order + sum_j s_j/8 - max_j s_j/8 included.
+    """
+    m = points[0].conductor
+    if any(pt.conductor != m for pt in points):
+        raise ValueError("the points must share one conductor")
+    bases = [Fraction(pt.q_power, 8) for pt in points]
+    base = sum(bases)
+    precision = Fraction(order) + base - max(bases)
+    room = math.ceil(precision - base)
+    factors = [[(o, 1, e) for o, _, e in _theta_terms(pt, room)] for pt in points]
+    return QExpansion._from_vectors(m, base, root_product(m, factors, room), 1,
+                                    precision)
+
+
 def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
     """Product form of the theta series at z0:
 
         q^{s/8} e^{-i z0} prod (1-q^{sn}) (1+e^{-2i z0} q^{sn}) (1+e^{2i z0} q^{s(n-1)})
 
-    with every phase an exact root of unity.  Each coefficient is kept in
-    Z[x]/(x^m - 1), x = zeta_m, so a phase zeta^a is a rotation, and is
-    reduced mod Phi_m once at the end.  Equality with the summed jet is
-    the triple-product identity, exercised as an invariant.
+    with every phase an exact root of unity, multiplied by root_product.
+    Equality with the summed jet is the triple-product identity,
+    exercised as an invariant.
     """
     s = pt.q_power
     m = pt.conductor
@@ -208,34 +305,14 @@ def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
     room = math.ceil(order - base)
     if room <= 0:
         return QExpansion.zero(order)
-    minus, plus = (-2 * pt.num * w) % m, (2 * pt.num * w) % m
-    first = [0] * m
-    first[(-pt.num * w) % m] += 1
-    first[(pt.num * w) % m] += 1  # with the n = 1 factor of the third family
-    coeffs: list = [first] + [None] * (room - 1)
-
-    def times(exp, a, op):
-        """coeffs *= 1 +- zeta^a q^exp in place, op the sign's add or sub."""
-        for i in range(room - 1, exp - 1, -1):
-            low = coeffs[i - exp]
-            if low is not None:
-                cur = coeffs[i]
-                rot = low[m - a:] + low[:m - a]
-                coeffs[i] = list(map(op, cur or [0] * m, rot))
-
-    n = 1
-    while s * n < room:
-        times(s * n, 0, operator.sub)      # 1 - q^{sn}
-        times(s * n, minus, operator.add)  # 1 + e^{-2iz0} q^{sn}
-        n += 1
-    n = 2
-    while s * (n - 1) < room:
-        times(s * (n - 1), plus, operator.add)
-        n += 1
-    ctx = _ctx(m)
-    vecs = [None if c is None else ctx.reduce(c) for c in coeffs]
-    vecs = [v if v is not None and any(v) else None for v in vecs]
-    return QExpansion._from_vectors(m, base, vecs, 1, order)
+    a = pt.num * w
+    # e^{-i z0} with the n = 1 factor of the third family
+    factors = [[(0, 1, -a), (0, 1, a)]]
+    for n in range(1, (room - 1) // s + 1):  # every n >= 1 with s n < room
+        o = s * n  # the third family's factor n + 1 sits at q^{s n}
+        factors += [[(0, 1, 0), (o, -1, 0)], [(0, 1, 0), (o, 1, -2 * a)],
+                    [(0, 1, 0), (o, 1, 2 * a)]]
+    return QExpansion._from_vectors(m, base, root_product(m, factors, room), 1, order)
 
 
 def _sine_classes(k: int, p: int):

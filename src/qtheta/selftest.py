@@ -28,6 +28,7 @@ from .modular import (
     eta_product,
     reduced_point,
     theta2_jet,
+    theta2_product,
     theta2_triple_product,
 )
 from .series import QExpansion, compare, lambert
@@ -275,6 +276,20 @@ def _group_half_sum():
     return True, "half sum over Q = summed squared jet ratios (k <= 8, order 16)"
 
 
+def _group_half_product():
+    """lem2's left side, multiplied by shifts in Z[x]/(x^{m/2} + 1), against
+    the chain of packed series products over Q(zeta_16k)."""
+    order = 40
+    for k in range(1, 7):
+        for delta in (0, 1):
+            pts = [ThetaPoint(1 + 4 * l, 8 * k) for l in range(2 * k)
+                   if (l - k) % 2 == delta]
+            chain = math.prod(theta2_jet(pt, 0, order).slot(0) for pt in pts)
+            if theta2_product(pts, order) != chain:
+                return False, f"half product != series chain at k={k}, delta={delta}"
+    return True, "theta product by root shifts = series product chain (k <= 6, order 40)"
+
+
 GROUPS = [
     ("ring-laws", _group_ring_laws),
     ("derivations", _group_derivations),
@@ -287,6 +302,7 @@ GROUPS = [
     ("heat-equation", _group_heat),
     ("lambert-series", _group_lambert),
     ("half-sum", _group_half_sum),
+    ("half-product", _group_half_product),
 ]
 
 

@@ -23,7 +23,12 @@ from qtheta import (
     trig_value,
 )
 from qtheta.cyclotomic import _ctx
-from qtheta.modular import eta_quotient_log_ddq, reduced_point
+from qtheta.modular import (
+    eta_quotient_log_ddq,
+    reduced_point,
+    root_product,
+    theta2_product,
+)
 
 
 def _sigma(n):
@@ -246,6 +251,44 @@ class TestTripleProduct:
         assert compare(
             theta2_triple_product(pt, 20), theta2_jet(pt, 0, 20).slot(0), 20
         ) is None
+
+
+class TestHalfProduct:
+    @pytest.mark.parametrize("bd", [2, 4, 8, 12])
+    def test_equals_series_chain(self, bd):
+        # lem2's left side against the chain of packed series products it
+        # replaced, kept here as the reference; base_den = 2, delta = 1
+        # puts a factor at pi/2, where theta2 and so the product is 0
+        for k in range(1, 9):
+            for delta in (0, 1):
+                nw = 24 + k // 24 + 2
+                pts = [ThetaPoint(1 + (bd // 2) * l, bd * k) for l in range(2 * k)
+                       if (l - k) % 2 == delta]
+                chain = None
+                for pt in pts:
+                    a0 = theta2_jet(pt, 0, nw).slot(0)
+                    chain = a0 if chain is None else chain * a0
+                new = theta2_product(pts, nw)
+                assert chain.is_zero == (bd == 2 and delta == 1), (k, delta)
+                if chain.is_zero:
+                    assert new.is_zero, (k, delta)
+                else:
+                    assert new == chain, (k, delta)
+                    assert (new.base, new.precision) == (chain.base, chain.precision)
+
+    @pytest.mark.parametrize("monomial, value", [
+        ((0, 1, 0), 2**64),   # +zeta^0: every lane at its bound
+        ((0, 1, 1), 2**64),   # +zeta_8: (2 zeta)^64 = 2^64, through the folds
+        ((0, -1, 4), 2**64),  # -zeta_8^4 = +1 after the sign of the shift
+    ], ids=["one", "zeta", "minus-zeta^4"])
+    def test_lanes_reach_the_count_bound(self, monomial, value):
+        # 64 factors of two monomials at q^0: the q^0 lane reaches the bound
+        # prod_j L_j = 2^64 exactly, which needs 66 signed bits, so lanes one
+        # byte narrower than lane_width(2^64) = 72 bits would overflow
+        vecs = root_product(8, [[monomial] * 2] * 64, 3)
+        assert vecs == [[value, 0, 0, 0], None, None]
+        vecs = root_product(8, [[(0, 1, 0)] * 2] * 63 + [[(0, -1, 0)] * 2], 3)
+        assert vecs == [[-(2**64), 0, 0, 0], None, None]
 
 
 class TestParityAndShift:
