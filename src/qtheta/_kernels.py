@@ -1,8 +1,7 @@
 """The hot loops: series convolution, cyclotomic reduction, scaled add.
 
-All of them work on plain Python lists of ring elements (ints,
-Fractions, packed bigints, CyclotomicNumbers): the only operations used
-are +, * and bool().
+All of them work on plain Python lists of ints, a packed bigint being
+one int.
 """
 
 BACKEND = "pure"
@@ -13,20 +12,14 @@ def convolve(a, b):
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    out = [None] * (la + lb - 1)
+    out = [0] * (la + lb - 1)
     nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in nonzero_b:
-            k = i + j
-            cur = out[k]
-            if cur is None:
-                out[k] = ai * bj
-            else:
-                out[k] = cur + ai * bj
-    zero = (a[0] - a[0]) if la else 0
-    return [zero if c is None else c for c in out]
+            out[i + j] += ai * bj
+    return out
 
 
 def convolve_trunc(a, b, n):
@@ -35,7 +28,7 @@ def convolve_trunc(a, b, n):
     A square (b is a) forms each cross product a_i a_j, i < j, once,
     doubles the sums, then adds the diagonal a_i^2.
     """
-    out = [None] * n
+    out = [0] * n
     if b is a:
         nonzero = [(i, x) for i, x in enumerate(a[:n]) if x]
         for p, (i, ai) in enumerate(nonzero):
@@ -45,21 +38,13 @@ def convolve_trunc(a, b, n):
                 k = i + j
                 if k >= n:
                     break
-                cur = out[k]
-                if cur is None:
-                    out[k] = ai * aj
-                else:
-                    out[k] = cur + ai * aj
-        out = [c if c is None else c + c for c in out]
+                out[k] += ai * aj
+        out = [c + c for c in out]
         for i, ai in nonzero:
             k = 2 * i
             if k >= n:
                 break
-            cur = out[k]
-            if cur is None:
-                out[k] = ai * ai
-            else:
-                out[k] = cur + ai * ai
+            out[k] += ai * ai
     else:
         nonzero_b = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
         for i, ai in enumerate(a[:n]):
@@ -69,13 +54,8 @@ def convolve_trunc(a, b, n):
                 k = i + j
                 if k >= n:
                     break
-                cur = out[k]
-                if cur is None:
-                    out[k] = ai * bj
-                else:
-                    out[k] = cur + ai * bj
-    zero = (a[0] - a[0]) if a else 0
-    return [zero if c is None else c for c in out]
+                out[k] += ai * bj
+    return out
 
 
 def cyclo_rem(vec, phi_low):

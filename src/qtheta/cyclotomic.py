@@ -6,16 +6,17 @@ over one common denominator.  That representation is canonical, so
 equality, realness and rationality tests are plain coordinate
 comparisons, which is what zero-tolerance series verification needs.
 
-A packed product of two vectors has 2D-1 lanes, D = phi(m), and
-_Ctx.reduce_packed brings it back to D.  For even m it first folds:
-Phi_m divides x^{m/2} + 1 (zeta^{m/2} = -1; Washington, Introduction to
+Every vector reaches that form one way, _Ctx.reduce: for even m it
+first folds, then divides by Phi_m (_kernels.cyclo_rem).  Phi_m divides
+x^{m/2} + 1 for even m (zeta^{m/2} = -1; Washington, Introduction to
 Cyclotomic Fields, GTM 83, ch. 2), so lane e >= m/2 may be subtracted
-from lane e - m/2 without changing the value mod Phi_m.  As
-2D-2 < 2(m/2) whenever there is a lane to fold, one subtraction of the
-high part from the low m/2 lanes does it, and only the lanes
-D .. m/2-1 are left for the table of x^e mod Phi_m: none for m a power
-of two (phi(m) = m/2), 4 instead of 15 for m = 40.  _Ctx.product_lane
-proves the lane bound of that reduction.
+from lane e - m/2 without changing the value mod Phi_m, and only the
+lanes D .. m/2-1 are left for the division, D = phi(m): none for m a
+power of two (phi(m) = m/2), 4 instead of 15 for m = 40.  A packed
+product of two vectors has 2D-1 lanes; _Ctx.reduce_packed folds it while
+it is packed, as 2D-2 < 2(m/2) whenever there is a lane to fold, and
+divides the unpacked lanes that are left.  _Ctx.product_lane proves the
+lane bound of that fold.
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels as K
-from ._pack import lane_width, pack_signed, split_low, unpack_signed
+from ._pack import lane_width, split_low, unpack_signed
 
 Rational = Fraction
 
@@ -111,24 +112,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Ctx:
-    """Per-conductor machinery: reduction table mod Phi_m and fast kernels."""
+    """Per-conductor machinery: reduction mod Phi_m and the powers of zeta."""
 
-    __slots__ = ("m", "D", "phi_low", "fold", "top", "_rows", "_packed_rows",
-                 "_growth")
+    __slots__ = ("m", "D", "phi_low", "fold", "top", "_rows")
 
     def __init__(self, m: int):
         poly = cyclotomic_polynomial(m)
         self.m = m
         self.D = D = len(poly) - 1
         self.phi_low = poly[:-1]
-        # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2, when there are
-        # any, fold onto lanes 0 .. m/2-1 with a sign, leaving `top` lanes
+        # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2 of a product, when
+        # there are any, fold onto lanes 0 .. m/2-1 with a sign, leaving
+        # `top` lanes
         h = m // 2
         self.fold = h if m % 2 == 0 and h < 2 * D - 1 else 0
         self.top = self.fold or 2 * D - 1
         self._rows: list[tuple[int, ...]] | None = None
-        self._packed_rows: dict[int, list] = {}
-        self._growth: int | None = None
 
     def rows(self) -> list[tuple[int, ...]]:
         """Canonical vectors of x^e mod Phi_m for 0 <= e < max(m, 2D-1)."""
@@ -154,42 +153,35 @@ class _Ctx:
             self._rows = rows
         return self._rows
 
-    def monomial(self, e: int) -> tuple[int, ...]:
-        return self.rows()[e % self.m]
-
     def reduce(self, vec) -> list[int]:
-        """Canonical remainder of an integer coefficient vector mod Phi_m."""
-        return K.cyclo_rem(list(vec), self.phi_low)
+        """Canonical remainder of an integer vector of any length mod Phi_m.
 
-    def packed_rows(self, b: int) -> list:
-        """Rows D .. top-1 packed at lane width b: the lanes that survive
-        the fold and lie above the canonical D."""
-        prs = self._packed_rows.get(b)
-        if prs is None:
-            rows = self.rows()
-            prs = [pack_signed(rows[e], b) for e in range(self.D, self.top)]
-            self._packed_rows[b] = prs
-        return prs
+        For even m, lane e >= h = m/2 is first subtracted from lane e - h
+        (zeta^h = -1), from the top lane down, so that lanes folded onto
+        lanes at or above h fold again; cyclo_rem then divides out the
+        lanes D .. h-1 left.
+        """
+        v = list(vec)
+        if self.m % 2 == 0:
+            h = self.m // 2
+            for e in range(len(v) - 1, h - 1, -1):
+                v[e - h] -= v[e]
+            del v[h:]
+        return K.cyclo_rem(v, self.phi_low)
 
     def reduce_packed(self, x, b: int) -> list[int]:
         """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes.
 
         For even m with lanes at or above h = m/2, the high part is first
         subtracted from the low h lanes (one negacyclic fold, since
-        zeta^h = -1); the lanes D .. top-1 left then go through the rows.
+        zeta^h = -1); the `top` lanes left are unpacked, and cyclo_rem
+        divides out those at or above D.
         """
-        D = self.D
         if self.fold:
             low, high = split_low(x, b, self.fold)
             x = low - high
-        if self.top > D:
-            x, high = split_low(x, b, D)
-            if high:
-                digits = unpack_signed(high, b, self.top - D)
-                for dg, rp in zip(digits, self.packed_rows(b)):
-                    if dg:
-                        x += dg * rp
-        return unpack_signed(x, b, D)
+        v = unpack_signed(x, b, self.top)
+        return K.cyclo_rem(v, self.phi_low) if self.top > self.D else v
 
     def product_lane(self, terms: int, amax: int, bmax: int) -> int:
         """Lane width for a sum of `terms` vector products, reduced or not.
@@ -199,27 +191,17 @@ class _Ctx:
         product matters, so a weighted sum sum_t w_t (a_t * b_t) may pass
         terms = sum_t w_t amax_t bmax_t with unit operand bounds.
 
-        Every lane reduce_packed forms is at most V*G, G the growth
-        factor computed here:
-        - The fold (even m, h = m/2 < 2D-1) sets lane e < h to
-          x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more than
-          one partner, so the lanes are at most V' = 2V; without a fold
-          V' = V.
-        - The row pass adds digit e times row e, for the top - D lanes
-          D <= e < top, to the D low lanes.  Each digit is at most V' and
-          each row entry at most R, the largest entry of those rows, so
-          every partial sum is at most V'*(1 + (top - D)*R).
-        For m a power of two, top = D and G = 2: no row is needed.
+        The fold of reduce_packed (even m, h = m/2 < 2D-1) sets lane
+        e < h to x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more
+        than one partner, so the folded lanes are at most 2V; without a
+        fold they stay at most V.  The lanes left are unpacked before
+        cyclo_rem, which works on exact ints.
         """
-        if self._growth is None:
-            D, top = self.D, self.top
-            r = max((abs(c) for row in self.rows()[D:top] for c in row), default=0)
-            self._growth = (2 if self.fold else 1) * (1 + (top - D) * r)
-        return lane_width(terms * self.D * amax * bmax * self._growth)
+        return lane_width(terms * self.D * amax * bmax * (2 if self.fold else 1))
 
     def mul_vec(self, u, v) -> list[int]:
         """Product of two canonical integer vectors, reduced mod Phi_m."""
-        return K.cyclo_rem(K.convolve(u, v), self.phi_low)
+        return self.reduce(K.convolve(u, v))
 
     def galois_vec(self, vec, j: int) -> list[int]:
         """Canonical vector of sum_e vec[e] zeta^(e*j).
@@ -240,23 +222,28 @@ def _ctx(m: int) -> _Ctx:
     return _Ctx(m)
 
 
+def _lowest_terms(vecs, den):
+    """(vecs, den) divided by the gcd of den and every vector entry; None
+    stands for a zero vector."""
+    g = den
+    for v in vecs:
+        if g == 1:
+            break
+        if v is not None:
+            g = math.gcd(g, *v)
+    if g == 1:
+        return vecs, den
+    return [None if v is None else [x // g for x in v] for v in vecs], den // g
+
+
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
         num = [-c for c in num]
         den = -den
-    g = den
-    for c in num:
-        if c:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-    if g > 1:
-        num = [c // g for c in num]
-        den //= g
-    if all(c == 0 for c in num):
-        den = 1
+    # an all-zero vector gets den 1, as gcd(den, 0, ..., 0) = den
+    (num,), den = _lowest_terms([num], den)
     return tuple(num), den
 
 
@@ -490,7 +477,7 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
     """zeta_m^j reduced to the canonical basis of Q(zeta_m)."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    return CyclotomicNumber._raw(m, list(_ctx(m).monomial(j % m)), 1)
+    return CyclotomicNumber._raw(m, list(_ctx(m).rows()[j % m]), 1)
 
 
 def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:

@@ -48,10 +48,6 @@ class ThetaPoint:
         """True when z0 = pi/2 mod pi, the zero locus of the theta series."""
         return (2 * self.num - self.den) % (2 * self.den) == 0
 
-    def label(self) -> str:
-        s = f"{self.num}pi/{self.den}" if self.den > 1 else f"{self.num}pi"
-        return s if self.q_power == 1 else f"{s};q^{self.q_power}"
-
 
 def reduced_point(l: int, k: int) -> tuple[int, int]:
     """(l', k') with l' pi/2k' = l pi/2k, the base point in its smallest field.

@@ -31,12 +31,12 @@ one-term sum).  The vectors are packed into bigints lane by lane, at the
 lane width _Ctx.product_lane gives for the whole sum, so the inner loop
 is one bignum multiply per coefficient pair.  The packed products of all
 the terms are added lane-wise, and each coefficient of the sum is
-reduced mod Phi_m from its packed lanes straight into a vector, once:
-reduction is linear, so reducing the sum gives the sum of the reduced
-products, and one lowest-terms pass makes the result canonical, equal
-to the chain of single products and sums (the proof and the lane bound
-are in _series_mul).  A jet slot of a product or a square is one such
-sum.  A packed operand is reused across the
+reduced mod Phi_m once (folded while packed, then unpacked and divided,
+_Ctx.reduce_packed): reduction is linear, so reducing the sum gives the
+sum of the reduced products, and one lowest-terms pass makes the result
+canonical, equal to the chain of single products and sums (the proof
+and the lane bound are in _series_mul).  A jet slot of a product or a
+square is one such sum.  A packed operand is reused across the
 convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
@@ -62,7 +62,7 @@ from fractions import Fraction
 
 from . import _kernels as K
 from ._pack import pack_signed
-from .cyclotomic import ConductorError, CyclotomicNumber, _ctx
+from .cyclotomic import ConductorError, CyclotomicNumber, _ctx, _lowest_terms
 
 
 class PrecisionError(ValueError):
@@ -79,19 +79,6 @@ class Mismatch:
 
     def __str__(self):
         return f"q^({self.exponent}): {self.lhs} != {self.rhs}"
-
-
-def _lowest_terms(vecs, den):
-    """(vecs, den) divided by the gcd of den and every vector entry."""
-    g = den
-    for v in vecs:
-        if g == 1:
-            break
-        if v is not None:
-            g = math.gcd(g, *v)
-    if g == 1:
-        return vecs, den
-    return [None if v is None else [x // g for x in v] for v in vecs], den // g
 
 
 def _lane_max(vecs) -> int:
@@ -465,7 +452,7 @@ def _series_mul(terms) -> QExpansion:
     vector products with lanes below amax and bmax, so the packed sum is
     a sum of at most sum_t |c_t| den/(da_t db_t) min(la_t, lb_t) amax_t
     bmax_t products of vectors with unit lanes, the count from which
-    _Ctx.product_lane sizes the lanes and their reduction.
+    _Ctx.product_lane sizes the lanes and their fold.
     """
     prec = min(min(a.precision + b.base, b.precision + a.base)
                for _, a, b in terms)
@@ -567,7 +554,7 @@ def _long_div(a, b) -> list:
     A, B and the C so far, and S the nonzero coefficients of all divisor
     slots but the lead of B_0: each meets at most one C in a sum.
     _Ctx.product_lane(bound, 1, 1) sizes the lane for D times
-    E amax + |S| Cmax bmax, which is more, times the growth of the
+    E amax + |S| Cmax bmax, which is more, doubled for the fold of the
     reduction.  Before each step the bound is checked against the one the
     lane was sized for; when growing quotients outrun it, B and the C are
     packed again at a lane sized for 2**_HEADROOM times the new bound, and

@@ -12,7 +12,7 @@ import pytest
 import qtheta
 import qtheta._kernels as K
 from qtheta import CyclotomicNumber, QExpansion, root_of_unity
-from qtheta._pack import pack_signed
+from qtheta._pack import lane_width, pack_signed
 from qtheta.cyclotomic import _ctx
 
 
@@ -23,6 +23,16 @@ def _rand_cyclo(rng, m):
     return CyclotomicNumber(m, coords)
 
 
+def _schoolbook(a, b, n):
+    """First n coefficients of the Cauchy product of two lists of field
+    elements: the object-arithmetic reference for the packed paths."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
 def test_packed_series_product_matches_elementwise():
     rng = random.Random(31)
     for m in (16, 36, 56, 120):
@@ -30,7 +40,7 @@ def test_packed_series_product_matches_elementwise():
         a = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
         b = QExpansion(0, [_rand_cyclo(rng, m) for _ in range(L)], L)
         prod = a * b
-        ref = K.convolve_trunc(list(a.coeffs), list(b.coeffs), L)
+        ref = _schoolbook(list(a.coeffs), list(b.coeffs), L)
         for t in range(L):
             assert prod.coefficient(t) == ref[t], (m, t)
 
@@ -60,8 +70,8 @@ def test_packed_series_product_small_fields():
                 for n in {la + lb - 1, max(1, (la + lb) // 2)}:
                     prod = QExpansion(0, A, n) * QExpansion(0, B, n)
                     got = [prod.coefficient(t) for t in range(n)]
-                    ref = K.convolve_trunc([lift(m, c) for c in A],
-                                           [lift(m, c) for c in B], n)
+                    ref = _schoolbook([lift(m, c) for c in A],
+                                      [lift(m, c) for c in B], n)
                     assert got == ref, (m, A, B, n)
 
 
@@ -92,45 +102,67 @@ def test_packed_single_products_match_schoolbook():
             assert fast == ref
 
 
-@pytest.mark.parametrize("m", [5, 15, 105])
-def test_product_lane_holds_the_worst_reduction(m):
-    # 2D-1 lanes of size V = terms*D, the most a sum of `terms` products of
-    # vectors with lanes in {-1, 0, 1} can hold.  The high lanes take the
-    # signs of the reduction rows at the low lane whose rows have the largest
-    # absolute sum, so reduce_packed forms the largest value it ever can.
+def _worst_packed_vector(m):
+    """(terms, V, vec, largest folded lane): 2D-1 lanes of +-V, V = terms*D
+    the most a sum of `terms` products of vectors with lanes in {-1, 0, 1}
+    can hold, each lane at or above the fold point opposite its partner, so
+    that the fold of reduce_packed doubles it."""
     ctx = _ctx(m)
-    D = ctx.D
+    D, h = ctx.D, ctx.fold
     terms = ((1 << 14) - 1) // D
     V = terms * D
     assert V.bit_length() == 14
-    high = ctx.rows()[D:2 * D - 1]
-    worst = max(range(D), key=lambda i: sum(abs(r[i]) for r in high))
-    vec = [V] * D + [V if r[worst] >= 0 else -V for r in high]
+    rng = random.Random(m)
+    vec = [rng.choice((V, -V)) for _ in range(2 * D - 1)]
+    if h:
+        for e in range(h, 2 * D - 1):
+            vec[e] = -vec[e - h]
+        folded = [vec[e] - (vec[e + h] if e + h < 2 * D - 1 else 0)
+                  for e in range(h)]
+    else:
+        folded = vec
+    return terms, V, vec, max(abs(x) for x in folded)
+
+
+@pytest.mark.parametrize("m", [5, 15, 105])
+def test_product_lane_holds_the_worst_reduction(m):
+    # odd m has no fold: reduce_packed unpacks all 2D-1 lanes of +-V
+    ctx = _ctx(m)
+    assert not ctx.fold
+    terms, V, vec, most = _worst_packed_vector(m)
+    assert most == V
     b = ctx.product_lane(terms, 1, 1)
-    assert ctx.reduce_packed(pack_signed(vec, b), b) == ctx.reduce(vec)
+    assert b >= lane_width(most)
+    for v in (vec, [-x for x in vec]):
+        assert ctx.reduce_packed(pack_signed(v, b), b) == ctx.reduce(v)
 
 
 @pytest.mark.parametrize("m", range(2, 121, 2))
 def test_folded_reduction_holds_the_product_lane_bound(m):
-    # Every lane is +-V, V the unreduced-lane bound product_lane is sized
-    # for.  Each lane above the fold point takes the opposite sign of its
-    # partner below it, so the fold doubles it, and the lanes the rows
-    # reduce take the signs of their rows at the low lane with the largest
-    # absolute row sum: the largest value reduce_packed ever forms.
+    # The fold takes lanes m/2 .. 2D-2 onto the low ones; opposite partners
+    # make the folded lanes +-2V, the largest value reduce_packed forms.
+    # The lane must hold it with lane_width's slack, which alone would
+    # absorb one doubling, so the width is checked as well as the value.
     ctx = _ctx(m)
-    D, top = ctx.D, ctx.top
+    D = ctx.D
     assert ctx.fold == (m // 2 if m // 2 < 2 * D - 1 else 0)
-    assert top - D == (m // 2 - D if ctx.fold else D - 1)
-    terms = ((1 << 14) - 1) // D
-    V = terms * D
-    rows = ctx.rows()
-    worst = max(range(D), key=lambda i: sum(abs(rows[e][i]) for e in range(D, top)))
-    sign = [1] * D + [1 if rows[e][worst] >= 0 else -1 for e in range(D, top)]
-    vec = [sign[e] * V if e < top else -sign[e - top] * V
-           for e in range(2 * D - 1)]
+    assert ctx.top == (ctx.fold or 2 * D - 1)
+    terms, V, vec, most = _worst_packed_vector(m)
+    assert most == (2 * V if ctx.fold else V)
     b = ctx.product_lane(terms, 1, 1)
+    assert b >= lane_width(most)
     for v in (vec, [-x for x in vec]):
         assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, ctx.phi_low)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21, 2, 4, 6, 8, 12, 20, 24, 30, 40, 60])
+def test_reduce_is_the_remainder_mod_phi(m):
+    # the fold of even m changes the route, never the remainder
+    ctx = _ctx(m)
+    rng = random.Random(100 + m)
+    for n in range(1, 3 * m + 1):
+        vec = [rng.randint(-50, 50) for _ in range(n)]
+        assert ctx.reduce(vec) == K.cyclo_rem(vec, ctx.phi_low), (m, n)
 
 
 def test_big_conductor_product_roots():
@@ -177,7 +209,7 @@ def test_mixed_rational_and_cyclotomic_coefficients():
     a = QExpansion(0, coeffs, 12)
     b = QExpansion(0, coeffs[::-1], 12)
     prod = a * b
-    ref = K.convolve_trunc(
+    ref = _schoolbook(
         [CyclotomicNumber.rational(m, c) if isinstance(c, Fraction) else c
          for c in a.coeffs],
         [CyclotomicNumber.rational(m, c) if isinstance(c, Fraction) else c
