@@ -58,17 +58,16 @@ def convolve_trunc(a, b, n):
     return out
 
 
-def cyclo_rem(vec, phi_low):
+def cyclo_rem(vec, d, terms):
     """Remainder of vec (coeff list, degree order) modulo a monic poly.
 
-    phi_low holds the low coefficients of the monic divisor (degree d =
-    len(phi_low)); vec may have any length.  Returns a list of length d.
+    The divisor is x^d + sum_{(i, p) in terms} p x^i, terms holding its
+    nonzero low coefficients once; vec may have any length.  Returns a
+    list of length d.
     """
-    d = len(phi_low)
     v = list(vec)
     if len(v) < d:
         return v + [0] * (d - len(v))
-    terms = [(i, p) for i, p in enumerate(phi_low) if p]
     for e in range(len(v) - 1, d - 1, -1):
         c = v[e]
         if c:

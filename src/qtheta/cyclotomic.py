@@ -6,17 +6,21 @@ over one common denominator.  That representation is canonical, so
 equality, realness and rationality tests are plain coordinate
 comparisons, which is what zero-tolerance series verification needs.
 
-Every vector reaches that form one way, _Ctx.reduce: for even m it
-first folds, then divides by Phi_m (_kernels.cyclo_rem).  Phi_m divides
-x^{m/2} + 1 for even m (zeta^{m/2} = -1; Washington, Introduction to
-Cyclotomic Fields, GTM 83, ch. 2), so lane e >= m/2 may be subtracted
-from lane e - m/2 without changing the value mod Phi_m, and only the
-lanes D .. m/2-1 are left for the division, D = phi(m): none for m a
-power of two (phi(m) = m/2), 4 instead of 15 for m = 40.  A packed
-product of two vectors has 2D-1 lanes; _Ctx.reduce_packed folds it while
-it is packed, as 2D-2 < 2(m/2) whenever there is a lane to fold, and
-divides the unpacked lanes that are left.  _Ctx.product_lane proves the
-lane bound of that fold.
+Every sum of roots of unity sum c zeta^e reaches that form one way, the
+exponent map _Ctx.powers: weight c goes into lane e mod m, then
+_kernels.cyclo_rem divides by Phi_m.  Phi_m divides x^{m/2} + 1 for
+even m (zeta^{m/2} = -1; Washington, Introduction to Cyclotomic Fields,
+GTM 83, ch. 2), so for even m the weight goes into lane e mod m/2,
+negated when e mod m >= m/2, and only the lanes D .. m/2-1 are left for
+the division, D = phi(m): none for m a power of two (phi(m) = m/2), 4
+instead of 15 for m = 40.  An integer vector is the sum with weight
+vec[e] on zeta^e (_Ctx.reduce), a Galois image or embedding the one with
+exponents e j (_Ctx.galois_vec), and a root of unity, a sine, cosine or
+tangent one or a few terms.  A packed product of two vectors has 2D-1
+lanes; _Ctx.reduce_packed folds it while it is packed, as
+2D-2 < 2(m/2) whenever there is a lane to fold, and divides the unpacked
+lanes that are left.  _Ctx.product_lane proves the lane bound of that
+fold.
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -112,62 +116,51 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Ctx:
-    """Per-conductor machinery: reduction mod Phi_m and the powers of zeta."""
+    """Per-conductor machinery: Phi_m's nonzero low terms, held once for
+    cyclo_rem, the exponent map and the packed fold."""
 
-    __slots__ = ("m", "D", "phi_low", "fold", "top", "_rows")
+    __slots__ = ("m", "D", "phi_terms", "fold", "top")
 
     def __init__(self, m: int):
         poly = cyclotomic_polynomial(m)
         self.m = m
         self.D = D = len(poly) - 1
-        self.phi_low = poly[:-1]
+        self.phi_terms = [(i, p) for i, p in enumerate(poly[:-1]) if p]
         # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2 of a product, when
         # there are any, fold onto lanes 0 .. m/2-1 with a sign, leaving
         # `top` lanes
         h = m // 2
         self.fold = h if m % 2 == 0 and h < 2 * D - 1 else 0
         self.top = self.fold or 2 * D - 1
-        self._rows: list[tuple[int, ...]] | None = None
 
-    def rows(self) -> list[tuple[int, ...]]:
-        """Canonical vectors of x^e mod Phi_m for 0 <= e < max(m, 2D-1)."""
-        if self._rows is None:
-            D = self.D
-            upto = max(self.m, 2 * D - 1)
-            rows: list[tuple[int, ...]] = []
-            for e in range(min(D, upto)):
-                v = [0] * D
-                v[e] = 1
-                rows.append(tuple(v))
-            if upto > D:
-                neg = tuple(-c for c in self.phi_low)
-                rows.append(neg)
-                for _ in range(D + 1, upto):
-                    prev = rows[-1]
-                    v = [0] + list(prev[:-1])
-                    top = prev[-1]
-                    if top:
-                        for i in range(D):
-                            v[i] += top * neg[i]
-                    rows.append(tuple(v))
-            self._rows = rows
-        return self._rows
+    def powers(self, terms) -> list[int]:
+        """Canonical vector of sum c zeta^e over the (e, c) pairs, e any int.
+
+        Each weight is written into lane e mod m; for even m, lane e mod m
+        >= h = m/2 is written into lane e mod h with the sign flipped
+        (zeta^h = -1), so the lanes stop at h.  cyclo_rem then divides out
+        the lanes from D up.
+        """
+        m = self.m
+        if m % 2:
+            v = [0] * m
+            for e, c in terms:
+                v[e % m] += c
+        else:
+            h = m // 2
+            v = [0] * h
+            for e, c in terms:
+                e %= m
+                if e < h:
+                    v[e] += c
+                else:
+                    v[e - h] -= c
+        return K.cyclo_rem(v, self.D, self.phi_terms)
 
     def reduce(self, vec) -> list[int]:
-        """Canonical remainder of an integer vector of any length mod Phi_m.
-
-        For even m, lane e >= h = m/2 is first subtracted from lane e - h
-        (zeta^h = -1), from the top lane down, so that lanes folded onto
-        lanes at or above h fold again; cyclo_rem then divides out the
-        lanes D .. h-1 left.
-        """
-        v = list(vec)
-        if self.m % 2 == 0:
-            h = self.m // 2
-            for e in range(len(v) - 1, h - 1, -1):
-                v[e - h] -= v[e]
-            del v[h:]
-        return K.cyclo_rem(v, self.phi_low)
+        """Canonical remainder of an integer vector of any length mod Phi_m:
+        the exponent map of its lanes, lane e being the weight of zeta^e."""
+        return self.powers(enumerate(vec))
 
     def reduce_packed(self, x, b: int) -> list[int]:
         """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes.
@@ -181,7 +174,7 @@ class _Ctx:
             low, high = split_low(x, b, self.fold)
             x = low - high
         v = unpack_signed(x, b, self.top)
-        return K.cyclo_rem(v, self.phi_low) if self.top > self.D else v
+        return K.cyclo_rem(v, self.D, self.phi_terms) if self.top > self.D else v
 
     def product_lane(self, terms: int, amax: int, bmax: int) -> int:
         """Lane width for a sum of `terms` vector products, reduced or not.
@@ -209,12 +202,7 @@ class _Ctx:
         For gcd(j, m) = 1 this is the automorphism zeta -> zeta^j; for
         j = m/n it embeds a vector of Q(zeta_n) into Q(zeta_m).
         """
-        rows = self.rows()
-        out = [0] * self.D
-        for e, c in enumerate(vec):
-            if c:
-                K.scaled_add(out, list(rows[(e * j) % self.m]), c)
-        return out
+        return self.powers((e * j, c) for e, c in enumerate(vec))
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +465,7 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
     """zeta_m^j reduced to the canonical basis of Q(zeta_m)."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    return CyclotomicNumber._raw(m, list(_ctx(m).rows()[j % m]), 1)
+    return CyclotomicNumber._raw(m, _ctx(m).powers([(j, 1)]), 1)
 
 
 def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:
@@ -501,10 +489,7 @@ def _inv_one_minus(ctx: _Ctx, a: int) -> CyclotomicNumber:
     s = m // math.gcd(a, m)
     if s == 1:
         raise ZeroDivisionError("1 - zeta^0 is zero")
-    vec = [0] * m
-    for j in range(1, s):
-        vec[(a * j) % m] = -j
-    return CyclotomicNumber._raw(m, ctx.reduce(vec), s)
+    return CyclotomicNumber._raw(m, ctx.powers((a * j, -j) for j in range(1, s)), s)
 
 
 def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
@@ -514,8 +499,8 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
     cos = (zeta^u + zeta^-u) / 2.  tan = i (1 - w) (1 + w)^{-1} with
     w = zeta^{2u}, and 1 + w = 1 - zeta^{2u + M/2}, so the inverse is
     the closed form of _inv_one_minus; tan has a pole exactly where
-    2u + M/2 = 0 (mod M).  Neither tan nor its factors read the table of
-    powers _Ctx.rows().
+    2u + M/2 = 0 (mod M).  Each of sin, cos, tan's numerator and the
+    inverse is one exponent map _Ctx.powers.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -528,17 +513,12 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
         if a == 0:
             raise PoleError(f"tan({p} pi/{q}) is a pole")
         # i (1 - w) = zeta^{M/4} - zeta^{M/4 + 2u}
-        vec = [0] * M
-        vec[i_exp] += 1
-        vec[(i_exp + 2 * u) % M] -= 1
-        return CyclotomicNumber._raw(M, ctx.reduce(vec), 1) * _inv_one_minus(ctx, a)
-    rows = ctx.rows()
+        num = ctx.powers([(i_exp, 1), (i_exp + 2 * u, -1)])
+        return CyclotomicNumber._raw(M, num, 1) * _inv_one_minus(ctx, a)
     if kind == "cos":
-        num = [x + y for x, y in zip(rows[u], rows[(-u) % M])]
-        return CyclotomicNumber._raw(M, num, 2)
+        return CyclotomicNumber._raw(M, ctx.powers([(u, 1), (-u, 1)]), 2)
     if kind == "sin":
         # (zeta^u - zeta^{-u})/(2i) = (zeta^{-u+M/4} - zeta^{u+M/4})/2
-        a, b = (-u + i_exp) % M, (u + i_exp) % M
-        num = [x - y for x, y in zip(rows[a], rows[b])]
+        num = ctx.powers([(i_exp - u, 1), (i_exp + u, -1)])
         return CyclotomicNumber._raw(M, num, 2)
     raise ValueError(f"unknown trig kind {kind!r}")

@@ -144,19 +144,18 @@ def eta_log_ddq(alpha: int, order) -> QExpansion:
 def _theta_terms(pt: ThetaPoint, room: int):
     """The terms of theta2(z0, q^s) below q^{s/8 + room}, in order.
 
-    Yields (off, t, phase) for each term zeta_m^phase q^{s/8 + off}:
-    off = s n(n+1)/2, the pair t = +-(2n+1), n >= 0, and
-    phase = num t w mod m, with m = pt.conductor and w = m/(2 den), so
-    that zeta_m^phase = e^{i t z0}.  theta2_jet and theta2_product read
-    the series from here, so it has one definition.
+    Yields (off, t, phase) for each n >= 0: off = s n(n+1)/2, t = 2n+1
+    and phase = num t w mod m, with m = pt.conductor and w = m/(2 den),
+    so that zeta_m^phase = e^{i t z0}.  The series is
+    sum zeta_m^{+-phase} q^{s/8 + off} over the pair +-t; theta2_jet and
+    theta2_product read it from here, so it has one definition.
     """
     s, m = pt.q_power, pt.conductor
     w = m // (2 * pt.den)
     n = 0
     while (off := s * n * (n + 1) // 2) < room:
         t = 2 * n + 1
-        for tt in (t, -t):
-            yield off, tt, (pt.num * tt * w) % m
+        yield off, t, (pt.num * t * w) % m
         n += 1
 
 
@@ -165,13 +164,23 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
 
     Slot j holds sum_n (i(2n+1))^j / j! * q^{s(2n+1)^2/8} zeta^{num(2n+1)},
     summed symmetrically over the pair n <-> -1-n.
+
+    The pair form.  At each offset the two terms tt = +-t have phases
+    +-p (_theta_terms), and with i = zeta^{m/4}, i^j = (-1)^{j/2} for
+    even j and i (-1)^{(j-1)/2} for odd j, so j! times slot j there is
+
+        (it)^j zeta^p + (-it)^j zeta^{-p} = i^j t^j (zeta^p + (-1)^j zeta^{-p})
+            = (-1)^{floor(j/2)} t^j c    (j even),
+            = (-1)^{floor(j/2)} t^j s    (j odd),
+
+    with c = zeta^p + zeta^{-p} and s = i (zeta^p - zeta^{-p})
+    = zeta^{p+m/4} - zeta^{-p+m/4}: two vectors per offset serve every
+    slot.
     """
     if degree < 0:
         raise ValueError("jet degree must be >= 0")
     m = pt.conductor
     ctx = _ctx(m)
-    rows = ctx.rows()
-    D = ctx.D
     i_exp = m // 4
     base = Fraction(pt.q_power, 8)
     order = Fraction(order)
@@ -180,19 +189,16 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
         zero = QExpansion.zero(order)
         return ZJet([zero] * (degree + 1))
     slots: list[list] = [[None] * room for _ in range(degree + 1)]
-    for off, tt, phase in _theta_terms(pt, room):
+    for off, t, p in _theta_terms(pt, room):
+        pair = (ctx.powers([(p, 1), (-p, 1)]),
+                ctx.powers([(p + i_exp, 1), (i_exp - p, -1)]))
         for j in range(degree + 1):
-            row = rows[(phase + j * i_exp) % m]
-            vec = slots[j][off]
-            if vec is None:
-                vec = [0] * D
-                slots[j][off] = vec
-            K.scaled_add(vec, list(row), tt**j)
-    out = []
-    for j in range(degree + 1):
-        vecs = [v if v is not None and any(v) else None for v in slots[j]]
-        out.append(QExpansion._from_vectors(m, base, vecs, math.factorial(j), order))
-    return ZJet(out)
+            vec = pair[j % 2]
+            if any(vec):
+                c = -t**j if j & 2 else t**j
+                slots[j][off] = [c * x for x in vec]
+    return ZJet([QExpansion._from_vectors(m, base, v, math.factorial(j), order)
+                 for j, v in enumerate(slots)])
 
 
 def root_product(m: int, factors, room: int) -> list:
@@ -279,7 +285,8 @@ def theta2_product(points, order) -> QExpansion:
     base = sum(bases)
     precision = Fraction(order) + base - max(bases)
     room = math.ceil(precision - base)
-    factors = [[(o, 1, e) for o, _, e in _theta_terms(pt, room)] for pt in points]
+    factors = [[(o, 1, e) for o, _, p in _theta_terms(pt, room) for e in (p, -p)]
+               for pt in points]
     return QExpansion._from_vectors(m, base, root_product(m, factors, room), 1,
                                     precision)
 
@@ -445,10 +452,11 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     The series is -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d),
     built on the sine basis of _bracket_data: the coefficient of q^M is
     sum_j (2/w_j) Y_j[M] (2 sin(r_j l pi/k)) over the denominator 2k, with
-    2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a), i = zeta^k, zeta = zeta_4k,
-    read from the rows of Q(zeta_4k), and each coordinate of that vector
-    summed as one series over the j.  The jet ratio a1/a0 of theta2_jet
-    is the independent route to the same series (the lemd verifier).
+    2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a) = zeta^{k-a} - zeta^{k+a},
+    i = zeta^k, zeta = zeta_4k, one exponent map _Ctx.powers per class,
+    and each coordinate of that vector summed as one series over the j.
+    The jet ratio a1/a0 of theta2_jet is the independent route to the
+    same series (the lemd verifier).
 
     _bracket_data proves the expansion for 0 < l < k.  It also holds for
     k < l < 2k: l -> 2k - l keeps the parity of l, so the classes and the
@@ -464,14 +472,15 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
         return QExpansion.zero(order)
     m = 4 * k
     ctx = _ctx(m)
-    rows = ctx.rows()
     reps, weights, ys = _bracket_data(k, l % 2, room)
     cols = [[0] * room for _ in range(ctx.D)]
     for r, w, y in zip(reps, weights, ys):
-        a = 2 * r * l % m
-        for col, x, z in zip(cols, rows[(k - a) % m], rows[(k + a) % m]):
-            if x != z:
-                K.scaled_add(col, y, (2 // w) * (x - z))
+        a = 2 * r * l
+        c = 2 // w
+        sine = ctx.powers([(k - a, c), (k + a, -c)])
+        for col, x in zip(cols, sine):
+            if x:
+                K.scaled_add(col, y, x)
     vecs = [list(v) if any(v) else None for v in zip(*cols)]
     return QExpansion._from_vectors(m, 0, vecs, 2 * k, order)
 

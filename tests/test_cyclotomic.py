@@ -18,20 +18,28 @@ from qtheta import (
     root_of_unity,
     trig_value,
 )
+from qtheta.cyclotomic import _ctx
 
 
-def _poly_div(num, den):
-    """Test-local exact division oracle by a monic integer polynomial
-    (constant term first); the remainder must vanish."""
+def _poly_divmod(num, den):
+    """Test-local division oracle by a monic integer polynomial (constant
+    term first): the quotient and the remainder, len(den) - 1 entries."""
     assert den[-1] == 1
     num, dd = list(num), len(den) - 1
-    out = [0] * (len(num) - dd)
+    out = [0] * max(len(num) - dd, 0)
     for e in range(len(out) - 1, -1, -1):
         c = out[e] = num[e + dd]
         if c:
             for i, x in enumerate(den):
                 num[e + i] -= c * x
-    assert not any(num), "division was not exact"
+    return out, (num + [0] * dd)[:dd]
+
+
+def _poly_div(num, den):
+    """Exact division by a monic integer polynomial; the remainder must
+    vanish."""
+    out, rem = _poly_divmod(num, den)
+    assert not any(rem), "division was not exact"
     return out
 
 
@@ -103,6 +111,55 @@ class TestRootsOfUnity:
                     new[t] = new[t] - c * root
                 poly = new
             assert [c.as_rational() for c in poly] == list(cyclotomic_polynomial(m))
+
+
+def _exponent_oracle(m, terms):
+    """The remainder of sum c x^(e mod m) over the (e, c) pairs mod Phi_m."""
+    num = [0] * m
+    for e, c in terms:
+        num[e % m] += c
+    return _poly_divmod(num, cyclotomic_polynomial(m))[1]
+
+
+class TestExponentMap:
+    def test_powers_is_the_remainder_mod_phi(self):
+        # exponents below 0 and at or above 2m, repeated ones included
+        rng = random.Random(23)
+        for m in range(1, 121):
+            ctx = _ctx(m)
+            for _ in range(4):
+                terms = [(rng.randint(-5 * m, -1), rng.randint(-9, 9))
+                         for _ in range(rng.randint(1, 6))]
+                terms += [(rng.randint(2 * m, 7 * m), rng.randint(-9, 9))
+                          for _ in range(rng.randint(1, 6))]
+                terms += rng.sample(terms, 2)
+                assert ctx.powers(terms) == _exponent_oracle(m, terms), (m, terms)
+            e = rng.randint(-3 * m, 3 * m)
+            assert list(root_of_unity(m, e).coords) == _exponent_oracle(m, [(e, 1)])
+
+    def test_galois_vec_against_field_arithmetic(self):
+        # sum_e v[e] zeta^(e j) for the units j (the automorphisms) and
+        # for j = M/m (the embedding into Q(zeta_M))
+        rng = random.Random(29)
+        for m in range(1, 41):
+            ctx = _ctx(m)
+            v = [rng.randint(-9, 9) for _ in range(ctx.D)]
+            a = CyclotomicNumber(m, v)
+            for j in range(1, m + 1):
+                if math.gcd(j, m) != 1:
+                    continue
+                terms = [(e * j, c) for e, c in enumerate(v)]
+                assert ctx.galois_vec(v, j) == _exponent_oracle(m, terms), (m, j)
+                want = sum((c * root_of_unity(m, e) for e, c in terms),
+                           CyclotomicNumber.zero(m))
+                assert a.galois(j) == want, (m, j)
+            for M in (2 * m, 3 * m):
+                j = M // m
+                terms = [(e * j, c) for e, c in enumerate(v)]
+                assert _ctx(M).galois_vec(v, j) == _exponent_oracle(M, terms), (m, M)
+                want = sum((c * root_of_unity(M, e) for e, c in terms),
+                           CyclotomicNumber.zero(M))
+                assert embed_conductor(a, M) == want, (m, M)
 
 
 class TestFieldOps:

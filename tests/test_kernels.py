@@ -93,11 +93,11 @@ def test_convolve_trunc_square_matches_general_path():
 
 def test_cyclo_rem_is_polynomial_remainder():
     # remainder mod x^2 + 1: reduce powers of x with x^2 = -1
-    phi_low = [1, 0]  # x^2 + 1, monic part stripped
+    terms = [(0, 1)]  # x^2 + 1: its nonzero low coefficients
     v = [3, 4, 5, 6, 7]  # 3 + 4x + 5x^2 + 6x^3 + 7x^4
     # x^2 = -1, x^3 = -x, x^4 = 1 -> (3 - 5 + 7) + (4 - 6) x
-    assert K.cyclo_rem(v, phi_low) == [5, -2]
-    assert K.cyclo_rem([1], phi_low) == [1, 0]
+    assert K.cyclo_rem(v, 2, terms) == [5, -2]
+    assert K.cyclo_rem([1], 2, terms) == [1, 0]
     # sparse divisors: Phi_64 = x^32 + 1, Phi_500 = Phi_10(x^50) (5 terms),
     # against dense long division by the full polynomial
     rng = random.Random(7)
@@ -110,7 +110,8 @@ def test_cyclo_rem_is_polynomial_remainder():
             c = want[e]
             for i, p in enumerate(phi):
                 want[e - d + i] -= c * p
-        assert K.cyclo_rem(v, phi[:-1]) == want[:d], m
+        terms = [(i, p) for i, p in enumerate(phi[:-1]) if p]
+        assert K.cyclo_rem(v, d, terms) == want[:d], m
 
 
 def test_scaled_add():

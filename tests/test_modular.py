@@ -12,6 +12,7 @@ from qtheta import (
     QExpansion,
     ThetaPoint,
     compare,
+    embed_conductor,
     eta_log_ddq,
     eta_product,
     halfprod_constant,
@@ -22,7 +23,6 @@ from qtheta import (
     theta2_triple_product,
     trig_value,
 )
-from qtheta.cyclotomic import _ctx
 from qtheta.modular import (
     eta_quotient_log_ddq,
     reduced_point,
@@ -211,6 +211,33 @@ class TestThetaJet:
             f = theta2_jet(ThetaPoint(num, den), 4, 12)
             assert (f.q_ddq() * 8 + f.d_dz().d_dz()).is_zero()
 
+    def test_slots_match_the_definition(self):
+        # slot j at q^{s/8 + s n(n+1)/2} is the sum over tt = +-(2n+1) of
+        # (i tt)^j / j! e^{i tt z0}, each term formed by field arithmetic,
+        # with e^{i tt z0} = zeta_2den^{num tt} lifted to the jet's field
+        J, order = 5, 20
+        points = [(0, 1), (-1, 2)] + [(l, 2 * k) for k in range(1, 7)
+                                      for l in range(2 * k)]
+        for num, den in points:
+            for s in (1, 3):
+                pt = ThetaPoint(num, den, s)
+                m = pt.conductor
+                i = root_of_unity(m, m // 4)
+                base = Fraction(s, 8)
+                room = math.ceil(order - base)
+                jet = theta2_jet(pt, J, order)
+                for j in range(J + 1):
+                    coeffs = [CyclotomicNumber.zero(m)] * room
+                    n = 0
+                    while (off := s * n * (n + 1) // 2) < room:
+                        for tt in (2 * n + 1, -2 * n - 1):
+                            phase = embed_conductor(root_of_unity(2 * den, num * tt), m)
+                            term = (i * tt) ** j * phase / math.factorial(j)
+                            coeffs[off] = coeffs[off] + term
+                        n += 1
+                    want = QExpansion(base, coeffs, order)
+                    assert jet.slot(j) == want, (num, den, s, j)
+
     def test_jet_q_ddq_weights(self):
         # each term of the origin value gains its exact exponent (2n+1)^2/8
         a0 = theta2_jet(ThetaPoint(0, 1), 0, 14).slot(0)
@@ -363,18 +390,18 @@ def _bracket_data_by_trial_division(l, k, order):
     # the divisor loop _bracket_data used before its sieve: one trial
     # division per M up to sqrt(M), each divisor pair added once
     m = 4 * k
-    rows = _ctx(m).rows()
     tan = trig_value("tan", l, 2 * k)
     i_exp = m // 4
     svecs = []
     for h in range(1, 2 * k + 1):
-        a = (2 * l * h) % m
+        a = 2 * l * h
         sg = 2 if h % 2 else -2
         svecs.append([sg * (x - y) for x, y in
-                      zip(rows[(a + i_exp) % m], rows[(-a + i_exp) % m])])
+                      zip(root_of_unity(m, a + i_exp).coords,
+                          root_of_unity(m, -a + i_exp).coords)])
     vecs = [[-x for x in tan._num]]
     for M in range(1, order):
-        v = [0] * len(rows[0])
+        v = [0] * len(svecs[0])
         d = 1
         while d * d <= M:
             if M % d == 0:
