@@ -176,13 +176,14 @@ class _Ctx:
         v = unpack_signed(x, b, self.top)
         return K.cyclo_rem(v, self.D, self.phi_terms) if self.top > self.D else v
 
-    def product_lane(self, terms: int, amax: int, bmax: int) -> int:
-        """Lane width for a sum of `terms` vector products, reduced or not.
+    def product_lane(self, terms: int) -> int:
+        """Lane width for a sum of `terms` products of vectors with lanes
+        of at most 1 in absolute value, reduced or not.
 
-        With operand lanes bounded by amax and bmax, each of the 2D-1
-        lanes of the sum is at most V = terms*D*amax*bmax.  Only that
-        product matters, so a weighted sum sum_t w_t (a_t * b_t) may pass
-        terms = sum_t w_t amax_t bmax_t with unit operand bounds.
+        Each of the 2D-1 lanes of such a sum is at most V = terms*D.  A
+        weighted sum sum_t w_t (a_t * b_t) of vectors with lanes of at most
+        amax_t and bmax_t is a sum of terms = sum_t w_t amax_t bmax_t such
+        products.
 
         The fold of reduce_packed (even m, h = m/2 < 2D-1) sets lane
         e < h to x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more
@@ -190,7 +191,7 @@ class _Ctx:
         fold they stay at most V.  The lanes left are unpacked before
         cyclo_rem, which works on exact ints.
         """
-        return lane_width(terms * self.D * amax * bmax * (2 if self.fold else 1))
+        return lane_width(terms * self.D * (2 if self.fold else 1))
 
     def mul_vec(self, u, v) -> list[int]:
         """Product of two canonical integer vectors, reduced mod Phi_m."""

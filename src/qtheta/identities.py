@@ -23,7 +23,7 @@ from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
     _bracket_data,
-    eta_product,
+    eta_quotient,
     eta_quotient_log_ddq,
     halfprod_constant,
     log_deriv_lambert,
@@ -259,7 +259,15 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     The left side is the k-fold product itself, not its closed form:
     theta2_product multiplies the k theta series, whose coefficients
     are sums of roots of unity, by shifts in Z[x]/(x^{m/2} + 1) and
-    reduces mod Phi_m once (modular.root_product has the proof).
+    reduces mod Phi_m once (modular.root_product has the proof).  The
+    right side's eta quotient eta_1^k/eta_k is one eta_quotient call, an
+    integer Euler product with no series product or division.
+
+    Both sides work at `order` itself, with no margin: the quotient has
+    base 0 and precision `order`, and the theta series in q^k base k/8
+    and precision `order`, so their product has precision
+    min(order + 0, order + k/8) = order; theta2_product's precision is
+    order + sum of bases - largest base >= order.
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
@@ -267,15 +275,12 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
         raise ValueError("base_den must be even")
     t0 = time.perf_counter()
     bd = base_den
-    margin = k // 24 + 2
-    nw = Fraction(order) + margin
     m_full = 2 * bd * k
     lhs = theta2_product([ThetaPoint(1 + (bd // 2) * l, bd * k)
-                          for l in range(2 * k) if (l - k) % 2 == delta], nw)
-    e1 = eta_product(1, nw)
-    ratio = math.prod([e1] * (k - 1), start=e1) / eta_product(k, nw)
+                          for l in range(2 * k) if (l - k) % 2 == delta], order)
+    ratio = eta_quotient(((1, k), (k, -1)), order)
     th = theta2_jet(
-        ThetaPoint((bd // 2) * (delta - 1) + 1, bd, q_power=k), 0, nw
+        ThetaPoint((bd // 2) * (delta - 1) + 1, bd, q_power=k), 0, order
     ).slot(0)
     rhs = th.embed(m_full) * ratio
     rhs = rhs * embed_conductor(halfprod_constant(k, delta), m_full)
@@ -337,33 +342,32 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     Four parts per k: the plain second log-derivative, the ratio variant
     with the simple zero shifted out, and the two T-operator evaluations
     against their eta combinations.  A part that raises fails alone.
+
+    (log theta)'' at z = 0 is slot 1 of the jet's log_dz, the one jet
+    division f'/f: (f'/f)' = 2 a2/a0 - (a1/a0)^2 there.  T_of_log reads
+    the same cached log_dz, so d2-ratio and T-ratio share it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     nw = Fraction(order) + _lem22_margin(k)
 
-    def log_d2(jet):
-        a0, a1, a2 = jet.slot(0), jet.slot(1), jet.slot(2)
-        r1 = a1 / a0
-        return (a2 * 2) / a0 - r1 * r1
-
     def d2_origin():
         f = theta2_jet(ThetaPoint(0, 1), 2, nw)
         rhs = eta_quotient_log_ddq(((1, 8), (2, -16)), nw)
-        return compare(log_d2(f), rhs, order)
+        return compare(f.log_dz().slot(1), rhs, order)
 
     @functools.cache
     def ratio():
-        # one quotient jet for both ratio parts: each reads slots 0..2 (slot
-        # 0 of T depends on slots 0..2 only), and slot t of a jet quotient
-        # depends on slots <= t
+        # one quotient jet, and one log_dz of it, for both ratio parts: each
+        # reads slots 0..2 (slot 0 of T depends on slots 0..2 only), and
+        # slot t of a jet quotient depends on slots <= t
         nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
         dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
         return nj.div(dj)
 
     def d2_ratio():
         rhs = eta_quotient_log_ddq(((1, 8), (k, -8 * k)), nw)
-        return compare(log_d2(ratio()), rhs, order)
+        return compare(ratio().log_dz().slot(1), rhs, order)
 
     def t_scaled():
         g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
@@ -383,21 +387,23 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
 
 
 def verify_eta_theta_bridges(order) -> list[VerificationReport]:
-    """theta2(0,q) = 2 eta_2^2/eta_1 and lim theta2(z-pi/2,q)/z = 2 eta_1^3."""
-    nw = Fraction(order) + 2
+    """theta2(0,q) = 2 eta_2^2/eta_1 and lim theta2(z-pi/2,q)/z = 2 eta_1^3.
+
+    Each eta side is one eta_quotient call, and both parts work at `order`
+    itself: the quotients (base 1/8 for t0) and the theta slots have
+    precision `order`, and shift_zero keeps it.
+    """
     out = []
 
     t0 = time.perf_counter()
-    lhs = theta2_jet(ThetaPoint(0, 1), 0, nw).slot(0)
-    e2 = eta_product(2, nw)
-    rhs = (e2 * e2) / eta_product(1, nw) * 2
+    lhs = theta2_jet(ThetaPoint(0, 1), 0, order).slot(0)
+    rhs = eta_quotient(((2, 2), (1, -1)), order) * 2
     mm = compare(lhs, rhs, order)
     out.append(_finish("bridge-t0", {}, order, t0, mm))
 
     t0 = time.perf_counter()
-    val = theta2_jet(ThetaPoint(-1, 2), 1, nw).shift_zero(1).slot(0)
-    e1 = eta_product(1, nw)
-    rhs = e1 * e1 * e1 * 2
+    val = theta2_jet(ThetaPoint(-1, 2), 1, order).shift_zero(1).slot(0)
+    rhs = eta_quotient(((1, 3),), order) * 2
     mm = compare(val, rhs, order)
     out.append(_finish("bridge-t1", {}, order, t0, mm))
     return out
@@ -473,19 +479,6 @@ def verify_k3_corollary(order) -> VerificationReport:
 
 # -- suite orchestration --------------------------------------------------
 
-WHICH_TOKENS = (
-    "theorem",
-    "lemd",
-    "lem2",
-    "meq1",
-    "lem22",
-    "bridges",
-    "tan-sum",
-    "k3",
-    "all",
-)
-
-
 def _tan_sum_report(k, delta):
     return tan_square_sum(k, delta)[1]
 
@@ -504,6 +497,8 @@ _SUITE_JOBS = {
     "k3": "verify_k3_corollary",
 }
 
+WHICH_TOKENS = (*_SUITE_JOBS, "all")
+
 
 def meq1_points(k: int) -> list[int]:
     """Up to five admissible base-point residues l for a given k."""
@@ -519,7 +514,7 @@ def enumerate_jobs(
     which: frozenset[str],
 ) -> list[tuple[str, dict]]:
     if "all" in which:
-        which = frozenset(WHICH_TOKENS) - {"all"}
+        which = frozenset(_SUITE_JOBS)
     jobs: list[tuple[str, dict]] = []
     if "theorem" in which:
         for k in range(k_min, k_max + 1):

@@ -6,11 +6,15 @@ multiples of pi, the eta product q^{a/24} prod (1 - q^{an}), and Lambert
 series.  Phases e^{i(2n+1)z0} live in Q(zeta), with the conductor chosen
 from the base point; q^{1/8}-type prefactors ride on the series base
 exponent, so exponent steps stay integral: (2n+1)^2/8 - 1/8 = n(n+1)/2.
+Every eta side comes from one list of (alpha, e_alpha) pairs:
+eta_quotient forms prod eta(alpha tau)^{e_alpha} as one integer Euler
+product, and eta_quotient_log_ddq its q d/dq log as one sigma sieve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,24 +75,55 @@ def reduced_point(l: int, k: int) -> tuple[int, int]:
     return (u, n // 2) if n % 2 == 0 else (2 * u, n)
 
 
-def eta_product(alpha: int, order) -> QExpansion:
-    """q^{alpha/24} prod_{n>=1} (1 - q^{alpha n}), truncated below `order`."""
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-    base = Fraction(alpha, 24)
+def _eta_weights(exponents) -> dict:
+    """{alpha: e_alpha} from (alpha, e_alpha) pairs, the exponents of a
+    repeated alpha added up; alpha must be a positive integer."""
+    weights: dict = {}
+    for alpha, e in exponents:
+        if alpha < 1:
+            raise ValueError("alpha must be a positive integer")
+        weights[alpha] = weights.get(alpha, 0) + e
+    return weights
+
+
+def eta_quotient(exponents, order) -> QExpansion:
+    """prod_alpha eta(alpha tau)^{e_alpha}, truncated below `order`.
+
+    `exponents` holds (alpha, e_alpha) pairs as for eta_quotient_log_ddq,
+    with integer exponents.  From eta(alpha tau)
+    = q^{alpha/24} prod_{n>=1} (1 - q^{alpha n}), the quotient is
+    q^{sum e_alpha alpha/24} times the integer power series
+    prod_alpha prod_{n>=1} (1 - q^{alpha n})^{e_alpha}, which is formed
+    in place below the room, one pass per binomial s = alpha n
+    (|e_alpha| passes each): a factor 1 - q^s sets c[i] -= c[i-s] from the
+    old c, a divisor 1/(1 - q^s) = sum_j q^{js} sets c[i] += c[i-s] for
+    ascending i, from the new c.  No series is multiplied or divided, and
+    the sigma sieve of eta_quotient_log_ddq is not used, so the two stay
+    independent routes.  Exponents that cancel give the series 1.
+    """
+    weights = _eta_weights(exponents)
+    if any(int(e) != e for e in weights.values()):
+        raise ValueError("eta quotient exponents must be integers")
+    base = Fraction(sum(int(e) * a for a, e in weights.items()), 24)
     room = math.ceil(Fraction(order) - base)
     if room <= 0:
         return QExpansion.zero(order)
-    coeffs = [0] * room
-    coeffs[0] = 1
-    n = 1
-    while alpha * n < room:
-        c = alpha * n
-        for i in range(room - 1, c - 1, -1):
-            if coeffs[i - c]:
-                coeffs[i] -= coeffs[i - c]
-        n += 1
-    return QExpansion(base, coeffs, order)
+    c = [1] + [0] * (room - 1)
+    for alpha, e in weights.items():
+        for s in range(alpha, room, alpha):
+            for _ in range(int(e)):
+                c[s:] = map(operator.sub, c[s:], c)
+            for _ in range(-int(e)):
+                for j in range(s, room, s):
+                    c[j:j + s] = map(operator.add, c[j:j + s], c[j - s:j])
+    return QExpansion._from_vectors(1, base, [[x] if x else None for x in c], 1,
+                                    order, True)
+
+
+def eta_product(alpha: int, order) -> QExpansion:
+    """q^{alpha/24} prod_{n>=1} (1 - q^{alpha n}), truncated below `order`:
+    the one-term case of eta_quotient."""
+    return eta_quotient(((alpha, 1),), order)
 
 
 def eta_quotient_log_ddq(exponents, order) -> QExpansion:
@@ -115,11 +150,7 @@ def eta_quotient_log_ddq(exponents, order) -> QExpansion:
     shares nothing with _bracket_data's, so the two sides of the
     modular equation stay independent routes.
     """
-    weights: dict = {}
-    for alpha, e in exponents:
-        if alpha < 1:
-            raise ValueError("alpha must be a positive integer")
-        weights[alpha] = weights.get(alpha, 0) + e
+    weights = _eta_weights(exponents)
     lcm = math.lcm(*(e.denominator for e in weights.values()))
     ws = {a: (e * lcm).numerator * a for a, e in weights.items() if e}
     # below order 1 only q^0 is formed, and _from_vectors truncates it away

@@ -26,6 +26,7 @@ from .modular import (
     ThetaPoint,
     eta_log_ddq,
     eta_product,
+    eta_quotient,
     reduced_point,
     theta2_jet,
     theta2_product,
@@ -188,19 +189,17 @@ def _group_pentagonal(fault=False):
 
 
 def _group_eta_log():
-    """The sigma sieve's log-derivatives against eta_product's Euler
-    product, cross-multiplied so no series is divided: L_a eta_a equals
-    q d/dq eta_a, and theorem_rhs(5, 1) = 4 q d/dq log(N/D) with
-    N = eta_10^8 and D = eta_1^5 eta_5^3 satisfies rhs N D = 4 (N' D - N D')."""
+    """The sigma sieve's log-derivatives against eta_quotient's Euler
+    products, cross-multiplied so no series is divided: L_a eta_a equals
+    q d/dq eta_a, and theorem_rhs(5, 1) = 4 q d/dq log Q with
+    Q = eta_10^8 / (eta_1^5 eta_5^3) satisfies rhs Q = 4 q d/dq Q."""
     order = 100
     for alpha in range(1, 13):
         e = eta_product(alpha, order)
         if not _eq(eta_log_ddq(alpha, order) * e, e.q_ddq()):
             return False, f"L_{alpha} eta_{alpha} != q d/dq eta_{alpha}"
-    num = math.prod([eta_product(10, order)] * 8)
-    den = math.prod([eta_product(1, order)] * 5 + [eta_product(5, order)] * 3)
-    if not _eq(theorem_rhs(5, 1, order) * num * den,
-               (num.q_ddq() * den - num * den.q_ddq()) * 4):
+    quotient = eta_quotient(((10, 8), (1, -5), (5, -3)), order)
+    if not _eq(theorem_rhs(5, 1, order) * quotient, quotient.q_ddq() * 4):
         return False, "theorem_rhs(5, 1) != 4 q d/dq log of its eta quotient"
     return True, "q d/dq log eta_a (a <= 12) and theorem_rhs(5, 1) vs Euler products, order 100"
 

@@ -476,7 +476,7 @@ def _series_mul(terms) -> QExpansion:
         va, da, amax = a._operand()
         vb, db, bmax = b._operand()
         units += abs(c) * (den // (da * db)) * min(len(va), len(vb)) * amax * bmax
-    lane = ctx.product_lane(units, 1, 1)
+    lane = ctx.product_lane(units)
     # a rational operand is not embedded: its vector [x] packs to x, and so
     # does its lift [x, 0, ..., 0] to any field
     packed = {}
@@ -553,14 +553,15 @@ def _long_div(a, b) -> list:
     E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
     A, B and the C so far, and S the nonzero coefficients of all divisor
     slots but the lead of B_0: each meets at most one C in a sum.
-    _Ctx.product_lane(bound, 1, 1) sizes the lane for D times
+    _Ctx.product_lane(bound) sizes the lane for D times
     E amax + |S| Cmax bmax, which is more, doubled for the fold of the
     reduction.  Before each step the bound is checked against the one the
     lane was sized for; when growing quotients outrun it, B and the C are
     packed again at a lane sized for 2**_HEADROOM times the new bound, and
     X_t is formed again from them (not unpacked: its lanes, scaled with E,
-    may have outgrown the old lane).  Over Q a one-lane vector is its own
-    packing, so nothing is packed or unpacked.
+    may have outgrown the old lane).  Over Q (D = 1) the same path and
+    bound serve: a one-lane vector packs to itself, and reduce_packed
+    unpacks the one lane of a sum with no fold and no division.
     """
     b0 = b[0]
     if b0.is_zero:
@@ -572,15 +573,6 @@ def _long_div(a, b) -> list:
         if not s.is_zero:
             m = _field_of(m, s._m)
     ctx = _ctx(m)
-    if ctx.D == 1:
-        # a one-lane vector is its own packing, at any lane width
-        def pack(v, lane):
-            return v[0]
-
-        def reduce(x, lane):
-            return [x]
-    else:
-        pack, reduce = pack_signed, ctx.reduce_packed
     # a zero numerator needs no fold: every quotient slot is zero
     if any(not s.is_zero for s in a):
         lead = b0._vecs[0]
@@ -601,7 +593,7 @@ def _long_div(a, b) -> list:
     def repack(cs, pc):
         for k, o in enumerate(cs):
             if o is not None:
-                pc[k] = pack(o[0], lane) * (E // o[1])
+                pc[k] = pack_signed(o[0], lane) * (E // o[1])
 
     def numerator(t, live, nu, N):
         # X_t at the exponents nu + k, k < N
@@ -611,7 +603,7 @@ def _long_div(a, b) -> list:
             if u is None:
                 for k, v in enumerate(A[t][:N - off], off):
                     if v is not None:
-                        X[k] += E * pack(v, lane)
+                        X[k] += E * pack_signed(v, lane)
             else:
                 pc, y = done[u][3], pb[s]
                 top = min(N - off, len(pc) + len(y) - 1)
@@ -633,8 +625,8 @@ def _long_div(a, b) -> list:
                 bound = E * amax + nS * cmax * bmax
                 if bound > cap:
                     cap = bound << _HEADROOM
-                    lane = ctx.product_lane(cap, 1, 1)
-                    pb = [[0 if v is None else pack(v, lane) for v in vecs]
+                    lane = ctx.product_lane(cap)
+                    pb = [[0 if v is None else pack_signed(v, lane) for v in vecs]
                           for vecs in B]
                     pb0 = [(j, y) for j, y in enumerate(pb[0][1:], 1) if y]
                     for slot in done:
@@ -653,7 +645,7 @@ def _long_div(a, b) -> list:
                         x -= c * y
                 if not x:
                     continue
-                w = reduce(x, lane)
+                w = ctx.reduce_packed(x, lane)
                 if not any(w):
                     continue
                 if first is None:
@@ -675,7 +667,7 @@ def _long_div(a, b) -> list:
                     w = [y * f // lam for y in w]
                 cmax = max(cmax, max(w), -min(w))
                 cs[i] = (w, E)
-                pc[i] = pack(w, lane)
+                pc[i] = pack_signed(w, lane)
         if first is None:
             # a_t - sum_s c_{t-s} b_s is zero below prec: so is c_t
             p = min(prec - beta0, prec0 + prec - 2 * beta0)

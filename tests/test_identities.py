@@ -423,16 +423,18 @@ class TestVerifyMeq1:
 class TestSecondDerivatives:
     @pytest.mark.parametrize("k", [3, 7])
     def test_no_series_inverted_and_no_lead_twice(self, monkeypatch, k):
-        # every series quotient (the slot ratios of log_d2) is one long
-        # division of its own numerator, and every jet quotient (the ratio
-        # jet, T_of_log) one long division over its slots, so no series
-        # is inverted on its own; every lead here is rational (the theta
-        # series at 0 and -pi/2 and their quotients), so no field element
-        # is inverted at all
+        # (log theta)'' is slot 1 of the jet's log_dz, so no series is
+        # divided, and every jet quotient is one long division over its
+        # slots: the ratio jet, log_dz of it and of the jet at 0 (d2-ratio
+        # and T-ratio share the ratio's), and T_of_log's q-parts; every
+        # lead here is rational (the theta series at 0 and -pi/2 and their
+        # quotients), so no field element is inverted at all
         pairs = _record_series_div(monkeypatch)
+        divs = _record_jet_divisions(monkeypatch)
         inverted = _record_inversions(monkeypatch)
         assert all(r.passed for r in verify_second_derivatives(k, 20))
-        assert pairs and _no_numerator_one(pairs)
+        assert pairs == []
+        assert len(divs) == 6
         assert inverted == []
 
     def test_k1_degenerate(self):
@@ -460,6 +462,27 @@ class TestSecondDerivatives:
             assert reports["d2-origin"].passed  # it loses only 1/8
             for part in ("d2-ratio", "T-scaled", "T-ratio"):
                 assert reports[part].note.startswith("PrecisionError: "), (k, part)
+
+    @staticmethod
+    def _log_d2_chain(jet):
+        # (log f)'' at z = 0 from two series divisions: 2 a2/a0 - (a1/a0)^2
+        a0, a1, a2 = jet.slot(0), jet.slot(1), jet.slot(2)
+        r1 = a1 / a0
+        return (a2 * 2) / a0 - r1 * r1
+
+    def test_log_dz_slot_one_is_the_series_chain(self):
+        # lem22's origin and ratio jets, built as verify_second_derivatives
+        # builds them
+        order = 40
+        for k in range(1, 13):
+            nw = order + identities._lem22_margin(k)
+            origin = theta2_jet(ThetaPoint(0, 1), 2, nw)
+            nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
+            ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1))
+            for jet in (origin, ratio):
+                got = jet.log_dz().slot(1)
+                assert got.precision >= order
+                assert got == self._log_d2_chain(jet), k
 
     def test_raising_part_fails_alone(self, monkeypatch):
         real = identities.theta2_jet
@@ -645,6 +668,15 @@ class TestFullSuite:
                 ks.setdefault(kind, set()).add(kw["k"])
         assert ks == {kind: set(range(11, 16)) for kind in
                       ("theorem", "lemd", "lem2", "meq1", "lem22", "tan-sum")}
+
+    def test_no_verifier_divides_a_series(self, monkeypatch):
+        # every eta side is one Euler product and (log theta)'' is read
+        # from a jet's log_dz, so only jet divisions remain
+        pairs = _record_series_div(monkeypatch)
+        jobs = enumerate_jobs(2, 8, (0, 1), 40, 4, frozenset({"all"}))
+        reports = run_jobs(jobs)
+        assert reports and all(r.passed for r in reports)
+        assert pairs == []
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_raising_job_becomes_fail_report(self, parallelism):

@@ -24,6 +24,7 @@ from qtheta import (
     trig_value,
 )
 from qtheta.modular import (
+    eta_quotient,
     eta_quotient_log_ddq,
     reduced_point,
     root_product,
@@ -67,6 +68,105 @@ class TestEtaProduct:
 
     def test_base_exponent(self):
         assert eta_product(5, 10).base == Fraction(5, 24)
+
+
+def _euler_loop(alpha, order):
+    # eta(alpha tau) one coefficient update at a time, factor by factor
+    base = Fraction(alpha, 24)
+    room = math.ceil(Fraction(order) - base)
+    if room <= 0:
+        return QExpansion.zero(order)
+    coeffs = [1] + [0] * (room - 1)
+    for c in range(alpha, room, alpha):
+        for i in range(room - 1, c - 1, -1):
+            coeffs[i] -= coeffs[i - c]
+    return QExpansion(base, coeffs, order)
+
+
+def _eta_chain(exponents, order):
+    # prod eta_a^e as series products of _euler_loop's products, divided
+    # once by the product of the negative powers, worked above `order` by
+    # the divisor's valuation and truncated to it
+    work = Fraction(order) + sum(a * abs(e) for a, e in exponents) / 24 + 1
+    num = den = QExpansion.one(work)
+    for a, e in exponents:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * _euler_loop(a, work)
+            else:
+                den = den * _euler_loop(a, work)
+    out = (num / den).truncate(order)
+    assert out.precision == Fraction(order)
+    return out
+
+
+class TestEtaQuotient:
+    ORDERS = (0, 1, Fraction(7, 2), 64, 100)
+
+    def _check(self, exponents, order):
+        got = eta_quotient(exponents, order)
+        want = _eta_chain(exponents, order)
+        assert (got.base, got.precision, got.field()) == \
+            (want.base, want.precision, want.field()), (exponents, order)
+        assert got == want, (exponents, order)
+        return got
+
+    def test_half_product_quotients_vs_series_chain(self):
+        # eta_1^k / eta_k, lem2's closed form
+        for k in range(1, 41):
+            for order in self.ORDERS:
+                got = self._check([(1, k), (k, -1)], order)
+                if order:
+                    assert got.base == 0 and got.coefficient(0) == 1
+
+    def test_bridge_quotients_vs_series_chain(self):
+        t0 = self._check([(2, 2), (1, -1)], 200)
+        assert t0.base == Fraction(1, 8)
+        # 2 eta_2^2/eta_1 = sum_n q^{(2n+1)^2/8}: 1 at the squares' offsets
+        assert all(t0.coefficient(Fraction(1, 8) + t) == (t in {0, 1, 3, 6, 10, 15})
+                   for t in range(20))
+        t1 = self._check([(1, 3)], 200)
+        # Jacobi: eta_1^3 = sum_n (-1)^n (2n+1) q^{(2n+1)^2/8}
+        assert [t1.coefficient(Fraction(1, 8) + t) for t in (0, 1, 3, 6)] == [1, -3, 5, -7]
+
+    def test_repeated_alpha_adds_exponents(self):
+        got = self._check([(3, 2), (1, -1), (3, -1), (2, 1)], 60)
+        assert got == eta_quotient([(3, 1), (1, -1), (2, 1)], 60)
+
+    def test_cancelling_exponents_give_one(self):
+        for order in self.ORDERS[1:]:
+            assert eta_quotient([(4, 2), (4, -2)], order) == QExpansion.one(order)
+            assert eta_quotient([], order) == QExpansion.one(order)
+
+    def test_rejects_bad_alpha_and_exponent(self):
+        with pytest.raises(ValueError):
+            eta_quotient([(1, 1), (0, 2)], 5)
+        with pytest.raises(ValueError):
+            eta_quotient([(2, Fraction(1, 2))], 5)
+        with pytest.raises(ValueError):
+            eta_product(0, 5)
+
+    def test_one_term_case_is_the_euler_loop(self):
+        for alpha in range(1, 13):
+            for order in self.ORDERS:
+                got = eta_product(alpha, order)
+                assert got == _euler_loop(alpha, order), (alpha, order)
+                assert got == eta_quotient([(alpha, 1)], order)
+
+    def test_agrees_with_the_log_derivative_sieve(self):
+        # q d/dq Q = (q d/dq log Q) Q for the Euler product and the sigma
+        # sieve, two routes that share no code
+        grid = [[(a, e)] for a in (1, 2, 5) for e in (-3, -1, 2)]
+        grid += [[(a, e), (b, f)] for a, b in ((1, 2), (1, 6), (3, 4))
+                 for e in (-2, 1, 3) for f in (-1, 2)]
+        grid += [[(10, 8), (1, -5), (5, -3)], [(1, 1), (3, -2), (6, 1)]]
+        order = 60
+        for exps in grid:
+            q = eta_quotient(exps, order)
+            lhs, rhs = q.q_ddq(), eta_quotient_log_ddq(exps, order) * q
+            top = min(lhs.precision, rhs.precision)
+            assert top >= order - Fraction(sum(a * abs(e) for a, e in exps), 24)
+            assert compare(lhs, rhs, top) is None, exps
 
 
 class TestEtaLogDdq:

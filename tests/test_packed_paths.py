@@ -131,7 +131,7 @@ def test_product_lane_holds_the_worst_reduction(m):
     assert not ctx.fold
     terms, V, vec, most = _worst_packed_vector(m)
     assert most == V
-    b = ctx.product_lane(terms, 1, 1)
+    b = ctx.product_lane(terms)
     assert b >= lane_width(most)
     for v in (vec, [-x for x in vec]):
         assert ctx.reduce_packed(pack_signed(v, b), b) == ctx.reduce(v)
@@ -149,7 +149,7 @@ def test_folded_reduction_holds_the_product_lane_bound(m):
     assert ctx.top == (ctx.fold or 2 * D - 1)
     terms, V, vec, most = _worst_packed_vector(m)
     assert most == (2 * V if ctx.fold else V)
-    b = ctx.product_lane(terms, 1, 1)
+    b = ctx.product_lane(terms)
     assert b >= lane_width(most)
     for v in (vec, [-x for x in vec]):
         assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, D, ctx.phi_terms)
