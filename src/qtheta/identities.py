@@ -330,10 +330,11 @@ def _lem22_margin(k: int) -> int:
     operands.  d2-origin divides by the theta series at 0 (valuation 1/8);
     T-scaled by the theta series in q^k (k/8); both ratio parts by the
     theta series at -pi/2 (1/8) and then by the constant slot of that
-    quotient jet ((k-1)/8): k/8 at most, so ceil(k/8) suffices.  It is
-    never below 3, the margin the checks for k <= 24 have always used.
+    quotient jet ((k-1)/8): k/8 at most, so ceil(k/8) suffices.  A margin
+    too small could only make a comparison raise PrecisionError, never
+    let a report pass below its order.
     """
-    return max(3, -(-k // 8))
+    return -(-k // 8)
 
 
 def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
@@ -391,22 +392,20 @@ def verify_eta_theta_bridges(order) -> list[VerificationReport]:
 
     Each eta side is one eta_quotient call, and both parts work at `order`
     itself: the quotients (base 1/8 for t0) and the theta slots have
-    precision `order`, and shift_zero keeps it.
+    precision `order`, and shift_zero keeps it.  A part that raises fails
+    alone.
     """
-    out = []
 
-    t0 = time.perf_counter()
-    lhs = theta2_jet(ThetaPoint(0, 1), 0, order).slot(0)
-    rhs = eta_quotient(((2, 2), (1, -1)), order) * 2
-    mm = compare(lhs, rhs, order)
-    out.append(_finish("bridge-t0", {}, order, t0, mm))
+    def t0():
+        lhs = theta2_jet(ThetaPoint(0, 1), 0, order).slot(0)
+        return compare(lhs, eta_quotient(((2, 2), (1, -1)), order) * 2, order)
 
-    t0 = time.perf_counter()
-    val = theta2_jet(ThetaPoint(-1, 2), 1, order).shift_zero(1).slot(0)
-    rhs = eta_quotient(((1, 3),), order) * 2
-    mm = compare(val, rhs, order)
-    out.append(_finish("bridge-t1", {}, order, t0, mm))
-    return out
+    def t1():
+        val = theta2_jet(ThetaPoint(-1, 2), 1, order).shift_zero(1).slot(0)
+        return compare(val, eta_quotient(((1, 3),), order) * 2, order)
+
+    return [_part(name, {}, order, check)
+            for name, check in (("bridge-t0", t0), ("bridge-t1", t1))]
 
 
 # -- tangent sums ---------------------------------------------------------
@@ -513,38 +512,20 @@ def enumerate_jobs(
     jet_degree: int,
     which: frozenset[str],
 ) -> list[tuple[str, dict]]:
-    if "all" in which:
-        which = frozenset(_SUITE_JOBS)
-    jobs: list[tuple[str, dict]] = []
-    if "theorem" in which:
-        for k in range(k_min, k_max + 1):
-            for d in deltas:
-                jobs.append(("theorem", {"k": k, "delta": d, "order": order}))
-    if "lemd" in which:
-        for k in range(k_min, k_max + 1):
-            jobs.append(("lemd", {"k": k, "order": order}))
-    if "lem2" in which:
-        for k in range(k_min, k_max + 1):
-            for d in deltas:
-                jobs.append(("lem2", {"k": k, "delta": d, "order": order}))
-    if "meq1" in which:
-        for k in range(k_min, k_max + 1):
-            for l in meq1_points(k):
-                jobs.append(
-                    ("meq1", {"k": k, "l": l, "jet_degree": jet_degree, "order": order})
-                )
-    if "lem22" in which:
-        for k in range(k_min, k_max + 1):
-            jobs.append(("lem22", {"k": k, "order": order}))
-    if "bridges" in which:
-        jobs.append(("bridges", {"order": order}))
-    if "tan-sum" in which:
-        for k in range(k_min, k_max + 1):
-            for d in deltas:
-                jobs.append(("tan-sum", {"k": k, "delta": d}))
-    if "k3" in which:
-        jobs.append(("k3", {"order": order}))
-    return jobs
+    ks = range(k_min, k_max + 1)
+    grids = {
+        "theorem": [{"k": k, "delta": d, "order": order} for k in ks for d in deltas],
+        "lemd": [{"k": k, "order": order} for k in ks],
+        "lem2": [{"k": k, "delta": d, "order": order} for k in ks for d in deltas],
+        "meq1": [{"k": k, "l": l, "jet_degree": jet_degree, "order": order}
+                 for k in ks for l in meq1_points(k)],
+        "lem22": [{"k": k, "order": order} for k in ks],
+        "bridges": [{"order": order}],
+        "tan-sum": [{"k": k, "delta": d} for k in ks for d in deltas],
+        "k3": [{"order": order}],
+    }
+    return [(kind, params) for kind in _SUITE_JOBS
+            if kind in which or "all" in which for params in grids[kind]]
 
 
 def _run_job(job) -> list[VerificationReport]:

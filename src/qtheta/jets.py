@@ -7,7 +7,8 @@ and analytic limits z -> 0 become shift_zero plus slot extraction.
 Each slot of a product and a square is one q-series sum of products
 (series._series_mul), reduced mod Phi_m once per coefficient rather than
 once per term.  A quotient is one long division over all its slots
-(series._long_div), reduced mod Phi_m once per quotient coefficient.
+(series._long_div): each quotient coefficient is one packed sum over
+every divisor slot, reduced mod Phi_m once.
 """
 
 from __future__ import annotations

@@ -46,12 +46,13 @@ ever inverted on its own.  One routine, _long_div, divides a z-jet by a
 z-jet over all its slots at once (ZJet.div), and a series division a / b
 is its one-slot case (_series_div).  The inverse of the divisor's lead
 (computed once per series) is folded into the integer vectors of both
-operands once, which makes that lead a positive integer.  Each quotient
-coefficient is then one packed sum, its cross-slot part taken from one
-convolve_trunc product per pair of slots, reduced mod Phi_m once and
-packed once for the later sums.  All quotient slots share one common
-denominator, and the lanes widen only when growing quotients outrun
-their bound (the proof is in _long_div).
+operands once, which makes that lead a positive integer.  The quotient
+then follows the recurrence c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0
+one coefficient at a time: each is one packed sum over every divisor
+slot, the slot's own earlier coefficients included, reduced mod Phi_m
+once and packed once for the later sums.  All quotient slots share one
+common denominator, and the lanes widen only when growing quotients
+outrun their bound (the proof is in _long_div).
 """
 
 from __future__ import annotations
@@ -530,24 +531,34 @@ def _long_div(a, b) -> list:
     c = (bd/ad) A/B.
 
     Coefficient i of slot t of A/B is C_{t,i}/E, over one common
-    denominator E for all slots that grows as the division goes on.  Slot
-    t starts from its cross-slot numerator
+    denominator E for all slots that grows as the division goes on, and
+    the C are kept as integer vectors over the current E.  The textbook
+    recurrence C_t B_0 = E A_t - sum_{s>=1} C_{t-s} B_s gives it one
+    coefficient at a time: step i forms one packed sum
 
-        X_t = E A_t - sum_{s>=1} C_{t-s} B_s,
+        E A_{t,i} - sum_{s>=0} sum_{j in S_s, j <= r} C_{t-s,r-j} B_{s,j},
 
-    a sum of packed convolve_trunc products, never reduced.  Step i forms
-    one packed sum
+    S_s the nonzero coefficients of B_s and r = i less the offset of the
+    product c_{t-s} b_s from the numerator's base.  The s = 0 term reads
+    the slot's own packed coefficients, where C_{t,i} is still 0, so the
+    lead of B_0 adds nothing.  The sum is reduced mod Phi_m once
+    (_Ctx.reduce_packed), which gives lam E times coefficient i.  When
+    lam does not divide that vector, E becomes f E for the least f that
+    makes f/lam times it integral (f divides lam, so this happens only for
+    lam > 1, as for a lead sqrt 2 or 3), and every C so far, vector and
+    packed value, is multiplied by f.  C_{t,i} is then packed once, for
+    the later sums.  The first nonzero C_{t,i} fixes the slot's base
+    beta_t, and with it where b_0's precision ends the slot.
 
-        X_{t,i} - sum_{j in S_0, j <= i} C_{t,i-j} B_{0,j},
-
-    S_0 the nonzero coefficients of B_0 past the lead, and reduces it mod
-    Phi_m once (_Ctx.reduce_packed), which gives lam E times coefficient i.
-    When E lacks a factor f of that coefficient's lowest-terms denominator
-    (f divides lam, so this happens only for lam > 1, as for a lead sqrt 2
-    or 3), E becomes f E, and every packed C so far and the rest of X_t
-    are multiplied by f.  C_{t,i} is then packed once, for the later sums.
-    The first nonzero C_{t,i} fixes the slot's base, and with it where
-    b_0's precision ends the slot.
+    No index is checked in the inner loop: r - j < len(C_u) for the
+    stored slot u = t-s.  Slot u keeps l_u = min(N_u - first_u,
+    ceil(prec0 - beta0)) coefficients, N_u = ceil(prec_u - nu_u) for its
+    numerator's precision prec_u and base nu_u, and its precision p_u =
+    min(prec_u - beta0, prec0 + beta_u - beta0) has ceil(p_u - beta_u) =
+    l_u.  _slot_terms caps slot t's numerator precision at p_u + base(b_s),
+    and C_{u,r-j} B_{s,j} lies at exponent beta_u + base(b_s) + r, below
+    it, so r - j <= r < p_u - beta_u <= l_u.  An overrun would raise
+    IndexError, never read a wrong value: the break keeps r - j >= 0.
 
     Lanes: each of the 2D-1 lanes of a packed sum is at most
     E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
@@ -557,11 +568,10 @@ def _long_div(a, b) -> list:
     E amax + |S| Cmax bmax, which is more, doubled for the fold of the
     reduction.  Before each step the bound is checked against the one the
     lane was sized for; when growing quotients outrun it, B and the C are
-    packed again at a lane sized for 2**_HEADROOM times the new bound, and
-    X_t is formed again from them (not unpacked: its lanes, scaled with E,
-    may have outgrown the old lane).  Over Q (D = 1) the same path and
-    bound serve: a one-lane vector packs to itself, and reduce_packed
-    unpacks the one lane of a sum with no fold and no division.
+    packed again from their vectors at a lane sized for 2**_HEADROOM times
+    the new bound.  Over Q (D = 1) the same path and bound serve: a
+    one-lane vector packs to itself, and reduce_packed unpacks the one
+    lane of a sum with no fold and no division.
     """
     b0 = b[0]
     if b0.is_zero:
@@ -585,40 +595,25 @@ def _long_div(a, b) -> list:
         lam = B[0][0][0]
         nS = sum(v is not None for vecs in B for v in vecs) - 1
     beta0, prec0 = b0.base, b0.precision
-    # per slot: [base, precision, (C_k, E_k) or None per coefficient, the
-    # C_k E/E_k packed at the current lane]; no lists for a zero slot
+    # per slot: [base, precision, C vector or None per coefficient, the C
+    # packed at the current lane]; no lists for a zero slot
     done = []
-    E, cmax, cap, lane, pb, pb0 = 1, 0, -1, 0, None, None
-
-    def repack(cs, pc):
-        for k, o in enumerate(cs):
-            if o is not None:
-                pc[k] = pack_signed(o[0], lane) * (E // o[1])
-
-    def numerator(t, live, nu, N):
-        # X_t at the exponents nu + k, k < N
-        X = [0] * N
-        for e, u, s in live:
-            off = int(e - nu)
-            if u is None:
-                for k, v in enumerate(A[t][:N - off], off):
-                    if v is not None:
-                        X[k] += E * pack_signed(v, lane)
-            else:
-                pc, y = done[u][3], pb[s]
-                top = min(N - off, len(pc) + len(y) - 1)
-                for k, x in enumerate(K.convolve_trunc(pc, y, top), off):
-                    if x:
-                        X[k] -= x
-        return X
-
+    E, cmax, cap, lane, pb = 1, 0, -1, 0, None
     for t in range(n):
         prec, live = _slot_terms(a[t], b, done)
         first = None
         if live:
             nu = min(e for e, _, _ in live)
             N = stop = math.ceil(prec - nu)
-            cs, pc, X = [None] * N, [0] * N, None
+            cs, pc = [None] * N, [0] * N
+            # A_t at the exponents nu + i, and per product c_u b_s its
+            # offset, u's packed coefficients and s; the slot itself is s = 0
+            at, terms = [], [(0, pc, 0)]
+            for e, u, s in live:
+                if u is None:
+                    at = [None] * int(e - nu) + A[t]
+                else:
+                    terms.append((int(e - nu), done[u][3], s))
             for i in range(N):
                 if i == stop:
                     break
@@ -626,23 +621,22 @@ def _long_div(a, b) -> list:
                 if bound > cap:
                     cap = bound << _HEADROOM
                     lane = ctx.product_lane(cap)
-                    pb = [[0 if v is None else pack_signed(v, lane) for v in vecs]
-                          for vecs in B]
-                    pb0 = [(j, y) for j, y in enumerate(pb[0][1:], 1) if y]
-                    for slot in done:
-                        if slot[2] is not None:
-                            repack(slot[2], slot[3])
-                    repack(cs, pc)
-                    X = None
-                if X is None:
-                    X = numerator(t, live, nu, N)
-                x = X[i]
-                for j, y in pb0:
-                    if j > i:
-                        break
-                    c = pc[i - j]
-                    if c:
-                        x -= c * y
+                    pb = [[(j, pack_signed(v, lane)) for j, v in enumerate(vecs)
+                           if v is not None] for vecs in B]
+                    for vs, ps in [d[2:] for d in done if d[2]] + [(cs, pc)]:
+                        for k, v in enumerate(vs):
+                            if v is not None:
+                                ps[k] = pack_signed(v, lane)
+                v = at[i] if i < len(at) else None
+                x = 0 if v is None else E * pack_signed(v, lane)
+                for off, ps, s in terms:
+                    r = i - off
+                    for j, y in pb[s]:
+                        if j > r:
+                            break
+                        c = ps[r - j]
+                        if c:
+                            x -= c * y
                 if not x:
                     continue
                 w = ctx.reduce_packed(x, lane)
@@ -650,23 +644,20 @@ def _long_div(a, b) -> list:
                     continue
                 if first is None:
                     first, stop = i, min(N, i + math.ceil(prec0 - beta0))
-                if lam != 1:
-                    # coefficient i is w/(lam E), of lowest-terms denominator d
-                    d = lam * E // math.gcd(lam * E, *w)
-                    f = d // math.gcd(E, d)
-                    if f > 1:
-                        E *= f
-                        cmax *= f
-                        for ps in [slot[3] for slot in done if slot[3]] + [pc]:
-                            for k, c in enumerate(ps):
-                                if c:
-                                    ps[k] = c * f
-                        for k in range(i + 1, stop):
-                            if X[k]:
-                                X[k] *= f
-                    w = [y * f // lam for y in w]
+                # coefficient i is w/(lam E): E grows by the least f with
+                # f w/lam integral
+                f = lam // math.gcd(lam, *w)
+                if f > 1:
+                    E *= f
+                    cmax *= f
+                    for vs, ps in [d[2:] for d in done if d[2]] + [(cs, pc)]:
+                        for k, v in enumerate(vs):
+                            if v is not None:
+                                vs[k] = [f * y for y in v]
+                                ps[k] *= f
+                w = [y * f // lam for y in w]
                 cmax = max(cmax, max(w), -min(w))
-                cs[i] = (w, E)
+                cs[i] = w
                 pc[i] = pack_signed(w, lane)
         if first is None:
             # a_t - sum_s c_{t-s} b_s is zero below prec: so is c_t
@@ -680,10 +671,8 @@ def _long_div(a, b) -> list:
         if cs is None:
             quotient.append(QExpansion.zero(p))
         else:
-            vecs = [None if o is None else [E // o[1] * bd * y for y in o[0]]
-                    for o in cs]
-            quotient.append(
-                _narrowed(QExpansion._from_vectors(m, base, vecs, E * ad, p)))
+            quotient.append(_narrowed(
+                QExpansion._from_vectors(m, base, _scaled(cs, bd), E * ad, p)))
     return quotient
 
 
@@ -712,23 +701,14 @@ def _folded(slots, L, ctx):
     """(the vectors of every slot times L, over one denominator; that
     denominator; their largest entry), for L +-1 or a canonical vector."""
     den = math.lcm(*(s._den for s in slots))
-    out, top = [], 0
+    out = []
     for s in slots:
-        f = den // s._den
-        if L == 1 and f == 1:
-            vecs = s._vecs
-            if vecs:
-                top = max(top, s._operand()[2])
+        if isinstance(L, int):
+            out.append(_scaled(s._vecs, den // s._den * L))
         else:
-            if isinstance(L, int):
-                vecs, f = s._vecs, f * L
-            else:
-                vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
-            vecs = _scaled(vecs, f)
-            if vecs:
-                top = max(top, _lane_max(vecs))
-        out.append(vecs)
-    return out, den, top
+            vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
+            out.append(_scaled(vecs, den // s._den))
+    return out, den, _lane_max(v for vecs in out for v in vecs)
 
 
 # Bits of slack a packed division lane keeps above its current bound, so

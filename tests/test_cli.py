@@ -189,6 +189,22 @@ class TestJsonFormat:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "848d0b21dd31d54c"
 
+    @pytest.mark.parametrize("order, digest", [
+        (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])
+    def test_lem22_and_bridge_reports_pinned(self, capsys, order, digest):
+        # lem22 for every k up to 40, where its margin ceil(k/8) runs from
+        # 1 to 5, and the bridges, as the version with a margin of at least
+        # 3 printed them
+        rc = main(["verify", "lem22,bridges", "--k-min", "1", "--k-max", "40",
+                   "--order", str(order), "--format", "json", "--jobs", "1"])
+        assert rc == 0
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["elapsed_ms"]
+        assert len(reports) == 162
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):

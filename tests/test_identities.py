@@ -463,6 +463,18 @@ class TestSecondDerivatives:
             for part in ("d2-ratio", "T-scaled", "T-ratio"):
                 assert reports[part].note.startswith("PrecisionError: "), (k, part)
 
+    @pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
+    def test_margin_is_ceil_k_over_8(self, monkeypatch, k):
+        # ceil(k/8) suffices and one less does not: the ratio parts and
+        # T-scaled lose k/8 to their divisions
+        assert identities._lem22_margin(k) == -(-k // 8)
+        assert all(r.passed for r in verify_second_derivatives(k, 30))
+        margin = identities._lem22_margin
+        monkeypatch.setattr(identities, "_lem22_margin", lambda k: margin(k) - 1)
+        reports = {r.params["part"]: r for r in verify_second_derivatives(k, 30)}
+        for part in ("d2-ratio", "T-scaled", "T-ratio"):
+            assert reports[part].note.startswith("PrecisionError: "), (k, part)
+
     @staticmethod
     def _log_d2_chain(jet):
         # (log f)'' at z = 0 from two series divisions: 2 a2/a0 - (a1/a0)^2
@@ -510,6 +522,21 @@ class TestBridges:
         reports = verify_eta_theta_bridges(60)
         assert [r.identity for r in reports] == ["bridge-t0", "bridge-t1"]
         assert all(r.passed for r in reports)
+
+    def test_raising_part_fails_alone(self, monkeypatch):
+        real = identities.eta_quotient
+
+        def quotient(exponents, order):
+            if exponents == ((2, 2), (1, -1)):  # only bridge-t0 builds this one
+                raise RuntimeError("quotient broke")
+            return real(exponents, order)
+
+        monkeypatch.setattr(identities, "eta_quotient", quotient)
+        reports = verify_eta_theta_bridges(30)
+        assert [r.identity for r in reports] == ["bridge-t0", "bridge-t1"]
+        assert [r.status for r in reports] == ["fail", "pass"]
+        assert reports[0].params == {}
+        assert reports[0].note.startswith("RuntimeError: quotient broke")
 
 
 class TestTanSquareSum:

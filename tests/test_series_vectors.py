@@ -344,7 +344,7 @@ def _jet_division_cases():
     return {
         # lead sqrt 2: the denominator of the quotient grows at most steps,
         # and the factor 7 widens the lanes again and again, within slots
-        # whose cross-slot numerators are still being read
+        # whose earlier coefficients are still being read
         "growth-and-widening": (
             ZJet([QExpansion(0, [1, z8], 30), QExpansion(0, [z8 ** 3, 0, 2], 30),
                   QExpansion(1, [Fraction(1, 3), z8], 30)]),
