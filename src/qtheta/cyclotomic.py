@@ -1,26 +1,42 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in Q, in the cyclotomic fields Q(zeta_m) and in their
+real subfields K+ = Q(zeta_m)^+.
 
-Elements are stored in the power basis {zeta^j : 0 <= j < phi(m)} reduced
-modulo the m-th cyclotomic polynomial, as an integer coordinate vector
-over one common denominator.  That representation is canonical, so
-equality, realness and rationality tests are plain coordinate
-comparisons, which is what zero-tolerance series verification needs.
+An element of Q(zeta_m) is stored in the power basis
+{zeta^j : 0 <= j < phi(m)} reduced modulo the m-th cyclotomic polynomial,
+as an integer coordinate vector over one common denominator.  That
+representation is canonical, so equality, realness and rationality tests
+are plain coordinate comparisons, which is what zero-tolerance series
+verification needs.  Q is the case m = 1, with one coordinate.
 
-Every sum of roots of unity sum c zeta^e reaches that form one way, the
-exponent map _Ctx.powers: weight c goes into lane e mod m, then
-_kernels.cyclo_rem divides by Phi_m.  Phi_m divides x^{m/2} + 1 for
-even m (zeta^{m/2} = -1; Washington, Introduction to Cyclotomic Fields,
-GTM 83, ch. 2), so for even m the weight goes into lane e mod m/2,
-negated when e mod m >= m/2, and only the lanes D .. m/2-1 are left for
-the division, D = phi(m): none for m a power of two (phi(m) = m/2), 4
-instead of 15 for m = 40.  An integer vector is the sum with weight
-vec[e] on zeta^e (_Ctx.reduce), a Galois image or embedding the one with
-exponents e j (_Ctx.galois_vec), and a root of unity, a sine, cosine or
-tangent one or a few terms.  A packed product of two vectors has 2D-1
-lanes; _Ctx.reduce_packed folds it while it is packed, as
-2D-2 < 2(m/2) whenever there is a lane to fold, and divides the unpacked
-lanes that are left.  _Ctx.product_lane proves the lane bound of that
-fold.
+Every integer vector, lane e the weight of zeta^e, reaches that form
+one way, _Ctx.reduce.  Phi_m divides x^{m/2} + 1 for even m
+(zeta^{m/2} = -1; Washington, Introduction to Cyclotomic Fields, GTM 83,
+ch. 2), so for even m the blocks of m/2 lanes are folded onto the first
+m/2 with alternating signs (blocks of m, all added, for odd m), and
+_kernels.cyclo_rem divides by Phi_m only the lanes D .. m/2-1 left,
+D = phi(m): none for m a power of two (phi(m) = m/2), 4 instead of 15
+for m = 40.  A sum of roots of unity sum c zeta^e is the vector with
+weight c in lane e mod m (the exponent map _Ctx.powers), a Galois image
+or embedding the one with exponents e j (_Ctx.galois_vec), and a root
+of unity, a sine, cosine or tangent one or a few terms.  A packed
+product of two vectors has 2D-1 lanes; _Ctx.reduce_packed folds it while
+it is packed, as 2D-2 < 2(m/2) whenever there is a lane to fold, and
+divides the unpacked lanes that are left.  _Ctx.product_lane proves the
+lane bound of that fold.
+
+The real subfield.  For m >= 3, K+ = Q(theta), theta = zeta + zeta^-1
+= 2 cos(2 pi/m), has degree D' = phi(m)/2 (Washington, ch. 2 and 8),
+and the minimal polynomial psi_m of theta is monic with integer
+coefficients, from x^{D'} psi_m(x + 1/x) = Phi_m(x) (real_polynomial).
+An element of K+ is stored like one of Q(zeta_m), in the power basis
+{theta^j : j < D'} reduced mod psi_m, so every real series takes half
+the lanes.  The same _Ctx class serves it (_ctx(m, True)), with psi_m in
+place of Phi_m and no fold: reduce, reduce_packed, product_lane and
+mul_vec need only the monic modulus and its degree.  Its exponent map is
+_Ctx.cosines, sum c (zeta^e + zeta^-e) from a table of the
+c_e = zeta^e + zeta^-e; _Ctx.lift writes a theta-vector in the zeta
+basis (the one map from K+ to Q(zeta_m)), and the cosine map of a real
+element's zeta coordinates, halved, is its theta-vector.
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -28,6 +44,7 @@ The scalar field is fractions.Fraction, re-exported as Rational.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,60 +132,122 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def real_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients of psi_m, the minimal polynomial of
+    theta = zeta_m + zeta_m^-1, constant term first, monic of degree
+    D' = phi(m)/2; m >= 3.
+
+    Phi_m is palindromic for m >= 2, so with its coefficients a_i,
+    x^{-D'} Phi_m(x) = a_{D'} + sum_{j=1}^{D'} a_{D'+j} (x^j + x^-j), and
+    x^j + x^-j = C_j(x + 1/x) for the monic integer polynomials C_0 = 2,
+    C_1 = y, C_{j+1} = y C_j - C_{j-1}.  Hence
+    psi_m(y) = a_{D'} + sum_j a_{D'+j} C_j(y) satisfies
+    x^{D'} psi_m(x + 1/x) = Phi_m(x), is monic with integer coefficients
+    and vanishes at theta; its degree is [K+ : Q] = D' (Washington,
+    Introduction to Cyclotomic Fields, GTM 83, ch. 2), so it is minimal.
+    """
+    if m < 3:
+        raise ValueError("the real subfield needs a conductor >= 3")
+    phi = cyclotomic_polynomial(m)
+    h = (len(phi) - 1) // 2
+    psi = [phi[h]] + [0] * h
+    prev, cur = [2], [0, 1]
+    for j in range(1, h + 1):
+        for i, c in enumerate(cur):
+            psi[i] += phi[h + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(psi)
+
+
 class _Ctx:
-    """Per-conductor machinery: Phi_m's nonzero low terms, held once for
-    cyclo_rem, the exponent map and the packed fold."""
+    """Per-field machinery for one monic integer modulus, its nonzero low
+    terms held once for cyclo_rem: Phi_m over zeta for Q(zeta_m) (_ctx),
+    or psi_m over theta for its real subfield K+ (_ctx(m, True)), with the
+    exponent map, the packed fold and, for K+, the table of cosines."""
 
-    __slots__ = ("m", "D", "phi_terms", "fold", "top")
+    __slots__ = ("m", "real", "D", "phi_terms", "fold", "top", "cos")
 
-    def __init__(self, m: int):
-        poly = cyclotomic_polynomial(m)
+    def __init__(self, m: int, real: bool = False):
+        poly = real_polynomial(m) if real else cyclotomic_polynomial(m)
         self.m = m
+        self.real = real
         self.D = D = len(poly) - 1
         self.phi_terms = [(i, p) for i, p in enumerate(poly[:-1]) if p]
         # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2 of a product, when
         # there are any, fold onto lanes 0 .. m/2-1 with a sign, leaving
-        # `top` lanes
+        # `top` lanes; psi_m has no such binomial multiple, and no fold
         h = m // 2
-        self.fold = h if m % 2 == 0 and h < 2 * D - 1 else 0
+        self.fold = h if not real and m % 2 == 0 and h < 2 * D - 1 else 0
         self.top = self.fold or 2 * D - 1
+        self.cos = None
+        if real:
+            # c_0 = 2, c_1 = theta, c_{e+1} = theta c_e - c_{e-1}, as
+            # (zeta + zeta^-1)(zeta^e + zeta^-e) = c_{e+1} + c_{e-1}
+            cos = [self.reduce([2]), self.reduce([0, 1])]
+            for _ in range(2, m):
+                c = self.reduce([0] + cos[-1])
+                cos.append([x - y for x, y in zip(c, cos[-2])])
+            self.cos = cos
 
     def powers(self, terms) -> list[int]:
-        """Canonical vector of sum c zeta^e over the (e, c) pairs, e any int.
-
-        Each weight is written into lane e mod m; for even m, lane e mod m
-        >= h = m/2 is written into lane e mod h with the sign flipped
-        (zeta^h = -1), so the lanes stop at h.  cyclo_rem then divides out
-        the lanes from D up.
-        """
+        """Canonical vector of sum c zeta^e over the (e, c) pairs, e any
+        int (over zeta only): each weight is written into lane e mod m,
+        and reduce folds and divides the m lanes."""
         m = self.m
-        if m % 2:
-            v = [0] * m
-            for e, c in terms:
-                v[e % m] += c
-        else:
-            h = m // 2
-            v = [0] * h
-            for e, c in terms:
-                e %= m
-                if e < h:
-                    v[e] += c
-                else:
-                    v[e - h] -= c
-        return K.cyclo_rem(v, self.D, self.phi_terms)
+        v = [0] * m
+        for e, c in terms:
+            v[e % m] += c
+        return self.reduce(v)
+
+    def cosines(self, terms) -> list[int]:
+        """Canonical theta-vector of sum c (zeta^e + zeta^-e) over the
+        (e, c) pairs, e any int (over theta only): the exponent map of K+,
+        read from the table of c_e, e < m.  For a real x = sum a_e zeta^e,
+        x = (x + conj x)/2, so the pairs enumerate(a) give 2x."""
+        out = [0] * self.D
+        cos, m = self.cos, self.m
+        for e, c in terms:
+            K.scaled_add(out, cos[e % m], c)
+        return out
+
+    def lift(self, vec) -> list[int]:
+        """Canonical zeta-vector of the theta-vector vec of K+: the sum of
+        vec[j] theta^j, each theta^j read from _theta_powers."""
+        out = [0] * (2 * self.D)
+        for y, row in zip(vec, _theta_powers(self.m)):
+            K.scaled_add(out, row, y)
+        return out
 
     def reduce(self, vec) -> list[int]:
-        """Canonical remainder of an integer vector of any length mod Phi_m:
-        the exponent map of its lanes, lane e being the weight of zeta^e."""
-        return self.powers(enumerate(vec))
+        """Canonical remainder of an integer vector of any length, lane e
+        the weight of zeta^e (theta^e over theta).
+
+        Over zeta, zeta^p = -1 for even m, p = m/2, and zeta^p = 1 for odd
+        m, p = m, so the contiguous blocks of p lanes are added onto the
+        first p, with alternating signs for even m, and cyclo_rem divides
+        what is left.  Over theta cyclo_rem divides the whole vector.
+        """
+        p = self.m if self.m % 2 else self.m // 2
+        if not self.real and len(vec) > p:
+            v = list(vec[:p])
+            for b, s in enumerate(range(p, len(vec), p), 1):
+                op = operator.sub if b % 2 and p < self.m else operator.add
+                blk = vec[s:s + p]
+                v[:len(blk)] = map(op, v, blk)
+            vec = v
+        return K.cyclo_rem(vec, self.D, self.phi_terms)
 
     def reduce_packed(self, x, b: int) -> list[int]:
         """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes.
 
-        For even m with lanes at or above h = m/2, the high part is first
-        subtracted from the low h lanes (one negacyclic fold, since
-        zeta^h = -1); the `top` lanes left are unpacked, and cyclo_rem
-        divides out those at or above D.
+        For even m with lanes at or above h = m/2 (over zeta only), the
+        high part is first subtracted from the low h lanes (one negacyclic
+        fold, since zeta^h = -1); the `top` lanes left are unpacked, and
+        cyclo_rem divides out those at or above D.
         """
         if self.fold:
             low, high = split_low(x, b, self.fold)
@@ -189,16 +268,19 @@ class _Ctx:
         e < h to x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more
         than one partner, so the folded lanes are at most 2V; without a
         fold they stay at most V.  The lanes left are unpacked before
-        cyclo_rem, which works on exact ints.
+        cyclo_rem, which works on exact ints.  Nothing here depends on the
+        modulus but its degree D and the fold, so the bound serves psi_m
+        over theta (D = phi(m)/2, no fold) as it does Phi_m.
         """
         return lane_width(terms * self.D * (2 if self.fold else 1))
 
     def mul_vec(self, u, v) -> list[int]:
-        """Product of two canonical integer vectors, reduced mod Phi_m."""
+        """Product of two canonical integer vectors, reduced (mod Phi_m
+        over zeta, mod psi_m over theta)."""
         return self.reduce(K.convolve(u, v))
 
     def galois_vec(self, vec, j: int) -> list[int]:
-        """Canonical vector of sum_e vec[e] zeta^(e*j).
+        """Canonical vector of sum_e vec[e] zeta^(e*j) (over zeta only).
 
         For gcd(j, m) = 1 this is the automorphism zeta -> zeta^j; for
         j = m/n it embeds a vector of Q(zeta_n) into Q(zeta_m).
@@ -207,8 +289,38 @@ class _Ctx:
 
 
 @lru_cache(maxsize=None)
-def _ctx(m: int) -> _Ctx:
-    return _Ctx(m)
+def _ctx(m: int, real: bool = False) -> _Ctx:
+    """The machinery of Q(zeta_m), over zeta mod Phi_m, or with real of
+    its real subfield K+, m >= 3, over theta mod psi_m.  Q(zeta_m) is
+    asked for as _ctx(m) alone: _ctx(m, False) is another cache key, and
+    would build a second context for the same field."""
+    return _Ctx(m, real)
+
+
+def _field_of(fields) -> tuple[int, bool]:
+    """The one field (m, real) of operands in the fields (m, real), real
+    for K+ and false for Q(zeta_m): conductor 1 (Q) joins any field, and
+    K+ joins Q(zeta_m) of its own conductor in Q(zeta_m).  Other
+    conductors raise ConductorError."""
+    m, real = 1, True
+    for mb, rb in fields:
+        if mb == 1:
+            continue
+        if m not in (1, mb):
+            raise ConductorError(f"conductor mismatch: {m} vs {mb}")
+        m, real = mb, real and rb
+    return m, real and m > 2
+
+
+@lru_cache(maxsize=None)
+def _theta_powers(m: int) -> list[list[int]]:
+    """The zeta-vectors of theta^j, j < phi(m)/2, for _Ctx.lift."""
+    ctx = _ctx(m)
+    theta = ctx.powers([(1, 1), (-1, 1)])
+    rows = [ctx.powers([(0, 1)])]
+    while len(rows) < ctx.D // 2:
+        rows.append(ctx.mul_vec(rows[-1], theta))
+    return rows
 
 
 def _lowest_terms(vecs, den):

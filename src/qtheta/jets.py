@@ -5,10 +5,12 @@ point, with each a_j a QExpansion.  Logarithms are never materialized:
 everything stated through log f is computed from f'/f and (q d/dq f)/f,
 and analytic limits z -> 0 become shift_zero plus slot extraction.
 Each slot of a product and a square is one q-series sum of products
-(series._series_mul), reduced mod Phi_m once per coefficient rather than
-once per term.  A quotient is one long division over all its slots
+(series._series_mul), reduced once per coefficient rather than once per
+term.  A quotient is one long division over all its slots
 (series._long_div): each quotient coefficient is one packed sum over
-every divisor slot, reduced mod Phi_m once.
+every divisor slot, reduced once.  A theta jet is real, so all of this
+runs in the real subfield K+ of its field, mod psi_m over
+theta = zeta + zeta^-1, on half the lanes of Q(zeta_m).
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ multiples of pi, the eta product q^{a/24} prod (1 - q^{an}), and Lambert
 series.  Phases e^{i(2n+1)z0} live in Q(zeta), with the conductor chosen
 from the base point; q^{1/8}-type prefactors ride on the series base
 exponent, so exponent steps stay integral: (2n+1)^2/8 - 1/8 = n(n+1)/2.
+theta2(z0 + z, q) is real for real z0, z and q, and so is every slot of
+its z-jet and its Lambert form: theta2_jet and log_deriv_lambert build
+them in the real subfield K+ of Q(zeta_m), on cosines
+c_e = zeta^e + zeta^-e (_Ctx.cosines), and every product and division of
+them stays there.  The products of root_product work in the zeta basis.
 Every eta side comes from one list of (alpha, e_alpha) pairs:
 eta_quotient forms prod eta(alpha tau)^{e_alpha} as one integer Euler
 product, and eta_quotient_log_ddq its q d/dq log as one sigma sieve.
@@ -41,10 +46,12 @@ class ThetaPoint:
 
     @property
     def conductor(self) -> int:
-        """Conductor lcm(2 den, 4) of a field holding i and every phase
+        """Conductor m = lcm(2 den, 4) of a field holding i and every phase
         e^{i(2n+1)z0}: the smallest such field when num/den is in lowest
         terms, and possibly a larger one otherwise (reduced_point gives
-        the form of a point l pi/2k in its smallest field)."""
+        the form of a point l pi/2k in its smallest field).  The jet at
+        the point is real, and theta2_jet builds it in the real subfield
+        of Q(zeta_m), of degree phi(m)/2."""
         return math.lcm(2 * self.den, 4)
 
     @property
@@ -68,7 +75,8 @@ def reduced_point(l: int, k: int) -> tuple[int, int]:
     u (then n is odd) zeta_2n^u is a primitive n-th root and they
     generate Q(zeta_n) = Q(zeta_2n); adjoining i gives
     Q(zeta_lcm(2n, 4)).  Over Q(zeta_4k) the same jet and Lambert form
-    are the embeddings of these.
+    are the embeddings of these.  Both are real, so both are held in the
+    real subfield of Q(zeta_lcm(2n, 4)), of degree phi(lcm(2n, 4))/2.
     """
     g = math.gcd(l, 2 * k)
     u, n = l // g, 2 * k // g
@@ -206,12 +214,16 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
 
     with c = zeta^p + zeta^{-p} and s = i (zeta^p - zeta^{-p})
     = zeta^{p+m/4} - zeta^{-p+m/4}: two vectors per offset serve every
-    slot.
+    slot.  Both are cosines c_e = zeta^e + zeta^{-e}: c = c_p, and as
+    zeta^{m/2} = -1, zeta^{-p-m/4} = -zeta^{-p+m/4}, so s = c_{p+m/4}.
+    Every slot is then real, and the jet is built in the real subfield
+    K+ over theta = zeta + zeta^{-1} (_Ctx.cosines), with half the
+    coordinates of Q(zeta_m).
     """
     if degree < 0:
         raise ValueError("jet degree must be >= 0")
     m = pt.conductor
-    ctx = _ctx(m)
+    ctx = _ctx(m, True)
     i_exp = m // 4
     base = Fraction(pt.q_power, 8)
     order = Fraction(order)
@@ -221,14 +233,14 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
         return ZJet([zero] * (degree + 1))
     slots: list[list] = [[None] * room for _ in range(degree + 1)]
     for off, t, p in _theta_terms(pt, room):
-        pair = (ctx.powers([(p, 1), (-p, 1)]),
-                ctx.powers([(p + i_exp, 1), (i_exp - p, -1)]))
+        pair = ctx.cosines([(p, 1)]), ctx.cosines([(p + i_exp, 1)])
         for j in range(degree + 1):
             vec = pair[j % 2]
             if any(vec):
                 c = -t**j if j & 2 else t**j
                 slots[j][off] = [c * x for x in vec]
-    return ZJet([QExpansion._from_vectors(m, base, v, math.factorial(j), order)
+    return ZJet([QExpansion._from_vectors(m, base, v, math.factorial(j), order,
+                                          real=True)
                  for j, v in enumerate(slots)])
 
 
@@ -478,14 +490,17 @@ def _bracket_data(k: int, p: int, room: int):
 
 
 def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
-    """d/dz log theta2 at x_l = l*pi/(2k) in Lambert form, over Q(zeta_4k).
+    """d/dz log theta2 at x_l = l*pi/(2k) in Lambert form, over the real
+    subfield of Q(zeta_4k).
 
     The series is -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d),
     built on the sine basis of _bracket_data: the coefficient of q^M is
     sum_j (2/w_j) Y_j[M] (2 sin(r_j l pi/k)) over the denominator 2k, with
     2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a) = zeta^{k-a} - zeta^{k+a},
-    i = zeta^k, zeta = zeta_4k, one exponent map _Ctx.powers per class,
-    and each coordinate of that vector summed as one series over the j.
+    i = zeta^k, zeta = zeta_4k.  As zeta^{2k} = -1, that is the cosine
+    c_{k-a} = zeta^{k-a} + zeta^{a-k}: one cosine map _Ctx.cosines per
+    class, a theta-vector of K+, and each coordinate of that vector summed
+    as one series over the j.
     The jet ratio a1/a0 of theta2_jet is the independent route to the
     same series (the lemd verifier).
 
@@ -502,31 +517,36 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     if room <= 0:
         return QExpansion.zero(order)
     m = 4 * k
-    ctx = _ctx(m)
+    ctx = _ctx(m, True)
     reps, weights, ys = _bracket_data(k, l % 2, room)
     cols = [[0] * room for _ in range(ctx.D)]
     for r, w, y in zip(reps, weights, ys):
         a = 2 * r * l
         c = 2 // w
-        sine = ctx.powers([(k - a, c), (k + a, -c)])
+        sine = ctx.cosines([(k - a, c)])
         for col, x in zip(cols, sine):
             if x:
                 K.scaled_add(col, y, x)
     vecs = [list(v) if any(v) else None for v in zip(*cols)]
-    return QExpansion._from_vectors(m, 0, vecs, 2 * k, order)
+    return QExpansion._from_vectors(m, 0, vecs, 2 * k, order, real=True)
 
 
 def halfprod_constant(k: int, delta: int) -> CyclotomicNumber:
-    """Fourth root of unity closing the half product of 2k theta factors:
+    """The sign C = +-1 closing the half product of 2k theta factors:
 
         prod_{0<=l<2k, l-k=delta (2)} theta2(z + l pi/2k, q)
             = C * eta^k/eta_k * theta2(kz + (delta-1) pi/2, q^k)
 
-    C = e^{(i pi/2)(delta - k - [k != delta mod 2])}.  The sign of the
-    indicator differs from the usual printed form of this constant; the
-    value here is the one the product identity actually satisfies, as
+    C = e^{(i pi/2) E}, E = delta - k - [k != delta mod 2].  The sign of
+    the indicator differs from the usual printed form of this constant;
+    the value here is the one the product identity actually satisfies, as
     both the series verifier and a numerical check confirm (the printed
     variant fails whenever k and delta have opposite parity).
+
+    C is rational: E is even, since delta - k is even when the indicator
+    is 0 and odd when it is 1, so C = i^E = (-1)^{E/2}.  Both sides of
+    lem2 are then real at real z, as the theta2 factors are.  It is
+    returned as an element of Q(zeta_4).
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")

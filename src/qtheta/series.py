@@ -6,24 +6,31 @@ built here (the q^{1/8} and q^{alpha/24} prefactors factor out exactly).
 Precision is an absolute exponent bound and only ever decreases through
 arithmetic.
 
-A series over Q(zeta_m) holds its conductor m, one canonical integer
-vector per coefficient (power-basis coordinates mod Phi_m, None for a
-zero coefficient) and one common denominator, in lowest terms after one
-gcd pass per series; the largest vector entry is found once, when a
-product first needs it.  A rational series is the case m = 1, with
-vectors of length one.  Sums, scalar products, q d/dq, shifts,
-truncation, products, division and comparison all work on those
-vectors.  Coefficient objects are built only where a caller reads a
-coefficient: `coeffs` is a tuple built on first read and cached (ints
-and Fractions for a rational series, CyclotomicNumbers otherwise), and
-coefficient() and a Mismatch read it.  Coefficients are exact: int,
-Fraction or CyclotomicNumber, anything else is a TypeError.  A series
-has a single conductor: building one from two conductors, or adding
-two, raises ConductorError; conductor 1 joins any field, and the zero
-series is rational.  A sum or product whose coefficients are all
-rational is rational too, so its field depends only on its values, not
-on the order of the sums and products that formed it nor on the terms
-that cancel or fall beyond its precision.
+A series lies in one of three fields: Q, the real subfield K+ of
+Q(zeta_m), or Q(zeta_m) itself.  It holds its conductor m, whether it is
+real, one canonical integer vector per coefficient (power-basis
+coordinates, mod Phi_m over zeta or mod psi_m over theta = zeta +
+zeta^-1 for a real series, None for a zero coefficient) and one common
+denominator, in lowest terms after one gcd pass per series; the largest
+vector entry is found once, when a product first needs it.  A rational
+series is the case m = 1, with vectors of length one.  A real series
+(theta2 jets and Lambert forms, built so by modular) has half the lanes
+of a full one, and every sum, product and division of real series stays
+in K+.  Sums, scalar products, q d/dq, shifts, truncation, products,
+division and comparison all work on those vectors.  Coefficient objects
+are built only where a caller reads a coefficient: `coeffs` is a tuple
+built on first read and cached (ints and Fractions for a rational
+series, CyclotomicNumbers in the zeta basis otherwise, a real series
+lifted), and coefficient() and a Mismatch read it.  Coefficients are
+exact: int, Fraction or CyclotomicNumber, anything else is a TypeError.
+A series has a single conductor: building one from two conductors, or
+adding two, raises ConductorError; conductor 1 joins any field, a real
+series joins a full one of its conductor (it is lifted, _Ctx.lift), and
+the zero series is rational.  field() is the conductor in both cases.  A
+sum or product whose coefficients are all rational is rational too, so
+its field depends only on its values, not on the order of the sums and
+products that formed it nor on the terms that cancel or fall beyond its
+precision.
 
 Multiplication is schoolbook convolution in q, and its one entry point,
 _series_mul, forms a sum of products sum c*a*b (a plain product is the
@@ -31,12 +38,12 @@ one-term sum).  The vectors are packed into bigints lane by lane, at the
 lane width _Ctx.product_lane gives for the whole sum, so the inner loop
 is one bignum multiply per coefficient pair.  The packed products of all
 the terms are added lane-wise, and each coefficient of the sum is
-reduced mod Phi_m once (folded while packed, then unpacked and divided,
-_Ctx.reduce_packed): reduction is linear, so reducing the sum gives the
-sum of the reduced products, and one lowest-terms pass makes the result
-canonical, equal to the chain of single products and sums (the proof
-and the lane bound are in _series_mul).  A jet slot of a product or a
-square is one such sum.  A packed operand is reused across the
+reduced once, mod Phi_m or psi_m (folded while packed, then unpacked
+and divided, _Ctx.reduce_packed): reduction is linear, so reducing the
+sum gives the sum of the reduced products, and one lowest-terms pass
+makes the result canonical, equal to the chain of single products and
+sums (the proof and the lane bound are in _series_mul).  A jet slot of a
+product or a square is one such sum.  A packed operand is reused across the
 convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
@@ -49,8 +56,8 @@ is its one-slot case (_series_div).  The inverse of the divisor's lead
 operands once, which makes that lead a positive integer.  The quotient
 then follows the recurrence c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0
 one coefficient at a time: each is one packed sum over every divisor
-slot, the slot's own earlier coefficients included, reduced mod Phi_m
-once and packed once for the later sums.  All quotient slots share one
+slot, the slot's own earlier coefficients included, reduced once and
+packed once for the later sums.  All quotient slots share one
 common denominator, and the lanes widen only when growing quotients
 outrun their bound (the proof is in _long_div).
 """
@@ -63,7 +70,13 @@ from fractions import Fraction
 
 from . import _kernels as K
 from ._pack import pack_signed
-from .cyclotomic import ConductorError, CyclotomicNumber, _ctx, _lowest_terms
+from .cyclotomic import (
+    ConductorError,
+    CyclotomicNumber,
+    _ctx,
+    _field_of,
+    _lowest_terms,
+)
 
 
 class PrecisionError(ValueError):
@@ -100,17 +113,13 @@ def _narrowed(s: "QExpansion") -> "QExpansion":
     return QExpansion._from_vectors(1, s.base, vecs, s._den, s.precision, True)
 
 
-def _field_of(ma: int, mb: int) -> int:
-    """The one conductor of two operands; conductor 1 (Q) joins any field."""
-    if ma == 1 or ma == mb:
-        return mb
-    if mb != 1:
-        raise ConductorError(f"conductor mismatch: {ma} vs {mb}")
-    return ma
+def _lift(s: "QExpansion", m: int) -> "QExpansion":
+    """s over Q(zeta_m) if it is real, else s (a rational one unpadded)."""
+    return s.embed(m) if s._real else s
 
 
 class QExpansion:
-    __slots__ = ("base", "precision", "_m", "_vecs", "_den", "_amax",
+    __slots__ = ("base", "precision", "_m", "_real", "_vecs", "_den", "_amax",
                  "_coeffs", "_lead_inv")
 
     def __init__(self, base, coeffs, precision):
@@ -118,7 +127,7 @@ class QExpansion:
         parts = []
         for c in coeffs:
             if isinstance(c, CyclotomicNumber):
-                m = _field_of(m, c.conductor)
+                m, _ = _field_of(((m, False), (c.conductor, False)))
                 parts.append((c._num, c._den) if c else None)
             elif isinstance(c, (int, Fraction)):
                 parts.append(((c.numerator,), c.denominator) if c else None)
@@ -136,7 +145,7 @@ class QExpansion:
         # each part is in lowest terms, so the vectors over their lcm are too
         self._init_vectors(m, base, vecs, den, precision, True)
 
-    def _init_vectors(self, m, base, vecs, den, precision, lowest):
+    def _init_vectors(self, m, base, vecs, den, precision, lowest, real=False):
         base = Fraction(base)
         precision = Fraction(precision)
         i, j = 0, len(vecs)
@@ -154,7 +163,7 @@ class QExpansion:
             lowest = False
         if i == j:
             # the zero series is rational; its base is the first unknown exponent
-            m, vecs, den, base = 1, [], 1, precision
+            m, vecs, den, base, real = 1, [], 1, precision, False
         elif i or j < len(vecs):
             vecs = vecs[i:j]
         if not lowest:
@@ -162,6 +171,7 @@ class QExpansion:
         self.base = base
         self.precision = precision
         self._m = m
+        self._real = real
         self._vecs = vecs
         self._den = den
         self._amax = None
@@ -169,19 +179,21 @@ class QExpansion:
         self._lead_inv = None
 
     @classmethod
-    def _from_vectors(cls, m, base, vecs, den, precision, lowest=False):
-        """A series over Q(zeta_m) from canonical vectors (lists of ints,
-        None for zero) over the positive denominator den.  The lists are
-        kept, not copied, so the caller must not change them afterwards."""
+    def _from_vectors(cls, m, base, vecs, den, precision, lowest=False,
+                      real=False):
+        """A series over Q(zeta_m), or over its real subfield K+ when real
+        is true, from canonical vectors (lists of ints, None for zero) over
+        the positive denominator den.  The lists are kept, not copied, so
+        the caller must not change them afterwards."""
         self = object.__new__(cls)
-        self._init_vectors(m, base, vecs, den, precision, lowest)
+        self._init_vectors(m, base, vecs, den, precision, lowest, real)
         return self
 
     def _rebuilt(self, base, vecs, precision):
         """A series over this field from vectors in lowest terms over this
         denominator."""
         return QExpansion._from_vectors(
-            self._m, base, vecs, self._den, precision, True
+            self._m, base, vecs, self._den, precision, True, self._real
         )
 
     def _operand(self):
@@ -192,12 +204,15 @@ class QExpansion:
 
     def _lead_inverse(self) -> CyclotomicNumber:
         """1/c for the lead coefficient c, computed once per series (a
-        division by a series with a rational lead needs no inverse)."""
+        division by a series with a rational lead needs no inverse), in
+        the zeta basis: a real lead is lifted first."""
         if self._lead_inv is None:
             if self.is_zero:
                 raise ZeroDivisionError("the zero series has no lead coefficient")
-            self._lead_inv = CyclotomicNumber._raw(
-                self._m, self._vecs[0], self._den).invert()
+            lead = self._vecs[0]
+            if self._real:
+                lead = _ctx(self._m, True).lift(lead)
+            self._lead_inv = CyclotomicNumber._raw(self._m, lead, self._den).invert()
         return self._lead_inv
 
     # -- constructors -------------------------------------------------
@@ -223,7 +238,8 @@ class QExpansion:
     @property
     def coeffs(self) -> tuple:
         """The coefficients c_t: CyclotomicNumbers (0 for a zero) over
-        Q(zeta_m), ints and Fractions over Q."""
+        Q(zeta_m), in the zeta basis for a real series too, ints and
+        Fractions over Q."""
         cs = self._coeffs
         if cs is None:
             m, den = self._m, self._den
@@ -231,7 +247,8 @@ class QExpansion:
                 cs = tuple(0 if v is None else v[0] // den if v[0] % den == 0
                            else Fraction(v[0], den) for v in self._vecs)
             else:
-                cs = tuple(0 if v is None else CyclotomicNumber._raw(m, v, den)
+                lift = _ctx(m, True).lift if self._real else list
+                cs = tuple(0 if v is None else CyclotomicNumber._raw(m, lift(v), den)
                            for v in self._vecs)
             self._coeffs = cs
         return cs
@@ -241,7 +258,8 @@ class QExpansion:
         return not self._vecs
 
     def field(self) -> int | None:
-        """Conductor of the coefficient field, or None for plain rationals."""
+        """Conductor m of the coefficient field, Q(zeta_m) or its real
+        subfield, or None for plain rationals."""
         return None if self._m == 1 else self._m
 
     def exponents(self):
@@ -262,15 +280,33 @@ class QExpansion:
 
     def embed(self, M: int) -> "QExpansion":
         """The same series over Q(zeta_M), m | M; a rational series is the
-        case m = 1."""
+        case m = 1.  A real series is lifted at m first."""
         m = self._m
-        if m == M:
+        if m == M and not self._real:
             return self
         if M % m:
             raise ConductorError(f"{m} does not divide {M}")
-        ctx = _ctx(M)
-        vecs = [None if v is None else ctx.galois_vec(v, M // m) for v in self._vecs]
+        vecs = self._vecs
+        if self._real:
+            lift = _ctx(m, True).lift
+            vecs = [None if v is None else lift(v) for v in vecs]
+        if M != m:
+            ctx = _ctx(M)
+            vecs = [None if v is None else ctx.galois_vec(v, M // m) for v in vecs]
         return QExpansion._from_vectors(M, self.base, vecs, self._den, self.precision)
+
+    def _over(self, m: int, real: bool) -> "QExpansion":
+        """The same series over K+ of conductor m (real) or over
+        Q(zeta_m), a field _field_of joined it into."""
+        if not real:
+            return self.embed(m)
+        if self._m == m:
+            return self
+        # a rational vector [x] is x theta^0, padded
+        pad = [0] * (_ctx(m, True).D - 1)
+        vecs = [None if v is None else v + pad for v in self._vecs]
+        return QExpansion._from_vectors(m, self.base, vecs, self._den,
+                                        self.precision, True, True)
 
     def __repr__(self):
         if self.is_zero:
@@ -316,7 +352,7 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         prec = min(self.precision, other.precision)
-        m = _field_of(self._m, other._m)
+        m, real = _field_of(((self._m, self._real), (other._m, other._real)))
         if self.is_zero:
             return _narrowed(other.truncate(prec))
         if other.is_zero:
@@ -328,7 +364,7 @@ class QExpansion:
             )
         base = min(self.base, other.base)
         oa, ob = int(self.base - base), int(other.base - base)
-        a, b = self.embed(m), other.embed(m)
+        a, b = self._over(m, real), other._over(m, real)
         den = math.lcm(a._den, b._den)
         va, vb = _scaled(a._vecs, den // a._den), _scaled(b._vecs, den // b._den)
         out = [None] * max(len(va) + oa, len(vb) + ob)
@@ -341,7 +377,8 @@ class QExpansion:
                     if not any(v):
                         v = None
                 out[ob + t] = v
-        return _narrowed(QExpansion._from_vectors(m, base, out, den, prec))
+        return _narrowed(QExpansion._from_vectors(m, base, out, den, prec,
+                                                  real=real))
 
     __radd__ = __add__
 
@@ -370,20 +407,22 @@ class QExpansion:
     __rmul__ = __mul__
 
     def _times(self, c) -> "QExpansion":
-        """self * c for a nonzero int, Fraction or CyclotomicNumber c."""
-        m = self._m
+        """self * c for a nonzero int, Fraction or CyclotomicNumber c; a
+        rational c keeps a real series real."""
+        m, real = self._m, self._real
         if isinstance(c, CyclotomicNumber):
-            m = _field_of(m, c.conductor)
+            m, real = _field_of(((m, real), (c.conductor, c.is_rational())))
             if c.is_rational():
                 c = c.as_rational()
-        s = self.embed(m)
+        s = self._over(m, real)
         if isinstance(c, CyclotomicNumber):
             mul = _ctx(m).mul_vec
             vecs = [None if v is None else mul(v, c._num) for v in s._vecs]
             den = s._den * c._den
         else:
             vecs, den = _scaled(s._vecs, c.numerator), s._den * c.denominator
-        return QExpansion._from_vectors(m, self.base, vecs, den, self.precision)
+        return QExpansion._from_vectors(m, self.base, vecs, den, self.precision,
+                                        real=real)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -400,7 +439,7 @@ class QExpansion:
         vecs = [None if v is None or p + t * q == 0 else [(p + t * q) * x for x in v]
                 for t, v in enumerate(self._vecs)]
         return QExpansion._from_vectors(
-            self._m, self.base, vecs, self._den * q, self.precision
+            self._m, self.base, vecs, self._den * q, self.precision, real=self._real
         )
 
     def scale_q(self, s: int) -> "QExpansion":
@@ -421,7 +460,11 @@ class QExpansion:
 
 
 def _common_field(a: QExpansion, b: QExpansion):
-    """a and b over one field, the lcm of their conductors."""
+    """a and b over one field: K+ when both are real or rational, of one
+    conductor, else Q(zeta) of the lcm of their conductors."""
+    if 1 in (a._m, b._m) or a._m == b._m:
+        f = _field_of(((a._m, a._real), (b._m, b._real)))
+        return a._over(*f), b._over(*f)
     m = math.lcm(a._m, b._m)
     return a.embed(m), b.embed(m)
 
@@ -434,20 +477,21 @@ def _series_mul(terms) -> QExpansion:
     c a nonzero int; a plain product a*b is the one term (1, a, b).
 
     The precision is the least of the terms' product precisions, and the
-    conductor the one field of the terms with nonzero operands, or 1 when
-    every coefficient of the sum is rational, as a chain of products and
-    sums gives in any order.  A term that is zero, or lies
+    field the one field of the terms with nonzero operands (K+ when they
+    are all real or rational, each real operand lifted when one is full),
+    or Q when every coefficient of the sum is rational, as a chain of
+    products and sums gives in any order.  A term that is zero, or lies
     wholly at or above that precision, adds nothing to the coefficients.
     Every other term is convolved from packed operands (each distinct
     operand packed once, one list for a square), scaled by c*den/(da*db)
     onto the common denominator den, the lcm of the da*db, and added
     lane-wise into the packed sum at its offset from the least base.
-    Each coefficient of the sum is then reduced mod Phi_m once, and the
-    series takes one lowest-terms pass.
+    Each coefficient of the sum is then reduced once (mod Phi_m, or psi_m
+    over K+), and the series takes one lowest-terms pass.
 
-    Why one reduction suffices: reduction mod Phi_m is linear, so the
-    reduced sum is the sum of the reduced products; and lowest terms make
-    the (vectors, denominator) form canonical, so the result equals the
+    Why one reduction suffices: reduction mod Phi_m or psi_m is linear, so
+    the reduced sum is the sum of the reduced products; and lowest terms
+    make the (vectors, denominator) form canonical, so the result equals the
     chain c_1*a_1*b_1 + c_2*a_2*b_2 + ... exactly.  Why one lane width
     suffices: a coefficient of a_t*b_t is a sum of at most min(la, lb)
     vector products with lanes below amax and bmax, so the packed sum is
@@ -460,9 +504,9 @@ def _series_mul(terms) -> QExpansion:
     nonzero = [(c, a, b) for c, a, b in terms if not a.is_zero and not b.is_zero]
     if not nonzero:
         return QExpansion.zero(prec)
-    m = 1
-    for _, a, b in nonzero:
-        m = _field_of(m, _field_of(a._m, b._m))
+    m, real = _field_of((s._m, s._real) for _, a, b in nonzero for s in (a, b))
+    if not real:
+        nonzero = [(c, _lift(a, m), _lift(b, m)) for c, a, b in nonzero]
     bases = [a.base + b.base for _, a, b in nonzero]
     if any((e - bases[0]).denominator != 1 for e in bases):
         raise ValueError(f"incompatible base classes: {sorted(set(bases))}")
@@ -470,7 +514,8 @@ def _series_mul(terms) -> QExpansion:
     if not live:
         return QExpansion.zero(prec)
     base = min(e for _, e in live)
-    ctx = _ctx(m)
+    # _ctx(m) for Q(zeta_m), its one cache key
+    ctx = _ctx(m, True) if real else _ctx(m)
     den = math.lcm(*(a._den * b._den for (_, a, b), _ in live))
     units = 0
     for (c, a, b), _ in live:
@@ -500,7 +545,7 @@ def _series_mul(terms) -> QExpansion:
     for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return _narrowed(QExpansion._from_vectors(m, base, out, den, prec))
+    return _narrowed(QExpansion._from_vectors(m, base, out, den, prec, real=real))
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -528,7 +573,11 @@ def _long_div(a, b) -> list:
     each nonzero vector of a and b is multiplied by L (by a sign for a
     rational lead), and each jet is put over one denominator, a = A/ad and
     b = B/bd.  The lead of B_0 is then a positive integer lam, and
-    c = (bd/ad) A/B.
+    c = (bd/ad) A/B.  Over K+ the inverse, real as the lead is, comes in
+    the zeta basis, and L is its cosine map (_Ctx.cosines), 2L/Ld: any
+    positive rational multiple of the inverse serves.  The division works
+    in the one field of its operands (_field_of), over theta for real
+    jets, with every real slot lifted when one is full.
 
     Coefficient i of slot t of A/B is C_{t,i}/E, over one common
     denominator E for all slots that grows as the division goes on, and
@@ -541,7 +590,7 @@ def _long_div(a, b) -> list:
     S_s the nonzero coefficients of B_s and r = i less the offset of the
     product c_{t-s} b_s from the numerator's base.  The s = 0 term reads
     the slot's own packed coefficients, where C_{t,i} is still 0, so the
-    lead of B_0 adds nothing.  The sum is reduced mod Phi_m once
+    lead of B_0 adds nothing.  The sum is reduced once
     (_Ctx.reduce_packed), which gives lam E times coefficient i.  When
     lam does not divide that vector, E becomes f E for the least f that
     makes f/lam times it integral (f divides lam, so this happens only for
@@ -578,16 +627,20 @@ def _long_div(a, b) -> list:
         raise ZeroDivisionError("division by the zero series")
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    m = 1
-    for s in (*a, *b):
-        if not s.is_zero:
-            m = _field_of(m, s._m)
-    ctx = _ctx(m)
+    m, real = _field_of((s._m, s._real) for s in (*a, *b))
+    if not real:
+        a, b = [_lift(s, m) for s in a], [_lift(s, m) for s in b]
+        b0 = b[0]
+    # _ctx(m) for Q(zeta_m), its one cache key
+    ctx = _ctx(m, True) if real else _ctx(m)
     # a zero numerator needs no fold: every quotient slot is zero
     if any(not s.is_zero for s in a):
         lead = b0._vecs[0]
         if any(lead[1:]):
-            L = b0._lead_inverse()._num
+            inv = b0._lead_inverse()._num
+            # over K+, the cosine map of the real 1/lead's zeta coordinates
+            # is 2/lead: a positive multiple serves as well
+            L = ctx.cosines(enumerate(inv)) if real else inv
         else:
             L = -1 if lead[0] < 0 else 1
         A, ad, amax = _folded(a, L, ctx)
@@ -671,8 +724,8 @@ def _long_div(a, b) -> list:
         if cs is None:
             quotient.append(QExpansion.zero(p))
         else:
-            quotient.append(_narrowed(
-                QExpansion._from_vectors(m, base, _scaled(cs, bd), E * ad, p)))
+            quotient.append(_narrowed(QExpansion._from_vectors(
+                m, base, _scaled(cs, bd), E * ad, p, real=real)))
     return quotient
 
 

@@ -189,6 +189,21 @@ class TestJsonFormat:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "848d0b21dd31d54c"
 
+    def test_jet_reports_pinned_at_large_conductors(self, capsys):
+        # meq1 and lemd for k = 11..20, where the point fields reach
+        # phi(m) = 36 (a real subfield of degree 18), as the version that
+        # held every jet in the full power basis printed them
+        rc = main(["verify", "meq1,lemd", "--k-min", "11", "--k-max", "20",
+                   "--order", "24", "--jet-degree", "4", "--format", "json",
+                   "--jobs", "1"])
+        assert rc == 0
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["elapsed_ms"]
+        assert len(reports) == 350
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "29a49a56305b3e13"
+
     @pytest.mark.parametrize("order, digest", [
         (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])
     def test_lem22_and_bridge_reports_pinned(self, capsys, order, digest):

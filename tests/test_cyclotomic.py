@@ -1,4 +1,5 @@
-"""Exact field arithmetic in Q(zeta_m): examples and structural laws."""
+"""Exact field arithmetic in Q(zeta_m) and its real subfield: examples and
+structural laws."""
 
 import math
 import random
@@ -18,7 +19,7 @@ from qtheta import (
     root_of_unity,
     trig_value,
 )
-from qtheta.cyclotomic import _ctx
+from qtheta.cyclotomic import _ctx, real_polynomial
 
 
 def _poly_divmod(num, den):
@@ -160,6 +161,103 @@ class TestExponentMap:
                 want = sum((c * root_of_unity(M, e) for e, c in terms),
                            CyclotomicNumber.zero(M))
                 assert embed_conductor(a, M) == want, (m, M)
+
+    def test_reduce_by_slices_is_the_remainder_mod_phi(self):
+        # the blocks of m/2 lanes (m for odd m) that reduce folds by slices,
+        # the one fold powers goes through too, leave the remainder mod
+        # Phi_m of the whole vector, at every length up to 3m
+        rng = random.Random(31)
+        for m in range(1, 121):
+            ctx = _ctx(m)
+            for n in sorted({*range(1, 8), *rng.sample(range(1, 3 * m + 1),
+                                                        min(12, 3 * m))}):
+                vec = [rng.randint(-99, 99) for _ in range(n)]
+                want = _exponent_oracle(m, enumerate(vec))
+                assert ctx.reduce(vec) == want, (m, n)
+                assert ctx.powers(enumerate(vec)) == want, (m, n)
+
+
+def _psi_oracle_phi(psi):
+    """x^h psi(x + 1/x), h = deg psi, expanded by the binomial theorem:
+    sum_i psi_i (x^2 + 1)^i x^(h - i)."""
+    h = len(psi) - 1
+    out = [0] * (2 * h + 1)
+    for i, c in enumerate(psi):
+        for r in range(i + 1):
+            out[2 * r + h - i] += c * math.comb(i, r)
+    return tuple(out)
+
+
+def _rand_real(rng, m, bound=9):
+    return [rng.randint(-bound, bound) for _ in range(_ctx(m, True).D)]
+
+
+class TestRealSubfield:
+    def test_psi_against_the_phi_identity(self):
+        # x^{D'} psi_m(x + 1/x) = Phi_m(x), psi_m monic of degree phi(m)/2
+        for m in range(3, 121):
+            psi = real_polynomial(m)
+            assert psi[-1] == 1 and 2 * (len(psi) - 1) == euler_phi(m), m
+            assert _psi_oracle_phi(psi) == cyclotomic_polynomial(m), m
+            assert _ctx(m, True).D == euler_phi(m) // 2
+
+    def test_small_psi(self):
+        # theta = -1, 0, (sqrt 5 - 1)/2, sqrt 2, 1 and sqrt 3
+        assert real_polynomial(3) == (1, 1)
+        assert real_polynomial(4) == (0, 1)
+        assert real_polynomial(5) == (-1, 1, 1)
+        assert real_polynomial(8) == (-2, 0, 1)
+        assert real_polynomial(6) == (-1, 1)
+        assert real_polynomial(12) == (-3, 0, 1)
+        with pytest.raises(ValueError):
+            real_polynomial(2)
+
+    def test_cosine_table_lifts_to_the_exponent_map(self):
+        # c_e = zeta^e + zeta^-e for every e, negative and beyond m too
+        for m in range(3, 121):
+            rc, zc = _ctx(m, True), _ctx(m)
+            for e in (*range(-2, m + 3), -m - 1, 2 * m + 1):
+                want = zc.powers([(e, 1), (-e, 1)])
+                assert rc.lift(rc.cosines([(e, 1)])) == want, (m, e)
+            assert rc.cosines([(1, 3), (m + 1, -1), (-1, 1)]) == \
+                [3 * x for x in rc.cos[1]]
+
+    def test_lift_is_a_ring_map(self):
+        # the lift of a product over theta is the product of the lifts
+        rng = random.Random(37)
+        for m in [*range(3, 41), 60, 76, 84, 120]:
+            rc, zc = _ctx(m, True), _ctx(m)
+            for _ in range(3):
+                y, z = _rand_real(rng, m), _rand_real(rng, m)
+                prod = rc.mul_vec(y, z)
+                assert len(prod) == rc.D
+                assert rc.lift(prod) == zc.mul_vec(rc.lift(y), rc.lift(z)), m
+                # a lifted element is real, and lifting is injective
+                lifted = CyclotomicNumber(m, rc.lift(y))
+                assert lifted.is_real()
+                assert (lifted == 0) == (not any(y))
+
+    def test_cosine_map_of_a_real_element_is_twice_it(self):
+        # x = (x + conj x)/2 = sum a_e c_e / 2 for x = sum a_e zeta^e real
+        rng = random.Random(41)
+        for m in range(3, 121):
+            rc = _ctx(m, True)
+            y = _rand_real(rng, m)
+            assert rc.cosines(enumerate(rc.lift(y))) == [2 * x for x in y], m
+
+    def test_real_inverse_against_invert(self):
+        # the real inverse _long_div folds in: the cosine map of the zeta
+        # coordinates of 1/x is 2/x in theta coordinates
+        rng = random.Random(43)
+        for m in [5, 7, 8, 12, 15, 16, 20, 24, 40, 76]:
+            rc = _ctx(m, True)
+            for _ in range(3):
+                y = _rand_real(rng, m)
+                if not any(y[1:]):
+                    continue
+                inv = CyclotomicNumber(m, rc.lift(y)).invert()
+                L = rc.cosines(enumerate(inv._num))
+                assert rc.mul_vec(y, L) == [2 * inv._den] + [0] * (rc.D - 1), m
 
 
 class TestFieldOps:

@@ -10,7 +10,9 @@ import pytest
 from qtheta import (
     CyclotomicNumber,
     QExpansion,
+    T_of_log,
     ThetaPoint,
+    ZJet,
     compare,
     embed_conductor,
     eta_log_ddq,
@@ -30,6 +32,26 @@ from qtheta.modular import (
     root_product,
     theta2_product,
 )
+
+
+def _jet_slot_by_definition(pt, j, order):
+    """Slot j of the theta jet at pt over Q(zeta_m), in the zeta basis: at
+    q^{s/8 + s n(n+1)/2} the sum over tt = +-(2n+1) of
+    (i tt)^j / j! e^{i tt z0}, each term formed by field arithmetic, with
+    e^{i tt z0} = zeta_2den^{num tt} lifted to the jet's field."""
+    s, m = pt.q_power, pt.conductor
+    i = root_of_unity(m, m // 4)
+    base = Fraction(s, 8)
+    room = math.ceil(order - base)
+    coeffs = [CyclotomicNumber.zero(m)] * room
+    n = 0
+    while (off := s * n * (n + 1) // 2) < room:
+        for tt in (2 * n + 1, -2 * n - 1):
+            phase = embed_conductor(root_of_unity(2 * pt.den, pt.num * tt), m)
+            term = (i * tt) ** j * phase / math.factorial(j)
+            coeffs[off] = coeffs[off] + term
+        n += 1
+    return QExpansion(base, coeffs, order)
 
 
 def _sigma(n):
@@ -312,30 +334,16 @@ class TestThetaJet:
             assert (f.q_ddq() * 8 + f.d_dz().d_dz()).is_zero()
 
     def test_slots_match_the_definition(self):
-        # slot j at q^{s/8 + s n(n+1)/2} is the sum over tt = +-(2n+1) of
-        # (i tt)^j / j! e^{i tt z0}, each term formed by field arithmetic,
-        # with e^{i tt z0} = zeta_2den^{num tt} lifted to the jet's field
+        # every slot, built over theta, against its definition over zeta
         J, order = 5, 20
         points = [(0, 1), (-1, 2)] + [(l, 2 * k) for k in range(1, 7)
                                       for l in range(2 * k)]
         for num, den in points:
             for s in (1, 3):
                 pt = ThetaPoint(num, den, s)
-                m = pt.conductor
-                i = root_of_unity(m, m // 4)
-                base = Fraction(s, 8)
-                room = math.ceil(order - base)
                 jet = theta2_jet(pt, J, order)
                 for j in range(J + 1):
-                    coeffs = [CyclotomicNumber.zero(m)] * room
-                    n = 0
-                    while (off := s * n * (n + 1) // 2) < room:
-                        for tt in (2 * n + 1, -2 * n - 1):
-                            phase = embed_conductor(root_of_unity(2 * den, num * tt), m)
-                            term = (i * tt) ** j * phase / math.factorial(j)
-                            coeffs[off] = coeffs[off] + term
-                        n += 1
-                    want = QExpansion(base, coeffs, order)
+                    want = _jet_slot_by_definition(pt, j, order)
                     assert jet.slot(j) == want, (num, den, s, j)
 
     def test_jet_q_ddq_weights(self):
@@ -345,6 +353,50 @@ class TestThetaJet:
         for n in range(4):
             e = Fraction((2 * n + 1) ** 2, 8)
             assert d.coefficient(e) == 2 * e
+
+
+def _assert_real(series, where):
+    """Each coefficient, read in the zeta basis of Q(zeta_m), equals its
+    complex conjugate: a check of values, whatever basis holds them."""
+    m = series.field()
+    if m is None:
+        return
+    for c in series.embed(m).coeffs:
+        if isinstance(c, CyclotomicNumber):
+            assert c.conjugate() == c, where
+
+
+class TestRealness:
+    def test_every_compared_series_is_real(self):
+        # The premise of the real subfield: for k = 2..10 and every l != k,
+        # each slot of the theta jet at l pi/2k (J = 4), its log_dz, its
+        # T_of_log and the Lambert form equal their complex conjugates.
+        # The jet is formed from its definition over zeta and divided over
+        # zeta, the Lambert form by trial division over zeta; each equals
+        # the series the package builds over theta.
+        J, order = 4, 6
+        for k in range(2, 11):
+            for l in range(2 * k):
+                if l == k:
+                    continue
+                pt = ThetaPoint(l, 2 * k)
+                full = ZJet([_jet_slot_by_definition(pt, j, order)
+                             for j in range(J + 1)])
+                jet = theta2_jet(pt, J, order)
+                for name, want, got in (
+                        ("jet", full, jet),
+                        ("log_dz", full.log_dz(), jet.log_dz()),
+                        ("T_of_log", T_of_log(full), T_of_log(jet))):
+                    for j, (w, g) in enumerate(zip(want.coeffs, got.coeffs)):
+                        where = (k, l, name, j)
+                        _assert_real(w, where)
+                        _assert_real(g, where)
+                        assert w == g, where
+                lam = log_deriv_lambert(l, k, order)
+                want = _lambert_by_trial_division(l, k, order)
+                _assert_real(want, (k, l, "lambert"))
+                _assert_real(lam, (k, l, "lambert"))
+                assert lam == want, (k, l)
 
 
 class TestTripleProduct:
@@ -583,3 +635,11 @@ class TestHalfprodConstant:
             for d in (0, 1):
                 c = halfprod_constant(k, d)
                 assert c ** 4 == 1
+
+    def test_rational_sign(self):
+        # delta - k - [k != delta mod 2] is even, so C = i^E is +-1, and
+        # lem2's right side stays real
+        for k in range(1, 201):
+            for d in (0, 1):
+                c = halfprod_constant(k, d)
+                assert c.is_rational() and c.as_rational() in (1, -1), (k, d)

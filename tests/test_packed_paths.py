@@ -155,6 +155,24 @@ def test_folded_reduction_holds_the_product_lane_bound(m):
         assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, D, ctx.phi_terms)
 
 
+@pytest.mark.parametrize("m", [3, 5, 8, 20, 40, 76, 120])
+def test_real_product_lane_holds_the_worst_reduction(m):
+    # over theta there is no fold: reduce_packed unpacks all 2D'-1 lanes
+    # of +-V, V = terms*D', and divides them by psi_m
+    ctx = _ctx(m, True)
+    D = ctx.D
+    assert not ctx.fold and ctx.top == 2 * D - 1
+    terms = ((1 << 14) - 1) // D
+    V = terms * D
+    rng = random.Random(m)
+    vec = [rng.choice((V, -V)) for _ in range(2 * D - 1)]
+    b = ctx.product_lane(terms)
+    assert b >= lane_width(V)
+    for v in (vec, [-x for x in vec]):
+        want = K.cyclo_rem(v, D, ctx.phi_terms)
+        assert ctx.reduce_packed(pack_signed(v, b), b) == ctx.reduce(v) == want
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21, 2, 4, 6, 8, 12, 20, 24, 30, 40, 60])
 def test_reduce_is_the_remainder_mod_phi(m):
     # the fold of even m changes the route, never the remainder

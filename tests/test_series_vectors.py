@@ -1,9 +1,11 @@
 """Series over Q(zeta_m) are integer vectors over one denominator, a
-rational series the case m = 1; every operation on them must agree with
+rational series the case m = 1 and a real one held over theta = zeta +
+zeta^-1 in the real subfield; every operation on them must agree with
 coefficient-wise CyclotomicNumber and Fraction arithmetic, which here is
 the oracle: a dict from exponent to value."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from qtheta import (
     CyclotomicNumber,
     Mismatch,
     QExpansion,
+    T_of_log,
     ThetaPoint,
     ZJet,
     compare,
@@ -501,3 +504,80 @@ def test_compare_across_base_classes_and_conductors():
     d = QExpansion(0, [z4, Fraction(1, 2)], 6)
     e = QExpansion(0, [z4, Fraction(1, 3)], 6)
     assert compare(d, e, 6) == Mismatch(1, Fraction(1, 2), Fraction(1, 3))
+
+
+def _real_series(rng, m, prec=10, lead=True):
+    """A random series over the real subfield of conductor m, from theta
+    coordinates, with an irrational lead when asked."""
+    D = _ctx(m, True).D
+    vecs = [[rng.randint(-6, 6) for _ in range(D)] for _ in range(prec)]
+    if lead:
+        vecs[0][D - 1] = rng.choice((1, -1, 2))
+    vecs = [v if any(v) else None for v in vecs]
+    return QExpansion._from_vectors(m, 0, vecs, rng.choice((1, 2, 6)), prec,
+                                    real=True)
+
+
+def _lifted(jet):
+    return ZJet([s.embed(s.field() or 1) for s in jet.coeffs])
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 20, 40, 76])
+def test_mixed_real_and_full_sums_equality_and_hash(m):
+    # a real series and its lift are one value: equal, of one hash and one
+    # field(); a sum or product with a full series is full, and equals
+    # the one formed from the lift; among real and rational ones it stays
+    # real
+    rng = random.Random(m)
+    r = _real_series(rng, m)
+    f = r.embed(m)
+    assert r._real and not f._real
+    assert r.field() == f.field() == m
+    assert r == f and f == r and hash(r) == hash(f)
+    assert r.coeffs == f.coeffs and compare(r, f, 10) is None
+    g = QExpansion(0, [root_of_unity(m, j) for j in range(6)], 10)
+    q = QExpansion(0, [Fraction(1, 3), 0, 5], 10)
+    for x, y in ((r, g), (g, r), (r, q), (q, r), (r, r), (r, f), (f, r)):
+        xf, yf = (s.embed(m) for s in (x, y))
+        assert x + y == xf + yf and x - y == xf - yf
+        assert x * y == xf * yf
+    assert (r + q)._real and (r * r)._real and (r * q)._real
+    assert not (r + g)._real and not (r * f)._real
+    assert (r - f).is_zero and (f - r).is_zero
+    bumped = r + QExpansion.monomial(1, 3, 10)
+    assert bumped != f and f != bumped
+    assert compare(bumped, f, 10) == Mismatch(3, bumped.coefficient(3),
+                                              f.coefficient(3))
+    mixed = _series_mul([(2, r, g), (1, r, r), (-3, q, r)])
+    assert mixed == _series_mul([(2, f, g), (1, f, f), (-3, q, f)])
+    # times a field element: a rational one keeps the series real
+    assert (r * root_of_unity(m, 1)) == f * root_of_unity(m, 1)
+    assert (r * CyclotomicNumber.rational(m, 3))._real
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 40])
+def test_real_jet_division_equals_the_full_one(m):
+    # division over theta, with a real lead that is no unit, against the
+    # same division of the lifted jets over zeta, and a mixed one
+    rng = random.Random(50 + m)
+    for _ in range(3):
+        a = ZJet([_real_series(rng, m, lead=False) for _ in range(4)])
+        b = ZJet([_real_series(rng, m) for _ in range(4)])
+        A, B = _lifted(a), _lifted(b)
+        q = a.div(b)
+        assert all(s._real or s.field() is None for s in q.coeffs)
+        for got, want in zip(q.coeffs, A.div(B).coeffs):
+            assert got == want and got.precision == want.precision
+        for got, want in zip(a.div(B).coeffs, A.div(B).coeffs):
+            assert got == want
+
+
+@pytest.mark.parametrize("l,k", [(1, 5), (2, 7), (1, 19)])
+def test_real_theta_jets_divide_as_their_lifts(l, k):
+    # the verifiers' two jet divisions over theta and over zeta
+    f = theta2_jet(ThetaPoint(l, 2 * k), 4, 12)
+    F = _lifted(f)
+    assert all(s._real for s in f.coeffs) and not any(s._real for s in F.coeffs)
+    for got, want in zip(T_of_log(f).coeffs + f.log_dz().coeffs,
+                         T_of_log(F).coeffs + F.log_dz().coeffs):
+        assert got == want and got.precision == want.precision
