@@ -19,10 +19,9 @@ for m = 40.  A sum of roots of unity sum c zeta^e is the vector with
 weight c in lane e mod m (the exponent map _Ctx.powers), a Galois image
 or embedding the one with exponents e j (_Ctx.galois_vec), and a root
 of unity, a sine, cosine or tangent one or a few terms.  A packed
-product of two vectors has 2D-1 lanes; _Ctx.reduce_packed folds it while
-it is packed, as 2D-2 < 2(m/2) whenever there is a lane to fold, and
-divides the unpacked lanes that are left.  _Ctx.product_lane proves the
-lane bound of that fold.
+product of two vectors has 2D-1 lanes; _Ctx.reduce_packed unpacks them
+all and reduces them with _Ctx.reduce, and _Ctx.product_lane proves the
+lane bound of that unpacking.
 
 The real subfield.  For m >= 3, K+ = Q(theta), theta = zeta + zeta^-1
 = 2 cos(2 pi/m), has degree D' = phi(m)/2 (Washington, ch. 2 and 8),
@@ -31,12 +30,13 @@ coefficients, from x^{D'} psi_m(x + 1/x) = Phi_m(x) (real_polynomial).
 An element of K+ is stored like one of Q(zeta_m), in the power basis
 {theta^j : j < D'} reduced mod psi_m, so every real series takes half
 the lanes.  The same _Ctx class serves it (_ctx(m, True)), with psi_m in
-place of Phi_m and no fold: reduce, reduce_packed, product_lane and
-mul_vec need only the monic modulus and its degree.  Its exponent map is
-_Ctx.cosines, sum c (zeta^e + zeta^-e) from a table of the
-c_e = zeta^e + zeta^-e; _Ctx.lift writes a theta-vector in the zeta
-basis (the one map from K+ to Q(zeta_m)), and the cosine map of a real
-element's zeta coordinates, halved, is its theta-vector.
+place of Phi_m and no fold: reduce divides by psi_m alone, and
+reduce_packed, product_lane and mul_vec need only the monic modulus and
+its degree.  Its exponent map is _Ctx.cosines, sum c (zeta^e + zeta^-e)
+from a table of the c_e = zeta^e + zeta^-e; _Ctx.lift writes a
+theta-vector in the zeta basis (the one map from K+ to Q(zeta_m)), and
+the cosine map of a real element's zeta coordinates, halved, is its
+theta-vector.
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels as K
-from ._pack import lane_width, split_low, unpack_signed
+from ._pack import lane_width, unpack_signed
 
 Rational = Fraction
 
@@ -167,9 +167,9 @@ class _Ctx:
     """Per-field machinery for one monic integer modulus, its nonzero low
     terms held once for cyclo_rem: Phi_m over zeta for Q(zeta_m) (_ctx),
     or psi_m over theta for its real subfield K+ (_ctx(m, True)), with the
-    exponent map, the packed fold and, for K+, the table of cosines."""
+    exponent map and, for K+, the table of cosines."""
 
-    __slots__ = ("m", "real", "D", "phi_terms", "fold", "top", "cos")
+    __slots__ = ("m", "real", "D", "phi_terms", "cos")
 
     def __init__(self, m: int, real: bool = False):
         poly = real_polynomial(m) if real else cyclotomic_polynomial(m)
@@ -177,12 +177,6 @@ class _Ctx:
         self.real = real
         self.D = D = len(poly) - 1
         self.phi_terms = [(i, p) for i, p in enumerate(poly[:-1]) if p]
-        # zeta^{m/2} = -1 for even m: lanes m/2 .. 2D-2 of a product, when
-        # there are any, fold onto lanes 0 .. m/2-1 with a sign, leaving
-        # `top` lanes; psi_m has no such binomial multiple, and no fold
-        h = m // 2
-        self.fold = h if not real and m % 2 == 0 and h < 2 * D - 1 else 0
-        self.top = self.fold or 2 * D - 1
         self.cos = None
         if real:
             # c_0 = 2, c_1 = theta, c_{e+1} = theta c_e - c_{e-1}, as
@@ -229,7 +223,10 @@ class _Ctx:
         Over zeta, zeta^p = -1 for even m, p = m/2, and zeta^p = 1 for odd
         m, p = m, so the contiguous blocks of p lanes are added onto the
         first p, with alternating signs for even m, and cyclo_rem divides
-        what is left.  Over theta cyclo_rem divides the whole vector.
+        what is left.  Over theta cyclo_rem divides the whole vector.  A
+        vector that has D lanes at that point is canonical already and is
+        returned as it is: one lane over Q, or over zeta the folded lanes
+        for m a power of two.
         """
         p = self.m if self.m % 2 else self.m // 2
         if not self.real and len(vec) > p:
@@ -239,21 +236,14 @@ class _Ctx:
                 blk = vec[s:s + p]
                 v[:len(blk)] = map(op, v, blk)
             vec = v
+        if len(vec) == self.D:
+            return vec
         return K.cyclo_rem(vec, self.D, self.phi_terms)
 
     def reduce_packed(self, x, b: int) -> list[int]:
-        """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes.
-
-        For even m with lanes at or above h = m/2 (over zeta only), the
-        high part is first subtracted from the low h lanes (one negacyclic
-        fold, since zeta^h = -1); the `top` lanes left are unpacked, and
-        cyclo_rem divides out those at or above D.
-        """
-        if self.fold:
-            low, high = split_low(x, b, self.fold)
-            x = low - high
-        v = unpack_signed(x, b, self.top)
-        return K.cyclo_rem(v, self.D, self.phi_terms) if self.top > self.D else v
+        """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes:
+        the 2D-1 lanes are unpacked, and reduce folds and divides them."""
+        return self.reduce(unpack_signed(x, b, 2 * self.D - 1))
 
     def product_lane(self, terms: int) -> int:
         """Lane width for a sum of `terms` products of vectors with lanes
@@ -262,17 +252,12 @@ class _Ctx:
         Each of the 2D-1 lanes of such a sum is at most V = terms*D.  A
         weighted sum sum_t w_t (a_t * b_t) of vectors with lanes of at most
         amax_t and bmax_t is a sum of terms = sum_t w_t amax_t bmax_t such
-        products.
-
-        The fold of reduce_packed (even m, h = m/2 < 2D-1) sets lane
-        e < h to x_e - x_{e+h}.  As e + h <= 2D-2 < 2h, no lane takes more
-        than one partner, so the folded lanes are at most 2V; without a
-        fold they stay at most V.  The lanes left are unpacked before
-        cyclo_rem, which works on exact ints.  Nothing here depends on the
-        modulus but its degree D and the fold, so the bound serves psi_m
-        over theta (D = phi(m)/2, no fold) as it does Phi_m.
+        products.  reduce_packed unpacks every lane before reduce, which
+        works on exact ints, so the packed lanes never hold more than V.
+        Nothing here depends on the modulus but its degree D, so the bound
+        serves psi_m over theta (D = phi(m)/2) as it does Phi_m.
         """
-        return lane_width(terms * self.D * (2 if self.fold else 1))
+        return lane_width(terms * self.D)
 
     def mul_vec(self, u, v) -> list[int]:
         """Product of two canonical integer vectors, reduced (mod Phi_m

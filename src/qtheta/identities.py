@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pack import lane_width, pack_signed, unpack_signed
-from .cyclotomic import embed_conductor
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
@@ -261,7 +260,11 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
     are sums of roots of unity, by shifts in Z[x]/(x^{m/2} + 1) and
     reduces mod Phi_m once (modular.root_product has the proof).  The
     right side's eta quotient eta_1^k/eta_k is one eta_quotient call, an
-    integer Euler product with no series product or division.
+    integer Euler product with no series product or division.  The right
+    side is multiplied in the real subfield K+ of conductor
+    lcm(2*base_den, 4), where theta2_jet builds the theta factor: the
+    quotient is rational and C = +-1 an int.  compare then embeds both
+    sides in Q(zeta_{2*base_den*k}).
 
     Both sides work at `order` itself, with no margin: the quotient has
     base 0 and precision `order`, and the theta series in q^k base k/8
@@ -275,15 +278,13 @@ def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationRep
         raise ValueError("base_den must be even")
     t0 = time.perf_counter()
     bd = base_den
-    m_full = 2 * bd * k
     lhs = theta2_product([ThetaPoint(1 + (bd // 2) * l, bd * k)
                           for l in range(2 * k) if (l - k) % 2 == delta], order)
     ratio = eta_quotient(((1, k), (k, -1)), order)
     th = theta2_jet(
         ThetaPoint((bd // 2) * (delta - 1) + 1, bd, q_power=k), 0, order
     ).slot(0)
-    rhs = th.embed(m_full) * ratio
-    rhs = rhs * embed_conductor(halfprod_constant(k, delta), m_full)
+    rhs = th * ratio * halfprod_constant(k, delta)
     for side, series in (("left", lhs), ("right", rhs)):
         if series.truncate(order).is_zero:
             raise ValueError(f"the {side} side is zero below q^{order}")

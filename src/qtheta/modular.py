@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import _kernels as K
 from ._pack import lane_width, split_low, unpack_signed
-from .cyclotomic import CyclotomicNumber, _ctx, root_of_unity
+from .cyclotomic import _ctx
 from .jets import ZJet
 from .series import QExpansion
 
@@ -531,7 +531,7 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     return QExpansion._from_vectors(m, 0, vecs, 2 * k, order, real=True)
 
 
-def halfprod_constant(k: int, delta: int) -> CyclotomicNumber:
+def halfprod_constant(k: int, delta: int) -> int:
     """The sign C = +-1 closing the half product of 2k theta factors:
 
         prod_{0<=l<2k, l-k=delta (2)} theta2(z + l pi/2k, q)
@@ -546,9 +546,9 @@ def halfprod_constant(k: int, delta: int) -> CyclotomicNumber:
     C is rational: E is even, since delta - k is even when the indicator
     is 0 and odd when it is 1, so C = i^E = (-1)^{E/2}.  Both sides of
     lem2 are then real at real z, as the theta2 factors are.  It is
-    returned as an element of Q(zeta_4).
+    returned as the int +-1.
     """
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
     ind = 1 if (k - delta) % 2 else 0
-    return root_of_unity(4, (delta - k - ind) % 4)
+    return -1 if (delta - k - ind) % 4 else 1

@@ -38,11 +38,11 @@ one-term sum).  The vectors are packed into bigints lane by lane, at the
 lane width _Ctx.product_lane gives for the whole sum, so the inner loop
 is one bignum multiply per coefficient pair.  The packed products of all
 the terms are added lane-wise, and each coefficient of the sum is
-reduced once, mod Phi_m or psi_m (folded while packed, then unpacked
-and divided, _Ctx.reduce_packed): reduction is linear, so reducing the
-sum gives the sum of the reduced products, and one lowest-terms pass
-makes the result canonical, equal to the chain of single products and
-sums (the proof and the lane bound are in _series_mul).  A jet slot of a
+reduced once, mod Phi_m or psi_m (unpacked, then folded and divided,
+_Ctx.reduce_packed): reduction is linear, so reducing the sum gives the
+sum of the reduced products, and one lowest-terms pass makes the result
+canonical, equal to the chain of single products and sums (the proof
+and the lane bound are in _series_mul).  A jet slot of a
 product or a square is one such sum.  A packed operand is reused across the
 convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
@@ -111,11 +111,6 @@ def _narrowed(s: "QExpansion") -> "QExpansion":
         return s
     vecs = [None if v is None else v[:1] for v in s._vecs]
     return QExpansion._from_vectors(1, s.base, vecs, s._den, s.precision, True)
-
-
-def _lift(s: "QExpansion", m: int) -> "QExpansion":
-    """s over Q(zeta_m) if it is real, else s (a rational one unpadded)."""
-    return s.embed(m) if s._real else s
 
 
 class QExpansion:
@@ -469,6 +464,18 @@ def _common_field(a: QExpansion, b: QExpansion):
     return a.embed(m), b.embed(m)
 
 
+def _join(series):
+    """(the _Ctx of the one field of the series, _field_of; each series
+    over that field, QExpansion._over), as a sum joins its operands.  Each
+    distinct series is converted once, so that an operand read twice, as
+    in a square, stays one object."""
+    m, real = _field_of((s._m, s._real) for s in series)
+    over = {id(s): s for s in series}
+    over = {i: s._over(m, real) for i, s in over.items()}
+    # _ctx(m) for Q(zeta_m), its one cache key
+    return _ctx(m, True) if real else _ctx(m), [over[id(s)] for s in series]
+
+
 # -- multiplication ----------------------------------------------------
 
 
@@ -477,11 +484,11 @@ def _series_mul(terms) -> QExpansion:
     c a nonzero int; a plain product a*b is the one term (1, a, b).
 
     The precision is the least of the terms' product precisions, and the
-    field the one field of the terms with nonzero operands (K+ when they
-    are all real or rational, each real operand lifted when one is full),
-    or Q when every coefficient of the sum is rational, as a chain of
-    products and sums gives in any order.  A term that is zero, or lies
-    wholly at or above that precision, adds nothing to the coefficients.
+    field the one field of the terms with nonzero operands, each operand
+    put over it as a sum puts it (_join), or Q when every coefficient of
+    the sum is rational, as a chain of products and sums gives in any
+    order.  A term that is zero, or lies wholly at or above that
+    precision, adds nothing to the coefficients.
     Every other term is convolved from packed operands (each distinct
     operand packed once, one list for a square), scaled by c*den/(da*db)
     onto the common denominator den, the lcm of the da*db, and added
@@ -497,16 +504,15 @@ def _series_mul(terms) -> QExpansion:
     vector products with lanes below amax and bmax, so the packed sum is
     a sum of at most sum_t |c_t| den/(da_t db_t) min(la_t, lb_t) amax_t
     bmax_t products of vectors with unit lanes, the count from which
-    _Ctx.product_lane sizes the lanes and their fold.
+    _Ctx.product_lane sizes the lanes.
     """
     prec = min(min(a.precision + b.base, b.precision + a.base)
                for _, a, b in terms)
     nonzero = [(c, a, b) for c, a, b in terms if not a.is_zero and not b.is_zero]
     if not nonzero:
         return QExpansion.zero(prec)
-    m, real = _field_of((s._m, s._real) for _, a, b in nonzero for s in (a, b))
-    if not real:
-        nonzero = [(c, _lift(a, m), _lift(b, m)) for c, a, b in nonzero]
+    ctx, ops = _join([s for _, a, b in nonzero for s in (a, b)])
+    nonzero = [(c, a, b) for (c, _, _), a, b in zip(nonzero, ops[::2], ops[1::2])]
     bases = [a.base + b.base for _, a, b in nonzero]
     if any((e - bases[0]).denominator != 1 for e in bases):
         raise ValueError(f"incompatible base classes: {sorted(set(bases))}")
@@ -514,8 +520,6 @@ def _series_mul(terms) -> QExpansion:
     if not live:
         return QExpansion.zero(prec)
     base = min(e for _, e in live)
-    # _ctx(m) for Q(zeta_m), its one cache key
-    ctx = _ctx(m, True) if real else _ctx(m)
     den = math.lcm(*(a._den * b._den for (_, a, b), _ in live))
     units = 0
     for (c, a, b), _ in live:
@@ -523,8 +527,6 @@ def _series_mul(terms) -> QExpansion:
         vb, db, bmax = b._operand()
         units += abs(c) * (den // (da * db)) * min(len(va), len(vb)) * amax * bmax
     lane = ctx.product_lane(units)
-    # a rational operand is not embedded: its vector [x] packs to x, and so
-    # does its lift [x, 0, ..., 0] to any field
     packed = {}
     for (_, a, b), _ in live:
         for s in (a, b):
@@ -545,7 +547,8 @@ def _series_mul(terms) -> QExpansion:
     for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return _narrowed(QExpansion._from_vectors(m, base, out, den, prec, real=real))
+    return _narrowed(QExpansion._from_vectors(ctx.m, base, out, den, prec,
+                                              real=ctx.real))
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -576,8 +579,8 @@ def _long_div(a, b) -> list:
     c = (bd/ad) A/B.  Over K+ the inverse, real as the lead is, comes in
     the zeta basis, and L is its cosine map (_Ctx.cosines), 2L/Ld: any
     positive rational multiple of the inverse serves.  The division works
-    in the one field of its operands (_field_of), over theta for real
-    jets, with every real slot lifted when one is full.
+    in the one field of its operands, over theta for real jets, with every
+    slot put over it as a sum puts it (_join).
 
     Coefficient i of slot t of A/B is C_{t,i}/E, over one common
     denominator E for all slots that grows as the division goes on, and
@@ -614,25 +617,20 @@ def _long_div(a, b) -> list:
     A, B and the C so far, and S the nonzero coefficients of all divisor
     slots but the lead of B_0: each meets at most one C in a sum.
     _Ctx.product_lane(bound) sizes the lane for D times
-    E amax + |S| Cmax bmax, which is more, doubled for the fold of the
-    reduction.  Before each step the bound is checked against the one the
-    lane was sized for; when growing quotients outrun it, B and the C are
-    packed again from their vectors at a lane sized for 2**_HEADROOM times
-    the new bound.  Over Q (D = 1) the same path and bound serve: a
+    E amax + |S| Cmax bmax, which is more.  Before each step the bound is
+    checked against the one the lane was sized for; when growing quotients
+    outrun it, B and the C are packed again from their vectors at a lane
+    sized for 2**_HEADROOM times the new bound.  Over Q (D = 1) the same path and bound serve: a
     one-lane vector packs to itself, and reduce_packed unpacks the one
-    lane of a sum with no fold and no division.
+    lane of a sum, which reduce returns as it is.
     """
     b0 = b[0]
     if b0.is_zero:
         raise ZeroDivisionError("division by the zero series")
     n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    m, real = _field_of((s._m, s._real) for s in (*a, *b))
-    if not real:
-        a, b = [_lift(s, m) for s in a], [_lift(s, m) for s in b]
-        b0 = b[0]
-    # _ctx(m) for Q(zeta_m), its one cache key
-    ctx = _ctx(m, True) if real else _ctx(m)
+    ctx, ops = _join([*a[:n], *b[:n]])
+    a, b = ops[:n], ops[n:]
+    b0 = b[0]
     # a zero numerator needs no fold: every quotient slot is zero
     if any(not s.is_zero for s in a):
         lead = b0._vecs[0]
@@ -640,7 +638,7 @@ def _long_div(a, b) -> list:
             inv = b0._lead_inverse()._num
             # over K+, the cosine map of the real 1/lead's zeta coordinates
             # is 2/lead: a positive multiple serves as well
-            L = ctx.cosines(enumerate(inv)) if real else inv
+            L = ctx.cosines(enumerate(inv)) if ctx.real else inv
         else:
             L = -1 if lead[0] < 0 else 1
         A, ad, amax = _folded(a, L, ctx)
@@ -725,7 +723,7 @@ def _long_div(a, b) -> list:
             quotient.append(QExpansion.zero(p))
         else:
             quotient.append(_narrowed(QExpansion._from_vectors(
-                m, base, _scaled(cs, bd), E * ad, p, real=real)))
+                ctx.m, base, _scaled(cs, bd), E * ad, p, real=ctx.real)))
     return quotient
 
 

@@ -204,6 +204,20 @@ class TestJsonFormat:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "29a49a56305b3e13"
 
+    def test_lem2_reports_pinned(self, capsys):
+        # lem2 for k = 1..24, both deltas, as the version that multiplied
+        # its right side in the full cyclotomic field printed them
+        rc = main(["verify", "lem2", "--k-min", "1", "--k-max", "24",
+                   "--order", "40", "--format", "json", "--jobs", "1"])
+        assert rc == 0
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["elapsed_ms"]
+        assert len(reports) == 48
+        assert all(r["status"] == "pass" for r in reports)
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "49d12cc7c5b390b8"
+
     @pytest.mark.parametrize("order, digest", [
         (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])
     def test_lem22_and_bridge_reports_pinned(self, capsys, order, digest):

@@ -347,7 +347,6 @@ class TestVerifyLem2:
         k, delta = 3, 0
         order = 20
         bd = 8
-        m_full = 2 * bd * k
         lhs = None
         for l in range(2 * k):
             if (l - k) % 2 != delta:
@@ -357,9 +356,7 @@ class TestVerifyLem2:
         e1 = eta_product(1, order + 3)
         ratio = e1 * e1 * e1 / eta_product(k, order + 3)
         th = theta2_jet(ThetaPoint(4 * (delta - 1) + 1, bd, q_power=k), 0, order + 3).slot(0)
-        base_rhs = embed_conductor(halfprod_constant(k, delta), m_full) * (
-            ratio * th.embed(m_full)
-        )
+        base_rhs = halfprod_constant(k, delta) * (ratio * th)
         assert compare(lhs, base_rhs, order) is None
         assert compare(lhs, -base_rhs, order) is not None
 

@@ -102,75 +102,40 @@ def test_packed_single_products_match_schoolbook():
             assert fast == ref
 
 
-def _worst_packed_vector(m):
-    """(terms, V, vec, largest folded lane): 2D-1 lanes of +-V, V = terms*D
-    the most a sum of `terms` products of vectors with lanes in {-1, 0, 1}
-    can hold, each lane at or above the fold point opposite its partner, so
-    that the fold of reduce_packed doubles it."""
-    ctx = _ctx(m)
-    D, h = ctx.D, ctx.fold
-    terms = ((1 << 14) - 1) // D
-    V = terms * D
-    assert V.bit_length() == 14
-    rng = random.Random(m)
-    vec = [rng.choice((V, -V)) for _ in range(2 * D - 1)]
-    if h:
-        for e in range(h, 2 * D - 1):
-            vec[e] = -vec[e - h]
-        folded = [vec[e] - (vec[e + h] if e + h < 2 * D - 1 else 0)
-                  for e in range(h)]
-    else:
-        folded = vec
-    return terms, V, vec, max(abs(x) for x in folded)
-
-
-@pytest.mark.parametrize("m", [5, 15, 105])
-def test_product_lane_holds_the_worst_reduction(m):
-    # odd m has no fold: reduce_packed unpacks all 2D-1 lanes of +-V
-    ctx = _ctx(m)
-    assert not ctx.fold
-    terms, V, vec, most = _worst_packed_vector(m)
-    assert most == V
-    b = ctx.product_lane(terms)
-    assert b >= lane_width(most)
-    for v in (vec, [-x for x in vec]):
-        assert ctx.reduce_packed(pack_signed(v, b), b) == ctx.reduce(v)
-
-
-@pytest.mark.parametrize("m", range(2, 121, 2))
-def test_folded_reduction_holds_the_product_lane_bound(m):
-    # The fold takes lanes m/2 .. 2D-2 onto the low ones; opposite partners
-    # make the folded lanes +-2V, the largest value reduce_packed forms.
-    # The lane must hold it with lane_width's slack, which alone would
-    # absorb one doubling, so the width is checked as well as the value.
-    ctx = _ctx(m)
+def _check_worst_reduction(ctx):
+    """2D-1 lanes of +-V, V = terms*D the most a sum of `terms` products of
+    vectors with lanes in {-1, 0, 1} can hold, packed at
+    product_lane(terms): reduce_packed must give the remainder of the
+    unpacked vector, for it and its negation.  V has 15 bits, so
+    lane_width(V) is a byte wider than the width for V/2: a lane sized for
+    half the bound fails the width check."""
     D = ctx.D
-    assert ctx.fold == (m // 2 if m // 2 < 2 * D - 1 else 0)
-    assert ctx.top == (ctx.fold or 2 * D - 1)
-    terms, V, vec, most = _worst_packed_vector(m)
-    assert most == (2 * V if ctx.fold else V)
-    b = ctx.product_lane(terms)
-    assert b >= lane_width(most)
-    for v in (vec, [-x for x in vec]):
-        assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, D, ctx.phi_terms)
-
-
-@pytest.mark.parametrize("m", [3, 5, 8, 20, 40, 76, 120])
-def test_real_product_lane_holds_the_worst_reduction(m):
-    # over theta there is no fold: reduce_packed unpacks all 2D'-1 lanes
-    # of +-V, V = terms*D', and divides them by psi_m
-    ctx = _ctx(m, True)
-    D = ctx.D
-    assert not ctx.fold and ctx.top == 2 * D - 1
-    terms = ((1 << 14) - 1) // D
+    terms = ((1 << 15) - 1) // D
     V = terms * D
-    rng = random.Random(m)
+    assert V.bit_length() == 15 and lane_width(V) > lane_width(V // 2)
+    rng = random.Random(ctx.m)
     vec = [rng.choice((V, -V)) for _ in range(2 * D - 1)]
     b = ctx.product_lane(terms)
     assert b >= lane_width(V)
     for v in (vec, [-x for x in vec]):
-        want = K.cyclo_rem(v, D, ctx.phi_terms)
-        assert ctx.reduce_packed(pack_signed(v, b), b) == ctx.reduce(v) == want
+        assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, D, ctx.phi_terms)
+
+
+# One check serves every field: odd conductors, even ones (whose unpacked
+# lanes reduce folds onto the first m/2) and real subfields.
+@pytest.mark.parametrize("m", range(1, 121, 2))
+def test_product_lane_holds_the_worst_reduction(m):
+    _check_worst_reduction(_ctx(m))
+
+
+@pytest.mark.parametrize("m", range(2, 121, 2))
+def test_folded_reduction_holds_the_product_lane_bound(m):
+    _check_worst_reduction(_ctx(m))
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 20, 40, 76, 120])
+def test_real_product_lane_holds_the_worst_reduction(m):
+    _check_worst_reduction(_ctx(m, True))
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21, 2, 4, 6, 8, 12, 20, 24, 30, 40, 60])

@@ -223,14 +223,25 @@ def test_division_matches_schoolbook(pair):
     _ref(a).div(_ref(b)).check(a / b)
 
 
-def _division_cases():
+_DIVISION_CASES = ("widening", "sqrt2-lead", "growing-denominator",
+                   "fractional-base", "dense-rational", "dense-cyclotomic")
+
+
+def _division_case(name):
+    """The operands (a, b) of the named case of _DIVISION_CASES, built when
+    its test runs, so that a fault in division fails that case alone."""
+    if name == "dense-rational":
+        # the dense rational quotient slot the T-ratio part of lem22 divides by
+        nj = theta2_jet(ThetaPoint(-1, 2, q_power=3), 3, 24).scale_z(3).shift_zero(1)
+        ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, 24).shift_zero(1))
+        return ratio.slot(2), ratio.slot(0)
+    if name == "dense-cyclotomic":
+        # a dense slot of f'/f over Q(zeta_20)
+        f = theta2_jet(ThetaPoint(1, 10), 3, 30)
+        return f.slot(1), f.d_dz().div(f).slot(0)
     z8 = root_of_unity(8, 1)
     sqrt2 = z8 + z8 ** 7
     z12 = root_of_unity(12, 1)
-    f = theta2_jet(ThetaPoint(1, 10), 3, 30)
-    log_dz = f.d_dz().div(f)
-    nj = theta2_jet(ThetaPoint(-1, 2, q_power=3), 3, 24).scale_z(3).shift_zero(1)
-    ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, 24).shift_zero(1))
     return {
         # entries of 7^79 z^79: the lanes widen on the way to 222 bits
         "widening": (QExpansion(0, [1 + z8 ** 3], 80),
@@ -242,16 +253,12 @@ def _division_cases():
                                 QExpansion(0, [Fraction(2, 3) * sqrt2, z8, 0, -1], 70)),
         "fractional-base": (QExpansion(Fraction(3, 8), [z12, 2, 0, z12 ** 5], 20),
                             QExpansion(Fraction(5, 8), [3 - z12, 0, z12 ** 2], 21)),
-        # the dense rational quotient slot the T-ratio part of lem22 divides by
-        "dense-rational": (ratio.slot(2), ratio.slot(0)),
-        # a dense slot of f'/f over Q(zeta_20)
-        "dense-cyclotomic": (f.slot(1), log_dz.slot(0)),
-    }
+    }[name]
 
 
-@pytest.mark.parametrize("name", list(_division_cases()))
+@pytest.mark.parametrize("name", _DIVISION_CASES)
 def test_division_branches_match_schoolbook(name):
-    a, b = _division_cases()[name]
+    a, b = _division_case(name)
     q = a / b
     _ref(a).div(_ref(b)).check(q)
     if name == "widening":
@@ -339,7 +346,13 @@ def test_jet_division_matches_slot_by_slot_reference(pair):
     _check_jet_quotient(*pair)
 
 
-def _jet_division_cases():
+_JET_DIVISION_CASES = ("growth-and-widening", "rational-growth", "fractional-bases",
+                       "zero-and-rational-slots", "large-norm-lead", "zero-numerator")
+
+
+def _jet_division_case(name):
+    """The jets (a, b) of the named case of _JET_DIVISION_CASES, built when
+    its test runs."""
     z8, z12, z20 = root_of_unity(8, 1), root_of_unity(12, 1), root_of_unity(20, 1)
     i = root_of_unity(4, 1)
     sqrt2 = z8 + z8 ** 7
@@ -380,10 +393,10 @@ def _jet_division_cases():
         "zero-numerator": (
             ZJet([QExpansion.zero(10), QExpansion.zero(12)]),
             ZJet([QExpansion(0, [sqrt2, 1], 10), QExpansion(0, [z8], 10)])),
-    }
+    }[name]
 
 
-@pytest.mark.parametrize("name", list(_jet_division_cases()))
+@pytest.mark.parametrize("name", _JET_DIVISION_CASES)
 def test_jet_division_branches_match_slot_by_slot_reference(name, monkeypatch):
     lanes = []
     real = _Ctx.product_lane
@@ -393,7 +406,7 @@ def test_jet_division_branches_match_slot_by_slot_reference(name, monkeypatch):
         return lanes[-1]
 
     monkeypatch.setattr(_Ctx, "product_lane", recording)
-    q = _check_jet_quotient(*_jet_division_cases()[name])
+    q = _check_jet_quotient(*_jet_division_case(name))
     if name == "growth-and-widening":
         # the lane is sized once and widened more often than a slot starts,
         # so some slot widens past its first step; 1/sqrt 2^30 needs 2^15
