@@ -9,19 +9,15 @@ are plain coordinate comparisons, which is what zero-tolerance series
 verification needs.  Q is the case m = 1, with one coordinate.
 
 Every integer vector, lane e the weight of zeta^e, reaches that form
-one way, _Ctx.reduce.  Phi_m divides x^{m/2} + 1 for even m
-(zeta^{m/2} = -1; Washington, Introduction to Cyclotomic Fields, GTM 83,
-ch. 2), so for even m the blocks of m/2 lanes are folded onto the first
-m/2 with alternating signs (blocks of m, all added, for odd m), and
-_kernels.cyclo_rem divides by Phi_m only the lanes D .. m/2-1 left,
-D = phi(m): none for m a power of two (phi(m) = m/2), 4 instead of 15
-for m = 40.  A sum of roots of unity sum c zeta^e is the vector with
-weight c in lane e mod m (the exponent map _Ctx.powers), a Galois image
-or embedding the one with exponents e j (_Ctx.galois_vec), and a root
-of unity, a sine, cosine or tangent one or a few terms.  A packed
-product of two vectors has 2D-1 lanes; _Ctx.reduce_packed unpacks them
-all and reduces them with _Ctx.reduce, and _Ctx.product_lane proves the
-lane bound of that unpacking.
+one way, _Ctx.reduce: a vector of D = phi(m) lanes is canonical as it
+is, and any other is divided by Phi_m (_kernels.cyclo_rem), one step
+per lane at or above D.  A sum of roots of unity sum c zeta^e is the
+vector with weight c in lane e mod m (the exponent map _Ctx.powers), a
+Galois image or embedding the one with exponents e j (_Ctx.galois_vec),
+and a root of unity, a sine, cosine or tangent one or a few terms.  A
+packed product of two vectors has 2D-1 lanes; _Ctx.reduce_packed
+unpacks them all and reduces them with _Ctx.reduce, and
+_Ctx.product_lane proves the lane bound of that unpacking.
 
 The real subfield.  For m >= 3, K+ = Q(theta), theta = zeta + zeta^-1
 = 2 cos(2 pi/m), has degree D' = phi(m)/2 (Washington, ch. 2 and 8),
@@ -30,13 +26,13 @@ coefficients, from x^{D'} psi_m(x + 1/x) = Phi_m(x) (real_polynomial).
 An element of K+ is stored like one of Q(zeta_m), in the power basis
 {theta^j : j < D'} reduced mod psi_m, so every real series takes half
 the lanes.  The same _Ctx class serves it (_ctx(m, True)), with psi_m in
-place of Phi_m and no fold: reduce divides by psi_m alone, and
-reduce_packed, product_lane and mul_vec need only the monic modulus and
-its degree.  Its exponent map is _Ctx.cosines, sum c (zeta^e + zeta^-e)
+place of Phi_m: reduce, reduce_packed, product_lane and mul_vec need
+only the monic modulus and its degree, so they are one code path for
+both fields.  Its exponent map is _Ctx.cosines, sum c (zeta^e + zeta^-e)
 from a table of the c_e = zeta^e + zeta^-e; _Ctx.lift writes a
-theta-vector in the zeta basis (the one map from K+ to Q(zeta_m)), and
-the cosine map of a real element's zeta coordinates, halved, is its
-theta-vector.
+theta-vector in the zeta basis (the one map from K+ to Q(zeta_m)) as
+one exponent map _Ctx.powers, and the cosine map of a real element's
+zeta coordinates, halved, is its theta-vector.
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -44,7 +40,6 @@ The scalar field is fractions.Fraction, re-exported as Rational.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -190,7 +185,7 @@ class _Ctx:
     def powers(self, terms) -> list[int]:
         """Canonical vector of sum c zeta^e over the (e, c) pairs, e any
         int (over zeta only): each weight is written into lane e mod m,
-        and reduce folds and divides the m lanes."""
+        and reduce divides the m lanes by Phi_m."""
         m = self.m
         v = [0] * m
         for e, c in terms:
@@ -210,39 +205,25 @@ class _Ctx:
 
     def lift(self, vec) -> list[int]:
         """Canonical zeta-vector of the theta-vector vec of K+: the sum of
-        vec[j] theta^j, each theta^j read from _theta_powers."""
-        out = [0] * (2 * self.D)
-        for y, row in zip(vec, _theta_powers(self.m)):
-            K.scaled_add(out, row, y)
-        return out
+        vec[j] theta^j, with theta^j = (zeta + zeta^-1)^j
+        = sum_{i<=j} C(j, i) zeta^(j-2i), one exponent map _Ctx.powers."""
+        return _ctx(self.m).powers((j - 2 * i, y * math.comb(j, i))
+                                   for j, y in enumerate(vec) if y
+                                   for i in range(j + 1))
 
     def reduce(self, vec) -> list[int]:
         """Canonical remainder of an integer vector of any length, lane e
-        the weight of zeta^e (theta^e over theta).
-
-        Over zeta, zeta^p = -1 for even m, p = m/2, and zeta^p = 1 for odd
-        m, p = m, so the contiguous blocks of p lanes are added onto the
-        first p, with alternating signs for even m, and cyclo_rem divides
-        what is left.  Over theta cyclo_rem divides the whole vector.  A
-        vector that has D lanes at that point is canonical already and is
-        returned as it is: one lane over Q, or over zeta the folded lanes
-        for m a power of two.
+        the weight of zeta^e (theta^e over theta): a vector of D lanes is
+        canonical already and is returned as it is, and any other is
+        divided by the field's monic modulus, Phi_m or psi_m (cyclo_rem).
         """
-        p = self.m if self.m % 2 else self.m // 2
-        if not self.real and len(vec) > p:
-            v = list(vec[:p])
-            for b, s in enumerate(range(p, len(vec), p), 1):
-                op = operator.sub if b % 2 and p < self.m else operator.add
-                blk = vec[s:s + p]
-                v[:len(blk)] = map(op, v, blk)
-            vec = v
         if len(vec) == self.D:
             return vec
         return K.cyclo_rem(vec, self.D, self.phi_terms)
 
     def reduce_packed(self, x, b: int) -> list[int]:
         """Reduce a packed vector of up to 2D-1 lanes to canonical D lanes:
-        the 2D-1 lanes are unpacked, and reduce folds and divides them."""
+        the 2D-1 lanes are unpacked, and reduce divides them."""
         return self.reduce(unpack_signed(x, b, 2 * self.D - 1))
 
     def product_lane(self, terms: int) -> int:
@@ -295,17 +276,6 @@ def _field_of(fields) -> tuple[int, bool]:
             raise ConductorError(f"conductor mismatch: {m} vs {mb}")
         m, real = mb, real and rb
     return m, real and m > 2
-
-
-@lru_cache(maxsize=None)
-def _theta_powers(m: int) -> list[list[int]]:
-    """The zeta-vectors of theta^j, j < phi(m)/2, for _Ctx.lift."""
-    ctx = _ctx(m)
-    theta = ctx.powers([(1, 1), (-1, 1)])
-    rows = [ctx.powers([(0, 1)])]
-    while len(rows) < ctx.D // 2:
-        rows.append(ctx.mul_vec(rows[-1], theta))
-    return rows
 
 
 def _lowest_terms(vecs, den):

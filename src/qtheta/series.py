@@ -38,7 +38,7 @@ one-term sum).  The vectors are packed into bigints lane by lane, at the
 lane width _Ctx.product_lane gives for the whole sum, so the inner loop
 is one bignum multiply per coefficient pair.  The packed products of all
 the terms are added lane-wise, and each coefficient of the sum is
-reduced once, mod Phi_m or psi_m (unpacked, then folded and divided,
+reduced once, mod Phi_m or psi_m (unpacked, then divided,
 _Ctx.reduce_packed): reduction is linear, so reducing the sum gives the
 sum of the reduced products, and one lowest-terms pass makes the result
 canonical, equal to the chain of single products and sums (the proof

@@ -218,6 +218,30 @@ class TestJsonFormat:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "49d12cc7c5b390b8"
 
+    def test_failing_lemd_reports_pinned(self, capsys, monkeypatch):
+        # lemd with each Lambert form taken at l + 2 mod 2k (at l itself
+        # where that is k): most reports fail, and their mismatch texts
+        # read the real-subfield coefficients back in the zeta basis
+        # (QExpansion.coeffs, then _Ctx.lift), as the version that lifted
+        # through a table of the powers of theta printed them
+        lambert = identities.log_deriv_lambert
+
+        def shifted(l, k, order):
+            s = (l + 2) % (2 * k)
+            return lambert(l if s == k else s, k, order)
+
+        monkeypatch.setattr(identities, "log_deriv_lambert", shifted)
+        rc = main(["verify", "lemd", "--k-min", "2", "--k-max", "12",
+                   "--order", "12", "--format", "json", "--jobs", "1"])
+        assert rc == 123
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["elapsed_ms"]
+        assert len(reports) == 143
+        assert sum(r["status"] == "fail" for r in reports) == 123
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b09de7545e4aada0"
+
     @pytest.mark.parametrize("order, digest", [
         (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])
     def test_lem22_and_bridge_reports_pinned(self, capsys, order, digest):

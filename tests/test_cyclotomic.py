@@ -162,19 +162,23 @@ class TestExponentMap:
                            CyclotomicNumber.zero(M))
                 assert embed_conductor(a, M) == want, (m, M)
 
-    def test_reduce_by_slices_is_the_remainder_mod_phi(self):
-        # the blocks of m/2 lanes (m for odd m) that reduce folds by slices,
-        # the one fold powers goes through too, leave the remainder mod
-        # Phi_m of the whole vector, at every length up to 3m
+    def test_reduce_is_the_remainder_mod_the_modulus(self):
+        # reduce, the one remainder powers goes through too, is the
+        # remainder of the whole vector mod Phi_m over zeta and mod psi_m
+        # over theta, at lengths up to 3m
         rng = random.Random(31)
         for m in range(1, 121):
             ctx = _ctx(m)
+            real = _ctx(m, True) if m >= 3 else None
             for n in sorted({*range(1, 8), *rng.sample(range(1, 3 * m + 1),
                                                         min(12, 3 * m))}):
                 vec = [rng.randint(-99, 99) for _ in range(n)]
                 want = _exponent_oracle(m, enumerate(vec))
                 assert ctx.reduce(vec) == want, (m, n)
                 assert ctx.powers(enumerate(vec)) == want, (m, n)
+                if real is not None:
+                    want = _poly_divmod(vec, real_polynomial(m))[1]
+                    assert real.reduce(vec) == want, (m, n)
 
 
 def _psi_oracle_phi(psi):

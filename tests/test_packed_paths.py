@@ -121,8 +121,10 @@ def _check_worst_reduction(ctx):
         assert ctx.reduce_packed(pack_signed(v, b), b) == K.cyclo_rem(v, D, ctx.phi_terms)
 
 
-# One check serves every field: odd conductors, even ones (whose unpacked
-# lanes reduce folds onto the first m/2) and real subfields.
+# One check serves every field, Q(zeta_m) for every m <= 120 and real
+# subfields, as reduce divides by the field's modulus alone.  The odd and
+# even conductors keep two test names, from when reduce folded the two
+# parities differently, so that their recorded test ids stay the same.
 @pytest.mark.parametrize("m", range(1, 121, 2))
 def test_product_lane_holds_the_worst_reduction(m):
     _check_worst_reduction(_ctx(m))
@@ -140,7 +142,8 @@ def test_real_product_lane_holds_the_worst_reduction(m):
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21, 2, 4, 6, 8, 12, 20, 24, 30, 40, 60])
 def test_reduce_is_the_remainder_mod_phi(m):
-    # the fold of even m changes the route, never the remainder
+    # reduce is the one remainder, cyclo_rem by Phi_m, at every length up
+    # to 3m: a faster route put in front of it must keep the remainder
     ctx = _ctx(m)
     rng = random.Random(100 + m)
     for n in range(1, 3 * m + 1):
