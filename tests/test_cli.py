@@ -258,6 +258,26 @@ class TestJsonFormat:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    def test_failing_lem22_and_bridge_reports_pinned(self, capsys, monkeypatch):
+        # lem22 and the bridges with every eta quotient and eta log
+        # derivative taken 3 times: most reports fail, and their mismatch
+        # texts print the rational coefficients of both sides
+        for name in ("eta_quotient", "eta_quotient_log_ddq"):
+            def tripled(*args, f=getattr(identities, name)):
+                return 3 * f(*args)
+
+            monkeypatch.setattr(identities, name, tripled)
+        rc = main(["verify", "lem22,bridges", "--k-min", "1", "--k-max", "6",
+                   "--order", "12", "--format", "json", "--jobs", "1"])
+        assert rc == 23
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["elapsed_ms"]
+        assert len(reports) == 26
+        assert sum(r["status"] == "fail" for r in reports) == 23
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "550ed1325239993d"
+
 
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
