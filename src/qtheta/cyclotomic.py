@@ -13,8 +13,8 @@ one way, _Ctx.reduce: a vector of D = phi(m) lanes is canonical as it
 is, and any other is divided by Phi_m (_kernels.cyclo_rem), one step
 per lane at or above D.  A sum of roots of unity sum c zeta^e is the
 vector with weight c in lane e mod m (the exponent map _Ctx.powers), a
-Galois image or embedding the one with exponents e j (_Ctx.galois_vec),
-and a root of unity, a sine, cosine or tangent one or a few terms.  A
+Galois image the one with exponents e j (_Ctx.galois_vec), and a root
+of unity, a sine, cosine or tangent one or a few terms.  A
 packed product of two vectors has 2D-1 lanes; _Ctx.reduce_packed
 unpacks them all and reduces them with _Ctx.reduce, and
 _Ctx.product_lane proves the lane bound of that unpacking.
@@ -29,10 +29,14 @@ the lanes.  The same _Ctx class serves it (_ctx(m, True)), with psi_m in
 place of Phi_m: reduce, reduce_packed, product_lane and mul_vec need
 only the monic modulus and its degree, so they are one code path for
 both fields.  Its exponent map is _Ctx.cosines, sum c (zeta^e + zeta^-e)
-from a table of the c_e = zeta^e + zeta^-e; _Ctx.lift writes a
-theta-vector in the zeta basis (the one map from K+ to Q(zeta_m)) as
-one exponent map _Ctx.powers, and the cosine map of a real element's
-zeta coordinates, halved, is its theta-vector.
+from a table of the c_e = zeta^e + zeta^-e, and the cosine map of a
+real element's zeta coordinates, halved, is its theta-vector.
+
+One map between fields.  _Ctx.embed(vec, M) writes an element of any
+field, Q(zeta_m) or K+, in the zeta basis of Q(zeta_M), m | M, as one
+exponent map _ctx(M).powers: zeta_m = zeta_M^(M/m), and theta^j is
+(zeta_m + zeta_m^-1)^j.  It serves every move from K+ into Q(zeta_m)
+and from Q(zeta_m) into Q(zeta_M).
 
 The scalar field is fractions.Fraction, re-exported as Rational.
 """
@@ -203,14 +207,6 @@ class _Ctx:
             K.scaled_add(out, cos[e % m], c)
         return out
 
-    def lift(self, vec) -> list[int]:
-        """Canonical zeta-vector of the theta-vector vec of K+: the sum of
-        vec[j] theta^j, with theta^j = (zeta + zeta^-1)^j
-        = sum_{i<=j} C(j, i) zeta^(j-2i), one exponent map _Ctx.powers."""
-        return _ctx(self.m).powers((j - 2 * i, y * math.comb(j, i))
-                                   for j, y in enumerate(vec) if y
-                                   for i in range(j + 1))
-
     def reduce(self, vec) -> list[int]:
         """Canonical remainder of an integer vector of any length, lane e
         the weight of zeta^e (theta^e over theta): a vector of D lanes is
@@ -246,36 +242,49 @@ class _Ctx:
         return self.reduce(K.convolve(u, v))
 
     def galois_vec(self, vec, j: int) -> list[int]:
-        """Canonical vector of sum_e vec[e] zeta^(e*j) (over zeta only).
-
-        For gcd(j, m) = 1 this is the automorphism zeta -> zeta^j; for
-        j = m/n it embeds a vector of Q(zeta_n) into Q(zeta_m).
-        """
+        """Canonical vector of sum_e vec[e] zeta^(e*j) (over zeta only),
+        the automorphism zeta -> zeta^j for gcd(j, m) = 1."""
         return self.powers((e * j, c) for e, c in enumerate(vec))
+
+    def embed(self, vec, M: int) -> list[int]:
+        """Canonical zeta-vector in Q(zeta_M), m | M, of the element vec
+        of this field, one exponent map _ctx(M).powers: with r = M/m,
+        zeta_m = zeta_M^r, so over zeta the pairs are (e r, vec[e]), and
+        over theta, as theta^j = (zeta_m + zeta_m^-1)^j
+        = sum_{i<=j} C(j, i) zeta_m^(j-2i), they are
+        ((j - 2i) r, vec[j] C(j, i)).  A zeta-vector with M = m is
+        returned as it is."""
+        r = M // self.m
+        if not self.real:
+            if r == 1:
+                return vec
+            return _ctx(M).powers((e * r, c) for e, c in enumerate(vec))
+        return _ctx(M).powers(((j - 2 * i) * r, y * math.comb(j, i))
+                              for j, y in enumerate(vec) if y
+                              for i in range(j + 1))
 
 
 @lru_cache(maxsize=None)
 def _ctx(m: int, real: bool = False) -> _Ctx:
     """The machinery of Q(zeta_m), over zeta mod Phi_m, or with real of
-    its real subfield K+, m >= 3, over theta mod psi_m.  Q(zeta_m) is
-    asked for as _ctx(m) alone: _ctx(m, False) is another cache key, and
-    would build a second context for the same field."""
+    its real subfield K+, m >= 3, over theta mod psi_m: one _Ctx per
+    field, which a series holds as its field.  Q is _ctx(1)."""
     return _Ctx(m, real)
 
 
-def _field_of(fields) -> tuple[int, bool]:
-    """The one field (m, real) of operands in the fields (m, real), real
-    for K+ and false for Q(zeta_m): conductor 1 (Q) joins any field, and
-    K+ joins Q(zeta_m) of its own conductor in Q(zeta_m).  Other
+def _field_of(ctxs) -> _Ctx:
+    """The one field of operands in the fields ctxs: Q joins any field,
+    and K+ joins Q(zeta_m) of its own conductor in Q(zeta_m).  Other
     conductors raise ConductorError."""
-    m, real = 1, True
-    for mb, rb in fields:
-        if mb == 1:
+    out = _ctx(1)
+    for c in ctxs:
+        if c.m == 1:
             continue
-        if m not in (1, mb):
-            raise ConductorError(f"conductor mismatch: {m} vs {mb}")
-        m, real = mb, real and rb
-    return m, real and m > 2
+        if out.m not in (1, c.m):
+            raise ConductorError(f"conductor mismatch: {out.m} vs {c.m}")
+        if out.m == 1 or not c.real:
+            out = c
+    return out
 
 
 def _lowest_terms(vecs, den):
@@ -541,9 +550,7 @@ def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:
     m = a.conductor
     if M % m != 0:
         raise ConductorError(f"{m} does not divide {M}")
-    if M == m:
-        return a
-    return CyclotomicNumber._raw(M, _ctx(M).galois_vec(a._num, M // m), a._den)
+    return CyclotomicNumber._raw(M, _ctx(m).embed(a._num, M), a._den)
 
 
 def _inv_one_minus(ctx: _Ctx, a: int) -> CyclotomicNumber:

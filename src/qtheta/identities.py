@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pack import lane_width, pack_signed, unpack_signed
+from .cyclotomic import _ctx
 from .jets import T_of_log, compare_jets
 from .modular import (
     ThetaPoint,
@@ -185,7 +186,7 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
         x = pack_signed(y, b)
         total += (2 // w) * x * x
     vecs = [[c] if c else None for c in unpack_signed(total, b, room)]
-    return QExpansion._from_vectors(1, 0, vecs, 2 * k, order)
+    return QExpansion._from_vectors(_ctx(1), 0, vecs, 2 * k, order)
 
 
 def theorem_rhs(k: int, delta: int, order) -> QExpansion:

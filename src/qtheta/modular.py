@@ -124,8 +124,8 @@ def eta_quotient(exponents, order) -> QExpansion:
             for _ in range(-int(e)):
                 for j in range(s, room, s):
                     c[j:j + s] = map(operator.add, c[j:j + s], c[j - s:j])
-    return QExpansion._from_vectors(1, base, [[x] if x else None for x in c], 1,
-                                    order, True)
+    return QExpansion._from_vectors(_ctx(1), base, [[x] if x else None for x in c],
+                                    1, order, True)
 
 
 def eta_product(alpha: int, order) -> QExpansion:
@@ -171,7 +171,7 @@ def eta_quotient_log_ddq(exponents, order) -> QExpansion:
         coeffs[a::a] = [c - 24 * w * s for c, s in zip(coeffs[a::a], sigma[1:])]
     g = math.gcd(24 * lcm, *coeffs)
     vecs = [[c // g] if c else None for c in coeffs]
-    return QExpansion._from_vectors(1, 0, vecs, 24 * lcm // g, order, True)
+    return QExpansion._from_vectors(_ctx(1), 0, vecs, 24 * lcm // g, order, True)
 
 
 def eta_log_ddq(alpha: int, order) -> QExpansion:
@@ -239,8 +239,7 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
             if any(vec):
                 c = -t**j if j & 2 else t**j
                 slots[j][off] = [c * x for x in vec]
-    return ZJet([QExpansion._from_vectors(m, base, v, math.factorial(j), order,
-                                          real=True)
+    return ZJet([QExpansion._from_vectors(ctx, base, v, math.factorial(j), order)
                  for j, v in enumerate(slots)])
 
 
@@ -330,8 +329,8 @@ def theta2_product(points, order) -> QExpansion:
     room = math.ceil(precision - base)
     factors = [[(o, 1, e) for o, _, p in _theta_terms(pt, room) for e in (p, -p)]
                for pt in points]
-    return QExpansion._from_vectors(m, base, root_product(m, factors, room), 1,
-                                    precision)
+    return QExpansion._from_vectors(_ctx(m), base, root_product(m, factors, room),
+                                    1, precision)
 
 
 def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
@@ -358,7 +357,8 @@ def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
         o = s * n  # the third family's factor n + 1 sits at q^{s n}
         factors += [[(0, 1, 0), (o, -1, 0)], [(0, 1, 0), (o, 1, -2 * a)],
                     [(0, 1, 0), (o, 1, 2 * a)]]
-    return QExpansion._from_vectors(m, base, root_product(m, factors, room), 1, order)
+    return QExpansion._from_vectors(_ctx(m), base, root_product(m, factors, room),
+                                    1, order)
 
 
 def _sine_classes(k: int, p: int):
@@ -516,8 +516,7 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     room = math.ceil(Fraction(order))
     if room <= 0:
         return QExpansion.zero(order)
-    m = 4 * k
-    ctx = _ctx(m, True)
+    ctx = _ctx(4 * k, True)
     reps, weights, ys = _bracket_data(k, l % 2, room)
     cols = [[0] * room for _ in range(ctx.D)]
     for r, w, y in zip(reps, weights, ys):
@@ -528,7 +527,7 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
             if x:
                 K.scaled_add(col, y, x)
     vecs = [list(v) if any(v) else None for v in zip(*cols)]
-    return QExpansion._from_vectors(m, 0, vecs, 2 * k, order, real=True)
+    return QExpansion._from_vectors(ctx, 0, vecs, 2 * k, order)
 
 
 def halfprod_constant(k: int, delta: int) -> int:

@@ -7,29 +7,30 @@ Precision is an absolute exponent bound and only ever decreases through
 arithmetic.
 
 A series lies in one of three fields: Q, the real subfield K+ of
-Q(zeta_m), or Q(zeta_m) itself.  It holds its conductor m, whether it is
-real, one canonical integer vector per coefficient (power-basis
-coordinates, mod Phi_m over zeta or mod psi_m over theta = zeta +
-zeta^-1 for a real series, None for a zero coefficient) and one common
-denominator, in lowest terms after one gcd pass per series; the largest
-vector entry is found once, when a product first needs it.  A rational
-series is the case m = 1, with vectors of length one.  A real series
-(theta2 jets and Lambert forms, built so by modular) has half the lanes
-of a full one, and every sum, product and division of real series stays
-in K+.  Sums, scalar products, q d/dq, shifts, truncation, products,
-division and comparison all work on those vectors.  Coefficient objects
-are built only where a caller reads a coefficient: `coeffs` is a tuple
-built on first read and cached (ints and Fractions for a rational
-series, CyclotomicNumbers in the zeta basis otherwise, a real series
-lifted), and coefficient() and a Mismatch read it.  Coefficients are
-exact: int, Fraction or CyclotomicNumber, anything else is a TypeError.
-A series has a single conductor: building one from two conductors, or
-adding two, raises ConductorError; conductor 1 joins any field, a real
-series joins a full one of its conductor (it is lifted, _Ctx.lift), and
-the zero series is rational.  field() is the conductor in both cases.  A
-sum or product whose coefficients are all rational is rational too, so
-its field depends only on its values, not on the order of the sums and
-products that formed it nor on the terms that cancel or fall beyond its
+Q(zeta_m), or Q(zeta_m) itself.  It holds that field as one _Ctx
+(cyclotomic._ctx; Q is _ctx(1)), one canonical integer vector per
+coefficient (power-basis coordinates, mod Phi_m over zeta or mod psi_m
+over theta = zeta + zeta^-1 for a real series, None for a zero
+coefficient) and one common denominator, in lowest terms after one gcd
+pass per series; the largest vector entry is found once, when a product
+first needs it.  A rational series is the case m = 1, with vectors of
+length one.  A real series (theta2 jets and Lambert forms, built so by
+modular) has half the lanes of a full one, and every sum, product and
+division of real series stays in K+.  Sums, scalar products, q d/dq,
+shifts, truncation, products, division and comparison all work on those
+vectors.  Coefficient objects are built only where a caller reads a
+coefficient: `coeffs` is a tuple built on first read and cached (ints
+and Fractions for a rational series, CyclotomicNumbers in the zeta basis
+otherwise, a real series embedded, _Ctx.embed), and coefficient() and a
+Mismatch read it.  Coefficients are exact: int, Fraction or
+CyclotomicNumber, anything else is a TypeError.  A series has a single
+conductor: building one from two conductors, or adding two, raises
+ConductorError; conductor 1 joins any field, a real series joins a full
+one of its conductor (it is embedded, _Ctx.embed), and the zero series
+is rational.  field() is the conductor in both cases.  A sum or product
+whose coefficients are all rational is rational too, so its field
+depends only on its values, not on the order of the sums and products
+that formed it nor on the terms that cancel or fall beyond its
 precision.
 
 Multiplication is schoolbook convolution in q, and its one entry point,
@@ -107,22 +108,23 @@ def _scaled(vecs, f: int):
 
 def _narrowed(s: "QExpansion") -> "QExpansion":
     """s over Q if every coefficient is rational, else s."""
-    if s._m == 1 or any(any(v[1:]) for v in s._vecs if v is not None):
+    if s._ctx.m == 1 or any(any(v[1:]) for v in s._vecs if v is not None):
         return s
     vecs = [None if v is None else v[:1] for v in s._vecs]
-    return QExpansion._from_vectors(1, s.base, vecs, s._den, s.precision, True)
+    return QExpansion._from_vectors(_ctx(1), s.base, vecs, s._den, s.precision,
+                                    True)
 
 
 class QExpansion:
-    __slots__ = ("base", "precision", "_m", "_real", "_vecs", "_den", "_amax",
+    __slots__ = ("base", "precision", "_ctx", "_vecs", "_den", "_amax",
                  "_coeffs", "_lead_inv")
 
     def __init__(self, base, coeffs, precision):
-        m = 1
+        ctx = _ctx(1)
         parts = []
         for c in coeffs:
             if isinstance(c, CyclotomicNumber):
-                m, _ = _field_of(((m, False), (c.conductor, False)))
+                ctx = _field_of((ctx, _ctx(c.conductor)))
                 parts.append((c._num, c._den) if c else None)
             elif isinstance(c, (int, Fraction)):
                 parts.append(((c.numerator,), c.denominator) if c else None)
@@ -131,16 +133,16 @@ class QExpansion:
                     f"series coefficients are int, Fraction or CyclotomicNumber, "
                     f"not {type(c).__name__}"
                 )
-        D = _ctx(m).D
+        D = ctx.D
         den = math.lcm(*(p[1] for p in parts if p is not None))
         # a rational value in a larger field is padded with zero coordinates
         vecs = [None if p is None else
                 [den // p[1] * x for x in p[0]] + [0] * (D - len(p[0]))
                 for p in parts]
         # each part is in lowest terms, so the vectors over their lcm are too
-        self._init_vectors(m, base, vecs, den, precision, True)
+        self._init_vectors(ctx, base, vecs, den, precision, True)
 
-    def _init_vectors(self, m, base, vecs, den, precision, lowest, real=False):
+    def _init_vectors(self, ctx, base, vecs, den, precision, lowest):
         base = Fraction(base)
         precision = Fraction(precision)
         i, j = 0, len(vecs)
@@ -158,15 +160,14 @@ class QExpansion:
             lowest = False
         if i == j:
             # the zero series is rational; its base is the first unknown exponent
-            m, vecs, den, base, real = 1, [], 1, precision, False
+            ctx, vecs, den, base = _ctx(1), [], 1, precision
         elif i or j < len(vecs):
             vecs = vecs[i:j]
         if not lowest:
             vecs, den = _lowest_terms(vecs, den)
         self.base = base
         self.precision = precision
-        self._m = m
-        self._real = real
+        self._ctx = ctx
         self._vecs = vecs
         self._den = den
         self._amax = None
@@ -174,22 +175,20 @@ class QExpansion:
         self._lead_inv = None
 
     @classmethod
-    def _from_vectors(cls, m, base, vecs, den, precision, lowest=False,
-                      real=False):
-        """A series over Q(zeta_m), or over its real subfield K+ when real
-        is true, from canonical vectors (lists of ints, None for zero) over
-        the positive denominator den.  The lists are kept, not copied, so
-        the caller must not change them afterwards."""
+    def _from_vectors(cls, ctx, base, vecs, den, precision, lowest=False):
+        """A series over the field ctx, Q(zeta_m) or its real subfield K+,
+        from canonical vectors (lists of ints, None for zero) over the
+        positive denominator den.  The lists are kept, not copied, so the
+        caller must not change them afterwards."""
         self = object.__new__(cls)
-        self._init_vectors(m, base, vecs, den, precision, lowest, real)
+        self._init_vectors(ctx, base, vecs, den, precision, lowest)
         return self
 
     def _rebuilt(self, base, vecs, precision):
         """A series over this field from vectors in lowest terms over this
         denominator."""
-        return QExpansion._from_vectors(
-            self._m, base, vecs, self._den, precision, True, self._real
-        )
+        return QExpansion._from_vectors(self._ctx, base, vecs, self._den,
+                                        precision, True)
 
     def _operand(self):
         """(vectors, denominator, largest entry) for a packed product."""
@@ -200,14 +199,13 @@ class QExpansion:
     def _lead_inverse(self) -> CyclotomicNumber:
         """1/c for the lead coefficient c, computed once per series (a
         division by a series with a rational lead needs no inverse), in
-        the zeta basis: a real lead is lifted first."""
+        the zeta basis: a real lead is embedded first."""
         if self._lead_inv is None:
             if self.is_zero:
                 raise ZeroDivisionError("the zero series has no lead coefficient")
-            lead = self._vecs[0]
-            if self._real:
-                lead = _ctx(self._m, True).lift(lead)
-            self._lead_inv = CyclotomicNumber._raw(self._m, lead, self._den).invert()
+            ctx = self._ctx
+            lead = ctx.embed(self._vecs[0], ctx.m)
+            self._lead_inv = CyclotomicNumber._raw(ctx.m, lead, self._den).invert()
         return self._lead_inv
 
     # -- constructors -------------------------------------------------
@@ -237,13 +235,14 @@ class QExpansion:
         Fractions over Q."""
         cs = self._coeffs
         if cs is None:
-            m, den = self._m, self._den
+            ctx, den = self._ctx, self._den
+            m = ctx.m
             if m == 1:
                 cs = tuple(0 if v is None else v[0] // den if v[0] % den == 0
                            else Fraction(v[0], den) for v in self._vecs)
             else:
-                lift = _ctx(m, True).lift if self._real else list
-                cs = tuple(0 if v is None else CyclotomicNumber._raw(m, lift(v), den)
+                cs = tuple(0 if v is None else
+                           CyclotomicNumber._raw(m, ctx.embed(v, m), den)
                            for v in self._vecs)
             self._coeffs = cs
         return cs
@@ -255,7 +254,7 @@ class QExpansion:
     def field(self) -> int | None:
         """Conductor m of the coefficient field, Q(zeta_m) or its real
         subfield, or None for plain rationals."""
-        return None if self._m == 1 else self._m
+        return None if self._ctx.m == 1 else self._ctx.m
 
     def exponents(self):
         return [self.base + t for t in range(len(self._vecs))]
@@ -274,34 +273,30 @@ class QExpansion:
         return self._rebuilt(self.base, self._vecs, p)
 
     def embed(self, M: int) -> "QExpansion":
-        """The same series over Q(zeta_M), m | M; a rational series is the
-        case m = 1.  A real series is lifted at m first."""
-        m = self._m
-        if m == M and not self._real:
+        """The same series over Q(zeta_M), m | M, each coefficient through
+        one exponent map (_Ctx.embed); a rational series is the case
+        m = 1, and a real one is converted even for M = m."""
+        ctx = self._ctx
+        if ctx.m == M and not ctx.real:
             return self
-        if M % m:
-            raise ConductorError(f"{m} does not divide {M}")
-        vecs = self._vecs
-        if self._real:
-            lift = _ctx(m, True).lift
-            vecs = [None if v is None else lift(v) for v in vecs]
-        if M != m:
-            ctx = _ctx(M)
-            vecs = [None if v is None else ctx.galois_vec(v, M // m) for v in vecs]
-        return QExpansion._from_vectors(M, self.base, vecs, self._den, self.precision)
+        if M % ctx.m:
+            raise ConductorError(f"{ctx.m} does not divide {M}")
+        vecs = [None if v is None else ctx.embed(v, M) for v in self._vecs]
+        return QExpansion._from_vectors(_ctx(M), self.base, vecs, self._den,
+                                        self.precision)
 
-    def _over(self, m: int, real: bool) -> "QExpansion":
-        """The same series over K+ of conductor m (real) or over
-        Q(zeta_m), a field _field_of joined it into."""
-        if not real:
-            return self.embed(m)
-        if self._m == m:
+    def _over(self, ctx) -> "QExpansion":
+        """The same series over the field ctx, K+ or Q(zeta_m), that
+        _field_of joined it into."""
+        if not ctx.real:
+            return self.embed(ctx.m)
+        if self._ctx.m == ctx.m:
             return self
         # a rational vector [x] is x theta^0, padded
-        pad = [0] * (_ctx(m, True).D - 1)
+        pad = [0] * (ctx.D - 1)
         vecs = [None if v is None else v + pad for v in self._vecs]
-        return QExpansion._from_vectors(m, self.base, vecs, self._den,
-                                        self.precision, True, True)
+        return QExpansion._from_vectors(ctx, self.base, vecs, self._den,
+                                        self.precision, True)
 
     def __repr__(self):
         if self.is_zero:
@@ -347,7 +342,7 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         prec = min(self.precision, other.precision)
-        m, real = _field_of(((self._m, self._real), (other._m, other._real)))
+        ctx = _field_of((self._ctx, other._ctx))
         if self.is_zero:
             return _narrowed(other.truncate(prec))
         if other.is_zero:
@@ -359,7 +354,7 @@ class QExpansion:
             )
         base = min(self.base, other.base)
         oa, ob = int(self.base - base), int(other.base - base)
-        a, b = self._over(m, real), other._over(m, real)
+        a, b = self._over(ctx), other._over(ctx)
         den = math.lcm(a._den, b._den)
         va, vb = _scaled(a._vecs, den // a._den), _scaled(b._vecs, den // b._den)
         out = [None] * max(len(va) + oa, len(vb) + ob)
@@ -372,8 +367,7 @@ class QExpansion:
                     if not any(v):
                         v = None
                 out[ob + t] = v
-        return _narrowed(QExpansion._from_vectors(m, base, out, den, prec,
-                                                  real=real))
+        return _narrowed(QExpansion._from_vectors(ctx, base, out, den, prec))
 
     __radd__ = __add__
 
@@ -403,21 +397,21 @@ class QExpansion:
 
     def _times(self, c) -> "QExpansion":
         """self * c for a nonzero int, Fraction or CyclotomicNumber c; a
-        rational c keeps a real series real."""
-        m, real = self._m, self._real
+        rational c keeps a real series real, and puts a rational series
+        over K+ of c's conductor M (Q(zeta_M) for M <= 2)."""
+        ctx = self._ctx
         if isinstance(c, CyclotomicNumber):
-            m, real = _field_of(((m, real), (c.conductor, c.is_rational())))
-            if c.is_rational():
+            M, rational = c.conductor, c.is_rational()
+            ctx = _field_of((ctx, _ctx(M, True) if rational and M > 2 else _ctx(M)))
+            if rational:
                 c = c.as_rational()
-        s = self._over(m, real)
+        s = self._over(ctx)
         if isinstance(c, CyclotomicNumber):
-            mul = _ctx(m).mul_vec
-            vecs = [None if v is None else mul(v, c._num) for v in s._vecs]
+            vecs = [None if v is None else ctx.mul_vec(v, c._num) for v in s._vecs]
             den = s._den * c._den
         else:
             vecs, den = _scaled(s._vecs, c.numerator), s._den * c.denominator
-        return QExpansion._from_vectors(m, self.base, vecs, den, self.precision,
-                                        real=real)
+        return QExpansion._from_vectors(ctx, self.base, vecs, den, self.precision)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -433,9 +427,8 @@ class QExpansion:
         p, q = self.base.numerator, self.base.denominator
         vecs = [None if v is None or p + t * q == 0 else [(p + t * q) * x for x in v]
                 for t, v in enumerate(self._vecs)]
-        return QExpansion._from_vectors(
-            self._m, self.base, vecs, self._den * q, self.precision, real=self._real
-        )
+        return QExpansion._from_vectors(self._ctx, self.base, vecs, self._den * q,
+                                        self.precision)
 
     def scale_q(self, s: int) -> "QExpansion":
         """Substitute q -> q^s (s >= 1)."""
@@ -457,11 +450,10 @@ class QExpansion:
 def _common_field(a: QExpansion, b: QExpansion):
     """a and b over one field: K+ when both are real or rational, of one
     conductor, else Q(zeta) of the lcm of their conductors."""
-    if 1 in (a._m, b._m) or a._m == b._m:
-        f = _field_of(((a._m, a._real), (b._m, b._real)))
-        return a._over(*f), b._over(*f)
-    m = math.lcm(a._m, b._m)
-    return a.embed(m), b.embed(m)
+    ma, mb = a._ctx.m, b._ctx.m
+    if ma != mb and 1 not in (ma, mb):
+        a, b = (s.embed(math.lcm(ma, mb)) for s in (a, b))
+    return _join((a, b))[1]
 
 
 def _join(series):
@@ -469,11 +461,10 @@ def _join(series):
     over that field, QExpansion._over), as a sum joins its operands.  Each
     distinct series is converted once, so that an operand read twice, as
     in a square, stays one object."""
-    m, real = _field_of((s._m, s._real) for s in series)
+    ctx = _field_of(s._ctx for s in series)
     over = {id(s): s for s in series}
-    over = {i: s._over(m, real) for i, s in over.items()}
-    # _ctx(m) for Q(zeta_m), its one cache key
-    return _ctx(m, True) if real else _ctx(m), [over[id(s)] for s in series]
+    over = {i: s._over(ctx) for i, s in over.items()}
+    return ctx, [over[id(s)] for s in series]
 
 
 # -- multiplication ----------------------------------------------------
@@ -547,8 +538,7 @@ def _series_mul(terms) -> QExpansion:
     for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return _narrowed(QExpansion._from_vectors(ctx.m, base, out, den, prec,
-                                              real=ctx.real))
+    return _narrowed(QExpansion._from_vectors(ctx, base, out, den, prec))
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -723,7 +713,7 @@ def _long_div(a, b) -> list:
             quotient.append(QExpansion.zero(p))
         else:
             quotient.append(_narrowed(QExpansion._from_vectors(
-                ctx.m, base, _scaled(cs, bd), E * ad, p, real=ctx.real)))
+                ctx, base, _scaled(cs, bd), E * ad, p)))
     return quotient
 
 

@@ -222,7 +222,7 @@ class TestJsonFormat:
         # lemd with each Lambert form taken at l + 2 mod 2k (at l itself
         # where that is k): most reports fail, and their mismatch texts
         # read the real-subfield coefficients back in the zeta basis
-        # (QExpansion.coeffs, then _Ctx.lift), as the version that lifted
+        # (QExpansion.coeffs, then _Ctx.embed), as the version that lifted
         # through a table of the powers of theta printed them
         lambert = identities.log_deriv_lambert
 

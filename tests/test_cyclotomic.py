@@ -139,8 +139,8 @@ class TestExponentMap:
             assert list(root_of_unity(m, e).coords) == _exponent_oracle(m, [(e, 1)])
 
     def test_galois_vec_against_field_arithmetic(self):
-        # sum_e v[e] zeta^(e j) for the units j (the automorphisms) and
-        # for j = M/m (the embedding into Q(zeta_M))
+        # sum_e v[e] zeta^(e j) for the units j (the automorphisms), and
+        # the embedding into Q(zeta_M), zeta_m = zeta_M^(M/m)
         rng = random.Random(29)
         for m in range(1, 41):
             ctx = _ctx(m)
@@ -157,7 +157,7 @@ class TestExponentMap:
             for M in (2 * m, 3 * m):
                 j = M // m
                 terms = [(e * j, c) for e, c in enumerate(v)]
-                assert _ctx(M).galois_vec(v, j) == _exponent_oracle(M, terms), (m, M)
+                assert ctx.embed(v, M) == _exponent_oracle(M, terms), (m, M)
                 want = sum((c * root_of_unity(M, e) for e, c in terms),
                            CyclotomicNumber.zero(M))
                 assert embed_conductor(a, M) == want, (m, M)
@@ -222,12 +222,13 @@ class TestRealSubfield:
             rc, zc = _ctx(m, True), _ctx(m)
             for e in (*range(-2, m + 3), -m - 1, 2 * m + 1):
                 want = zc.powers([(e, 1), (-e, 1)])
-                assert rc.lift(rc.cosines([(e, 1)])) == want, (m, e)
+                assert rc.embed(rc.cosines([(e, 1)]), m) == want, (m, e)
             assert rc.cosines([(1, 3), (m + 1, -1), (-1, 1)]) == \
                 [3 * x for x in rc.cos[1]]
 
     def test_lift_is_a_ring_map(self):
-        # the lift of a product over theta is the product of the lifts
+        # the embedding into Q(zeta_m) of a product over theta is the
+        # product of the embeddings
         rng = random.Random(37)
         for m in [*range(3, 41), 60, 76, 84, 120]:
             rc, zc = _ctx(m, True), _ctx(m)
@@ -235,11 +236,25 @@ class TestRealSubfield:
                 y, z = _rand_real(rng, m), _rand_real(rng, m)
                 prod = rc.mul_vec(y, z)
                 assert len(prod) == rc.D
-                assert rc.lift(prod) == zc.mul_vec(rc.lift(y), rc.lift(z)), m
-                # a lifted element is real, and lifting is injective
-                lifted = CyclotomicNumber(m, rc.lift(y))
+                assert rc.embed(prod, m) == zc.mul_vec(rc.embed(y, m), rc.embed(z, m)), m
+                # an embedded element is real, and embedding is injective
+                lifted = CyclotomicNumber(m, rc.embed(y, m))
                 assert lifted.is_real()
                 assert (lifted == 0) == (not any(y))
+
+    def test_embed_into_a_larger_field_against_field_arithmetic(self):
+        # y over theta = zeta_m + zeta_m^-1, written in Q(zeta_M) at once,
+        # is sum_j y_j (z + z^-1)^j for z = zeta_M^(M/m)
+        rng = random.Random(47)
+        for m in range(3, 41):
+            rc = _ctx(m, True)
+            y = _rand_real(rng, m)
+            for M in (2 * m, 3 * m):
+                z = root_of_unity(M, M // m)
+                want = sum((c * (z + z.invert()) ** j for j, c in enumerate(y)),
+                           CyclotomicNumber.zero(M))
+                assert rc.embed(y, M) == list(want._num), (m, M)
+                assert want._den == 1
 
     def test_cosine_map_of_a_real_element_is_twice_it(self):
         # x = (x + conj x)/2 = sum a_e c_e / 2 for x = sum a_e zeta^e real
@@ -247,7 +262,7 @@ class TestRealSubfield:
         for m in range(3, 121):
             rc = _ctx(m, True)
             y = _rand_real(rng, m)
-            assert rc.cosines(enumerate(rc.lift(y))) == [2 * x for x in y], m
+            assert rc.cosines(enumerate(rc.embed(y, m))) == [2 * x for x in y], m
 
     def test_real_inverse_against_invert(self):
         # the real inverse _long_div folds in: the cosine map of the zeta
@@ -259,7 +274,7 @@ class TestRealSubfield:
                 y = _rand_real(rng, m)
                 if not any(y[1:]):
                     continue
-                inv = CyclotomicNumber(m, rc.lift(y)).invert()
+                inv = CyclotomicNumber(m, rc.embed(y, m)).invert()
                 L = rc.cosines(enumerate(inv._num))
                 assert rc.mul_vec(y, L) == [2 * inv._den] + [0] * (rc.D - 1), m
 

@@ -527,8 +527,8 @@ def _real_series(rng, m, prec=10, lead=True):
     if lead:
         vecs[0][D - 1] = rng.choice((1, -1, 2))
     vecs = [v if any(v) else None for v in vecs]
-    return QExpansion._from_vectors(m, 0, vecs, rng.choice((1, 2, 6)), prec,
-                                    real=True)
+    return QExpansion._from_vectors(_ctx(m, True), 0, vecs, rng.choice((1, 2, 6)),
+                                    prec)
 
 
 def _lifted(jet):
@@ -544,7 +544,7 @@ def test_mixed_real_and_full_sums_equality_and_hash(m):
     rng = random.Random(m)
     r = _real_series(rng, m)
     f = r.embed(m)
-    assert r._real and not f._real
+    assert r._ctx.real and not f._ctx.real
     assert r.field() == f.field() == m
     assert r == f and f == r and hash(r) == hash(f)
     assert r.coeffs == f.coeffs and compare(r, f, 10) is None
@@ -554,8 +554,8 @@ def test_mixed_real_and_full_sums_equality_and_hash(m):
         xf, yf = (s.embed(m) for s in (x, y))
         assert x + y == xf + yf and x - y == xf - yf
         assert x * y == xf * yf
-    assert (r + q)._real and (r * r)._real and (r * q)._real
-    assert not (r + g)._real and not (r * f)._real
+    assert (r + q)._ctx.real and (r * r)._ctx.real and (r * q)._ctx.real
+    assert not (r + g)._ctx.real and not (r * f)._ctx.real
     assert (r - f).is_zero and (f - r).is_zero
     bumped = r + QExpansion.monomial(1, 3, 10)
     assert bumped != f and f != bumped
@@ -565,7 +565,7 @@ def test_mixed_real_and_full_sums_equality_and_hash(m):
     assert mixed == _series_mul([(2, f, g), (1, f, f), (-3, q, f)])
     # times a field element: a rational one keeps the series real
     assert (r * root_of_unity(m, 1)) == f * root_of_unity(m, 1)
-    assert (r * CyclotomicNumber.rational(m, 3))._real
+    assert (r * CyclotomicNumber.rational(m, 3))._ctx.real
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 40])
@@ -578,7 +578,7 @@ def test_real_jet_division_equals_the_full_one(m):
         b = ZJet([_real_series(rng, m) for _ in range(4)])
         A, B = _lifted(a), _lifted(b)
         q = a.div(b)
-        assert all(s._real or s.field() is None for s in q.coeffs)
+        assert all(s._ctx.real or s.field() is None for s in q.coeffs)
         for got, want in zip(q.coeffs, A.div(B).coeffs):
             assert got == want and got.precision == want.precision
         for got, want in zip(a.div(B).coeffs, A.div(B).coeffs):
@@ -590,7 +590,7 @@ def test_real_theta_jets_divide_as_their_lifts(l, k):
     # the verifiers' two jet divisions over theta and over zeta
     f = theta2_jet(ThetaPoint(l, 2 * k), 4, 12)
     F = _lifted(f)
-    assert all(s._real for s in f.coeffs) and not any(s._real for s in F.coeffs)
+    assert all(s._ctx.real for s in f.coeffs) and not any(s._ctx.real for s in F.coeffs)
     for got, want in zip(T_of_log(f).coeffs + f.log_dz().coeffs,
                          T_of_log(F).coeffs + F.log_dz().coeffs):
         assert got == want and got.precision == want.precision
