@@ -27,7 +27,8 @@ CyclotomicNumber, anything else is a TypeError.  A series has a single
 conductor: building one from two conductors, or adding two, raises
 ConductorError; conductor 1 joins any field, a real series joins a full
 one of its conductor (it is embedded, _Ctx.embed), and the zero series
-is rational.  field() is the conductor in both cases.  A sum or product
+is rational, as is a real series of conductor 3, 4 or 6, where K+ has
+degree 1.  field() is the conductor in both cases.  A sum or product
 whose coefficients are all rational is rational too, so its field
 depends only on its values, not on the order of the sums and products
 that formed it nor on the terms that cancel or fall beyond its
@@ -163,6 +164,9 @@ class QExpansion:
             ctx, vecs, den, base = _ctx(1), [], 1, precision
         elif i or j < len(vecs):
             vecs = vecs[i:j]
+        if ctx.real and ctx.D == 1:
+            # K+ of degree 1 (m = 3, 4, 6) is Q: [x] is x theta^0
+            ctx = _ctx(1)
         if not lowest:
             vecs, den = _lowest_terms(vecs, den)
         self.base = base

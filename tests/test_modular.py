@@ -602,11 +602,25 @@ class TestReducedPoint:
                 assert 4 * kr == math.lcm(2 * n, 4), (l, k)
                 small = theta2_jet(ThetaPoint(lr, 2 * kr), 2, 12)
                 full = theta2_jet(ThetaPoint(l, 2 * k), 2, 12)
-                assert small.slot(0).field() == 4 * kr
+                # K+ of degree phi(4 kr)/2 = 1 is Q
+                assert small.slot(0).field() == (4 * kr if kr > 1 else None)
                 for j in range(3):
                     assert small.slot(j).embed(4 * k) == full.slot(j), (l, k, j)
                 lam = log_deriv_lambert(lr, kr, 12)
                 assert lam.embed(4 * k) == log_deriv_lambert(l, k, 12), (l, k)
+
+    @pytest.mark.parametrize("num, den, degree, slots", [
+        (0, 1, 2, (0, 2)), (0, 2, 2, (0, 2)), (-1, 2, 1, (1,))])
+    def test_degree_one_real_subfield_is_rational(self, num, den, degree, slots):
+        # at z0 = 0 and -pi/2, conductor 4, K+ = Q: the nonzero slots are
+        # series over Q, with int leads, as their sums with 0 are (slot 0
+        # is zero at -pi/2, slot 1 at 0)
+        jet = theta2_jet(ThetaPoint(num, den), degree, 8)
+        for j in slots:
+            s = jet.slot(j)
+            assert not s.is_zero and s.field() is None, j
+            assert type(s.coefficient(s.base)) is int, j
+            assert (s + 0).field() == s.field(), j
 
     def test_reduction(self):
         assert reduced_point(0, 5) == (0, 1)
