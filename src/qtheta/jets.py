@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QExpansion, _long_div, _series_mul
+from .series import QExpansion, _long_div, _series_mul, compare
 
 
 class ZJet:
@@ -180,8 +180,6 @@ def compare_jets(f: ZJet, g: ZJet, order):
     The jets must have one degree: comparing only the slots both hold
     would verify less than one side states.
     """
-    from .series import compare
-
     if f.degree != g.degree:
         raise ValueError(
             f"cannot compare a degree-{f.degree} jet with a degree-{g.degree} jet"
