@@ -125,7 +125,7 @@ def eta_quotient(exponents, order) -> QExpansion:
                 for j in range(s, room, s):
                     c[j:j + s] = map(operator.add, c[j:j + s], c[j - s:j])
     return QExpansion._from_vectors(_ctx(1), base, [[x] if x else None for x in c],
-                                    1, order, True)
+                                    1, order)
 
 
 def eta_product(alpha: int, order) -> QExpansion:
@@ -152,11 +152,11 @@ def eta_quotient_log_ddq(exponents, order) -> QExpansion:
     With L the lcm of the exponents' denominators, each coefficient is an
     integer over 24 L: sum (L e_alpha) alpha at q^0, and
     -24 sum (L e_alpha) alpha sigma(M/alpha) at q^M.  One sieve forms sigma
-    below `order`, every coefficient is written into one integer list
-    over 24 L, and one gcd over that list and 24 L puts it in lowest
-    terms.  Exponents that cancel give the zero series.  This sieve
-    shares nothing with _bracket_data's, so the two sides of the
-    modular equation stay independent routes.
+    below `order`, and every coefficient is written into one integer list
+    over 24 L, which the series constructor puts in lowest terms.
+    Exponents that cancel give the zero series.  This sieve shares
+    nothing with _bracket_data's, so the two sides of the modular
+    equation stay independent routes.
     """
     weights = _eta_weights(exponents)
     lcm = math.lcm(*(e.denominator for e in weights.values()))
@@ -169,9 +169,8 @@ def eta_quotient_log_ddq(exponents, order) -> QExpansion:
         sigma[d::d] = [s + d for s in sigma[d::d]]
     for a, w in ws.items():
         coeffs[a::a] = [c - 24 * w * s for c, s in zip(coeffs[a::a], sigma[1:])]
-    g = math.gcd(24 * lcm, *coeffs)
-    vecs = [[c // g] if c else None for c in coeffs]
-    return QExpansion._from_vectors(_ctx(1), 0, vecs, 24 * lcm // g, order, True)
+    vecs = [[c] if c else None for c in coeffs]
+    return QExpansion._from_vectors(_ctx(1), 0, vecs, 24 * lcm, order)
 
 
 def eta_log_ddq(alpha: int, order) -> QExpansion:
@@ -218,7 +217,8 @@ def theta2_jet(pt: ThetaPoint, degree: int, order) -> ZJet:
     zeta^{m/2} = -1, zeta^{-p-m/4} = -zeta^{-p+m/4}, so s = c_{p+m/4}.
     Every slot is then real, and the jet is built in the real subfield
     K+ over theta = zeta + zeta^{-1} (_Ctx.cosines), with half the
-    coordinates of Q(zeta_m).
+    coordinates of Q(zeta_m); a slot whose values are all rational, as
+    slot 0 at pi/3, is held over Q, as every series is.
     """
     if degree < 0:
         raise ValueError("jet degree must be >= 0")

@@ -8,31 +8,33 @@ arithmetic.
 
 A series lies in one of three fields: Q, the real subfield K+ of
 Q(zeta_m), or Q(zeta_m) itself.  It holds that field as one _Ctx
-(cyclotomic._ctx; Q is _ctx(1)), one canonical integer vector per
-coefficient (power-basis coordinates, mod Phi_m over zeta or mod psi_m
-over theta = zeta + zeta^-1 for a real series, None for a zero
-coefficient) and one common denominator, in lowest terms after one gcd
-pass per series; the largest vector entry is found once, when a product
-first needs it.  A rational series is the case m = 1, with vectors of
-length one.  A real series (theta2 jets and Lambert forms, built so by
-modular) has half the lanes of a full one, and every sum, product and
-division of real series stays in K+.  Sums, scalar products, q d/dq,
-shifts, truncation, products, division and comparison all work on those
-vectors.  Coefficient objects are built only where a caller reads a
-coefficient: `coeffs` is a tuple built on first read and cached (ints
-and Fractions for a rational series, CyclotomicNumbers in the zeta basis
-otherwise, a real series embedded, _Ctx.embed), and coefficient() and a
-Mismatch read it.  Coefficients are exact: int, Fraction or
-CyclotomicNumber, anything else is a TypeError.  A series has a single
-conductor: building one from two conductors, or adding two, raises
-ConductorError; conductor 1 joins any field, a real series joins a full
-one of its conductor (it is embedded, _Ctx.embed), and the zero series
-is rational, as is a real series of conductor 3, 4 or 6, where K+ has
-degree 1.  field() is the conductor in both cases.  A sum or product
-whose coefficients are all rational is rational too, so its field
-depends only on its values, not on the order of the sums and products
+(cyclotomic._ctx; Q is _ctx(1)), one integer vector per coefficient
+(power-basis coordinates, mod Phi_m over zeta or mod psi_m over
+theta = zeta + zeta^-1 for a real series, None for a zero coefficient)
+and one common denominator; the largest vector entry is found once, when
+a product first needs it.  A real series (theta2 jets and Lambert forms,
+built so by modular) has half the lanes of a full one, and every sum,
+product and division of real series stays in K+.  Sums, scalar
+products, q d/dq, shifts, truncation, products, division and comparison
+all work on those vectors.  Coefficient objects are built only where a
+caller reads a coefficient: `coeffs` is a tuple built on first read and
+cached (ints and Fractions for a rational series, CyclotomicNumbers in
+the zeta basis otherwise, a real series embedded, _Ctx.embed), and
+coefficient() and a Mismatch read it.  Coefficients are exact: int,
+Fraction or CyclotomicNumber, anything else is a TypeError.
+
+One rule makes a series canonical, and one constructor applies it to
+every series, whatever built it (QExpansion._init_vectors): the series
+is in lowest terms, and it is over Q, with vectors of one lane, when
+every vector is zero past lane 0.  So its field, vectors and
+denominator depend on its values alone, not on the sums and products
 that formed it nor on the terms that cancel or fall beyond its
-precision.
+precision; the zero series is rational, and so is a series in K+ of
+degree 1 (m = 3, 4, 6).  A series has a single conductor, field():
+building one from two conductors, or adding two, raises ConductorError.
+Q joins any field, with its one-lane vectors as they are (x in lane 0;
+a sum pads them to the field's lanes), and a real series joins a full
+one of its conductor, embedded (_Ctx.embed).
 
 Multiplication is schoolbook convolution in q, and its one entry point,
 _series_mul, forms a sum of products sum c*a*b (a plain product is the
@@ -69,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import _kernels as K
 from ._pack import pack_signed
@@ -97,6 +100,17 @@ class Mismatch:
         return f"q^({self.exponent}): {self.lhs} != {self.rhs}"
 
 
+def _lanes(s: "QExpansion", f: int, ctx):
+    """The vectors of s, an operand over the field ctx (QExpansion._over),
+    times f, each with the D lanes of ctx: a rational one-lane [x] is x in
+    lane 0, padded with zeros."""
+    vecs = _scaled(s._vecs, f)
+    if s._ctx.m == ctx.m:
+        return vecs
+    pad = [0] * (ctx.D - 1)
+    return [None if v is None else v + pad for v in vecs]
+
+
 def _lane_max(vecs) -> int:
     return max(max(max(v), -min(v)) for v in vecs if v is not None)
 
@@ -105,15 +119,6 @@ def _scaled(vecs, f: int):
     if f == 1:
         return vecs
     return [None if v is None else [f * x for x in v] for v in vecs]
-
-
-def _narrowed(s: "QExpansion") -> "QExpansion":
-    """s over Q if every coefficient is rational, else s."""
-    if s._ctx.m == 1 or any(any(v[1:]) for v in s._vecs if v is not None):
-        return s
-    vecs = [None if v is None else v[:1] for v in s._vecs]
-    return QExpansion._from_vectors(_ctx(1), s.base, vecs, s._den, s.precision,
-                                    True)
 
 
 class QExpansion:
@@ -140,10 +145,15 @@ class QExpansion:
         vecs = [None if p is None else
                 [den // p[1] * x for x in p[0]] + [0] * (D - len(p[0]))
                 for p in parts]
-        # each part is in lowest terms, so the vectors over their lcm are too
-        self._init_vectors(ctx, base, vecs, den, precision, True)
+        self._init_vectors(ctx, base, vecs, den, precision)
 
-    def _init_vectors(self, ctx, base, vecs, den, precision, lowest):
+    def _init_vectors(self, ctx, base, vecs, den, precision):
+        """Hold the series canonically, whatever built it: the zero
+        coefficients at either end trimmed and the terms at or beyond the
+        precision cut, over Q when every vector is zero past lane 0 (a
+        rational value has no other coordinate, over zeta or theta), and
+        in lowest terms.  So the field, the vectors and the denominator
+        depend on the values alone."""
         base = Fraction(base)
         precision = Fraction(precision)
         i, j = 0, len(vecs)
@@ -158,17 +168,15 @@ class QExpansion:
             j = i + keep
             while j > i and vecs[j - 1] is None:
                 j -= 1
-            lowest = False
         if i == j:
-            # the zero series is rational; its base is the first unknown exponent
-            ctx, vecs, den, base = _ctx(1), [], 1, precision
+            # the zero series, rational with no vector below: its base is the
+            # first unknown exponent
+            vecs, base = [], precision
         elif i or j < len(vecs):
             vecs = vecs[i:j]
-        if ctx.real and ctx.D == 1:
-            # K+ of degree 1 (m = 3, 4, 6) is Q: [x] is x theta^0
-            ctx = _ctx(1)
-        if not lowest:
-            vecs, den = _lowest_terms(vecs, den)
+        if ctx.m != 1 and not any(any(v[1:]) for v in vecs if v is not None):
+            ctx, vecs = _ctx(1), [None if v is None else v[:1] for v in vecs]
+        vecs, den = _lowest_terms(vecs, den)
         self.base = base
         self.precision = precision
         self._ctx = ctx
@@ -179,20 +187,20 @@ class QExpansion:
         self._lead_inv = None
 
     @classmethod
-    def _from_vectors(cls, ctx, base, vecs, den, precision, lowest=False):
-        """A series over the field ctx, Q(zeta_m) or its real subfield K+,
-        from canonical vectors (lists of ints, None for zero) over the
-        positive denominator den.  The lists are kept, not copied, so the
-        caller must not change them afterwards."""
+    def _from_vectors(cls, ctx, base, vecs, den, precision):
+        """A series from canonical vectors of the field ctx, Q(zeta_m) or
+        its real subfield K+ (lists of D ints, None for zero), or of Q
+        (lists of one int), over the positive denominator den, in any
+        terms; _init_vectors makes it canonical.  The lists may be kept,
+        not copied, so the caller must not change them afterwards."""
         self = object.__new__(cls)
-        self._init_vectors(ctx, base, vecs, den, precision, lowest)
+        self._init_vectors(ctx, base, vecs, den, precision)
         return self
 
     def _rebuilt(self, base, vecs, precision):
-        """A series over this field from vectors in lowest terms over this
-        denominator."""
+        """A series over this field from vectors over this denominator."""
         return QExpansion._from_vectors(self._ctx, base, vecs, self._den,
-                                        precision, True)
+                                        precision)
 
     def _operand(self):
         """(vectors, denominator, largest entry) for a packed product."""
@@ -278,10 +286,11 @@ class QExpansion:
 
     def embed(self, M: int) -> "QExpansion":
         """The same series over Q(zeta_M), m | M, each coefficient through
-        one exponent map (_Ctx.embed); a rational series is the case
-        m = 1, and a real one is converted even for M = m."""
+        one exponent map (_Ctx.embed), a real one even for M = m.  A
+        rational series is returned as it is: it is held over Q, and its
+        one-lane vectors serve in any field."""
         ctx = self._ctx
-        if ctx.m == M and not ctx.real:
+        if ctx.m == 1 or (ctx.m == M and not ctx.real):
             return self
         if M % ctx.m:
             raise ConductorError(f"{ctx.m} does not divide {M}")
@@ -290,17 +299,10 @@ class QExpansion:
                                         self.precision)
 
     def _over(self, ctx) -> "QExpansion":
-        """The same series over the field ctx, K+ or Q(zeta_m), that
-        _field_of joined it into."""
-        if not ctx.real:
-            return self.embed(ctx.m)
-        if self._ctx.m == ctx.m:
-            return self
-        # a rational vector [x] is x theta^0, padded
-        pad = [0] * (ctx.D - 1)
-        vecs = [None if v is None else v + pad for v in self._vecs]
-        return QExpansion._from_vectors(ctx, self.base, vecs, self._den,
-                                        self.precision, True)
+        """The series as an operand in the field ctx that _field_of joined
+        it into: a real series embedded when ctx is Q(zeta_m), any other
+        as it is (a rational one keeps its one-lane vectors)."""
+        return self if ctx.real else self.embed(ctx.m)
 
     def __repr__(self):
         if self.is_zero:
@@ -321,7 +323,8 @@ class QExpansion:
         if (self.base != other.base or self.precision != other.precision
                 or len(self._vecs) != len(other._vecs)):
             return False
-        # lowest terms make (vectors, denominator) canonical in one field
+        # the constructor makes (field, vectors, denominator) canonical: a
+        # rational series equals no series over a larger field
         a, b = _common_field(self, other)
         return a._den == b._den and a._vecs == b._vecs
 
@@ -348,9 +351,9 @@ class QExpansion:
         prec = min(self.precision, other.precision)
         ctx = _field_of((self._ctx, other._ctx))
         if self.is_zero:
-            return _narrowed(other.truncate(prec))
+            return other.truncate(prec)
         if other.is_zero:
-            return _narrowed(self.truncate(prec))
+            return self.truncate(prec)
         step = self.base - other.base
         if step.denominator != 1:
             raise ValueError(
@@ -360,7 +363,7 @@ class QExpansion:
         oa, ob = int(self.base - base), int(other.base - base)
         a, b = self._over(ctx), other._over(ctx)
         den = math.lcm(a._den, b._den)
-        va, vb = _scaled(a._vecs, den // a._den), _scaled(b._vecs, den // b._den)
+        va, vb = _lanes(a, den // a._den, ctx), _lanes(b, den // b._den, ctx)
         out = [None] * max(len(va) + oa, len(vb) + ob)
         out[oa:oa + len(va)] = va
         for t, v in enumerate(vb):
@@ -371,7 +374,7 @@ class QExpansion:
                     if not any(v):
                         v = None
                 out[ob + t] = v
-        return _narrowed(QExpansion._from_vectors(ctx, base, out, den, prec))
+        return QExpansion._from_vectors(ctx, base, out, den, prec)
 
     __radd__ = __add__
 
@@ -401,20 +404,18 @@ class QExpansion:
 
     def _times(self, c) -> "QExpansion":
         """self * c for a nonzero int, Fraction or CyclotomicNumber c; a
-        rational c keeps a real series real, and puts a rational series
-        over K+ of c's conductor M (Q(zeta_M) for M <= 2)."""
-        ctx = self._ctx
+        rational c of any type scales the vectors, and only an irrational
+        one joins its field."""
+        if isinstance(c, CyclotomicNumber) and c.is_rational():
+            c = c.as_rational()
         if isinstance(c, CyclotomicNumber):
-            M, rational = c.conductor, c.is_rational()
-            ctx = _field_of((ctx, _ctx(M, True) if rational and M > 2 else _ctx(M)))
-            if rational:
-                c = c.as_rational()
-        s = self._over(ctx)
-        if isinstance(c, CyclotomicNumber):
+            ctx = _field_of((self._ctx, _ctx(c.conductor)))
+            s = self._over(ctx)
             vecs = [None if v is None else ctx.mul_vec(v, c._num) for v in s._vecs]
             den = s._den * c._den
         else:
-            vecs, den = _scaled(s._vecs, c.numerator), s._den * c.denominator
+            ctx, vecs = self._ctx, _scaled(self._vecs, c.numerator)
+            den = self._den * c.denominator
         return QExpansion._from_vectors(ctx, self.base, vecs, den, self.precision)
 
     def __truediv__(self, other):
@@ -452,8 +453,9 @@ class QExpansion:
 
 
 def _common_field(a: QExpansion, b: QExpansion):
-    """a and b over one field: K+ when both are real or rational, of one
-    conductor, else Q(zeta) of the lcm of their conductors."""
+    """a and b as operands of one field (_join): K+ when both are real or
+    rational, of one conductor, else Q(zeta) of the lcm of their
+    conductors; a rational series keeps its one-lane vectors."""
     ma, mb = a._ctx.m, b._ctx.m
     if ma != mb and 1 not in (ma, mb):
         a, b = (s.embed(math.lcm(ma, mb)) for s in (a, b))
@@ -480,10 +482,10 @@ def _series_mul(terms) -> QExpansion:
 
     The precision is the least of the terms' product precisions, and the
     field the one field of the terms with nonzero operands, each operand
-    put over it as a sum puts it (_join), or Q when every coefficient of
-    the sum is rational, as a chain of products and sums gives in any
-    order.  A term that is zero, or lies wholly at or above that
-    precision, adds nothing to the coefficients.
+    put over it as a sum puts it (_join): a rational operand's one-lane
+    vectors pack as they are, to x in lane 0.  A term that is zero, or
+    lies wholly at or above that precision, adds nothing to the
+    coefficients.
     Every other term is convolved from packed operands (each distinct
     operand packed once, one list for a square), scaled by c*den/(da*db)
     onto the common denominator den, the lcm of the da*db, and added
@@ -542,7 +544,7 @@ def _series_mul(terms) -> QExpansion:
     for x in acc:
         v = ctx.reduce_packed(x, lane) if x else None
         out.append(v if v is not None and any(v) else None)
-    return _narrowed(QExpansion._from_vectors(ctx, base, out, den, prec))
+    return QExpansion._from_vectors(ctx, base, out, den, prec)
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -614,9 +616,12 @@ def _long_div(a, b) -> list:
     E amax + |S| Cmax bmax, which is more.  Before each step the bound is
     checked against the one the lane was sized for; when growing quotients
     outrun it, B and the C are packed again from their vectors at a lane
-    sized for 2**_HEADROOM times the new bound.  Over Q (D = 1) the same path and bound serve: a
-    one-lane vector packs to itself, and reduce_packed unpacks the one
-    lane of a sum, which reduce returns as it is.
+    sized for 2**_HEADROOM times the new bound.  Over Q (D = 1) the same
+    path and bound serve: a one-lane vector packs to itself, and
+    reduce_packed unpacks the one lane of a sum, which reduce returns as
+    it is.  A rational slot in a larger field keeps its one-lane vectors:
+    [x] packs to x in lane 0, and a sum with it has no more lanes, and
+    entries no larger, than the bound allows for D-lane vectors.
     """
     b0 = b[0]
     if b0.is_zero:
@@ -716,8 +721,8 @@ def _long_div(a, b) -> list:
         if cs is None:
             quotient.append(QExpansion.zero(p))
         else:
-            quotient.append(_narrowed(QExpansion._from_vectors(
-                ctx, base, _scaled(cs, bd), E * ad, p)))
+            quotient.append(QExpansion._from_vectors(
+                ctx, base, _scaled(cs, bd), E * ad, p))
     return quotient
 
 
@@ -789,6 +794,9 @@ def _first_difference(a: QExpansion, b: QExpansion, order):
         return min(firsts, default=None)
     a, b = _common_field(a, b)
     (va, da), (vb, db) = (a._vecs, a._den), (b._vecs, b._den)
+    # over one conductor the vectors have one length; else one side is
+    # rational, and its one-lane vectors read their missing lanes as 0
+    same = da == db and a._ctx.m == b._ctx.m
     base = min(a.base, b.base)
     oa, ob = int(a.base - base), int(b.base - base)
     top = min(math.ceil(order - base), max(oa + len(va), ob + len(vb)))
@@ -799,10 +807,10 @@ def _first_difference(a: QExpansion, b: QExpansion, order):
             continue
         if not x or not y:
             return base + t
-        if da == db:
+        if same:
             if x != y:
                 return base + t
-        elif any(u * db != w * da for u, w in zip(x, y)):
+        elif any(u * db != w * da for u, w in zip_longest(x, y, fillvalue=0)):
             return base + t
     return None
 

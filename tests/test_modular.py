@@ -522,7 +522,7 @@ class TestLogDerivLambert:
     # and a point already in its smallest field, (2, 5)
     PINNED_65 = {
         (0, 1): "ecf4e96ac64cb1ec",
-        (1, 2): "79de97d2fed83145",
+        (1, 2): "4be4e84027a03316",
         (3, 4): "6856a175499b2c77",
         (5, 4): "5f1b9707378f97df",
         (7, 6): "f0ace0dca4565f0f",
@@ -602,8 +602,11 @@ class TestReducedPoint:
                 assert 4 * kr == math.lcm(2 * n, 4), (l, k)
                 small = theta2_jet(ThetaPoint(lr, 2 * kr), 2, 12)
                 full = theta2_jet(ThetaPoint(l, 2 * k), 2, 12)
-                # K+ of degree phi(4 kr)/2 = 1 is Q
-                assert small.slot(0).field() == (4 * kr if kr > 1 else None)
+                # a series is over Q exactly when all its values are rational
+                for s in small.coeffs:
+                    rational = all(not isinstance(c, CyclotomicNumber)
+                                   or c.is_rational() for c in s.coeffs)
+                    assert s.field() == (None if rational else 4 * kr), (l, k)
                 for j in range(3):
                     assert small.slot(j).embed(4 * k) == full.slot(j), (l, k, j)
                 lam = log_deriv_lambert(lr, kr, 12)

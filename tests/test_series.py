@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from qtheta import (
     ConductorError,
     CyclotomicNumber,
+    Mismatch,
     PrecisionError,
     QExpansion,
+    ThetaPoint,
     compare,
     embed_conductor,
     equal_to,
     lambert,
+    log_deriv_lambert,
     root_of_unity,
+    theta2_jet,
 )
 
 P = Fraction(50)
@@ -315,6 +319,35 @@ def test_rational_results_are_rational_in_any_order():
     one_z = QExpansion(0, [1, root_of_unity(8, 1)], 10)
     assert (one_z * QExpansion.one(1)).field() is None and (z * z).field() == 8
     assert (z * QExpansion(0, [2], 1) - z * 2).field() is None
+
+
+_Z8 = root_of_unity(8, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QExpansion(0, [1, 2], 5) * CyclotomicNumber.rational(5, 3),
+    lambda: QExpansion(0, [CyclotomicNumber.rational(5, 3)], 5),
+    lambda: QExpansion(0, [1, _Z8], 5).truncate(1),
+    lambda: QExpansion(0, [_Z8, 1], 5).q_ddq(),
+    lambda: theta2_jet(ThetaPoint(1, 3), 1, 10).slot(0),
+    lambda: log_deriv_lambert(1, 2, 10),
+], ids=["times-rational-cyc", "rational-cyc", "truncate", "q_ddq",
+        "theta-pi/3", "lambert-1-2"])
+def test_rational_values_are_held_over_q(build):
+    # however a series with rational values is formed, it is over Q, its
+    # lead reads as a rational, and a sum with 0 keeps its field
+    s = build()
+    assert not s.is_zero and s.field() is None
+    assert type(s.coefficient(s.base)) in (int, Fraction)
+    assert (s + 0).field() == s.field()
+
+
+def test_rational_vectors_compare_with_missing_lanes_zero():
+    # [1] over Q against [1, 0, 0, 0] over Q(zeta_8): equal at q^0, the
+    # first difference is at q^1
+    a, b = QExpansion(0, [1, 2], 5), QExpansion(0, [1, _Z8], 5)
+    assert compare(a, b, 5) == Mismatch(1, 2, _Z8)
+    assert compare(b, a, 5) == Mismatch(1, _Z8, 2)
 
 
 def test_conductor_one_values_are_rational():

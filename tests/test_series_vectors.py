@@ -585,12 +585,17 @@ def test_real_jet_division_equals_the_full_one(m):
             assert got == want
 
 
-@pytest.mark.parametrize("l,k", [(1, 5), (2, 7), (1, 19)])
+@pytest.mark.parametrize("l,k", [(1, 5), (2, 7), (1, 19), (2, 3), (1, 3)])
 def test_real_theta_jets_divide_as_their_lifts(l, k):
-    # the verifiers' two jet divisions over theta and over zeta
+    # the verifiers' two jet divisions over theta and over zeta; at pi/3
+    # and pi/6 the jet mixes slots over Q with slots over K+
     f = theta2_jet(ThetaPoint(l, 2 * k), 4, 12)
     F = _lifted(f)
-    assert all(s._ctx.real for s in f.coeffs) and not any(s._ctx.real for s in F.coeffs)
+    for s in f.coeffs:
+        rational = all(not isinstance(c, CyclotomicNumber) or c.is_rational()
+                       for c in s.coeffs)
+        assert s._ctx.real != rational and (s.field() is None) == rational
+    assert not any(s._ctx.real for s in F.coeffs)
     for got, want in zip(T_of_log(f).coeffs + f.log_dz().coeffs,
                          T_of_log(F).coeffs + F.log_dz().coeffs):
         assert got == want and got.precision == want.precision
