@@ -332,7 +332,7 @@ _Z8 = root_of_unity(8, 1)
     lambda: theta2_jet(ThetaPoint(1, 3), 1, 10).slot(0),
     lambda: log_deriv_lambert(1, 2, 10),
 ], ids=["times-rational-cyc", "rational-cyc", "truncate", "q_ddq",
-        "theta-pi/3", "lambert-1-2"])
+        "theta-at-pi-over-3", "lambert-1-2"])
 def test_rational_values_are_held_over_q(build):
     # however a series with rational values is formed, it is over Q, its
     # lead reads as a rational, and a sum with 0 keeps its field
