@@ -4,7 +4,8 @@ A length-n vector v with |v[i]| < 2**(b-1) is stored as sum(v[i] << (b*i)).
 Adding and multiplying packed values then performs vector addition and
 polynomial convolution in one bignum operation, which is how the dense
 cyclotomic series arithmetic stays fast without native code.  The lane
-width b is always a multiple of 8 so digits align with bytes.
+width b is the bit length of the lane bound plus two bits of slack, so
+|v[i]| < 2**(b-1) holds with a bit to spare.
 
 Unpacking uses the bias trick: adding 2**(b-1) to every lane makes all
 digits non-negative without carries, after which each lane is read off by
@@ -13,40 +14,18 @@ mask and shift.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpz as _mpz
-
-    BIGNUM = "gmpy2"
-
-    def bignum(x):
-        return _mpz(x)
-except ImportError:  # gmpy2 is optional (the "gmpy2" extra); int is exact too
-    BIGNUM = "int"
-
-    def bignum(x):
-        return x
+from functools import lru_cache
 
 
-_BIAS_CACHE: dict[tuple[int, int], int] = {}
-
-
+@lru_cache(maxsize=None)
 def _bias(b: int, count: int) -> int:
     """The integer with 2**(b-1) in each of `count` lanes of width b."""
-    key = (b, count)
-    hit = _BIAS_CACHE.get(key)
-    if hit is None:
-        step = b // 8
-        buf = bytearray(step * count)
-        buf[step - 1::step] = b"\x80" * count
-        hit = int.from_bytes(buf, "little")
-        _BIAS_CACHE[key] = hit
-    return hit
+    return ((1 << b * count) - 1) // ((1 << b) - 1) << (b - 1)
 
 
 def lane_width(max_abs: int) -> int:
-    """Smallest byte-aligned lane width holding max_abs with slack."""
-    bits = max(1, max_abs).bit_length() + 2
-    return ((bits + 7) // 8) * 8
+    """Lane width holding max_abs with two bits of slack: max_abs < 2**(b-2)."""
+    return max(1, max_abs).bit_length() + 2
 
 
 # Up to this many lanes, packing and unpacking go lane by lane (shift and
@@ -66,9 +45,9 @@ def _pack(vec, b: int) -> int:
     return x
 
 
-def pack_signed(vec, b: int):
+def pack_signed(vec, b: int) -> int:
     """Pack a vector of (possibly negative) ints into one big integer."""
-    return bignum(_pack(vec, b))
+    return _pack(vec, b)
 
 
 def _lanes(y: int, b: int, count: int, half: int) -> list[int]:
@@ -86,12 +65,12 @@ def _lanes(y: int, b: int, count: int, half: int) -> list[int]:
     return out
 
 
-def unpack_signed(x, b: int, count: int) -> list[int]:
+def unpack_signed(x: int, b: int, count: int) -> list[int]:
     """Recover `count` signed lanes from a packed integer (any sign)."""
-    return _lanes(int(x) + _bias(b, count), b, count, 1 << (b - 1))
+    return _lanes(x + _bias(b, count), b, count, 1 << (b - 1))
 
 
-def split_low(x, b: int, d: int):
+def split_low(x: int, b: int, d: int) -> tuple[int, int]:
     """Split a packed value into (low d lanes as an int, remaining lanes).
 
     The low part is returned as the exact signed partial sum of the first
@@ -100,7 +79,7 @@ def split_low(x, b: int, d: int):
     value, which pack arithmetic guarantees by construction of b.
     """
     shift = b * d
-    low = int(x) & ((1 << shift) - 1)
+    low = x & ((1 << shift) - 1)
     if low >= 1 << (shift - 1):
         low -= 1 << shift
     high = (x - low) >> shift

@@ -13,7 +13,6 @@ import sys
 import time
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from ._pack import BIGNUM
 from .identities import WHICH_TOKENS, enumerate_jobs, run_jobs
 from .selftest import run_selftest
 
@@ -97,7 +96,7 @@ def _summary_lines(reports, elapsed: float) -> list[str]:
     failing = [r for r in reports if not r.passed]
     line = (
         f"# {len(reports)} reports, {len(failing)} failures, {elapsed:.1f} s; "
-        f"bignum {BIGNUM}, kernel {KERNEL_BACKEND}"
+        f"kernel {KERNEL_BACKEND}"
     )
     if reports:
         by_identity: dict[str, list] = {}

@@ -230,15 +230,21 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     the Lambert-form series; the two routes are fully independent.  Each
     point is checked in its smallest field (reduced_point), and a point
     whose check raises fails alone.
+
+    Both routes work at precision P = order + 1/8, the compare order.
+    The one divisor of S = a1/a0 is a0, of q-valuation 1/8, so a1 = S * a0
+    below q^P is S = a1/a0 below q^order.  a1 has base 1/8 and precision
+    P, and S * a0, with S of base 0 and a0 of base 1/8, has precision
+    min(P + 1/8, P) = P: both sides hold every term below q^P.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
 
     def check(l):
         lr, kr = reduced_point(l, k)
-        jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, order + 1)
-        S = log_deriv_lambert(lr, kr, order + 1)
-        return compare(jet.slot(1), S * jet.slot(0), Fraction(order) + Fraction(1, 8))
+        prec = Fraction(order) + Fraction(1, 8)
+        jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, prec)
+        return compare(jet.slot(1), log_deriv_lambert(lr, kr, prec) * jet.slot(0), prec)
 
     return [_part("lemd", {"k": k, "l": l}, order, functools.partial(check, l))
             for l in range(2 * k) if l != k]
@@ -299,6 +305,12 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
     the same base point (q unsubstituted).  The jet is built in the
     point's smallest field (reduced_point).
+
+    The jet works at precision P = order + 1/8, the least the compare
+    needs.  Its slots have base 1/8 and precision P, and the only divisor
+    is slot 0, of q-valuation 1/8: the quotient f'/f and every slot of
+    T_of_log(f) have precision P - 1/8, and so has the square of the
+    quotient.  Both sides then hold every term below q^order.
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -307,7 +319,7 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
         raise ValueError("need jet degree >= 2")
     t0 = time.perf_counter()
     lr, kr = reduced_point(l, k)
-    f = theta2_jet(ThetaPoint(lr, 2 * kr), jet_degree, Fraction(order) + 2)
+    f = theta2_jet(ThetaPoint(lr, 2 * kr), jet_degree, Fraction(order) + Fraction(1, 8))
     rhs = T_of_log(f)  # degree J-2; caches f'/f, of degree J-1
     ratio = f.log_dz().truncate(rhs.degree)
     lhs = ratio * ratio
@@ -530,6 +542,10 @@ def enumerate_jobs(
             if kind in which or "all" in which for params in grids[kind]]
 
 
+# The note of each job a dead pool worker left without a report.
+_DEAD_WORKER = "BrokenProcessPool: a worker process died before this job reported"
+
+
 def _run_job(job) -> list[VerificationReport]:
     """Run one job; an exception it raises becomes one `fail` report."""
     kind, kwargs = job
@@ -548,25 +564,43 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     Jobs are independent pure computations; results are re-serialized in
     submission order regardless of completion order.  A job that raises
     yields one `fail` report with the exception in its note, so the rest
-    of the sweep still runs.
+    of the sweep still runs.  When a pool worker dies (killed, or exiting
+    without raising), the reports already received are kept and every
+    job not yet reported gets one `fail` report saying so; none is rerun.
     """
     reports: list[VerificationReport] = []
+
+    def add(batch):
+        for rep in batch:
+            reports.append(rep)
+            if emit is not None:
+                emit(rep)
+
     if parallelism <= 1 or len(jobs) <= 1:
         for job in jobs:
-            for rep in _run_job(job):
-                reports.append(rep)
-                if emit is not None:
-                    emit(rep)
+            add(_run_job(job))
         return reports
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    done = 0
     # a fork pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
-        for batch in pool.map(_run_job, jobs):
-            for rep in batch:
-                reports.append(rep)
-                if emit is not None:
-                    emit(rep)
+        try:
+            for batch in pool.map(_run_job, jobs):
+                add(batch)
+                done += 1
+        except BrokenProcessPool:
+            for kind, kwargs in jobs[done:]:
+                add([VerificationReport(
+                    identity=kind,
+                    params={n: v for n, v in kwargs.items() if n != "order"},
+                    status="fail",
+                    first_mismatch=None,
+                    elapsed=0.0,
+                    order=int(kwargs.get("order", 0)),
+                    note=_DEAD_WORKER,
+                )])
     return reports
 
 

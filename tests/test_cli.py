@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from qtheta import identities, kernel_backend
-from qtheta._pack import BIGNUM
 from qtheta.cli import _summary_lines, main
 
 
@@ -73,7 +72,6 @@ class TestSummaryLine:
         assert rc == 0
         lines = [l for l in err.splitlines() if l.startswith("#")]
         assert len(lines) == 1
-        assert f"bignum {BIGNUM}," in lines[0] and BIGNUM in ("gmpy2", "int")
         assert f"kernel {kernel_backend}" in lines[0]
 
     def test_all_runs_every_identity_above_twelve(self, capsys):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -741,6 +743,25 @@ class TestFullSuite:
         assert len(run_jobs([job, job], 64)) == 2
         assert len(run_jobs([job] * 3, 2)) == 3
         assert sizes == [2, 2]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched verifier reaches the workers only by fork")
+    def test_dead_worker_fails_its_jobs(self, monkeypatch):
+        # a worker that exits without raising breaks the pool: every job
+        # still gets a report, and those it took down fail with the note
+        monkeypatch.setattr(identities, "verify_eta_theta_bridges",
+                            lambda **kw: os._exit(1))
+        jobs = [("theorem", {"k": 3, "delta": 1, "order": 10}),
+                ("bridges", {"order": 10}),
+                ("theorem", {"k": 4, "delta": 0, "order": 10}),
+                ("k3", {"order": 10})]
+        reports = run_jobs(jobs, 2)
+        assert [r.identity for r in reports] == [kind for kind, _ in jobs]
+        assert reports[1].status == "fail"
+        assert reports[1].params == {} and reports[1].order == 10
+        for rep in reports:
+            if not rep.passed:
+                assert rep.note == identities._DEAD_WORKER
 
     def test_parallel_matches_sequential(self):
         seq = full_suite(k_max=2, order=8)

@@ -3,7 +3,7 @@
 import random
 
 import qtheta._kernels as K
-from qtheta._pack import lane_width, pack_signed, split_low, unpack_signed
+from qtheta._pack import _bias, lane_width, pack_signed, split_low, unpack_signed
 from qtheta.cyclotomic import cyclotomic_polynomial
 
 
@@ -154,8 +154,25 @@ def test_split_low_exact():
         assert unpack_signed(high, b, n - d) == vec[d:]
 
 
-def test_lane_width_is_byte_aligned_with_slack():
-    for bound in (1, 7, 255, 256, 10**9):
-        b = lane_width(bound)
-        assert b % 8 == 0
-        assert (1 << (b - 1)) > bound
+def test_lane_width_is_bit_length_plus_two():
+    for x in (1, 7, 255, 256, 10**9):
+        b = lane_width(x)
+        assert b == x.bit_length() + 2
+        assert (1 << (b - 1)) > x
+
+
+def test_every_width_either_side_of_the_run():
+    # counts either side of _RUN = 16, where packing and unpacking halve
+    rng = random.Random(6)
+    for b in range(3, 81):
+        top = (1 << (b - 2)) - 1
+        for n in (1, 15, 16, 17, 32, 33, 100):
+            vec = [rng.choice((top, -top)) for _ in range(n)]
+            x = pack_signed(vec, b)
+            assert x == sum(v << (b * i) for i, v in enumerate(vec)), (b, n)
+            assert unpack_signed(x, b, n) == vec, (b, n)
+            for d in {1, n // 2, n - 1} - {0, n}:
+                low, high = split_low(x, b, d)
+                assert low == pack_signed(vec[:d], b), (b, n, d)
+                assert high == pack_signed(vec[d:], b), (b, n, d)
+            assert _bias(b, n) == sum(1 << (b * i + b - 1) for i in range(n))

@@ -462,8 +462,8 @@ class TestHalfProduct:
     ], ids=["one", "zeta", "minus-zeta^4"])
     def test_lanes_reach_the_count_bound(self, monomial, value):
         # 64 factors of two monomials at q^0: the q^0 lane reaches the bound
-        # prod_j L_j = 2^64 exactly, which needs 66 signed bits, so lanes one
-        # byte narrower than lane_width(2^64) = 72 bits would overflow
+        # prod_j L_j = 2^64 exactly, which needs 66 signed bits: lane_width(2^64)
+        # = 67 bits keeps one to spare, and lanes of 65 bits would overflow
         vecs = root_product(8, [[monomial] * 2] * 64, 3)
         assert vecs == [[value, 0, 0, 0], None, None]
         vecs = root_product(8, [[(0, 1, 0)] * 2] * 63 + [[(0, -1, 0)] * 2], 3)

@@ -107,7 +107,7 @@ def _check_worst_reduction(ctx):
     vectors with lanes in {-1, 0, 1} can hold, packed at
     product_lane(terms): reduce_packed must give the remainder of the
     unpacked vector, for it and its negation.  V has 15 bits, so
-    lane_width(V) is a byte wider than the width for V/2: a lane sized for
+    lane_width(V) is a bit wider than the width for V/2: a lane sized for
     half the bound fails the width check."""
     D = ctx.D
     terms = ((1 << 15) - 1) // D
