@@ -138,6 +138,24 @@ def _part(identity, params, order, check) -> VerificationReport:
     return _finish(identity, params, order, t0, mm)
 
 
+# The point checks made so far in the running run_jobs call, by key (the
+# check's kind, its reduced_point and its other arguments); None outside
+# run_jobs, where every check runs.
+_point_checks: dict | None = None
+
+
+def _checked_once(key, check):
+    """check(), or what it returned for this key earlier in the running
+    run_jobs call.  A check that raises stores nothing, so each report at
+    its point runs it again and fails alone."""
+    table = _point_checks
+    if table is None:
+        return check()
+    if key not in table:
+        table[key] = check()
+    return table[key]
+
+
 # -- the half sum and the main modular equation -------------------------
 
 
@@ -228,8 +246,10 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
 
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
     the Lambert-form series; the two routes are fully independent.  Each
-    point is checked in its smallest field (reduced_point), and a point
-    whose check raises fails alone.
+    point is checked in its smallest field (reduced_point), once per
+    run_jobs call: an l whose reduced point an earlier report of the run
+    checked at this order reuses that result.  A point whose check raises
+    fails alone.
 
     Both routes work at precision P = order + 1/8, the compare order.
     The one divisor of S = a1/a0 is a0, of q-valuation 1/8, so a1 = S * a0
@@ -240,11 +260,15 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    def check(l):
-        lr, kr = reduced_point(l, k)
-        prec = Fraction(order) + Fraction(1, 8)
+    prec = Fraction(order) + Fraction(1, 8)
+
+    def at(lr, kr):
         jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, prec)
         return compare(jet.slot(1), log_deriv_lambert(lr, kr, prec) * jet.slot(0), prec)
+
+    def check(l):
+        point = reduced_point(l, k)
+        return _checked_once(("lemd", *point, order), functools.partial(at, *point))
 
     return [_part("lemd", {"k": k, "l": l}, order, functools.partial(check, l))
             for l in range(2 * k) if l != k]
@@ -304,13 +328,10 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
 
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
     the same base point (q unsubstituted).  The jet is built in the
-    point's smallest field (reduced_point).
-
-    The jet works at precision P = order + 1/8, the least the compare
-    needs.  Its slots have base 1/8 and precision P, and the only divisor
-    is slot 0, of q-valuation 1/8: the quotient f'/f and every slot of
-    T_of_log(f) have precision P - 1/8, and so has the square of the
-    quotient.  Both sides then hold every term below q^order.
+    point's smallest field (reduced_point), and each reduced point is
+    checked once per run_jobs call at a given degree and order: a (k, l)
+    whose point an earlier report of the run checked reuses its
+    mismatch and note.
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -318,23 +339,33 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     if jet_degree < 2:
         raise ValueError("need jet degree >= 2")
     t0 = time.perf_counter()
-    lr, kr = reduced_point(l, k)
+    point = reduced_point(l, k)
+    mm, note = _checked_once(("meq1", *point, jet_degree, order),
+                             functools.partial(_meq1_at, *point, jet_degree, order))
+    return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
+
+
+def _meq1_at(lr: int, kr: int, jet_degree: int, order):
+    """verify_meq1's check at the reduced point (lr, kr): (mismatch, note).
+
+    The jet works at precision P = order + 1/8, the least the compare
+    needs.  Its slots have base 1/8 and precision P, and the only divisor
+    is slot 0, of q-valuation 1/8: the quotient f'/f and every slot of
+    T_of_log(f) have precision P - 1/8, and so has the square of the
+    quotient.  Both sides then hold every term below q^order.
+    """
     f = theta2_jet(ThetaPoint(lr, 2 * kr), jet_degree, Fraction(order) + Fraction(1, 8))
     rhs = T_of_log(f)  # degree J-2; caches f'/f, of degree J-1
     ratio = f.log_dz().truncate(rhs.degree)
     lhs = ratio * ratio
-    note = ""
     hit = compare_jets(lhs, rhs, order)
     if hit is not None:
         slot, mm = hit
-        note = f"slot {slot}"
-    else:
-        mm = None
-        heat = f.q_ddq() * 8 + f.d_dz().d_dz()
-        if not heat.is_zero():
-            mm = Mismatch(Fraction(0), "nonzero", 0)
-            note = "heat-equation residue"
-    return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
+        return mm, f"slot {slot}"
+    heat = f.q_ddq() * 8 + f.d_dz().d_dz()
+    if not heat.is_zero():
+        return Mismatch(Fraction(0), "nonzero", 0), "heat-equation residue"
+    return None, ""
 
 
 def _lem22_margin(k: int) -> int:
@@ -567,7 +598,21 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     of the sweep still runs.  When a pool worker dies (killed, or exiting
     without raising), the reports already received are kept and every
     job not yet reported gets one `fail` report saying so; none is rerun.
+
+    meq1 and lemd check each reduced point once per call (_checked_once):
+    the table lives while the call runs and the caller's is restored
+    after it, and each fork worker fills its own copy of the empty table.
+    A repeated point still gets its own report, with its own params.
     """
+    global _point_checks
+    outer, _point_checks = _point_checks, {}
+    try:
+        return _run_jobs(jobs, parallelism, emit)
+    finally:
+        _point_checks = outer
+
+
+def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
 
     def add(batch):

@@ -83,14 +83,18 @@ class TestSummaryLine:
         assert cap.err.startswith("# 43 reports, 0 failures")
         assert "skipped" not in cap.err
 
-    @pytest.mark.parametrize("argv, expect", [
+    @pytest.mark.parametrize("argv, expect, points", [
         (["bridges,k3,tan-sum", "--k-min", "2", "--k-max", "3", "--delta", "0",
           "--order", "15", "--jobs", "1"],
-         {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}),
+         {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}, None),
         (["lemd,tan-sum", "--k-max", "3", "--order", "5"],
-         {"lemd": 8, "tan-sum": 4}),
-    ], ids=["bridges-k3-tan-sum", "lemd-tan-sum"])
-    def test_time_by_identity_and_slowest(self, capsys, argv, expect):
+         {"lemd": 8, "tan-sum": 4}, "lemd 7"),
+        # the angle 0 recurs at k = 3 and 4, pi/4 at k = 4, and lemd's
+        # 3 pi/4 at k = 4: 13 - 3 meq1 points and 15 - 4 lemd points
+        (["meq1,lemd", "--k-max", "4", "--order", "5", "--jobs", "1"],
+         {"meq1": 13, "lemd": 15}, "meq1 10, lemd 11"),
+    ], ids=["bridges-k3-tan-sum", "lemd-tan-sum", "meq1-lemd"])
+    def test_time_by_identity_and_slowest(self, capsys, argv, expect, points):
         rc = main(["verify", *argv])
         err = capsys.readouterr().err
         assert rc == 0
@@ -99,6 +103,9 @@ class TestSummaryLine:
         by_identity = lines[0].split("; time by identity: ")[1].split(";")[0]
         counts = {part.split()[0]: int(part.split()[1]) for part in by_identity.split(", ")}
         assert counts == expect
+        clauses = lines[0].split("; ")
+        assert [c for c in clauses if c.startswith("points ")] == (
+            [f"points {points}"] if points else [])
         assert "; slowest " in lines[0] and lines[0].endswith(" ms")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

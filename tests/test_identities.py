@@ -794,3 +794,77 @@ class TestFullSuite:
         assert mm["exponent_num"] == 9 and mm["exponent_den"] == 8
         assert isinstance(mm["exponent_num"], int)
         assert mm["lhs"] == "1/3" and mm["rhs"] == "0"
+
+
+class TestPointChecksOncePerRun:
+    # jet-sweep's job list at a small order: 43 meq1 jobs over 26 reduced
+    # points, 36 lem22 parts and 99 lemd points over 63
+    JOBS = enumerate_jobs(2, 10, (0, 1), 12, 4, frozenset({"meq1", "lem22", "lemd"}))
+
+    @staticmethod
+    def _seen(reports) -> list:
+        """Each report's JSON object without elapsed_ms, with its note."""
+        out = []
+        for r in reports:
+            obj = r.to_json_obj()
+            del obj["elapsed_ms"]
+            out.append((obj, r.note))
+        return out
+
+    def _of_kind(self, kind) -> list:
+        return [job for job in self.JOBS if job[0] == kind]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_sharing_changes_no_report(self, parallelism):
+        alone = [seen for job in self.JOBS for seen in self._seen(run_jobs([job]))]
+        assert self._seen(run_jobs(self.JOBS, parallelism)) == alone
+        assert identities._point_checks is None
+
+    def test_one_check_per_distinct_point(self, monkeypatch):
+        calls = {"T_of_log": 0, "theta2_jet": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(identities, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(identities, name, counting)
+        meq1, lemd = self._of_kind("meq1"), self._of_kind("lemd")
+        assert len(meq1) == 43 and len(lemd) == 9
+        assert len({modular.reduced_point(kw["l"], kw["k"]) for _, kw in meq1}) == 26
+        assert all(r.passed for r in run_jobs(meq1))
+        assert calls == {"T_of_log": 26, "theta2_jet": 26}
+        calls.update(T_of_log=0, theta2_jet=0)
+        reports = run_jobs(lemd)
+        assert len(reports) == 99 and all(r.passed for r in reports)
+        assert len({modular.reduced_point(r.params["l"], r.params["k"])
+                    for r in reports}) == 63
+        assert calls == {"T_of_log": 0, "theta2_jet": 63}
+
+    def test_nothing_carries_over_between_runs(self, monkeypatch):
+        # T_of_log with its z-part's sign flipped: every meq1 point fails
+        meq1 = self._of_kind("meq1")
+        assert all(r.passed for r in run_jobs(meq1))
+        real = identities.T_of_log
+        monkeypatch.setattr(identities, "T_of_log",
+                            lambda f: real(f) + f.log_dz().d_dz() * 2)
+        reports = run_jobs(meq1)
+        assert len(reports) == 43 and not any(r.passed for r in reports)
+
+    def test_a_check_that_raises_is_not_stored(self, monkeypatch):
+        # lemd at k = 2, l = 1 and at k = 4, l = 2 share the point pi/4
+        lambert = identities.log_deriv_lambert
+        raised = []
+
+        def raising(l, k, order):
+            if (l, k) == (1, 2):
+                raised.append(k)
+                raise RuntimeError("no Lambert form at pi/4")
+            return lambert(l, k, order)
+
+        monkeypatch.setattr(identities, "log_deriv_lambert", raising)
+        reports = run_jobs([("lemd", {"k": 2, "order": 8}), ("lemd", {"k": 4, "order": 8})])
+        assert len(reports) == 3 + 7 and len(raised) == 2
+        failed = [r for r in reports if not r.passed]
+        assert [r.params for r in failed] == [{"k": 2, "l": 1}, {"k": 4, "l": 2}]
+        for rep in failed:
+            assert rep.note.startswith("RuntimeError: no Lambert form at pi/4 (in raising")
