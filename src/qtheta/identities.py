@@ -350,11 +350,17 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
 
     The jet works at precision P = order + 1/8, the least the compare
     needs.  Its slots have base 1/8 and precision P, and the only divisor
-    is slot 0, of q-valuation 1/8: the quotient f'/f and every slot of
-    T_of_log(f) have precision P - 1/8, and so has the square of the
-    quotient.  Both sides then hold every term below q^order.
+    is slot 0, of q-valuation 1/8: the quotients g = f'/f and h_0 =
+    (q d/dq f_0)/f_0 have precision P - 1/8, and h_t for t >= 1, which is
+    q d/dq g_{t-1} / t (T_of_log), inherits g_{t-1}'s precision P - 1/8.
+    So every slot of T_of_log(f) and of the square of g has precision
+    P - 1/8, and both sides hold every term below q^order.
+
+    The heat residue is read slot by slot:
+    8 q d/dq f_t + (t+1)(t+2) f_{t+2} = 0 for t <= J-2.
     """
-    f = theta2_jet(ThetaPoint(lr, 2 * kr), jet_degree, Fraction(order) + Fraction(1, 8))
+    J = jet_degree
+    f = theta2_jet(ThetaPoint(lr, 2 * kr), J, Fraction(order) + Fraction(1, 8))
     rhs = T_of_log(f)  # degree J-2; caches f'/f, of degree J-1
     ratio = f.log_dz().truncate(rhs.degree)
     lhs = ratio * ratio
@@ -362,9 +368,9 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
     if hit is not None:
         slot, mm = hit
         return mm, f"slot {slot}"
-    heat = f.q_ddq() * 8 + f.d_dz().d_dz()
-    if not heat.is_zero():
-        return Mismatch(Fraction(0), "nonzero", 0), "heat-equation residue"
+    for t in range(J - 1):
+        if not (f.slot(t).q_ddq() * 8 + f.slot(t + 2) * ((t + 1) * (t + 2))).is_zero:
+            return Mismatch(Fraction(0), "nonzero", 0), "heat-equation residue"
     return None, ""
 
 

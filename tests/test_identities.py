@@ -376,17 +376,18 @@ class TestVerifyMeq1:
 
     @pytest.mark.parametrize("J", [2, 4, 5])
     def test_two_jet_divisions_by_f(self, monkeypatch, J):
-        # (q d/dq f)/f to degree J-2 and f'/f to degree J-1: two jet
-        # divisions by f, each one long division over all its slots, with
-        # no series division per slot and no series inverted on its own;
-        # the lead of f (an irrational at pi/10) is inverted once, and the
-        # second division reads the inverse cached on f's constant slot
+        # f'/f to degree J-1 and slot 0 of (q d/dq f)/f, whose other slots
+        # follow from f'/f: two jet divisions by f, each one long division
+        # over all its slots, with no series division per slot and no
+        # series inverted on its own; the lead of f (an irrational at
+        # pi/10) is inverted once, and the second division reads the
+        # inverse cached on f's constant slot
         divs = _record_jet_divisions(monkeypatch)
         pairs = _record_series_div(monkeypatch)
         inverted = _record_inversions(monkeypatch)
         assert verify_meq1(1, 5, J, 16).passed
         assert len(divs) == 2
-        assert sorted(q.degree + 1 for _, _, q in divs) == [J - 1, J]
+        assert sorted(q.degree + 1 for _, _, q in divs) == [1, J]
         f = divs[0][1]
         assert divs[1][1] is f
         assert _no_numerator_one([(a.slot(0), b) for a, b, _ in divs])
@@ -411,6 +412,63 @@ class TestVerifyMeq1:
         assert not r.passed
         assert r.note == f"slot {slot}"
         assert r.first_mismatch.exponent == 3
+
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_flipped_z_part_fails_with_zero_heat_residue(self, monkeypatch, J):
+        # T_of_log with +d/dz(f'/f) in place of -d/dz(f'/f): meq1 fails at
+        # a compared slot, while the jet's heat residue still reads zero
+        real = identities.T_of_log
+
+        def flipped(f):
+            return real(f) + f.log_dz().d_dz().truncate(J - 2) * 2
+
+        monkeypatch.setattr(identities, "T_of_log", flipped)
+        r = verify_meq1(1, 5, J, 16)
+        assert not r.passed
+        assert r.note.startswith("slot ")
+        f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
+        assert (f.q_ddq() * 8 + f.d_dz().d_dz()).is_zero()
+
+    @pytest.mark.parametrize("J", [3, 4, 5])
+    def test_derived_q_slot_scaled_by_wrong_index_fails(self, monkeypatch, J):
+        # slot t >= 1 of (q d/dq f)/f is q d/dq (f'/f)_{t-1} / t; taking
+        # 1/(t+1) instead fails at slot 1 (1/t itself is 1 there, so
+        # dropping it would go unseen at t = 1)
+        real = identities.T_of_log
+
+        def off_by_one(f):
+            g = f.log_dz()
+            cs = list(real(f).coeffs)
+            for t in range(1, len(cs)):
+                qd = g.slot(t - 1).q_ddq()
+                cs[t] = cs[t] + qd * Fraction(8, t) - qd * Fraction(8, t + 1)
+            return ZJet(cs)
+
+        monkeypatch.setattr(identities, "T_of_log", off_by_one)
+        r = verify_meq1(1, 5, J, 16)
+        assert not r.passed
+        assert r.note == "slot 1"
+
+    @pytest.mark.parametrize("J,slot", [(2, 0), (2, 2), (4, 0), (4, 1),
+                                        (4, 2), (4, 3), (4, 4)])
+    def test_heat_residue_reads_every_slot(self, monkeypatch, J, slot):
+        # with the jet compare stubbed to pass, a monomial added to any
+        # slot that 8 q d/dq f_t + (t+1)(t+2) f_{t+2} reads fails the report
+        real = identities.theta2_jet
+
+        def faulty(pt, degree, order):
+            f = real(pt, degree, order)
+            cs = list(f.coeffs)
+            cs[slot] = cs[slot] + QExpansion.monomial(1, Fraction(17, 8),
+                                                      cs[slot].precision)
+            return ZJet(cs)
+
+        monkeypatch.setattr(identities, "theta2_jet", faulty)
+        monkeypatch.setattr(identities, "compare_jets", lambda f, g, order: None)
+        r = verify_meq1(1, 5, J, 16)
+        assert not r.passed
+        assert r.note == "heat-equation residue"
+        assert r.first_mismatch.exponent == 0
 
     def test_points_helper(self):
         assert meq1_points(1) == [0]
