@@ -14,7 +14,7 @@ import time
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .identities import WHICH_TOKENS, enumerate_jobs, run_jobs
-from .modular import reduced_point
+from .modular import point_orbit, reduced_point
 from .selftest import run_selftest
 
 DEFAULT_K_MIN = 2
@@ -93,8 +93,9 @@ def _resolve_jobs(flag_value: int | None) -> int:
 
 def _summary_lines(reports, elapsed: float) -> list[str]:
     """The stderr summary: totals, time by identity, the distinct base
-    points of the meq1 and lemd reports, the slowest report, then one line
-    per failing report with its reason."""
+    points of the meq1 and lemd reports and the Galois orbits of the meq1
+    ones, the slowest report, then one line per failing report with its
+    reason."""
     failing = [r for r in reports if not r.passed]
     line = (
         f"# {len(reports)} reports, {len(failing)} failures, {elapsed:.1f} s; "
@@ -110,12 +111,19 @@ def _summary_lines(reports, elapsed: float) -> list[str]:
         line += "; time by identity: " + ", ".join(
             f"{name} {n} in {t:.2f} s" for name, (n, t) in ranked
         )
-        # each distinct reduced point is checked once per run
+        # each distinct reduced point is checked at most once per run, and
+        # one passing meq1 point covers its Galois orbit
         points: dict[str, set] = {"meq1": set(), "lemd": set()}
+        orbits = set()
         for r in reports:
             if r.identity in points and "l" in r.params:
-                points[r.identity].add(reduced_point(r.params["l"], r.params["k"]))
+                l, k = r.params["l"], r.params["k"]
+                points[r.identity].add(reduced_point(l, k))
+                if r.identity == "meq1":
+                    orbits.add(point_orbit(l, k))
         counted = [f"{name} {len(p)}" for name, p in points.items() if p]
+        if orbits:  # meq1 comes first
+            counted[0] += f" in {len(orbits)} orbits"
         if counted:
             line += "; points " + ", ".join(counted)
         slow = max(reports, key=lambda r: r.elapsed)

@@ -289,7 +289,17 @@ def _field_of(ctxs) -> _Ctx:
 
 def _lowest_terms(vecs, den):
     """(vecs, den) divided by the gcd of den and every vector entry; None
-    stands for a zero vector."""
+    stands for a zero vector.  One-lane vectors (a series over Q) take
+    their gcd in one call, as their entries rarely bring it to 1 early;
+    longer ones stop at the first vector that does."""
+    if den == 1:
+        return vecs, den
+    lanes = next((len(v) for v in vecs if v is not None), 0)
+    if lanes == 1:
+        g = math.gcd(den, *[v[0] for v in vecs if v is not None])
+        if g == 1:
+            return vecs, den
+        return [None if v is None else [v[0] // g] for v in vecs], den // g
     g = den
     for v in vecs:
         if g == 1:

@@ -27,6 +27,7 @@ from .modular import (
     eta_quotient_log_ddq,
     halfprod_constant,
     log_deriv_lambert,
+    point_orbit,
     reduced_point,
     theta2_jet,
     theta2_product,
@@ -139,20 +140,29 @@ def _part(identity, params, order, check) -> VerificationReport:
 
 
 # The point checks made so far in the running run_jobs call, by key (the
-# check's kind, its reduced_point and its other arguments); None outside
-# run_jobs, where every check runs.
+# check's kind, its reduced_point and its other arguments), and the passes
+# shared by an orbit key; None outside run_jobs, where every check runs.
 _point_checks: dict | None = None
 
 
-def _checked_once(key, check):
+def _checked_once(key, check, orbit=None):
     """check(), or what it returned for this key earlier in the running
     run_jobs call.  A check that raises stores nothing, so each report at
-    its point runs it again and fails alone."""
+    its point runs it again and fails alone.
+
+    With an orbit key, a pass (a result of None) is stored under the orbit
+    too, and a later key of that orbit reuses it.  A failure is stored
+    under its own key only, so each point of a failing orbit runs its own
+    check and reports its own mismatch."""
     table = _point_checks
     if table is None:
         return check()
     if key not in table:
+        if orbit is not None and orbit in table:
+            return table[orbit]
         table[key] = check()
+        if orbit is not None and table[key] is None:
+            table[orbit] = None
     return table[key]
 
 
@@ -329,9 +339,12 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
     the same base point (q unsubstituted).  The jet is built in the
     point's smallest field (reduced_point), and each reduced point is
-    checked once per run_jobs call at a given degree and order: a (k, l)
-    whose point an earlier report of the run checked reuses its
-    mismatch and note.
+    checked at most once per run_jobs call at a given degree and order: a
+    (k, l) whose point an earlier report of the run checked reuses its
+    mismatch and note.  A pass also covers the point's Galois orbit
+    (point_orbit, the proof is in _meq1_at): a point whose orbit passed
+    earlier in the run reuses that pass.  A failure is not shared, so
+    each conjugate of a failing point runs and reports its own check.
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -340,13 +353,16 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
         raise ValueError("need jet degree >= 2")
     t0 = time.perf_counter()
     point = reduced_point(l, k)
-    mm, note = _checked_once(("meq1", *point, jet_degree, order),
-                             functools.partial(_meq1_at, *point, jet_degree, order))
+    hit = _checked_once(("meq1", *point, jet_degree, order),
+                        functools.partial(_meq1_at, *point, jet_degree, order),
+                        ("meq1 orbit", point_orbit(l, k), jet_degree, order))
+    mm, note = (None, "") if hit is None else hit
     return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
 
 
 def _meq1_at(lr: int, kr: int, jet_degree: int, order):
-    """verify_meq1's check at the reduced point (lr, kr): (mismatch, note).
+    """verify_meq1's check at the reduced point (lr, kr): None for a pass,
+    else (mismatch, note).
 
     The jet works at precision P = order + 1/8, the least the compare
     needs.  Its slots have base 1/8 and precision P, and the only divisor
@@ -358,6 +374,37 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
 
     The heat residue is read slot by slot:
     8 q d/dq f_t + (t+1)(t+2) f_{t+2} = 0 for t <= J-2.
+
+    One pass proves the orbit.  Let n = point_orbit(lr, kr), m = 4 kr and
+    zeta = e^{i pi/2kr}, so that slot j of f at lr is
+    sum_s (i(2s+1))^j / j! q^{(2s+1)^2/8} zeta^{lr(2s+1)} (theta2_jet).
+    1. For a unit a mod m, sigma_a: zeta -> zeta^a fixes q and Q, and it
+       sends zeta^{lr(2s+1)} to zeta^{a lr(2s+1)} and i = zeta^{m/4} to
+       i^a = chi(a) i, with chi(a) = (-1)^((a-1)/2) (a is odd).  So it
+       sends slot j at lr to chi(a)^j times slot j at a lr, coefficient
+       by coefficient (Washington, Introduction to Cyclotomic Fields,
+       GTM 83, ch. 2).
+    2. theta2(z + pi) = -theta2(z), as zeta^{2kr(2s+1)} = -1: the jet at
+       lr + 2kr is minus the jet at lr.
+    3. The reduced points with one n have one kr (reduced_point), and each
+       is reached from another by some sigma_a and at most one shift by
+       pi.  For even n, lr = u is a unit mod 2n = m, and a = u2/u1 mod m.
+       For odd n, lr = 2u with u a unit mod n, and a lr = 2(a u mod 2n)
+       with a u = u (mod 2), as a is odd: sigma_a reaches 2 u2 when
+       u2 = u1 (mod 2), with a = u2/u1 mod n and a = 1 mod 4 (n is odd,
+       so such an a exists mod 4n), and otherwise u2 + n, whose point
+       2 u2 + 2kr is the shift of 2 u2 by pi, has u1's parity.
+    4. Every quantity compared is built from f by field operations,
+       q d/dq and d/dz, each of which commutes with sigma_a.  With
+       chi = chi(a) = +-1, slot j times chi^j is the jet of f(chi z), so
+       g = f'/f has slot j times chi^(j+1), and g^2, T(log f) and the
+       heat residue have slot j times chi^j; -f has the same g, g^2 and
+       T(log f) (log(-f) - log f is a constant) and minus the residue.
+       So, slot by slot, each side of meq1 and the residue at one point
+       of the orbit is a sign times sigma_a of the same slot at another,
+       and sigma_a is one-to-one: each slot agrees, or is zero, at one
+       point exactly when it is at the other.  The mismatch of a failure
+       is the conjugate's, another value, so only a pass is shared.
     """
     J = jet_degree
     f = theta2_jet(ThetaPoint(lr, 2 * kr), J, Fraction(order) + Fraction(1, 8))
@@ -371,7 +418,7 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
     for t in range(J - 1):
         if not (f.slot(t).q_ddq() * 8 + f.slot(t + 2) * ((t + 1) * (t + 2))).is_zero:
             return Mismatch(Fraction(0), "nonzero", 0), "heat-equation residue"
-    return None, ""
+    return None
 
 
 def _lem22_margin(k: int) -> int:

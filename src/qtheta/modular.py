@@ -83,6 +83,15 @@ def reduced_point(l: int, k: int) -> tuple[int, int]:
     return (u, n // 2) if n % 2 == 0 else (2 * u, n)
 
 
+def point_orbit(l: int, k: int) -> int:
+    """n = 2k/gcd(l, 2k), the denominator of l pi/2k = u pi/n in lowest
+    terms; equal for (l, k) and its reduced_point.  It names the point's
+    Galois orbit: the reduced points with one n share one field, and each
+    is a conjugate of another up to a shift by pi (identities._meq1_at
+    has the proof)."""
+    return 2 * k // math.gcd(l, 2 * k)
+
+
 def _eta_weights(exponents) -> dict:
     """{alpha: e_alpha} from (alpha, e_alpha) pairs, the exponents of a
     repeated alpha added up; alpha must be a positive integer."""

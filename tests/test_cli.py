@@ -90,9 +90,10 @@ class TestSummaryLine:
         (["lemd,tan-sum", "--k-max", "3", "--order", "5"],
          {"lemd": 8, "tan-sum": 4}, "lemd 7"),
         # the angle 0 recurs at k = 3 and 4, pi/4 at k = 4, and lemd's
-        # 3 pi/4 at k = 4: 13 - 3 meq1 points and 15 - 4 lemd points
+        # 3 pi/4 at k = 4: 13 - 3 meq1 points and 15 - 4 lemd points; the
+        # meq1 points have the denominators n = 1, 3, 4, 6 and 8
         (["meq1,lemd", "--k-max", "4", "--order", "5", "--jobs", "1"],
-         {"meq1": 13, "lemd": 15}, "meq1 10, lemd 11"),
+         {"meq1": 13, "lemd": 15}, "meq1 10 in 5 orbits, lemd 11"),
     ], ids=["bridges-k3-tan-sum", "lemd-tan-sum", "meq1-lemd"])
     def test_time_by_identity_and_slowest(self, capsys, argv, expect, points):
         rc = main(["verify", *argv])
@@ -122,6 +123,23 @@ class TestSummaryLine:
         assert len(lines) == 2
         assert lines[0].startswith("# 3 reports, 1 failures")
         assert lines[1].startswith("# fail k3: RuntimeError: no k3 today (in broken")
+
+    def test_points_clause_of_the_default_sweep(self):
+        # the default sweep's meq1 and lemd params, each as a passing report
+        # (nothing is verified): 93 meq1 reports over 53 points in 29
+        # orbits, 399 lemd reports over 255 points
+        jobs = identities.enumerate_jobs(2, 20, (0, 1), 100, 4,
+                                         frozenset({"meq1", "lemd"}))
+        params = [{"k": kw["k"], "l": kw["l"], "J": 4}
+                  for kind, kw in jobs if kind == "meq1"]
+        params += [{"k": kw["k"], "l": l} for kind, kw in jobs if kind == "lemd"
+                   for l in range(2 * kw["k"]) if l != kw["k"]]
+        reports = [identities.VerificationReport("meq1" if "J" in p else "lemd", p,
+                                                 "pass", None, 0.0, 100)
+                   for p in params]
+        assert len(reports) == 93 + 399
+        [line] = _summary_lines(reports, 0.0)
+        assert "; points meq1 53 in 29 orbits, lemd 255; " in line
 
     def test_no_reports(self):
         [line] = _summary_lines([], 0.0)

@@ -856,7 +856,7 @@ class TestFullSuite:
 
 class TestPointChecksOncePerRun:
     # jet-sweep's job list at a small order: 43 meq1 jobs over 26 reduced
-    # points, 36 lem22 parts and 99 lemd points over 63
+    # points in 14 orbits, 36 lem22 parts and 99 lemd points over 63
     JOBS = enumerate_jobs(2, 10, (0, 1), 12, 4, frozenset({"meq1", "lem22", "lemd"}))
 
     @staticmethod
@@ -878,25 +878,49 @@ class TestPointChecksOncePerRun:
         assert self._seen(run_jobs(self.JOBS, parallelism)) == alone
         assert identities._point_checks is None
 
-    def test_one_check_per_distinct_point(self, monkeypatch):
-        calls = {"T_of_log": 0, "theta2_jet": 0}
-        for name in calls:
+    @staticmethod
+    def _count_calls(monkeypatch, names) -> dict:
+        """Calls of each named identities attribute, counted from now on."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             def counting(*args, _name=name, _real=getattr(identities, name)):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(identities, name, counting)
+        return calls
+
+    def test_one_meq1_check_per_orbit(self, monkeypatch):
+        # meq1: 43 jobs over 26 reduced points in 14 Galois orbits, one
+        # passing check per orbit; lemd: one check per reduced point
+        calls = self._count_calls(monkeypatch, ("T_of_log", "theta2_jet"))
         meq1, lemd = self._of_kind("meq1"), self._of_kind("lemd")
         assert len(meq1) == 43 and len(lemd) == 9
         assert len({modular.reduced_point(kw["l"], kw["k"]) for _, kw in meq1}) == 26
+        assert len({modular.point_orbit(kw["l"], kw["k"]) for _, kw in meq1}) == 14
         assert all(r.passed for r in run_jobs(meq1))
-        assert calls == {"T_of_log": 26, "theta2_jet": 26}
+        assert calls == {"T_of_log": 14, "theta2_jet": 14}
         calls.update(T_of_log=0, theta2_jet=0)
         reports = run_jobs(lemd)
         assert len(reports) == 99 and all(r.passed for r in reports)
         assert len({modular.reduced_point(r.params["l"], r.params["k"])
                     for r in reports}) == 63
         assert calls == {"T_of_log": 0, "theta2_jet": 63}
+
+    def test_a_failing_orbit_checks_every_point(self, monkeypatch):
+        # T_of_log with its z-part's sign flipped: every meq1 point fails,
+        # with the report a run of its job alone makes, and no failure is
+        # shared over an orbit, so each of the 26 points runs its check
+        meq1 = self._of_kind("meq1")
+        real = identities.T_of_log
+        monkeypatch.setattr(identities, "T_of_log",
+                            lambda f: real(f) + f.log_dz().d_dz() * 2)
+        alone = [seen for job in meq1 for seen in self._seen(run_jobs([job]))]
+        calls = self._count_calls(monkeypatch, ("T_of_log",))
+        reports = run_jobs(meq1)
+        assert len(reports) == 43 and not any(r.passed for r in reports)
+        assert self._seen(reports) == alone
+        assert calls == {"T_of_log": 26}
 
     def test_nothing_carries_over_between_runs(self, monkeypatch):
         # T_of_log with its z-part's sign flipped: every meq1 point fails

@@ -25,9 +25,11 @@ from qtheta import (
     theta2_triple_product,
     trig_value,
 )
+from qtheta.cyclotomic import _ctx
 from qtheta.modular import (
     eta_quotient,
     eta_quotient_log_ddq,
+    point_orbit,
     reduced_point,
     root_product,
     theta2_product,
@@ -631,6 +633,83 @@ class TestReducedPoint:
         assert reduced_point(6, 9) == (2, 3)   # 6 pi/18 = pi/3
         assert reduced_point(3, 6) == (1, 2)   # 3 pi/12 = pi/4: n = 4 even
         assert reduced_point(5, 6) == (5, 6)   # already smallest
+
+
+def _reduced_points(k_max: int) -> set:
+    """Every reduced point (l', k') of l pi/2k, 0 <= l < 2k, l != k, k <= k_max."""
+    return {reduced_point(l, k) for k in range(1, k_max + 1)
+            for l in range(2 * k) if l != k}
+
+
+def _shifted_image(a: int, lr: int, kr: int) -> tuple[int, int]:
+    """(l'', s): a lr pi/2kr = l'' pi/2kr + pi (1 - s)/2 with 0 <= l'' < 2kr,
+    s = -1 when the image of lr under zeta -> zeta^a needs a shift by pi."""
+    b = a * lr % (4 * kr)
+    return (b, 1) if b < 2 * kr else (b - 2 * kr, -1)
+
+
+class TestGaloisOrbit:
+    """meq1 shares one pass over a Galois orbit (identities._meq1_at): its
+    premise, on the jets meq1 builds and on the orbit key."""
+
+    def test_conjugate_jet_slots(self):
+        # sigma_a: zeta -> zeta^a sends slot j of the jet at l' to
+        # chi(a)^j times slot j at a l', and a shift by pi negates the jet;
+        # compared on the zeta coordinates, cross-multiplied by the
+        # denominators, for every unit a mod 4k'
+        @functools.cache
+        def jet(lr, kr):
+            return theta2_jet(ThetaPoint(lr, 2 * kr), 4, 12)
+
+        def zeta_vectors(s, m):
+            e = s.embed(m)  # a series over Q keeps its one-lane vectors
+            ctx = _ctx(m)
+            return e.base, e._den, [
+                None if v is None else ctx.powers([(0, v[0])]) if e.field() is None else v
+                for v in e._vecs]
+
+        compared = 0
+        for lr, kr in sorted(_reduced_points(8)):
+            m = 4 * kr
+            ctx = _ctx(m)
+            for a in range(1, m, 2):
+                if math.gcd(a, m) != 1:
+                    continue
+                chi = (-1) ** ((a - 1) // 2)
+                lb, sign = _shifted_image(a, lr, kr)
+                assert reduced_point(lb, kr) == (lb, kr), (lr, kr, a)
+                assert point_orbit(lb, kr) == point_orbit(lr, kr), (lr, kr, a)
+                for j in range(5):
+                    base, den, vecs = zeta_vectors(jet(lr, kr).slot(j), m)
+                    ibase, iden, ivecs = zeta_vectors(jet(lb, kr).slot(j), m)
+                    assert (base, len(vecs)) == (ibase, len(ivecs)), (lr, kr, a, j)
+                    c = sign * chi ** j
+                    for v, w in zip(vecs, ivecs):
+                        assert (v is None) == (w is None), (lr, kr, a, j)
+                        if v is not None:
+                            got = [x * iden for x in ctx.galois_vec(v, a)]
+                            assert got == [c * x * den for x in w], (lr, kr, a, j)
+                    compared += 1
+        # 43 reduced points, 426 (point, unit) pairs, five slots each
+        assert compared == 2130
+
+    def test_one_orbit_per_denominator(self):
+        # the reduced points of one field with one n = point_orbit are one
+        # orbit under the units a mod 4k' and the shift by pi, and points
+        # with different n lie in different orbits
+        points = _reduced_points(60)
+        by_field: dict = {}
+        for lr, kr in points:
+            by_field.setdefault(kr, set()).add(lr)
+        assert sorted(by_field) == list(range(1, 61))
+        for kr, lrs in by_field.items():
+            units = [a for a in range(1, 4 * kr, 2) if math.gcd(a, 4 * kr) == 1]
+            for lr in lrs:
+                orbit = {_shifted_image(a, lr, kr)[0] for a in units}
+                same_n = {x for x in lrs if point_orbit(x, kr) == point_orbit(lr, kr)}
+                assert orbit == same_n, (lr, kr)
+        for l, k in ((1, 4), (3, 4), (2, 6), (4, 6), (0, 7)):
+            assert point_orbit(l, k) == point_orbit(*reduced_point(l, k))
 
 
 class TestHalfprodConstant:
