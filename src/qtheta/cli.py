@@ -111,8 +111,10 @@ def _summary_lines(reports, elapsed: float) -> list[str]:
         line += "; time by identity: " + ", ".join(
             f"{name} {n} in {t:.2f} s" for name, (n, t) in ranked
         )
-        # each distinct reduced point is checked at most once per run, and
-        # one passing meq1 point covers its Galois orbit
+        # a passing meq1 point covers its Galois orbit, so a run checks a
+        # passing orbit once on any number of workers; a lemd point is
+        # checked once per run serially, and on a pool once per worker
+        # that runs a k-chain holding it
         points: dict[str, set] = {"meq1": set(), "lemd": set()}
         orbits = set()
         for r in reports:

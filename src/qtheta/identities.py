@@ -257,7 +257,8 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
     the Lambert-form series; the two routes are fully independent.  Each
     point is checked in its smallest field (reduced_point), once per
-    run_jobs call: an l whose reduced point an earlier report of the run
+    run_jobs call (on a pool, once per worker; each k-chain k, 2k, ...
+    runs on one): an l whose reduced point an earlier report of the run
     checked at this order reuses that result.  A point whose check raises
     fails alone.
 
@@ -642,11 +643,43 @@ def _run_job(job) -> list[VerificationReport]:
         return [_raised(kind, params, kwargs.get("order", 0), t0, exc)]
 
 
+def _share_key(job):
+    """The key of the jobs that can share a point check with this one, or
+    None for a job that shares none and runs in a pool task of its own.
+
+    A meq1 job's key is its Galois orbit point_orbit(l, k) with its degree
+    and order: two jobs at one reduced_point have one n, so point reuse
+    falls inside orbit reuse.  A lemd job's key is its k-chain, the odd
+    part of k with the order: every point l pi/2k of lemd(k) is
+    2l pi/4k with 2l != 2k, a point of lemd(2k).  A job whose key cannot
+    be formed from its params fails when it runs, in a task of its own.
+    """
+    kind, kwargs = job
+    try:
+        if kind == "meq1":
+            return ("meq1", point_orbit(kwargs["l"], kwargs["k"]),
+                    kwargs["jet_degree"], kwargs["order"])
+        if kind == "lemd":
+            k = kwargs["k"]
+            return ("lemd", k // (k & -k), kwargs["order"])
+    except (KeyError, TypeError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _run_group(batch) -> list[list[VerificationReport]]:
+    """One pool task: each job's reports, in order, all in one worker, so
+    the jobs share its point checks.  The module attribute _run_job runs
+    once per job."""
+    return [_run_job(job) for job in batch]
+
+
 def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     """Execute verification jobs, optionally across a process pool.
 
     Jobs are independent pure computations; results are re-serialized in
-    submission order regardless of completion order.  A job that raises
+    submission order regardless of completion order, and emit sees each
+    report as soon as every job before it has reported.  A job that raises
     yields one `fail` report with the exception in its note, so the rest
     of the sweep still runs.  When a pool worker dies (killed, or exiting
     without raising), the reports already received are kept and every
@@ -654,8 +687,10 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
 
     meq1 and lemd check each reduced point once per call (_checked_once):
     the table lives while the call runs and the caller's is restored
-    after it, and each fork worker fills its own copy of the empty table.
-    A repeated point still gets its own report, with its own params.
+    after it.  The pool sends each group of jobs that can share a check (a
+    meq1 orbit, a lemd k-chain: _share_key) to one worker as one task, so
+    a run makes the same meq1 checks on any number of workers.  A
+    repeated point still gets its own report, with its own params.
     """
     global _point_checks
     outer, _point_checks = _point_checks, {}
@@ -681,24 +716,50 @@ def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    groups: dict = {}
+    for i, job in enumerate(jobs):
+        key = _share_key(job)
+        groups.setdefault(i if key is None else key, []).append(i)
+    tasks = list(groups.values())  # in the order of their first jobs
+    slots: list = [None] * len(jobs)
     done = 0
+
+    def flush():
+        nonlocal done
+        while done < len(jobs) and slots[done] is not None:
+            add(slots[done])
+            done += 1
+
     # a fork pool starts all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
+        futures = []
         try:
-            for batch in pool.map(_run_job, jobs):
-                add(batch)
-                done += 1
+            for task in tasks:
+                futures.append(pool.submit(_run_group, [jobs[i] for i in task]))
         except BrokenProcessPool:
-            for kind, kwargs in jobs[done:]:
-                add([VerificationReport(
-                    identity=kind,
-                    params={n: v for n, v in kwargs.items() if n != "order"},
-                    status="fail",
-                    first_mismatch=None,
-                    elapsed=0.0,
-                    order=int(kwargs.get("order", 0)),
-                    note=_DEAD_WORKER,
-                )])
+            pass  # the tasks left unsubmitted keep empty slots
+        # a task's first job comes after every earlier task's, so taking
+        # the tasks in order delays no report
+        for task, future in zip(tasks, futures):
+            try:
+                batches = future.result()
+            except BrokenProcessPool:
+                continue
+            for i, batch in zip(task, batches):
+                slots[i] = batch
+            flush()
+    for i, (kind, kwargs) in enumerate(jobs):
+        if slots[i] is None:
+            slots[i] = [VerificationReport(
+                identity=kind,
+                params={n: v for n, v in kwargs.items() if n != "order"},
+                status="fail",
+                first_mismatch=None,
+                elapsed=0.0,
+                order=int(kwargs.get("order", 0)),
+                note=_DEAD_WORKER,
+            )]
+    flush()
     return reports
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "delta=1" in out and "delta=0" not in out
+
+    def test_text_lines_do_not_depend_on_the_worker_count(self, capsys):
+        # the pool runs each meq1 orbit and lemd k-chain as one task and
+        # prints a line once every report before it is in
+        def lines(jobs):
+            assert main(["verify", "meq1,lemd", "--k-min", "1", "--k-max", "8",
+                         "--order", "12", "--jobs", jobs]) == 0
+            return [re.sub(r"  \[[0-9.]+ ms\]$", "", line)
+                    for line in capsys.readouterr().out.splitlines()]
+
+        serial = lines("1")
+        assert len(serial) == 34 + 64  # meq1 reports, then lemd
+        assert serial == lines("2")
 
     def test_jet_degree_validation(self):
         assert main(["verify", "meq1", "--k-max", "2", "--jet-degree", "1"]) == 2

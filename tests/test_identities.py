@@ -793,14 +793,20 @@ class TestFullSuite:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         job = ("tan-sum", {"k": 3, "delta": 1})
         assert len(run_jobs([job, job], 64)) == 2
         assert len(run_jobs([job] * 3, 2)) == 3
         assert sizes == [2, 2]
+        # one task per meq1 orbit: 43 jobs in 14 orbits
+        meq1 = [job for job in TestPointChecksOncePerRun.JOBS if job[0] == "meq1"]
+        assert len(run_jobs(meq1, 64)) == 43
+        assert sizes == [2, 2, 14]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched verifier reaches the workers only by fork")
@@ -817,6 +823,39 @@ class TestFullSuite:
         assert [r.identity for r in reports] == [kind for kind, _ in jobs]
         assert reports[1].status == "fail"
         assert reports[1].params == {} and reports[1].order == 10
+        for rep in reports:
+            if not rep.passed:
+                assert rep.note == identities._DEAD_WORKER
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched check reaches the workers only by fork")
+    def test_worker_dying_inside_a_group(self, monkeypatch):
+        # _meq1_at exits its worker at the orbit n = 8, inside the task of
+        # that orbit's jobs: every job still gets one report, in job order,
+        # each failing one says why, and emit sees the returned sequence
+        real = identities._meq1_at
+
+        def dying(lr, kr, *args):
+            if modular.point_orbit(lr, kr) == 8:
+                os._exit(1)
+            return real(lr, kr, *args)
+
+        monkeypatch.setattr(identities, "_meq1_at", dying)
+        jobs = enumerate_jobs(2, 6, (0, 1), 10, 4,
+                              frozenset({"theorem", "meq1", "tan-sum", "k3"}))
+        seen = []
+        reports = run_jobs(jobs, 2, emit=seen.append)
+
+        def label(identity, params):
+            return identity, params.get("k"), params.get("l"), params.get("delta")
+
+        assert [label(r.identity, r.params) for r in reports] == [
+            label(kind, kw) for kind, kw in jobs]
+        assert len(seen) == len(reports)
+        assert all(a is b for a, b in zip(seen, reports))
+        orbit8 = [r for r in reports if r.identity == "meq1"
+                  and modular.point_orbit(r.params["l"], r.params["k"]) == 8]
+        assert orbit8 and not any(r.passed for r in orbit8)
         for rep in reports:
             if not rep.passed:
                 assert rep.note == identities._DEAD_WORKER
@@ -907,6 +946,42 @@ class TestPointChecksOncePerRun:
                     for r in reports}) == 63
         assert calls == {"T_of_log": 0, "theta2_jet": 63}
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched checks reach the workers only by fork")
+    def test_pool_makes_the_serial_checks(self, monkeypatch, tmp_path):
+        # each worker appends a line per check to one file.  meq1 makes the
+        # 14 serial checks on 2 workers, one per orbit; lemd makes at least
+        # the 63 serial ones and at most each k-chain's distinct points, as
+        # a worker that runs two chains may reuse points across them
+        log = tmp_path / "checks"
+
+        def logging(kind, real):
+            def logged(*args):
+                # lemd's jets are the ones of degree 1: meq1's are of
+                # degree 4, lem22's of 2 and 3
+                if kind == "meq1" or args[1] == 1:
+                    with open(log, "a") as fh:
+                        fh.write(f"{kind}\n")
+                return real(*args)
+            return logged
+
+        monkeypatch.setattr(identities, "_meq1_at",
+                            logging("meq1", identities._meq1_at))
+        monkeypatch.setattr(identities, "theta2_jet",
+                            logging("lemd", identities.theta2_jet))
+        reports = run_jobs(self.JOBS, 2)
+        assert all(r.passed for r in reports)
+        checks = log.read_text().split()
+        chains: dict = {}
+        for _, kw in self._of_kind("lemd"):
+            k = kw["k"]
+            chains.setdefault(k // (k & -k), set()).update(
+                modular.reduced_point(l, k) for l in range(2 * k) if l != k)
+        bound = sum(map(len, chains.values()))
+        assert bound == 75
+        assert checks.count("meq1") == 14
+        assert 63 <= checks.count("lemd") <= bound
+
     def test_a_failing_orbit_checks_every_point(self, monkeypatch):
         # T_of_log with its z-part's sign flipped: every meq1 point fails,
         # with the report a run of its job alone makes, and no failure is
@@ -950,3 +1025,48 @@ class TestPointChecksOncePerRun:
         assert [r.params for r in failed] == [{"k": 2, "l": 1}, {"k": 4, "l": 2}]
         for rep in failed:
             assert rep.note.startswith("RuntimeError: no Lambert form at pi/4 (in raising")
+
+
+class TestShareKey:
+    # the premises of identities._share_key, which puts the jobs that can
+    # share a point check into one pool task
+
+    def test_lemd_points_recur_at_twice_k(self):
+        # l pi/2k = 2l pi/4k, and 2l != 2k
+        for k in range(1, 61):
+            points = {modular.reduced_point(l, k) for l in range(2 * k) if l != k}
+            assert points <= {modular.reduced_point(l, 2 * k)
+                              for l in range(4 * k) if l != 2 * k}
+
+    def test_lemd_key_is_the_k_chain(self):
+        def key(k):
+            return identities._share_key(("lemd", {"k": k, "order": 8}))
+
+        assert key(3) == key(6) == key(12) == ("lemd", 3, 8)
+        assert key(1) == key(16) != key(3)
+        assert key(9) != key(3)
+
+    def test_meq1_jobs_at_one_point_have_one_key(self):
+        keys: dict = {}
+        for k in range(1, 31):
+            for l in range(2 * k):
+                if l != k:
+                    job = ("meq1", {"k": k, "l": l, "jet_degree": 4, "order": 12})
+                    keys.setdefault(modular.reduced_point(l, k), set()).add(
+                        identities._share_key(job))
+        assert all(len(ks) == 1 for ks in keys.values())
+
+    def test_other_jobs_run_alone(self):
+        jobs = enumerate_jobs(1, 4, (0, 1), 10, 4, frozenset({"all"}))
+        others = [job for job in jobs if job[0] not in ("meq1", "lemd")]
+        assert {kind for kind, _ in others} == {
+            "theorem", "lem2", "lem22", "bridges", "tan-sum", "k3"}
+        assert all(identities._share_key(job) is None for job in others)
+
+    def test_a_job_without_a_key_fails_alone(self):
+        # params that give no key: the job fails as a report when it runs
+        bad = [("lemd", {"k": 0, "order": 8}), ("meq1", {"k": 2, "order": 8})]
+        assert [identities._share_key(job) for job in bad] == [None, None]
+        good = ("tan-sum", {"k": 3, "delta": 1})
+        reports = run_jobs([*bad, good], 2)
+        assert [r.status for r in reports] == ["fail", "fail", "pass"]
