@@ -21,7 +21,6 @@ from .cyclotomic import (
 from .identities import (
     HalfSumSpec,
     VerificationReport,
-    full_suite,
     half_sum,
     tan_square_sum,
     theorem_rhs,
@@ -49,7 +48,6 @@ from .series import (
     PrecisionError,
     QExpansion,
     compare,
-    equal_to,
     lambert,
 )
 
@@ -72,11 +70,9 @@ __all__ = [
     "compare_jets",
     "cyclotomic_polynomial",
     "embed_conductor",
-    "equal_to",
     "eta_log_ddq",
     "eta_product",
     "euler_phi",
-    "full_suite",
     "half_sum",
     "halfprod_constant",
     "kernel_backend",

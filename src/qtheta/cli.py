@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     if args.command == "selftest":
-        return run_selftest(fault=bool(os.environ.get("QTHETA_SELFTEST_FAULT")))
+        return run_selftest()
 
     which = frozenset(tok.strip() for tok in args.which.split(",") if tok.strip())
     if not which:

@@ -14,7 +14,9 @@ is, and any other is divided by Phi_m (_kernels.cyclo_rem), one step
 per lane at or above D.  A sum of roots of unity sum c zeta^e is the
 vector with weight c in lane e mod m (the exponent map _Ctx.powers), a
 Galois image the one with exponents e j (_Ctx.galois_vec), and a root
-of unity, a sine, cosine or tangent one or a few terms.  A
+of unity, a sine, cosine or tangent one or a few terms.  An inverse is
+one routine for every field, _Ctx.inverse: the product of the nontrivial
+conjugates over the norm, as an integer vector and a positive int.  A
 packed product of two vectors has 2D-1 lanes; _Ctx.reduce_packed
 unpacks them all and reduces them with _Ctx.reduce, and
 _Ctx.product_lane proves the lane bound of that unpacking.
@@ -30,7 +32,9 @@ place of Phi_m: reduce, reduce_packed, product_lane and mul_vec need
 only the monic modulus and its degree, so they are one code path for
 both fields.  Its exponent map is _Ctx.cosines, sum c (zeta^e + zeta^-e)
 from a table of the c_e = zeta^e + zeta^-e, and the cosine map of a
-real element's zeta coordinates, halved, is its theta-vector.
+real element's zeta coordinates, halved, is its theta-vector; so is a
+Galois image over theta formed (_Ctx.galois_vec), and inverse takes the
+norm of K+ over theta, with half the conjugates.
 
 One map between fields.  _Ctx.embed(vec, M) writes an element of any
 field, Q(zeta_m) or K+, in the zeta basis of Q(zeta_M), m | M, as one
@@ -242,9 +246,44 @@ class _Ctx:
         return self.reduce(K.convolve(u, v))
 
     def galois_vec(self, vec, j: int) -> list[int]:
-        """Canonical vector of sum_e vec[e] zeta^(e*j) (over zeta only),
-        the automorphism zeta -> zeta^j for gcd(j, m) = 1."""
+        """Canonical vector of sigma_j(vec), the automorphism zeta -> zeta^j
+        for gcd(j, m) = 1: over zeta sum_e vec[e] zeta^(e*j), and over
+        theta half the cosine map of that image of vec's zeta coordinates
+        (embed), as sigma_j(x) is real for a real x."""
+        if self.real:
+            z = _ctx(self.m).galois_vec(self.embed(vec, self.m), j)
+            return [c // 2 for c in self.cosines(enumerate(z))]
         return self.powers((e * j, c) for e, c in enumerate(vec))
+
+    def inverse(self, vec) -> tuple[list[int], int]:
+        """(L, n) for a nonzero integer vector vec of this field: L an
+        integer vector of the field and n a positive int with vec L = n,
+        so 1/vec = L/n.
+
+        A rational vec (no lane past 0) has the one-lane L = [+-1] and
+        n = |vec[0]|.  Any other has L = +- prod_{sigma != 1} sigma(vec),
+        the product of its nontrivial conjugates (galois_vec), and vec L is
+        +- its field norm (Washington, ch. 2): over zeta the phi(m) - 1
+        units 1 < j < m, over theta the D' - 1 units 1 < j < m/2, as
+        sigma_j = sigma_-j on K+.  A norm that does not reduce to a
+        rational raises ArithmeticError.
+        """
+        if not any(vec):
+            raise ZeroDivisionError("inverse of zero")
+        if not any(vec[1:]):
+            return [-1 if vec[0] < 0 else 1], abs(vec[0])
+        m = self.m
+        L = None
+        for j in range(2, (m + 1) // 2 if self.real else m):
+            if math.gcd(j, m) == 1:
+                g = self.galois_vec(vec, j)
+                L = g if L is None else self.mul_vec(L, g)
+        nv = self.mul_vec(vec, L)
+        if any(nv[1:]):
+            raise ArithmeticError("field norm did not reduce to a rational")
+        if nv[0] < 0:
+            return [-c for c in L], -nv[0]
+        return L, nv[0]
 
     def embed(self, vec, M: int) -> list[int]:
         """Canonical zeta-vector in Q(zeta_M), m | M, of the element vec
@@ -464,27 +503,13 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def invert(self) -> "CyclotomicNumber":
-        """Exact inverse via the product of all nontrivial conjugates.
-
-        a^{-1} = (prod_{j != 1} sigma_j(a)) / N(a); the norm N(a) must
-        reduce to a rational, and ArithmeticError is raised if it does not.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CyclotomicNumber.rational(self._m, 1 / self.as_rational())
-        m = self._m
-        ctx = _ctx(m)
-        pv = None
-        for j in range(2, m):
-            if math.gcd(j, m) == 1:
-                gj = ctx.galois_vec(self._num, j)
-                pv = gj if pv is None else ctx.mul_vec(pv, gj)
-        nv = ctx.mul_vec(self._num, pv)
-        if any(nv[1:]):
-            raise ArithmeticError("field norm did not reduce to a rational")
-        num = [self._den * c for c in pv]
-        return CyclotomicNumber._raw(m, num, nv[0])
+        """Exact inverse 1/a = den L/n over a = num/den, from vec L = n
+        (_Ctx.inverse): zero raises ZeroDivisionError, and a norm that
+        does not reduce to a rational ArithmeticError."""
+        ctx = _ctx(self._m)
+        L, n = ctx.inverse(self._num)
+        num = [self._den * c for c in L] + [0] * (ctx.D - len(L))
+        return CyclotomicNumber._raw(self._m, num, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -563,29 +588,14 @@ def embed_conductor(a: CyclotomicNumber, M: int) -> CyclotomicNumber:
     return CyclotomicNumber._raw(M, _ctx(m).embed(a._num, M), a._den)
 
 
-def _inv_one_minus(ctx: _Ctx, a: int) -> CyclotomicNumber:
-    """(1 - zeta^a)^{-1} for zeta^a != 1.
-
-    x = zeta^a has order s = m/gcd(a, m) > 1, so sum_{j<s} x^j = 0 and
-    (1 - x) sum_{j<s} j x^j = sum_{0<j<s} x^j - (s - 1) x^s = -s: the
-    inverse is -sum_{j<s} j x^j / s, one pass over the powers of x.
-    """
-    m = ctx.m
-    s = m // math.gcd(a, m)
-    if s == 1:
-        raise ZeroDivisionError("1 - zeta^0 is zero")
-    return CyclotomicNumber._raw(m, ctx.powers((a * j, -j) for j in range(1, s)), s)
-
-
 def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
     """Exact sin/cos/tan of p*pi/q inside Q(zeta_lcm(2q,4)).
 
     With zeta^u = e^{i p pi/q}, sin = (zeta^u - zeta^-u) / (2i) and
     cos = (zeta^u + zeta^-u) / 2.  tan = i (1 - w) (1 + w)^{-1} with
-    w = zeta^{2u}, and 1 + w = 1 - zeta^{2u + M/2}, so the inverse is
-    the closed form of _inv_one_minus; tan has a pole exactly where
-    2u + M/2 = 0 (mod M).  Each of sin, cos, tan's numerator and the
-    inverse is one exponent map _Ctx.powers.
+    w = zeta^{2u}, the inverse by _Ctx.inverse; 1 + w = 1 - zeta^{2u + M/2},
+    so tan has a pole exactly where 2u + M/2 = 0 (mod M).  Each of sin,
+    cos, and tan's numerator and 1 + w is one exponent map _Ctx.powers.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -594,12 +604,12 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
     u = (p * (M // (2 * q))) % M
     i_exp = M // 4
     if kind == "tan":
-        a = (2 * u + M // 2) % M
-        if a == 0:
+        if (2 * u + M // 2) % M == 0:
             raise PoleError(f"tan({p} pi/{q}) is a pole")
         # i (1 - w) = zeta^{M/4} - zeta^{M/4 + 2u}
         num = ctx.powers([(i_exp, 1), (i_exp + 2 * u, -1)])
-        return CyclotomicNumber._raw(M, num, 1) * _inv_one_minus(ctx, a)
+        L, n = ctx.inverse(ctx.powers([(0, 1), (2 * u, 1)]))
+        return CyclotomicNumber._raw(M, ctx.mul_vec(num, L), n)
     if kind == "cos":
         return CyclotomicNumber._raw(M, ctx.powers([(u, 1), (-u, 1)]), 2)
     if kind == "sin":

@@ -761,17 +761,3 @@ def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
             )]
     flush()
     return reports
-
-
-def full_suite(
-    k_max: int,
-    order: int = 100,
-    jet_degree: int = 4,
-    k_min: int = 1,
-    deltas: tuple[int, ...] = (0, 1),
-    which: frozenset[str] = frozenset({"all"}),
-    parallelism: int = 1,
-    emit=None,
-) -> list[VerificationReport]:
-    jobs = enumerate_jobs(k_min, k_max, deltas, order, jet_degree, which)
-    return run_jobs(jobs, parallelism, emit)

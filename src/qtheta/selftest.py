@@ -1,9 +1,7 @@
 """Module-level invariant suites, runnable as `qtheta selftest`.
 
 Each group checks one family of exact structural laws (ring axioms,
-trigonometric identities, product expansions, theta symmetries).  A
-deliberately corrupted coefficient can be injected through the fault
-hook to prove the harness actually detects failures.
+trigonometric identities, product expansions, theta symmetries).
 """
 
 from __future__ import annotations
@@ -167,7 +165,7 @@ def _group_roots():
     return True, "zeta^m = 1 (m <= 64) and primitive-root products"
 
 
-def _group_pentagonal(fault=False):
+def _group_pentagonal():
     n = 200
     e = eta_product(1, n)
     base = Fraction(1, 24)
@@ -176,11 +174,8 @@ def _group_pentagonal(fault=False):
         g = j * (3 * j - 1) // 2
         if base + g < n:
             coeffs[base + g] = (-1) ** (j % 2)
-    exps, vals = map(list, zip(*sorted(coeffs.items())))
-    if fault:
-        vals[3] += 1  # fault-injection hook: corrupt one expected coefficient
     got = {x: e.coefficient(x) for x in e.exponents()}
-    for x, v in zip(exps, vals):
+    for x, v in sorted(coeffs.items()):
         if got.pop(x, 0) != v:
             return False, f"pentagonal mismatch at q^{x}"
     if any(got.values()):
@@ -305,17 +300,13 @@ GROUPS = [
 ]
 
 
-def run_selftest(fault: bool = False, out=print) -> int:
-    """Run all invariant groups; returns 0 iff every group passes.
-
-    `fault` corrupts one expected coefficient of the pentagonal group, a
-    hook proving the checks can fail.
-    """
+def run_selftest(out=print) -> int:
+    """Run all invariant groups; returns 0 iff every group passes."""
     failures = 0
     for name, fn in GROUPS:
         t0 = time.perf_counter()
         try:
-            ok, detail = fn(fault) if fn is _group_pentagonal else fn()
+            ok, detail = fn()
         except Exception as exc:  # invariant machinery itself broke
             ok, detail = False, f"exception: {exc}"
         ms = (time.perf_counter() - t0) * 1000

@@ -55,8 +55,9 @@ element) is schoolbook.
 Division is long division on the same packed vectors, and no series is
 ever inverted on its own.  One routine, _long_div, divides a z-jet by a
 z-jet over all its slots at once (ZJet.div), and a series division a / b
-is its one-slot case (_series_div).  The inverse of the divisor's lead
-(computed once per series) is folded into the integer vectors of both
+is its one-slot case (_series_div).  The inverse of the divisor's lead,
+one _Ctx.inverse in the lead's own field (over theta for a real one),
+computed once per series, is folded into the integer vectors of both
 operands once, which makes that lead a positive integer.  The quotient
 then follows the recurrence c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0
 one coefficient at a time: each is one packed sum over every divisor
@@ -208,16 +209,14 @@ class QExpansion:
             self._amax = _lane_max(self._vecs)
         return self._vecs, self._den, self._amax
 
-    def _lead_inverse(self) -> CyclotomicNumber:
-        """1/c for the lead coefficient c, computed once per series (a
-        division by a series with a rational lead needs no inverse), in
-        the zeta basis: a real lead is embedded first."""
+    def _lead_inverse(self) -> list[int]:
+        """An integer vector L of this series' field, with c L a positive
+        rational for the lead coefficient c: one _Ctx.inverse of c's
+        vector, computed once per series, and [+-1] for a rational c."""
         if self._lead_inv is None:
             if self.is_zero:
                 raise ZeroDivisionError("the zero series has no lead coefficient")
-            ctx = self._ctx
-            lead = ctx.embed(self._vecs[0], ctx.m)
-            self._lead_inv = CyclotomicNumber._raw(ctx.m, lead, self._den).invert()
+            self._lead_inv = self._ctx.inverse(self._vecs[0])[0]
         return self._lead_inv
 
     # -- constructors -------------------------------------------------
@@ -567,16 +566,14 @@ def _long_div(a, b) -> list:
     base its first nonzero exponent, and c_t's precision then that of a
     series division by b_0.
 
-    The inverse L/Ld of b_0's lead (computed once per series,
-    QExpansion._lead_inverse) is folded into the integer vectors once:
-    each nonzero vector of a and b is multiplied by L (by a sign for a
-    rational lead), and each jet is put over one denominator, a = A/ad and
-    b = B/bd.  The lead of B_0 is then a positive integer lam, and
-    c = (bd/ad) A/B.  Over K+ the inverse, real as the lead is, comes in
-    the zeta basis, and L is its cosine map (_Ctx.cosines), 2L/Ld: any
-    positive rational multiple of the inverse serves.  The division works
-    in the one field of its operands, over theta for real jets, with every
-    slot put over it as a sum puts it (_join).
+    The division works in the one field of its operands, over theta for
+    real jets, with every slot put over it as a sum puts it (_join).  A
+    vector L of b_0's field with lead(b_0) L a positive rational (one
+    _Ctx.inverse, computed once per series, QExpansion._lead_inverse; the
+    one lane [+-1] for a rational lead) is folded into the integer vectors
+    once: each nonzero vector of a and b is multiplied by L, and each jet
+    is put over one denominator, a = A/ad and b = B/bd.  The lead of B_0
+    is then a positive integer lam, and c = (bd/ad) A/B.
 
     Coefficient i of slot t of A/B is C_{t,i}/E, over one common
     denominator E for all slots that grows as the division goes on, and
@@ -632,14 +629,7 @@ def _long_div(a, b) -> list:
     b0 = b[0]
     # a zero numerator needs no fold: every quotient slot is zero
     if any(not s.is_zero for s in a):
-        lead = b0._vecs[0]
-        if any(lead[1:]):
-            inv = b0._lead_inverse()._num
-            # over K+, the cosine map of the real 1/lead's zeta coordinates
-            # is 2/lead: a positive multiple serves as well
-            L = ctx.cosines(enumerate(inv)) if ctx.real else inv
-        else:
-            L = -1 if lead[0] < 0 else 1
+        L = b0._lead_inverse()
         A, ad, amax = _folded(a, L, ctx)
         B, bd, bmax = _folded(b, L, ctx)
         lam = B[0][0][0]
@@ -749,12 +739,15 @@ def _slot_terms(at, b, done):
 
 def _folded(slots, L, ctx):
     """(the vectors of every slot times L, over one denominator; that
-    denominator; their largest entry), for L +-1 or a canonical vector."""
+    denominator; their largest entry), for an integer vector L.  A
+    one-lane L, a rational lead's sign, scales the vectors as they are:
+    a product by it cost the benchmark's jet-sweep about 2 % of its wall
+    time."""
     den = math.lcm(*(s._den for s in slots))
     out = []
     for s in slots:
-        if isinstance(L, int):
-            out.append(_scaled(s._vecs, den // s._den * L))
+        if len(L) == 1:
+            out.append(_scaled(s._vecs, den // s._den * L[0]))
         else:
             vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
             out.append(_scaled(vecs, den // s._den))
@@ -829,8 +822,3 @@ def compare(a: QExpansion, b: QExpansion, order) -> Mismatch | None:
         )
     e = _first_difference(a, b, order)
     return None if e is None else Mismatch(e, a.coefficient(e), b.coefficient(e))
-
-
-def equal_to(a: QExpansion, b: QExpansion, order) -> tuple[bool, Mismatch | None]:
-    mm = compare(a, b, order)
-    return mm is None, mm

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qtheta import identities, kernel_backend
+from qtheta import identities, kernel_backend, selftest
 from qtheta.cli import _summary_lines, main
 
 
@@ -327,15 +327,21 @@ class TestSelftestCommand:
         assert len(lines) >= 5  # at least five named invariant groups
         assert all(l.startswith("PASS") for l in lines)
 
-    # any non-empty value corrupts the pentagonal group, another group's
-    # name included
-    @pytest.mark.parametrize("value", ["1", "pentagonal", "ring-laws"])
-    def test_fault_injection_detected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QTHETA_SELFTEST_FAULT", value)
+    # one group substituted by a failing one: the run exits 1, with a FAIL
+    # line for that group and a PASS line for every other
+    @pytest.mark.parametrize("group", ["pentagonal", "ring-laws"])
+    def test_fault_injection_detected(self, capsys, monkeypatch, group):
+        def failing():
+            return False, "injected fault"
+
+        monkeypatch.setattr(selftest, "GROUPS", [
+            (name, failing if name == group else fn) for name, fn in selftest.GROUPS])
         rc = main(["selftest"])
-        out = capsys.readouterr().out
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith(("PASS", "FAIL"))]
         assert rc == 1
-        assert any(l.startswith("FAIL pentagonal") for l in out.splitlines())
+        assert len(lines) == len(selftest.GROUPS)
+        assert [l.split()[1] for l in lines if l.startswith("FAIL")] == [group]
 
 
 class TestEnvironment:

@@ -241,6 +241,11 @@ class TestRealSubfield:
                 lifted = CyclotomicNumber(m, rc.embed(y, m))
                 assert lifted.is_real()
                 assert (lifted == 0) == (not any(y))
+            # sigma_j over theta, embedded, is sigma_j of the embedding
+            for j in range(1, m):
+                if math.gcd(j, m) == 1:
+                    assert rc.embed(rc.galois_vec(y, j), m) == \
+                        zc.galois_vec(rc.embed(y, m), j), (m, j)
 
     def test_embed_into_a_larger_field_against_field_arithmetic(self):
         # y over theta = zeta_m + zeta_m^-1, written in Q(zeta_M) at once,
@@ -265,8 +270,8 @@ class TestRealSubfield:
             assert rc.cosines(enumerate(rc.embed(y, m))) == [2 * x for x in y], m
 
     def test_real_inverse_against_invert(self):
-        # the real inverse _long_div folds in: the cosine map of the zeta
-        # coordinates of 1/x is 2/x in theta coordinates
+        # the inverse over theta that _long_div folds in: y L = [n, 0, ...]
+        # with n > 0, and L/n embedded is the inverse in Q(zeta_m)
         rng = random.Random(43)
         for m in [5, 7, 8, 12, 15, 16, 20, 24, 40, 76]:
             rc = _ctx(m, True)
@@ -274,9 +279,41 @@ class TestRealSubfield:
                 y = _rand_real(rng, m)
                 if not any(y[1:]):
                     continue
+                L, n = rc.inverse(y)
+                assert n > 0 and len(L) == rc.D, m
+                assert rc.mul_vec(y, L) == [n] + [0] * (rc.D - 1), m
                 inv = CyclotomicNumber(m, rc.embed(y, m)).invert()
-                L = rc.cosines(enumerate(inv._num))
-                assert rc.mul_vec(y, L) == [2 * inv._den] + [0] * (rc.D - 1), m
+                assert CyclotomicNumber(m, [Fraction(c, n) for c in rc.embed(L, m)]) \
+                    == inv, m
+
+
+class TestInverse:
+    def test_contract_over_zeta_and_q(self):
+        # vec L = [n, 0, ...] with n > 0 for nonzero integer vectors, L of
+        # the field's D lanes, or one lane [+-1] for a rational vec; zero
+        # has no inverse
+        rng = random.Random(59)
+        for m in range(1, 61):
+            ctx = _ctx(m)
+            for _ in range(2):
+                vec = [rng.randint(-6, 6) for _ in range(ctx.D)]
+                if not any(vec):
+                    continue
+                L, n = ctx.inverse(vec)
+                assert n > 0, (m, vec)
+                assert ctx.mul_vec(vec, L) == [n] + [0] * (ctx.D - 1), (m, vec)
+                assert len(L) == (1 if not any(vec[1:]) else ctx.D), (m, vec)
+            for x in (-7, 3):
+                assert ctx.inverse([x] + [0] * (ctx.D - 1)) == ([x // abs(x)], abs(x))
+            with pytest.raises(ZeroDivisionError):
+                ctx.inverse([0] * ctx.D)
+
+    def test_norm_not_rational_raises(self, monkeypatch):
+        # a conjugate product whose norm keeps a lane past 0
+        ctx = _ctx(5)
+        monkeypatch.setattr(type(ctx), "galois_vec", lambda self, vec, j: [1, 0, 0, 0])
+        with pytest.raises(ArithmeticError):
+            ctx.inverse([0, 1, 0, 0])
 
 
 class TestFieldOps:

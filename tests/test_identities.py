@@ -17,7 +17,6 @@ from qtheta import (
     compare,
     embed_conductor,
     eta_product,
-    full_suite,
     half_sum,
     halfprod_constant,
     log_deriv_lambert,
@@ -33,7 +32,7 @@ from qtheta import (
     verify_second_derivatives,
     verify_theorem,
 )
-from qtheta.cyclotomic import _ctx
+from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.identities import (
     _tan_square_sum_exact,
     enumerate_jobs,
@@ -56,17 +55,18 @@ def _record_series_div(monkeypatch) -> list:
     return pairs
 
 
-def _record_inversions(monkeypatch) -> list:
-    """Every field element inverted, in call order."""
-    inverted = []
-    real = CyclotomicNumber.invert
+def _record_inverses(monkeypatch) -> list:
+    """(field, vector, (L, n)) of every _Ctx.inverse, in call order."""
+    calls = []
+    real = _Ctx.inverse
 
-    def recording(self):
-        inverted.append(self)
-        return real(self)
+    def recording(self, vec):
+        out = real(self, vec)
+        calls.append((self, vec, out))
+        return out
 
-    monkeypatch.setattr(CyclotomicNumber, "invert", recording)
-    return inverted
+    monkeypatch.setattr(_Ctx, "inverse", recording)
+    return calls
 
 
 def _record_jet_divisions(monkeypatch) -> list:
@@ -380,11 +380,11 @@ class TestVerifyMeq1:
         # follow from f'/f: two jet divisions by f, each one long division
         # over all its slots, with no series division per slot and no
         # series inverted on its own; the lead of f (an irrational at
-        # pi/10) is inverted once, and the second division reads the
-        # inverse cached on f's constant slot
+        # pi/10) is inverted once, in f's own field, and the second
+        # division reads the inverse cached on f's constant slot
         divs = _record_jet_divisions(monkeypatch)
         pairs = _record_series_div(monkeypatch)
-        inverted = _record_inversions(monkeypatch)
+        inverses = _record_inverses(monkeypatch)
         assert verify_meq1(1, 5, J, 16).passed
         assert len(divs) == 2
         assert sorted(q.degree + 1 for _, _, q in divs) == [1, J]
@@ -392,8 +392,13 @@ class TestVerifyMeq1:
         assert divs[1][1] is f
         assert _no_numerator_one([(a.slot(0), b) for a, b, _ in divs])
         assert pairs == []
-        assert inverted == [f.slot(0).coeffs[0]]
-        assert f.slot(0)._lead_inv * inverted[0] == 1
+        f0 = f.slot(0)
+        assert len(inverses) == 1
+        ctx, lead, (L, n) = inverses[0]
+        assert ctx is f0._ctx and lead is f0._vecs[0] and any(lead[1:])
+        assert f0._lead_inv is L
+        # lead L = n: c L = n / den, a positive rational, for c = lead/den
+        assert ctx.mul_vec(lead, L) == [n] + [0] * (ctx.D - 1) and n > 0
 
     @pytest.mark.parametrize("J,slot", [(4, 2), (5, 3), (4, 0)])
     def test_fault_in_one_slot_fails(self, monkeypatch, J, slot):
@@ -485,14 +490,16 @@ class TestSecondDerivatives:
         # slots: the ratio jet, log_dz of it and of the jet at 0 (d2-ratio
         # and T-ratio share the ratio's), and T_of_log's q-parts; every
         # lead here is rational (the theta series at 0 and -pi/2 and their
-        # quotients), so no field element is inverted at all
+        # quotients), so each of the four divisors inverts a one-lane
+        # rational lead, once
         pairs = _record_series_div(monkeypatch)
         divs = _record_jet_divisions(monkeypatch)
-        inverted = _record_inversions(monkeypatch)
+        inverses = _record_inverses(monkeypatch)
         assert all(r.passed for r in verify_second_derivatives(k, 20))
         assert pairs == []
         assert len(divs) == 6
-        assert inverted == []
+        assert len(inverses) == len({id(b.slot(0)) for _, b, _ in divs}) == 4
+        assert all(len(v) == 1 for _, v, _ in inverses)
 
     def test_k1_degenerate(self):
         reports = verify_second_derivatives(1, 30)
@@ -708,12 +715,12 @@ class TestK3Corollary:
 
 class TestFullSuite:
     def test_small_suite_all_pass(self):
-        reports = full_suite(k_max=2, order=10)
+        reports = run_jobs(enumerate_jobs(1, 2, (0, 1), 10, 4, frozenset({"all"})))
         assert reports and all(r.passed for r in reports)
 
     def test_report_count_matches_jobs(self):
         jobs = enumerate_jobs(1, 2, (0, 1), 10, 4, frozenset({"all"}))
-        reports = full_suite(k_max=2, order=10)
+        reports = run_jobs(jobs)
         # lemd yields one report per admissible l, lem22 four parts, bridges two
         expected = 0
         for kind, kw in jobs:
@@ -743,6 +750,28 @@ class TestFullSuite:
         jobs = enumerate_jobs(*args[:5], frozenset(args[5]))
         assert len(jobs) == count
         assert hashlib.sha256(json.dumps(jobs).encode()).hexdigest()[:16] == digest
+
+    def test_passing_run_builds_no_field_element(self, monkeypatch):
+        # the verifiers work on _Ctx vectors throughout, and a series
+        # division inverts its lead by _Ctx.inverse: pool-all's job list,
+        # run serially and passing, builds no CyclotomicNumber by either
+        # constructor
+        built = []
+        raw, init = CyclotomicNumber._raw.__func__, CyclotomicNumber.__init__
+
+        def counted_raw(cls, *args):
+            built.append(args)
+            return raw(cls, *args)
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CyclotomicNumber, "_raw", classmethod(counted_raw))
+        monkeypatch.setattr(CyclotomicNumber, "__init__", counted_init)
+        reports = run_jobs(enumerate_jobs(2, 10, (0, 1), 64, 4, frozenset({"all"})))
+        assert reports and all(r.passed for r in reports)
+        assert built == []
 
     def test_every_identity_covers_every_k(self):
         jobs = enumerate_jobs(11, 15, (0, 1), 20, 4, frozenset({"all"}))
@@ -861,8 +890,9 @@ class TestFullSuite:
                 assert rep.note == identities._DEAD_WORKER
 
     def test_parallel_matches_sequential(self):
-        seq = full_suite(k_max=2, order=8)
-        par = full_suite(k_max=2, order=8, parallelism=2)
+        jobs = enumerate_jobs(1, 2, (0, 1), 8, 4, frozenset({"all"}))
+        seq = run_jobs(jobs)
+        par = run_jobs(jobs, 2)
         assert [r.identity for r in seq] == [r.identity for r in par]
         assert [r.status for r in seq] == [r.status for r in par]
 
