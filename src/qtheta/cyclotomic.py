@@ -593,9 +593,12 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
 
     With zeta^u = e^{i p pi/q}, sin = (zeta^u - zeta^-u) / (2i) and
     cos = (zeta^u + zeta^-u) / 2.  tan = i (1 - w) (1 + w)^{-1} with
-    w = zeta^{2u}, the inverse by _Ctx.inverse; 1 + w = 1 - zeta^{2u + M/2},
-    so tan has a pole exactly where 2u + M/2 = 0 (mod M).  Each of sin,
-    cos, and tan's numerator and 1 + w is one exponent map _Ctx.powers.
+    w = zeta^{2u} = zeta_s^(p/g), g = gcd(p, q) and s = q/g, so 1 + w lies
+    in Q(zeta_s): _Ctx.inverse inverts it there, over phi(s) - 1
+    conjugates, and embed carries the inverse into Q(zeta_M).  As
+    1 + w = 1 - zeta^{2u + M/2}, tan has a pole exactly where
+    2u + M/2 = 0 (mod M).  Each of sin, cos, and tan's numerator and
+    1 + w is one exponent map _Ctx.powers.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -608,8 +611,10 @@ def trig_value(kind: str, p: int, q: int) -> CyclotomicNumber:
             raise PoleError(f"tan({p} pi/{q}) is a pole")
         # i (1 - w) = zeta^{M/4} - zeta^{M/4 + 2u}
         num = ctx.powers([(i_exp, 1), (i_exp + 2 * u, -1)])
-        L, n = ctx.inverse(ctx.powers([(0, 1), (2 * u, 1)]))
-        return CyclotomicNumber._raw(M, ctx.mul_vec(num, L), n)
+        g = math.gcd(p, q)
+        small = _ctx(q // g)
+        L, n = small.inverse(small.powers([(0, 1), (p // g, 1)]))
+        return CyclotomicNumber._raw(M, ctx.mul_vec(num, small.embed(L, M)), n)
     if kind == "cos":
         return CyclotomicNumber._raw(M, ctx.powers([(u, 1), (-u, 1)]), 2)
     if kind == "sin":

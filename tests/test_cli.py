@@ -5,11 +5,13 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qtheta import identities, kernel_backend, selftest
 from qtheta.cli import _summary_lines, main
+from qtheta.series import QExpansion
 
 
 class TestVerifyCommand:
@@ -327,21 +329,33 @@ class TestSelftestCommand:
         assert len(lines) >= 5  # at least five named invariant groups
         assert all(l.startswith("PASS") for l in lines)
 
-    # one group substituted by a failing one: the run exits 1, with a FAIL
-    # line for that group and a PASS line for every other
+    # a group's own comparison fails on a corrupted input: pentagonal reads
+    # an eta product with one coefficient changed (its own call only, so
+    # eta-log's products stay intact), ring-laws a series division off by
+    # 1; the run exits 1 with a FAIL line carrying the group's mismatch
     @pytest.mark.parametrize("group", ["pentagonal", "ring-laws"])
     def test_fault_injection_detected(self, capsys, monkeypatch, group):
-        def failing():
-            return False, "injected fault"
+        if group == "pentagonal":
+            def eta(alpha, order, f=selftest.eta_product):
+                e = f(alpha, order)
+                if (alpha, order) == (1, 200):
+                    e = e + QExpansion.monomial(1, Fraction(121, 24), order)
+                return e
 
-        monkeypatch.setattr(selftest, "GROUPS", [
-            (name, failing if name == group else fn) for name, fn in selftest.GROUPS])
+            monkeypatch.setattr(selftest, "eta_product", eta)
+            detail = "pentagonal mismatch at q^121/24"
+        else:
+            def div(a, b, f=QExpansion.__truediv__):
+                return f(a, b) + 1
+
+            monkeypatch.setattr(QExpansion, "__truediv__", div)
+            detail = "b*(a/b) != a (field None)"
         rc = main(["selftest"])
-        lines = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith(("PASS", "FAIL"))]
+        fails = [l.split(None, 2) for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("FAIL")]
         assert rc == 1
-        assert len(lines) == len(selftest.GROUPS)
-        assert [l.split()[1] for l in lines if l.startswith("FAIL")] == [group]
+        assert any(name == group and rest.startswith(detail)
+                   for _, name, rest in fails)
 
 
 class TestEnvironment:

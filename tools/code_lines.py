@@ -1,13 +1,12 @@
-"""Count the code lines of Python sources: lines that hold a token other
-than a comment, with docstrings and blank lines left out.
+"""Print the number of code lines of the package's sources, src/qtheta:
+lines that hold a token other than a comment, with docstrings and blank
+lines left out.
 
-    python tools/code_lines.py [PATH ...]      (default: src/qtheta)
+    python tools/code_lines.py
 
-Each PATH is a .py file or a directory searched for them.  One line per
-file is printed, then the total.  A docstring is the string statement
-that opens a module, class or function body, as ast reads it; every
-other string counts on each line it spans.  Only the standard library
-is used (ast and tokenize).
+A docstring is the string statement that opens a module, class or
+function body, as ast reads it; every other string counts on each line
+it spans.  Only the standard library is used (ast and tokenize).
 """
 
 from __future__ import annotations
@@ -45,18 +44,11 @@ def code_lines(path: Path) -> int:
     return len(lines - docs)
 
 
-def main(argv=None) -> int:
-    paths = [Path(p) for p in (argv if argv else ["src/qtheta"])]
-    files = sorted(f for p in paths
-                   for f in ([p] if p.is_file() else p.rglob("*.py")))
-    total = 0
-    for f in files:
-        n = code_lines(f)
-        total += n
-        print(f"{n:6d}  {f}")
-    print(f"{total:6d}  total")
+def main() -> int:
+    src = Path(__file__).resolve().parent.parent / "src" / "qtheta"
+    print(sum(code_lines(f) for f in src.rglob("*.py")))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
