@@ -113,8 +113,8 @@ def _summary_lines(reports, elapsed: float) -> list[str]:
         )
         # a passing meq1 point covers its Galois orbit, so a run checks a
         # passing orbit once on any number of workers; a lemd point is
-        # checked once per run serially, and on a pool once per worker
-        # that runs a k-chain holding it
+        # checked once per run serially, and on a pool once per k-chain
+        # holding it (identities._check_scope)
         points: dict[str, set] = {"meq1": set(), "lemd": set()}
         orbits = set()
         for r in reports:

@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,16 +116,23 @@ def _raised(identity, params, order, t0, exc) -> VerificationReport:
     from traceback import extract_tb  # only on failure: keeps import time
 
     where = extract_tb(exc.__traceback__)[-1]
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        status="fail",
-        first_mismatch=None,
-        elapsed=time.perf_counter() - t0,
-        order=int(order),
-        note=f"{type(exc).__name__}: {exc} (in {where.name}, "
-             f"{os.path.basename(where.filename)}:{where.lineno})",
-    )
+    return _failed(identity, params, order, time.perf_counter() - t0,
+                   f"{type(exc).__name__}: {exc} (in {where.name}, "
+                   f"{os.path.basename(where.filename)}:{where.lineno})")
+
+
+def _failed(identity, params, order, elapsed, note) -> VerificationReport:
+    """A `fail` report with no mismatch, its reason in the note."""
+    return VerificationReport(identity, params, "fail", None, elapsed, int(order), note)
+
+
+def _job_fields(job):
+    """The identity, params and order of a report that stands for a whole
+    job: the params are the job's arguments less `order`, and the order
+    is that argument (0 for a job without one)."""
+    kind, kwargs = job
+    params = {n: v for n, v in kwargs.items() if n != "order"}
+    return kind, params, kwargs.get("order", 0)
 
 
 def _part(identity, params, order, check) -> VerificationReport:
@@ -139,15 +147,29 @@ def _part(identity, params, order, check) -> VerificationReport:
     return _finish(identity, params, order, t0, mm)
 
 
-# The point checks made so far in the running run_jobs call, by key (the
+# The point checks made so far in the open _check_scope, by key (the
 # check's kind, its reduced_point and its other arguments), and the passes
-# shared by an orbit key; None outside run_jobs, where every check runs.
+# shared by an orbit key; None outside one, where every check runs.
 _point_checks: dict | None = None
 
 
+@contextmanager
+def _check_scope():
+    """A fresh table of point checks for the jobs run inside, and the
+    caller's back after.  run_jobs opens one around a serial run, and
+    _run_group around each pool task, so a worker shares checks within its
+    task whatever state its start method gave it."""
+    global _point_checks
+    outer, _point_checks = _point_checks, {}
+    try:
+        yield
+    finally:
+        _point_checks = outer
+
+
 def _checked_once(key, check, orbit=None):
-    """check(), or what it returned for this key earlier in the running
-    run_jobs call.  A check that raises stores nothing, so each report at
+    """check(), or what it returned for this key earlier in the open
+    _check_scope.  A check that raises stores nothing, so each report at
     its point runs it again and fails alone.
 
     With an orbit key, a pass (a result of None) is stored under the orbit
@@ -257,10 +279,10 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
     the Lambert-form series; the two routes are fully independent.  Each
     point is checked in its smallest field (reduced_point), once per
-    run_jobs call (on a pool, once per worker; each k-chain k, 2k, ...
-    runs on one): an l whose reduced point an earlier report of the run
-    checked at this order reuses that result.  A point whose check raises
-    fails alone.
+    _check_scope (a serial run, or a pool task: one k-chain k, 2k, ...):
+    an l whose reduced point an earlier report of the scope checked at
+    this order reuses that result.  A point whose check raises fails
+    alone.
 
     Both routes work at precision P = order + 1/8, the compare order.
     The one divisor of S = a1/a0 is a0, of q-valuation 1/8, so a1 = S * a0
@@ -340,12 +362,13 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
     the same base point (q unsubstituted).  The jet is built in the
     point's smallest field (reduced_point), and each reduced point is
-    checked at most once per run_jobs call at a given degree and order: a
-    (k, l) whose point an earlier report of the run checked reuses its
-    mismatch and note.  A pass also covers the point's Galois orbit
-    (point_orbit, the proof is in _meq1_at): a point whose orbit passed
-    earlier in the run reuses that pass.  A failure is not shared, so
-    each conjugate of a failing point runs and reports its own check.
+    checked at most once per _check_scope (a serial run, or a pool task:
+    one orbit) at a given degree and order: a (k, l) whose point an
+    earlier report of the scope checked reuses its mismatch and note.  A
+    pass also covers the point's Galois orbit (_meq1_orbit, the proof is
+    in _meq1_at): a point whose orbit passed earlier in the scope reuses
+    that pass.  A failure is not shared, so each conjugate of a failing
+    point runs and reports its own check.
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -356,9 +379,16 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     point = reduced_point(l, k)
     hit = _checked_once(("meq1", *point, jet_degree, order),
                         functools.partial(_meq1_at, *point, jet_degree, order),
-                        ("meq1 orbit", point_orbit(l, k), jet_degree, order))
+                        _meq1_orbit(l, k, jet_degree, order))
     mm, note = (None, "") if hit is None else hit
     return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
+
+
+def _meq1_orbit(l: int, k: int, jet_degree: int, order):
+    """The key of the meq1 checks that one pass at (l, k) covers: its
+    Galois orbit (point_orbit) at this degree and order.  It keys the
+    shared pass in _checked_once and the pool task in _share_key."""
+    return ("meq1 orbit", point_orbit(l, k), jet_degree, order)
 
 
 def _meq1_at(lr: int, kr: int, jet_degree: int, order):
@@ -639,26 +669,24 @@ def _run_job(job) -> list[VerificationReport]:
         out = globals()[_SUITE_JOBS[kind]](**kwargs)
         return out if isinstance(out, list) else [out]
     except Exception as exc:
-        params = {n: v for n, v in kwargs.items() if n != "order"}
-        return [_raised(kind, params, kwargs.get("order", 0), t0, exc)]
+        return [_raised(*_job_fields(job), t0, exc)]
 
 
 def _share_key(job):
     """The key of the jobs that can share a point check with this one, or
     None for a job that shares none and runs in a pool task of its own.
 
-    A meq1 job's key is its Galois orbit point_orbit(l, k) with its degree
-    and order: two jobs at one reduced_point have one n, so point reuse
-    falls inside orbit reuse.  A lemd job's key is its k-chain, the odd
-    part of k with the order: every point l pi/2k of lemd(k) is
-    2l pi/4k with 2l != 2k, a point of lemd(2k).  A job whose key cannot
-    be formed from its params fails when it runs, in a task of its own.
+    A meq1 job's key is _meq1_orbit of its arguments, verify_meq1's own:
+    two jobs at one reduced_point have one orbit, so point reuse falls
+    inside orbit reuse.  A lemd job's key is its k-chain, the odd part of
+    k with the order: every point l pi/2k of lemd(k) is 2l pi/4k with
+    2l != 2k, a point of lemd(2k).  A job whose key cannot be formed from
+    its params fails when it runs, in a task of its own.
     """
     kind, kwargs = job
     try:
         if kind == "meq1":
-            return ("meq1", point_orbit(kwargs["l"], kwargs["k"]),
-                    kwargs["jet_degree"], kwargs["order"])
+            return _meq1_orbit(**kwargs)
         if kind == "lemd":
             k = kwargs["k"]
             return ("lemd", k // (k & -k), kwargs["order"])
@@ -668,10 +696,11 @@ def _share_key(job):
 
 
 def _run_group(batch) -> list[list[VerificationReport]]:
-    """One pool task: each job's reports, in order, all in one worker, so
-    the jobs share its point checks.  The module attribute _run_job runs
-    once per job."""
-    return [_run_job(job) for job in batch]
+    """One pool task: each job's reports, in order, in one _check_scope of
+    its own, so the jobs share point checks whatever the worker's start
+    method.  The module attribute _run_job runs once per job."""
+    with _check_scope():
+        return [_run_job(job) for job in batch]
 
 
 def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
@@ -685,22 +714,14 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     without raising), the reports already received are kept and every
     job not yet reported gets one `fail` report saying so; none is rerun.
 
-    meq1 and lemd check each reduced point once per call (_checked_once):
-    the table lives while the call runs and the caller's is restored
-    after it.  The pool sends each group of jobs that can share a check (a
-    meq1 orbit, a lemd k-chain: _share_key) to one worker as one task, so
-    a run makes the same meq1 checks on any number of workers.  A
-    repeated point still gets its own report, with its own params.
+    meq1 and lemd check each reduced point once per _check_scope, and a
+    passing meq1 orbit once.  A serial run is one scope.  The pool sends
+    each group of jobs that can share a check (a meq1 orbit, a lemd
+    k-chain: _share_key) to one worker as one task, and each task is a
+    scope: a run makes the same meq1 checks on any number of workers, and
+    on a pool one lemd check per point of each k-chain.  A repeated point
+    still gets its own report, with its own params.
     """
-    global _point_checks
-    outer, _point_checks = _point_checks, {}
-    try:
-        return _run_jobs(jobs, parallelism, emit)
-    finally:
-        _point_checks = outer
-
-
-def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
 
     def add(batch):
@@ -710,8 +731,9 @@ def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
                 emit(rep)
 
     if parallelism <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            add(_run_job(job))
+        with _check_scope():
+            for job in jobs:
+                add(_run_job(job))
         return reports
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -748,16 +770,8 @@ def _run_jobs(jobs, parallelism, emit) -> list[VerificationReport]:
             for i, batch in zip(task, batches):
                 slots[i] = batch
             flush()
-    for i, (kind, kwargs) in enumerate(jobs):
+    for i, job in enumerate(jobs):
         if slots[i] is None:
-            slots[i] = [VerificationReport(
-                identity=kind,
-                params={n: v for n, v in kwargs.items() if n != "order"},
-                status="fail",
-                first_mismatch=None,
-                elapsed=0.0,
-                order=int(kwargs.get("order", 0)),
-                note=_DEAD_WORKER,
-            )]
+            slots[i] = [_failed(*_job_fields(job), 0.0, _DEAD_WORKER)]
     flush()
     return reports

@@ -1,5 +1,6 @@
 """Verifier layer: half sums, the modular equation, lemma checks, reports."""
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -976,13 +977,34 @@ class TestPointChecksOncePerRun:
                     for r in reports}) == 63
         assert calls == {"T_of_log": 0, "theta2_jet": 63}
 
+    def test_a_task_shares_checks_without_a_table_set(self, monkeypatch):
+        # a spawn or forkserver worker starts with no table: the task opens
+        # its own, so its 43 meq1 jobs make one check per orbit, 14
+        assert identities._point_checks is None
+        calls = self._count_calls(monkeypatch, ("_meq1_at",))
+        batches = identities._run_group(self._of_kind("meq1"))
+        assert len(batches) == 43 and all(r.passed for b in batches for r in b)
+        assert calls == {"_meq1_at": 14}
+        assert identities._point_checks is None
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                        reason="no forkserver start method here")
+    def test_forkserver_pool_makes_the_serial_reports(self, monkeypatch):
+        # forkserver workers import qtheta afresh and inherit no table
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("forkserver")))
+        assert self._seen(run_jobs(self.JOBS, 2)) == self._seen(run_jobs(self.JOBS))
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched checks reach the workers only by fork")
     def test_pool_makes_the_serial_checks(self, monkeypatch, tmp_path):
         # each worker appends a line per check to one file.  meq1 makes the
-        # 14 serial checks on 2 workers, one per orbit; lemd makes at least
-        # the 63 serial ones and at most each k-chain's distinct points, as
-        # a worker that runs two chains may reuse points across them
+        # 14 serial checks on 2 workers, one per orbit; lemd makes one per
+        # distinct point of each k-chain, as each chain is one task with a
+        # table of its own
         log = tmp_path / "checks"
 
         def logging(kind, real):
@@ -1010,7 +1032,7 @@ class TestPointChecksOncePerRun:
         bound = sum(map(len, chains.values()))
         assert bound == 75
         assert checks.count("meq1") == 14
-        assert 63 <= checks.count("lemd") <= bound
+        assert checks.count("lemd") == bound
 
     def test_a_failing_orbit_checks_every_point(self, monkeypatch):
         # T_of_log with its z-part's sign flipped: every meq1 point fails,
