@@ -93,8 +93,8 @@ def _resolve_jobs(flag_value: int | None) -> int:
 
 def _summary_lines(reports, elapsed: float) -> list[str]:
     """The stderr summary: totals, time by identity, the distinct base
-    points of the meq1 and lemd reports and the Galois orbits of the meq1
-    ones, the slowest report, then one line per failing report with its
+    points of the meq1 and lemd reports and their Galois orbits, the
+    slowest report, then one line per failing report with its
     reason."""
     failing = [r for r in reports if not r.passed]
     line = (
@@ -111,21 +111,18 @@ def _summary_lines(reports, elapsed: float) -> list[str]:
         line += "; time by identity: " + ", ".join(
             f"{name} {n} in {t:.2f} s" for name, (n, t) in ranked
         )
-        # a passing meq1 point covers its Galois orbit, so a run checks a
-        # passing orbit once on any number of workers; a lemd point is
-        # checked once per run serially, and on a pool once per k-chain
-        # holding it (identities._check_scope)
+        # a passing meq1 or lemd point covers its Galois orbit, so a run
+        # checks a passing orbit once on any number of workers
+        # (identities._check_scope)
         points: dict[str, set] = {"meq1": set(), "lemd": set()}
-        orbits = set()
+        orbits: dict[str, set] = {"meq1": set(), "lemd": set()}
         for r in reports:
             if r.identity in points and "l" in r.params:
                 l, k = r.params["l"], r.params["k"]
                 points[r.identity].add(reduced_point(l, k))
-                if r.identity == "meq1":
-                    orbits.add(point_orbit(l, k))
-        counted = [f"{name} {len(p)}" for name, p in points.items() if p]
-        if orbits:  # meq1 comes first
-            counted[0] += f" in {len(orbits)} orbits"
+                orbits[r.identity].add(point_orbit(l, k))
+        counted = [f"{name} {len(p)} in {len(orbits[name])} orbits"
+                   for name, p in points.items() if p]
         if counted:
             line += "; points " + ", ".join(counted)
         slow = max(reports, key=lambda r: r.elapsed)

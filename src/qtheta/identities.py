@@ -172,10 +172,11 @@ def _checked_once(key, check, orbit=None):
     _check_scope.  A check that raises stores nothing, so each report at
     its point runs it again and fails alone.
 
-    With an orbit key, a pass (a result of None) is stored under the orbit
-    too, and a later key of that orbit reuses it.  A failure is stored
-    under its own key only, so each point of a failing orbit runs its own
-    check and reports its own mismatch."""
+    With an orbit key (verify_meq1's _meq1_orbit, verify_lemd's
+    _lemd_orbit), a pass (a result of None) is stored under the orbit too,
+    and a later key of that orbit reuses it.  A failure is stored under
+    its own key only, so each point of a failing orbit runs its own check
+    and reports its own mismatch."""
     table = _point_checks
     if table is None:
         return check()
@@ -279,16 +280,42 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
     the Lambert-form series; the two routes are fully independent.  Each
     point is checked in its smallest field (reduced_point), once per
-    _check_scope (a serial run, or a pool task: one k-chain k, 2k, ...):
-    an l whose reduced point an earlier report of the scope checked at
-    this order reuses that result.  A point whose check raises fails
-    alone.
+    _check_scope (a serial run, or a pool task: every lemd job of one
+    order) at a given order: an l whose reduced point an earlier report of
+    the scope checked reuses its result.  A pass also covers the point's
+    Galois orbit (_lemd_orbit): a point whose orbit passed earlier in the
+    scope reuses that pass.  A failure is not shared, so each conjugate of
+    a failing point runs and reports its own check, and a point whose
+    check raises fails alone.
 
     Both routes work at precision P = order + 1/8, the compare order.
     The one divisor of S = a1/a0 is a0, of q-valuation 1/8, so a1 = S * a0
     below q^P is S = a1/a0 below q^order.  a1 has base 1/8 and precision
     P, and S * a0, with S of base 0 and a0 of base 1/8, has precision
     min(P + 1/8, P) = P: both sides hold every term below q^P.
+
+    One pass proves the orbit.  Let n = point_orbit(lr, kr), m = 4 kr,
+    zeta = e^{i pi/2kr}, x = lr pi/2kr and chi(a) = (-1)^((a-1)/2) for
+    a unit a mod m, and write S_lr for log_deriv_lambert(lr, kr).
+    1. sigma_a: zeta -> zeta^a sends jet slot j at lr to chi(a)^j times
+       slot j at a lr (_meq1_at, step 1).  S_lr is
+       -tan x + 4 sum_d (-1)^d sin(2 d x) q^d/(1 - q^d), and with
+       i = zeta^{m/4}, 2 sin(e pi/2kr) = i (zeta^{-e} - zeta^e) goes to
+       i^a (zeta^{-a e} - zeta^{a e}) = chi(a) 2 sin(a e pi/2kr), while
+       2 cos(e pi/2kr) = zeta^e + zeta^{-e} goes to 2 cos(a e pi/2kr).
+       So sigma_a sends every sine, and tan x, to chi(a) times its value
+       at a x, and S_lr to chi(a) S_{a lr}, coefficient by coefficient
+       (Washington, Introduction to Cyclotomic Fields, GTM 83, ch. 2).
+    2. A shift by pi negates both jet slots (theta2(z + pi) = -theta2(z))
+       and leaves S unchanged: tan x and every sin(2 d x) have period pi.
+    3. The reduced points with one n have one kr, and each is reached
+       from another by some sigma_a and at most one shift by pi (_meq1_at,
+       step 3).  sigma_a turns a1 - S a0 at lr into
+       chi(a) (a1 - S a0) at a lr, and the shift into its negative, so,
+       sigma_a being one-to-one, a1 = S a0 holds at one point of an orbit
+       exactly when it holds at every other point.  The mismatch of a
+       failure is the conjugate's, another value, so only a pass is
+       shared.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -301,10 +328,17 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
 
     def check(l):
         point = reduced_point(l, k)
-        return _checked_once(("lemd", *point, order), functools.partial(at, *point))
+        return _checked_once(("lemd", *point, order), functools.partial(at, *point),
+                             _lemd_orbit(l, k, order))
 
     return [_part("lemd", {"k": k, "l": l}, order, functools.partial(check, l))
             for l in range(2 * k) if l != k]
+
+
+def _lemd_orbit(l: int, k: int, order):
+    """The key of the lemd checks that one pass at (l, k) covers: its
+    Galois orbit (point_orbit) at this order."""
+    return ("lemd orbit", point_orbit(l, k), order)
 
 
 def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationReport:
@@ -678,19 +712,19 @@ def _share_key(job):
 
     A meq1 job's key is _meq1_orbit of its arguments, verify_meq1's own:
     two jobs at one reduced_point have one orbit, so point reuse falls
-    inside orbit reuse.  A lemd job's key is its k-chain, the odd part of
-    k with the order: every point l pi/2k of lemd(k) is 2l pi/4k with
-    2l != 2k, a point of lemd(2k).  A job whose key cannot be formed from
-    its params fails when it runs, in a task of its own.
+    inside orbit reuse.  A lemd job's key is its order: a lemd job checks
+    every orbit of its k, and every k has the orbit n = 1 (l = 0), so
+    orbit keys cannot split lemd jobs across tasks, and every lemd job of
+    one order is one task.  A job whose key cannot be formed from its
+    params (a lemd k < 1) fails when it runs, in a task of its own.
     """
     kind, kwargs = job
     try:
         if kind == "meq1":
             return _meq1_orbit(**kwargs)
-        if kind == "lemd":
-            k = kwargs["k"]
-            return ("lemd", k // (k & -k), kwargs["order"])
-    except (KeyError, TypeError, ZeroDivisionError):
+        if kind == "lemd" and kwargs["k"] >= 1:
+            return ("lemd", kwargs["order"])
+    except (KeyError, TypeError):
         pass
     return None
 
@@ -715,12 +749,12 @@ def run_jobs(jobs, parallelism: int = 1, emit=None) -> list[VerificationReport]:
     job not yet reported gets one `fail` report saying so; none is rerun.
 
     meq1 and lemd check each reduced point once per _check_scope, and a
-    passing meq1 orbit once.  A serial run is one scope.  The pool sends
-    each group of jobs that can share a check (a meq1 orbit, a lemd
-    k-chain: _share_key) to one worker as one task, and each task is a
-    scope: a run makes the same meq1 checks on any number of workers, and
-    on a pool one lemd check per point of each k-chain.  A repeated point
-    still gets its own report, with its own params.
+    passing Galois orbit once.  A serial run is one scope.  The pool sends
+    each group of jobs that can share a check (a meq1 orbit, every lemd
+    job of one order: _share_key) to one worker as one task, and each task
+    is a scope: a run makes the same meq1 and lemd checks on any number of
+    workers.  A repeated point still gets its own report, with its own
+    params.
     """
     reports: list[VerificationReport] = []
 

@@ -58,8 +58,9 @@ class TestVerifyCommand:
         assert "delta=1" in out and "delta=0" not in out
 
     def test_text_lines_do_not_depend_on_the_worker_count(self, capsys):
-        # the pool runs each meq1 orbit and lemd k-chain as one task and
-        # prints a line once every report before it is in
+        # the pool runs each meq1 orbit as one task, and the lemd jobs of
+        # one order as one, and prints a line once every report before it
+        # is in
         def lines(jobs):
             assert main(["verify", "meq1,lemd", "--k-min", "1", "--k-max", "8",
                          "--order", "12", "--jobs", jobs]) == 0
@@ -104,12 +105,12 @@ class TestSummaryLine:
           "--order", "15", "--jobs", "1"],
          {"bridge-t0": 1, "bridge-t1": 1, "k3": 1, "tan-sum": 2}, None),
         (["lemd,tan-sum", "--k-max", "3", "--order", "5"],
-         {"lemd": 8, "tan-sum": 4}, "lemd 7"),
+         {"lemd": 8, "tan-sum": 4}, "lemd 7 in 4 orbits"),
         # the angle 0 recurs at k = 3 and 4, pi/4 at k = 4, and lemd's
         # 3 pi/4 at k = 4: 13 - 3 meq1 points and 15 - 4 lemd points; the
-        # meq1 points have the denominators n = 1, 3, 4, 6 and 8
+        # points of both have the denominators n = 1, 3, 4, 6 and 8
         (["meq1,lemd", "--k-max", "4", "--order", "5", "--jobs", "1"],
-         {"meq1": 13, "lemd": 15}, "meq1 10 in 5 orbits, lemd 11"),
+         {"meq1": 13, "lemd": 15}, "meq1 10 in 5 orbits, lemd 11 in 5 orbits"),
     ], ids=["bridges-k3-tan-sum", "lemd-tan-sum", "meq1-lemd"])
     def test_time_by_identity_and_slowest(self, capsys, argv, expect, points):
         rc = main(["verify", *argv])
@@ -143,7 +144,7 @@ class TestSummaryLine:
     def test_points_clause_of_the_default_sweep(self):
         # the default sweep's meq1 and lemd params, each as a passing report
         # (nothing is verified): 93 meq1 reports over 53 points in 29
-        # orbits, 399 lemd reports over 255 points
+        # orbits, 399 lemd reports over 255 points in the same 29 orbits
         jobs = identities.enumerate_jobs(2, 20, (0, 1), 100, 4,
                                          frozenset({"meq1", "lemd"}))
         params = [{"k": kw["k"], "l": kw["l"], "J": 4}
@@ -155,7 +156,7 @@ class TestSummaryLine:
                    for p in params]
         assert len(reports) == 93 + 399
         [line] = _summary_lines(reports, 0.0)
-        assert "; points meq1 53 in 29 orbits, lemd 255; " in line
+        assert "; points meq1 53 in 29 orbits, lemd 255 in 29 orbits; " in line
 
     def test_no_reports(self):
         [line] = _summary_lines([], 0.0)
@@ -264,7 +265,10 @@ class TestJsonFormat:
         # (QExpansion.coeffs, then _Ctx.embed), as the version that lifted
         # through a table of the powers of theta printed them; a series
         # whose values are all rational is over Q and prints them as
-        # rationals (lhs -1 at k = 3, 6, 9, 12, l = 5k/3)
+        # rationals (lhs -1 at k = 3, 6, 9, 12, l = 5k/3).  The mutation
+        # breaks the conjugate symmetry that lemd's orbit sharing rests
+        # on, so 19 reports whose orbit passed at an earlier point reuse
+        # that pass (test_modular's TestGaloisOrbit rejects the mutation)
         lambert = identities.log_deriv_lambert
 
         def shifted(l, k, order):
@@ -274,14 +278,14 @@ class TestJsonFormat:
         monkeypatch.setattr(identities, "log_deriv_lambert", shifted)
         rc = main(["verify", "lemd", "--k-min", "2", "--k-max", "12",
                    "--order", "12", "--format", "json", "--jobs", "1"])
-        assert rc == 123
+        assert rc == 104
         reports = json.loads(capsys.readouterr().out)
         for r in reports:
             del r["elapsed_ms"]
         assert len(reports) == 143
-        assert sum(r["status"] == "fail" for r in reports) == 123
+        assert sum(r["status"] == "fail" for r in reports) == 104
         text = json.dumps(reports, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3aba76fa73231e97"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b86c9905441e5d58"
 
     @pytest.mark.parametrize("order, digest", [
         (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])

@@ -927,6 +927,7 @@ class TestFullSuite:
 class TestPointChecksOncePerRun:
     # jet-sweep's job list at a small order: 43 meq1 jobs over 26 reduced
     # points in 14 orbits, 36 lem22 parts and 99 lemd points over 63
+    # reduced points in 14 orbits
     JOBS = enumerate_jobs(2, 10, (0, 1), 12, 4, frozenset({"meq1", "lem22", "lemd"}))
 
     @staticmethod
@@ -962,7 +963,8 @@ class TestPointChecksOncePerRun:
 
     def test_one_meq1_check_per_orbit(self, monkeypatch):
         # meq1: 43 jobs over 26 reduced points in 14 Galois orbits, one
-        # passing check per orbit; lemd: one check per reduced point
+        # passing check per orbit; lemd: 99 reports over 63 reduced points
+        # in 14 orbits, one passing check per orbit too
         calls = self._count_calls(monkeypatch, ("T_of_log", "theta2_jet"))
         meq1, lemd = self._of_kind("meq1"), self._of_kind("lemd")
         assert len(meq1) == 43 and len(lemd) == 9
@@ -975,7 +977,9 @@ class TestPointChecksOncePerRun:
         assert len(reports) == 99 and all(r.passed for r in reports)
         assert len({modular.reduced_point(r.params["l"], r.params["k"])
                     for r in reports}) == 63
-        assert calls == {"T_of_log": 0, "theta2_jet": 63}
+        assert len({modular.point_orbit(r.params["l"], r.params["k"])
+                    for r in reports}) == 14
+        assert calls == {"T_of_log": 0, "theta2_jet": 14}
 
     def test_a_task_shares_checks_without_a_table_set(self, monkeypatch):
         # a spawn or forkserver worker starts with no table: the task opens
@@ -1001,10 +1005,9 @@ class TestPointChecksOncePerRun:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched checks reach the workers only by fork")
     def test_pool_makes_the_serial_checks(self, monkeypatch, tmp_path):
-        # each worker appends a line per check to one file.  meq1 makes the
-        # 14 serial checks on 2 workers, one per orbit; lemd makes one per
-        # distinct point of each k-chain, as each chain is one task with a
-        # table of its own
+        # each worker appends a line per check to one file.  On 2 workers
+        # meq1 and lemd make the serial checks, one per orbit: 14 each, as
+        # lemd's jobs of one order are one task
         log = tmp_path / "checks"
 
         def logging(kind, real):
@@ -1024,15 +1027,8 @@ class TestPointChecksOncePerRun:
         reports = run_jobs(self.JOBS, 2)
         assert all(r.passed for r in reports)
         checks = log.read_text().split()
-        chains: dict = {}
-        for _, kw in self._of_kind("lemd"):
-            k = kw["k"]
-            chains.setdefault(k // (k & -k), set()).update(
-                modular.reduced_point(l, k) for l in range(2 * k) if l != k)
-        bound = sum(map(len, chains.values()))
-        assert bound == 75
         assert checks.count("meq1") == 14
-        assert checks.count("lemd") == bound
+        assert checks.count("lemd") == 14
 
     def test_a_failing_orbit_checks_every_point(self, monkeypatch):
         # T_of_log with its z-part's sign flipped: every meq1 point fails,
@@ -1049,6 +1045,24 @@ class TestPointChecksOncePerRun:
         assert self._seen(reports) == alone
         assert calls == {"T_of_log": 26}
 
+    def test_a_failing_lemd_orbit_checks_every_point(self, monkeypatch):
+        # the Lambert form times 2, a corruption that commutes with every
+        # sigma_a: each lemd report fails as a run of its job alone makes
+        # it, except at l = 0, where the form is 0 and 2 * 0 = 0 passes, and
+        # no failure is shared over an orbit, so each of the 63 reduced
+        # points runs its check
+        lemd = self._of_kind("lemd")
+        real = identities.log_deriv_lambert
+        monkeypatch.setattr(identities, "log_deriv_lambert",
+                            lambda l, k, order: real(l, k, order) * 2)
+        alone = [seen for job in lemd for seen in self._seen(run_jobs([job]))]
+        calls = self._count_calls(monkeypatch, ("theta2_jet",))
+        reports = run_jobs(lemd)
+        assert len(reports) == 99
+        assert [r.params["l"] for r in reports if r.passed] == [0] * 9
+        assert self._seen(reports) == alone
+        assert calls == {"theta2_jet": 63}
+
     def test_nothing_carries_over_between_runs(self, monkeypatch):
         # T_of_log with its z-part's sign flipped: every meq1 point fails
         meq1 = self._of_kind("meq1")
@@ -1060,43 +1074,45 @@ class TestPointChecksOncePerRun:
         assert len(reports) == 43 and not any(r.passed for r in reports)
 
     def test_a_check_that_raises_is_not_stored(self, monkeypatch):
-        # lemd at k = 2, l = 1 and at k = 4, l = 2 share the point pi/4
+        # the orbit of pi/4 (n = 4) is the reduced points (1, 2) and (3, 2):
+        # lemd at k = 2, l = 1 and 3 and at k = 4, l = 2 and 6.  A raise is
+        # stored neither for its point nor for its orbit, so each of the
+        # four reports runs its check and fails alone
         lambert = identities.log_deriv_lambert
         raised = []
 
         def raising(l, k, order):
-            if (l, k) == (1, 2):
-                raised.append(k)
-                raise RuntimeError("no Lambert form at pi/4")
+            if modular.point_orbit(l, k) == 4:
+                raised.append((l, k))
+                raise RuntimeError("no Lambert form on the orbit of pi/4")
             return lambert(l, k, order)
 
         monkeypatch.setattr(identities, "log_deriv_lambert", raising)
         reports = run_jobs([("lemd", {"k": 2, "order": 8}), ("lemd", {"k": 4, "order": 8})])
-        assert len(reports) == 3 + 7 and len(raised) == 2
+        assert len(reports) == 3 + 7
+        assert raised == [(1, 2), (3, 2), (1, 2), (3, 2)]
         failed = [r for r in reports if not r.passed]
-        assert [r.params for r in failed] == [{"k": 2, "l": 1}, {"k": 4, "l": 2}]
+        assert [r.params for r in failed] == [
+            {"k": 2, "l": 1}, {"k": 2, "l": 3}, {"k": 4, "l": 2}, {"k": 4, "l": 6}]
         for rep in failed:
-            assert rep.note.startswith("RuntimeError: no Lambert form at pi/4 (in raising")
+            assert rep.note.startswith(
+                "RuntimeError: no Lambert form on the orbit of pi/4 (in raising")
 
 
 class TestShareKey:
     # the premises of identities._share_key, which puts the jobs that can
     # share a point check into one pool task
 
-    def test_lemd_points_recur_at_twice_k(self):
-        # l pi/2k = 2l pi/4k, and 2l != 2k
+    def test_lemd_key_is_the_order(self):
+        # every lemd(k) checks the orbit n = 1 at l = 0, so two lemd jobs of
+        # one order in two tasks would each check it: one task per order
+        def key(k, order=8):
+            return identities._share_key(("lemd", {"k": k, "order": order}))
+
         for k in range(1, 61):
-            points = {modular.reduced_point(l, k) for l in range(2 * k) if l != k}
-            assert points <= {modular.reduced_point(l, 2 * k)
-                              for l in range(4 * k) if l != 2 * k}
-
-    def test_lemd_key_is_the_k_chain(self):
-        def key(k):
-            return identities._share_key(("lemd", {"k": k, "order": 8}))
-
-        assert key(3) == key(6) == key(12) == ("lemd", 3, 8)
-        assert key(1) == key(16) != key(3)
-        assert key(9) != key(3)
+            assert modular.point_orbit(0, k) == 1
+            assert key(k) == ("lemd", 8)
+        assert key(3, 12) == ("lemd", 12) != key(3)
 
     def test_meq1_jobs_at_one_point_have_one_key(self):
         keys: dict = {}

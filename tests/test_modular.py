@@ -648,9 +648,48 @@ def _shifted_image(a: int, lr: int, kr: int) -> tuple[int, int]:
     return (b, 1) if b < 2 * kr else (b - 2 * kr, -1)
 
 
+def _zeta_vectors(s, m):
+    """(base, denominator, coefficient vectors) of the series s over the
+    zeta basis of Q(zeta_m)."""
+    e = s.embed(m)  # a series over Q keeps its one-lane vectors
+    ctx = _ctx(m)
+    return e.base, e._den, [
+        None if v is None else ctx.powers([(0, v[0])]) if e.field() is None else v
+        for v in e._vecs]
+
+
+def _lambert_conjugate_mismatch(lambert, k_max: int = 8, order: int = 12):
+    """The first (l, k, a), k <= k_max, at which sigma_a: zeta -> zeta^a
+    does not send lambert(l, k) to chi(a) lambert(a l mod 2k, k), or None.
+
+    The check runs over every unit a mod 4k and every 0 <= l < 2k, l != k,
+    on the zeta coordinates, cross-multiplied by the denominators; a l is
+    never k mod 2k, as a is odd."""
+    for k in range(1, k_max + 1):
+        m = 4 * k
+        ctx = _ctx(m)
+        series = {l: _zeta_vectors(lambert(l, k, order), m)
+                  for l in range(2 * k) if l != k}
+        for a in range(1, m, 2):
+            if math.gcd(a, m) != 1:
+                continue
+            chi = (-1) ** ((a - 1) // 2)
+            for l, (base, den, vecs) in series.items():
+                ibase, iden, ivecs = series[a * l % (2 * k)]
+                if (base, len(vecs)) != (ibase, len(ivecs)):
+                    return l, k, a
+                for v, w in zip(vecs, ivecs):
+                    if (v is None) != (w is None) or v is not None and (
+                            [x * iden for x in ctx.galois_vec(v, a)]
+                            != [chi * x * den for x in w]):
+                        return l, k, a
+    return None
+
+
 class TestGaloisOrbit:
-    """meq1 shares one pass over a Galois orbit (identities._meq1_at): its
-    premise, on the jets meq1 builds and on the orbit key."""
+    """meq1 and lemd share one pass over a Galois orbit
+    (identities._meq1_at, identities.verify_lemd): their premises, on the
+    jets and Lambert forms they build and on the orbit key."""
 
     def test_conjugate_jet_slots(self):
         # sigma_a: zeta -> zeta^a sends slot j of the jet at l' to
@@ -660,13 +699,6 @@ class TestGaloisOrbit:
         @functools.cache
         def jet(lr, kr):
             return theta2_jet(ThetaPoint(lr, 2 * kr), 4, 12)
-
-        def zeta_vectors(s, m):
-            e = s.embed(m)  # a series over Q keeps its one-lane vectors
-            ctx = _ctx(m)
-            return e.base, e._den, [
-                None if v is None else ctx.powers([(0, v[0])]) if e.field() is None else v
-                for v in e._vecs]
 
         compared = 0
         for lr, kr in sorted(_reduced_points(8)):
@@ -680,8 +712,8 @@ class TestGaloisOrbit:
                 assert reduced_point(lb, kr) == (lb, kr), (lr, kr, a)
                 assert point_orbit(lb, kr) == point_orbit(lr, kr), (lr, kr, a)
                 for j in range(5):
-                    base, den, vecs = zeta_vectors(jet(lr, kr).slot(j), m)
-                    ibase, iden, ivecs = zeta_vectors(jet(lb, kr).slot(j), m)
+                    base, den, vecs = _zeta_vectors(jet(lr, kr).slot(j), m)
+                    ibase, iden, ivecs = _zeta_vectors(jet(lb, kr).slot(j), m)
                     assert (base, len(vecs)) == (ibase, len(ivecs)), (lr, kr, a, j)
                     c = sign * chi ** j
                     for v, w in zip(vecs, ivecs):
@@ -692,6 +724,20 @@ class TestGaloisOrbit:
                     compared += 1
         # 43 reduced points, 426 (point, unit) pairs, five slots each
         assert compared == 2130
+
+    def test_conjugate_lambert_forms(self):
+        # sigma_a sends the Lambert form at l to chi(a) times the form at
+        # a l mod 2k, the period pi of tan and of each sin(2 d x) taking
+        # a l mod 4k there; lemd's shared pass rests on it.  A Lambert form
+        # taken at l + 2 mod 2k, the mutation of test_cli's
+        # test_failing_lemd_reports_pinned, breaks it
+        assert _lambert_conjugate_mismatch(log_deriv_lambert) is None
+
+        def shifted(l, k, order):
+            s = (l + 2) % (2 * k)
+            return log_deriv_lambert(l if s == k else s, k, order)
+
+        assert _lambert_conjugate_mismatch(shifted) is not None
 
     def test_one_orbit_per_denominator(self):
         # the reduced points of one field with one n = point_orbit are one
