@@ -211,7 +211,10 @@ def half_sum(spec: HalfSumSpec, order) -> QExpansion:
                            = sum_j (2/w_j) Y_j^2 / (2k),
 
     whose constant term is T0 = sum_{l in I} tan^2 x_l
-    = sum_j (2 tau(r_j))^2 / (k w_j), since Y_j[0] = -2 tau(r_j).
+    = sum_j (2 tau(r_j))^2 / (k w_j), since Y_j[0] = -2 tau(r_j), and
+    2 tau(r) = (-1)^(r+1) (k - 2 r [k = p (mod 2)]) in closed form.
+    tan-sum reads only this term: at order 1 the room is 1, and the
+    sieve asks for no class.
 
     Packed squares.  The half sum is sum_j (2/w_j) Y_j^2 over the
     denominator 2k.  By Cauchy-Schwarz, |sum_a Y_j[a] Y_j[n-a]| <= |Y_j|^2,
@@ -492,10 +495,10 @@ def _lem22_margin(k: int) -> int:
     A quotient by a series of valuation v certifies v less than its
     operands.  d2-origin divides by the theta series at 0 (valuation 1/8);
     T-scaled by the theta series in q^k (k/8); both ratio parts by the
-    theta series at -pi/2 (1/8) and then by the constant slot of that
-    quotient jet ((k-1)/8): k/8 at most, so ceil(k/8) suffices.  A margin
-    too small could only make a comparison raise PrecisionError, never
-    let a report pass below its order.
+    constant slots of the shifted jets at -pi/2 in q^k (k/8) and in q
+    (1/8): k/8 at most, so ceil(k/8) suffices.  A margin too small could
+    only make a comparison raise PrecisionError, never let a report pass
+    below its order.
     """
     return -(-k // 8)
 
@@ -508,8 +511,11 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     against their eta combinations.  A part that raises fails alone.
 
     (log theta)'' at z = 0 is slot 1 of the jet's log_dz, the one jet
-    division f'/f: (f'/f)' = 2 a2/a0 - (a1/a0)^2 there.  T_of_log reads
-    the same cached log_dz, so d2-ratio and T-ratio share it.
+    division f'/f: (f'/f)' = 2 a2/a0 - (a1/a0)^2 there.  The ratio parts
+    read log(nj/dj) as log nj - log dj: d2-ratio is nj'/nj - dj'/dj, and
+    T-ratio is T(log nj) - T(log dj), T being linear in log f.  T_of_log
+    reads the same cached log_dz of each jet, so d2-ratio and T-ratio
+    share them, and no quotient jet is formed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -521,17 +527,17 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
         return compare(f.log_dz().slot(1), rhs, order)
 
     @functools.cache
-    def ratio():
-        # one quotient jet, and one log_dz of it, for both ratio parts: each
-        # reads slots 0..2 (slot 0 of T depends on slots 0..2 only), and
-        # slot t of a jet quotient depends on slots <= t
+    def ratio_jets():
+        # the numerator and denominator jets of the ratio, whose log_dz
+        # both ratio parts share: each reads slots 0..2 (slot 0 of T
+        # depends on slots 0..2 only)
         nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
-        dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
-        return nj.div(dj)
+        return nj, theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
 
     def d2_ratio():
+        nj, dj = ratio_jets()
         rhs = eta_quotient_log_ddq(((1, 8), (k, -8 * k)), nw)
-        return compare(ratio().log_dz().slot(1), rhs, order)
+        return compare(nj.log_dz().slot(1) - dj.log_dz().slot(1), rhs, order)
 
     def t_scaled():
         g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
@@ -540,7 +546,8 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
         return compare(val, rhs, order)
 
     def t_ratio():
-        val = T_of_log(ratio()).slot(0)
+        nj, dj = ratio_jets()
+        val = T_of_log(nj).slot(0) - T_of_log(dj).slot(0)
         rhs = eta_quotient_log_ddq(((k, 8 * (k - 3)), (1, 16)), nw)
         return compare(val, rhs, order)
 

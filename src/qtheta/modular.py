@@ -370,49 +370,31 @@ def theta2_triple_product(pt: ThetaPoint, order) -> QExpansion:
                                     1, order)
 
 
-def _sine_classes(k: int, p: int):
-    """The classes of s mod 2k on which sin(s l pi/k), l = p (mod 2), agree.
-
-    Returns (cls, reps, weights): cls[s] = (j, c) with
-    sin(s l pi/k) = c sin(reps[j] l pi/k) for every such l, c = 0 where
-    that sine is 0 for every such l, and weights[j] = 1 or 2
-    (_bracket_data gives the proof).
+def _sine_class(k: int, p: int, s: int) -> tuple[int, int]:
+    """(r, c) with sin(s l pi/k) = c sin(r l pi/k) for every l = p (mod 2),
+    r the representative of the class of s mod 2k; (0, 0) where that sine
+    is 0 for every such l (_bracket_data gives the proof).  With
+    eps = (-1)^p: s >= k is s - k with a sign eps; s = 0 is the zero
+    class; s < k/2 is its own representative; s > k/2 is k - s with a
+    further sign -eps; s = k/2 is the class of weight 2 for eps = -1 and
+    the zero class for eps = 1.
     """
     eps = -1 if p else 1
-    cls = [(0, 0)] * (2 * k)
-    reps, weights = [], []
-    for r in range(1, (k + 1) // 2):
-        for s, c in ((r, 1), (r + k, eps), (2 * k - r, -1), (k - r, -eps)):
-            cls[s] = (len(reps), c)
-        reps.append(r)
-        weights.append(1)
-    if k % 2 == 0 and eps == -1:
-        cls[k // 2], cls[3 * k // 2] = (len(reps), 1), (len(reps), -1)
-        reps.append(k // 2)
-        weights.append(2)
-    return cls, reps, weights
+    s, c = s % (2 * k), 1
+    if s >= k:
+        s, c = s - k, eps
+    if 2 * s > k:
+        s, c = k - s, -eps * c
+    if s == 0 or (2 * s == k and eps == 1):
+        return 0, 0
+    return s, c
 
 
-def _tan_sine_sums(k: int, p: int) -> list[int]:
-    """2 tau(r) for r = 0..2k-1, where
-    tau(r) = sum tan(l pi/2k) sin(r l pi/k) over 0 < l < k, l = p (mod 2).
-
-    By the recurrence tau(r) = P(r-1) - P(r) - tau(r-1), tau(0) = 0, with
-    2 P(j) = k [k | j] eps^(j/k) - [p = 0] - [k = p (mod 2)] (-1)^j twice
-    the cosine sum (_bracket_data gives both proofs).  The term [p = 0]
-    is the same for every j and cancels in P(r-1) - P(r), so cos2 leaves
-    it out.
-    """
-    eps = -1 if p else 1
-
-    def cos2(j):
-        full = k * eps ** (j // k) if j % k == 0 else 0
-        return full - ((k - p) % 2 == 0) * (-1) ** j
-
-    out = [0]
-    for r in range(1, 2 * k):
-        out.append(cos2(r - 1) - cos2(r) - out[-1])
-    return out
+def _tan_sine_sum(k: int, p: int, r: int) -> int:
+    """2 tau(r) = (-1)^(r+1) (k - 2 r [k = p (mod 2)]) for 0 < r < k, where
+    tau(r) = sum tan(l pi/2k) sin(r l pi/k) over 0 < l < k, l = p (mod 2)
+    (_bracket_data gives the proof)."""
+    return (-1) ** (r + 1) * (k - 2 * r * ((k - p) % 2 == 0))
 
 
 def _bracket_data(k: int, p: int, room: int):
@@ -421,9 +403,10 @@ def _bracket_data(k: int, p: int, room: int):
 
         F_l = sum_j (2/(k w_j)) Y_j sin(r_j l pi/k)
 
-    for the representatives r_j = reps[j], their weights w_j = weights[j]
-    and the integer series Y_j = ys[j], each a list of its room
-    coefficients.  Write eps = (-1)^p and I = {0 < l < k : l = p (mod 2)}.
+    for the representatives r_j = reps[j] = j + 1, their weights
+    w_j = weights[j] and the integer series Y_j = ys[j], each a list of
+    its room coefficients.  Write eps = (-1)^p and
+    I = {0 < l < k : l = p (mod 2)}.
     Proved here for l in I; log_deriv_lambert extends it to every
     0 <= l < 2k, l != k, of this parity.  The bracket has the Lambert form
     (Whittaker and Watson, A Course of Modern Analysis, ch. 21)
@@ -433,11 +416,13 @@ def _bracket_data(k: int, p: int, room: int):
     Classes.  For l = p (mod 2), sin((s + k) l pi/k) = (-1)^l sin(s l pi/k)
     = eps sin(s l pi/k), and the sine is odd, so up to a sign c(s) it
     depends only on the class of s mod 2k under s -> s + k and s -> -s
-    (_sine_classes).  The class of r, 1 <= r < k/2, is {r, r + k, -r,
-    k - r} with signs 1, eps, -1, -eps.  For even k, 3k/2 is both
-    k/2 + k and -k/2, so the class {k/2, 3k/2} has signs 1 and eps = -1
-    if eps = -1, and its sines are 0 if eps = 1, like those of {0, k}
-    (sin 0 = sin l pi = 0).  Grouping the d by
+    (_sine_class states the rule).  The class of r, 1 <= r < k/2, is
+    {r, r + k, -r, k - r} with signs 1, eps, -1, -eps.  For even k, 3k/2
+    is both k/2 + k and -k/2, so the class {k/2, 3k/2} has signs 1 and
+    eps = -1 if eps = -1, and its sines are 0 if eps = 1, like those of
+    {0, k} (sin 0 = sin l pi = 0).  The representatives are then the r
+    with 1 <= r < k/2, and k/2 for even k and eps = -1: the r below
+    floor((k + 1 + p)/2).  Grouping the d by
     class, F_l = -tan x_l + 4 sum_j sin(r_j l pi/k) V_j over the
     representatives r_j, with the integer series
     V_j = sum_d c(d) (-1)^d q^d/(1 - q^d) over the d in the class of r_j.
@@ -474,25 +459,34 @@ def _bracket_data(k: int, p: int, room: int):
     and F_l = sum_j (4 V_j - 4 tau(r_j)/(k w_j)) sin(r_j l pi/k), which
     is the form above with Y_j = 2k w_j V_j - 2 tau(r_j).
 
-    The tau recurrence.  tan x (sin 2rx + sin(2r - 2)x)
+    The tangent coordinates in closed form.  For 0 < r < k,
+    2 tau(r) = (-1)^(r+1) (k - 2 r c) with c = [k = p (mod 2)]
+    (_tan_sine_sum); every representative is below k, so nothing reads
+    r >= k.  First the recurrence: tan x (sin 2rx + sin(2r - 2)x)
     = 2 tan x sin((2r - 1)x) cos x = 2 sin x sin((2r - 1)x)
     = cos((2r - 2)x) - cos 2rx, so summed over I,
-    tau(r) = P(r - 1) - P(r) - tau(r - 1), with tau(0) = 0
-    (_tan_sine_sums, which returns the integers 2 tau, since 2 P is an
-    integer).
+    2 tau(r) = 2 P(r - 1) - 2 P(r) - 2 tau(r - 1), with tau(0) = 0.  By
+    the orthogonality step, 2 P(j) = -[p = 0] - c (-1)^j for 0 < j < k
+    and 2 P(0) = k - [p = 0] - c, so for 0 < r < k
+    2 P(r - 1) - 2 P(r) = k [r = 1] + 2 c (-1)^r.  Then by induction on r:
+    2 tau(1) = k - 2c, and if the form holds at r - 1,
+    2 tau(r) = 2 c (-1)^r + (-1)^r (k - 2 (r - 1) c)
+    = (-1)^(r+1) (k - 2 r c).  Check: k = 2, delta = 1 has p = 1, c = 0
+    and one representative r = 1 = k/2 of weight 2, with 2 tau(1) = 2, so
+    the constant term T0 = 2^2/(2 * 2) = 1 = k(k - 1)/2 (half_sum).
 
     The sieve.  Each Y_j starts at -2 tau(r_j) in q^0, and each
     0 < d < room adds 2k w_j c(d) (-1)^d to the Y_j of its class at every
-    multiple of d.
+    multiple of d; at room = 1 no class is asked for.
     """
-    cls, reps, weights = _sine_classes(k, p)
-    tau2 = _tan_sine_sums(k, p)
-    ys = [[-tau2[r]] + [0] * (room - 1) for r in reps]
+    reps = range(1, (k + 1 + p) // 2)
+    weights = [2 if 2 * r == k else 1 for r in reps]
+    ys = [[-_tan_sine_sum(k, p, r)] + [0] * (room - 1) for r in reps]
     for d in range(1, room):
-        j, c = cls[d % (2 * k)]
+        r, c = _sine_class(k, p, d)
         if c:
-            y = ys[j]
-            c *= 2 * k * weights[j] * (-1 if d % 2 else 1)
+            y = ys[r - 1]
+            c *= 2 * k * weights[r - 1] * (-1 if d % 2 else 1)
             for mult in range(d, room, d):
                 y[mult] += c
     return reps, weights, ys
@@ -503,7 +497,9 @@ def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
     subfield of Q(zeta_4k).
 
     The series is -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d),
-    built on the sine basis of _bracket_data: the coefficient of q^M is
+    built on the sine basis of _bracket_data (the tangent's coordinates
+    in closed form, the classes by _sine_class's rule, no table over
+    s mod 2k): the coefficient of q^M is
     sum_j (2/w_j) Y_j[M] (2 sin(r_j l pi/k)) over the denominator 2k, with
     2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a) = zeta^{k-a} - zeta^{k+a},
     i = zeta^k, zeta = zeta_4k.  As zeta^{2k} = -1, that is the cosine

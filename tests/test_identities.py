@@ -170,22 +170,22 @@ class TestHalfSum:
         return embed_conductor(trig_value(kind, num, den), 4 * k)
 
     def test_tan_sine_recurrence(self):
-        # 2 tau(r) = 2 sum_l tan(l pi/2k) sin(r l pi/k), every r mod 2k
+        # 2 tau(r) = 2 sum_l tan(l pi/2k) sin(r l pi/k) against its closed
+        # form at every 0 < r < k; every representative is below k
         for k in range(1, 17):
             for p in (0, 1):
                 idx = self._index_set(k, p)
                 tans = [self._trig("tan", l, 2 * k, k) for l in idx]
-                got = modular._tan_sine_sums(k, p)
-                assert len(got) == 2 * k
-                for r in range(2 * k):
+                assert all(r < k for r in modular._bracket_data(k, p, 1)[0])
+                for r in range(1, k):
                     want = CyclotomicNumber.zero(4 * k)
                     for l, t in zip(idx, tans):
                         want = want + t * self._trig("sin", r * l, k, k)
-                    assert want * 2 == got[r], (k, p, r)
+                    assert want * 2 == modular._tan_sine_sum(k, p, r), (k, p, r)
 
     def test_sine_orthogonality_and_classes(self):
         # 4 sum_l sin(a l pi/k) sin(b l pi/k) = k (chi(a-b) - chi(a+b)), and
-        # the class table: the sines at a and b are c_a and c_b times those
+        # the class rule: the sines at a and b are c_a and c_b times those
         # at the representatives, which are orthogonal with norm k w_j / 4
         for k in range(1, 17):
             for p in (0, 1):
@@ -197,26 +197,61 @@ class TestHalfSum:
                 idx = self._index_set(k, p)
                 sines = [[self._trig("sin", a * l, k, k) for l in idx]
                          for a in range(2 * k)]
-                cls, reps, weights = modular._sine_classes(k, p)
+                reps, weights, _ = modular._bracket_data(k, p, 1)
+                cls = [modular._sine_class(k, p, s) for s in range(2 * k)]
                 for a in range(2 * k):
-                    ja, ca = cls[a]
+                    ra, ca = cls[a]
                     if ca:
-                        assert [x * ca for x in sines[reps[ja]]] == sines[a], (k, p, a)
+                        assert reps[ra - 1] == ra
+                        assert [x * ca for x in sines[ra]] == sines[a], (k, p, a)
                     else:
                         assert not any(sines[a]), (k, p, a)
                     for b in range(a, 2 * k):
                         dot = sum((x * y for x, y in zip(sines[a], sines[b])),
                                   CyclotomicNumber.zero(4 * k))
                         assert dot * 4 == k * (chi(a - b) - chi(a + b)), (k, p, a, b)
-                        jb, cb = cls[b]
-                        same = ca and cb and ja == jb
-                        assert dot * 4 == (k * weights[ja] * ca * cb if same else 0)
+                        rb, cb = cls[b]
+                        same = ca and cb and ra == rb
+                        assert dot * 4 == (k * weights[ra - 1] * ca * cb if same else 0)
         # completeness: as many representatives as points, so the sines at
         # the representatives are a basis on the index set (Parseval)
         for k in range(1, 201):
             for p in (0, 1):
-                reps = modular._sine_classes(k, p)[1]
+                reps = modular._bracket_data(k, p, 1)[0]
                 assert len(reps) == len(self._index_set(k, p)), (k, p)
+
+
+class TestTangentCoordinateMutations:
+    # the tangent coordinates 2 tau(r) corrupted three ways: r + 1 in place
+    # of r in the whole closed form, r + 1 in place of r in k - 2rc only,
+    # and every coordinate negated.  tan-sum reads only their squares'
+    # sum, so it misses the negation; the theorem reads the cross terms
+    # Y_j[0] Y_j[n] too, and lemd every sign, so they catch it.  Pinned:
+    # the failing reports of tan-sum over k = 1..29 (58), of the theorem
+    # over k = 2..29 at order 30 (56), and of lemd at order 30 for each
+    # k = 2..11
+    @pytest.mark.parametrize("name, tan_fails, theorem_fails, lemd_fails", [
+        ("shifted", 26, 54, [2, 2, 6, 8, 8, 12, 14, 14, 18, 20]),
+        ("magnitude", 26, 27, [0, 2, 0, 4, 2, 6, 0, 8, 4, 10]),
+        ("negated", 0, 55, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
+    ], ids=["shifted", "magnitude", "negated"])
+    def test_which_check_catches_it(self, monkeypatch, name, tan_fails,
+                                    theorem_fails, lemd_fails):
+        real = modular._tan_sine_sum
+        mutation = {
+            "shifted": lambda k, p, r: real(k, p, r + 1),
+            "magnitude": lambda k, p, r: (-1) ** (r + 1) * (k - 2 * (r + 1)
+                                                             * ((k - p) % 2 == 0)),
+            "negated": lambda k, p, r: -real(k, p, r),
+        }[name]
+        monkeypatch.setattr(modular, "_tan_sine_sum", mutation)
+        tans = [tan_square_sum(k, d)[1] for k in range(1, 30) for d in (0, 1)]
+        theorems = [verify_theorem(k, d, 30) for k in range(2, 30) for d in (0, 1)]
+        assert (len(tans), len(theorems)) == (58, 56)
+        assert sum(not r.passed for r in tans) == tan_fails
+        assert sum(not r.passed for r in theorems) == theorem_fails
+        assert [sum(not r.passed for r in verify_lemd(k, 30))
+                for k in range(2, 12)] == lemd_fails
 
 
 class TestTheoremRhs:
@@ -488,17 +523,18 @@ class TestSecondDerivatives:
     def test_no_series_inverted_and_no_lead_twice(self, monkeypatch, k):
         # (log theta)'' is slot 1 of the jet's log_dz, so no series is
         # divided, and every jet quotient is one long division over its
-        # slots: the ratio jet, log_dz of it and of the jet at 0 (d2-ratio
-        # and T-ratio share the ratio's), and T_of_log's q-parts; every
-        # lead here is rational (the theta series at 0 and -pi/2 and their
-        # quotients), so each of the four divisors inverts a one-lane
-        # rational lead, once
+        # slots: log_dz of the jet at 0 (d2-origin), log_dz and T_of_log's
+        # q-part of the jet in q^k at 0 (T-scaled), and the same two for
+        # each of the ratio's numerator and denominator jets (d2-ratio and
+        # T-ratio share them): 1 + 2 + 2 + 2; every lead here is rational
+        # (the theta series at 0 and -pi/2), so each of the four divisors
+        # inverts a one-lane rational lead, once
         pairs = _record_series_div(monkeypatch)
         divs = _record_jet_divisions(monkeypatch)
         inverses = _record_inverses(monkeypatch)
         assert all(r.passed for r in verify_second_derivatives(k, 20))
         assert pairs == []
-        assert len(divs) == 6
+        assert len(divs) == 7
         assert len(inverses) == len({id(b.slot(0)) for _, b, _ in divs}) == 4
         assert all(len(v) == 1 for _, v, _ in inverses)
 
@@ -548,15 +584,15 @@ class TestSecondDerivatives:
         return (a2 * 2) / a0 - r1 * r1
 
     def test_log_dz_slot_one_is_the_series_chain(self):
-        # lem22's origin and ratio jets, built as verify_second_derivatives
-        # builds them
+        # lem22's origin jet and the numerator and denominator jets of its
+        # ratio, built as verify_second_derivatives builds them
         order = 40
         for k in range(1, 13):
             nw = order + identities._lem22_margin(k)
             origin = theta2_jet(ThetaPoint(0, 1), 2, nw)
             nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
-            ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1))
-            for jet in (origin, ratio):
+            dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
+            for jet in (origin, nj, dj):
                 got = jet.log_dz().slot(1)
                 assert got.precision >= order
                 assert got == self._log_d2_chain(jet), k
