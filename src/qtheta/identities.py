@@ -167,24 +167,57 @@ def _check_scope():
         _point_checks = outer
 
 
-def _checked_once(key, check, orbit=None):
-    """check(), or what it returned for this key earlier in the open
-    _check_scope.  A check that raises stores nothing, so each report at
-    its point runs it again and fails alone.
+def _orbit_key(kind, l, k, *rest):
+    """The key of the `kind` checks that one pass at (l, k) covers: its
+    Galois orbit (point_orbit) with the check's other arguments.  It keys
+    the shared pass in _checked_once and a meq1 pool task in _share_key."""
+    return (kind, point_orbit(l, k), *rest)
 
-    With an orbit key (verify_meq1's _meq1_orbit, verify_lemd's
-    _lemd_orbit), a pass (a result of None) is stored under the orbit too,
-    and a later key of that orbit reuses it.  A failure is stored under
-    its own key only, so each point of a failing orbit runs its own check
-    and reports its own mismatch."""
+
+def _checked_once(kind, l, k, check, *rest):
+    """check(lr, kr, *rest) at the reduced point (lr, kr) of (l, k), the
+    point in its smallest field (reduced_point): None for a pass, else the
+    failure.  In an open _check_scope it runs once per point key
+    (kind, lr, kr, *rest) and, while it passes, once per orbit key
+    (_orbit_key), which is one entry shorter, so the two never collide.
+
+    A pass is stored under both keys, and a later point of the orbit
+    reuses it.  A failure is stored under its point key only, so each
+    point of a failing orbit runs its own check and reports its own
+    mismatch.  A check that raises stores nothing, so each report at its
+    point runs it again and fails alone.  Outside a scope every check
+    runs.
+
+    One pass proves the orbit.  Let n = point_orbit(l, k), m = 4 kr and
+    chi(a) = (-1)^((a-1)/2) for a unit a mod m; sigma_a: zeta_m ->
+    zeta_m^a fixes q and Q.  The check's own docstring (_meq1_at,
+    _lemd_at) shows that sigma_a turns what it compares at lr into a sign
+    times the same at a lr, and that a shift by pi does so too.
+    1. The reduced points with one n have one kr (reduced_point), and each
+       is reached from another by some sigma_a and at most one shift by
+       pi.  For even n, lr = u is a unit mod 2n = m, and a = u2/u1 mod m.
+       For odd n, lr = 2u with u a unit mod n, and a lr = 2(a u mod 2n)
+       with a u = u (mod 2), as a is odd: sigma_a reaches 2 u2 when
+       u2 = u1 (mod 2), with a = u2/u1 mod n and a = 1 mod 4 (n is odd,
+       so such an a exists mod 4n), and otherwise u2 + n, whose point
+       2 u2 + 2kr is the shift of 2 u2 by pi, has u1's parity.
+    2. sigma_a is one-to-one, so each compared quantity agrees, or is
+       zero, at one point of the orbit exactly when it does at every
+       other (Washington, Introduction to Cyclotomic Fields, GTM 83,
+       ch. 2).
+    3. The mismatch of a failure is the conjugate's, another value, so
+       only a pass is shared.
+    """
+    lr, kr = reduced_point(l, k)
     table = _point_checks
     if table is None:
-        return check()
+        return check(lr, kr, *rest)
+    key, orbit = (kind, lr, kr, *rest), _orbit_key(kind, l, k, *rest)
     if key not in table:
-        if orbit is not None and orbit in table:
+        if orbit in table:
             return table[orbit]
-        table[key] = check()
-        if orbit is not None and table[key] is None:
+        table[key] = check(lr, kr, *rest)
+        if table[key] is None:
             table[orbit] = None
     return table[key]
 
@@ -282,14 +315,21 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
 
     Cross-multiplied: a1 = S * a0 with (a0, a1) from the theta jet and S
     the Lambert-form series; the two routes are fully independent.  Each
-    point is checked in its smallest field (reduced_point), once per
+    point is checked by _lemd_at through _checked_once: once per
     _check_scope (a serial run, or a pool task: every lemd job of one
-    order) at a given order: an l whose reduced point an earlier report of
-    the scope checked reuses its result.  A pass also covers the point's
-    Galois orbit (_lemd_orbit): a point whose orbit passed earlier in the
-    scope reuses that pass.  A failure is not shared, so each conjugate of
-    a failing point runs and reports its own check, and a point whose
-    check raises fails alone.
+    order) at a given order, and a pass once per Galois orbit.  A point
+    whose check raises fails alone.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return [_part("lemd", {"k": k, "l": l}, order,
+                  functools.partial(_checked_once, "lemd", l, k, _lemd_at, order))
+            for l in range(2 * k) if l != k]
+
+
+def _lemd_at(lr: int, kr: int, order):
+    """verify_lemd's check at the reduced point (lr, kr): the first
+    mismatch of a1 = S * a0, or None.
 
     Both routes work at precision P = order + 1/8, the compare order.
     The one divisor of S = a1/a0 is a0, of q-valuation 1/8, so a1 = S * a0
@@ -297,51 +337,25 @@ def verify_lemd(k: int, order) -> list[VerificationReport]:
     P, and S * a0, with S of base 0 and a0 of base 1/8, has precision
     min(P + 1/8, P) = P: both sides hold every term below q^P.
 
-    One pass proves the orbit.  Let n = point_orbit(lr, kr), m = 4 kr,
-    zeta = e^{i pi/2kr}, x = lr pi/2kr and chi(a) = (-1)^((a-1)/2) for
-    a unit a mod m, and write S_lr for log_deriv_lambert(lr, kr).
-    1. sigma_a: zeta -> zeta^a sends jet slot j at lr to chi(a)^j times
-       slot j at a lr (_meq1_at, step 1).  S_lr is
+    A pass covers the orbit (_checked_once has the part of the proof the
+    checks share).  Let zeta = e^{i pi/2kr} and x = lr pi/2kr, and write
+    S_lr for log_deriv_lambert(lr, kr).
+    1. sigma_a sends jet slot j at lr to chi(a)^j times slot j at a lr
+       (_meq1_at, step 1).  S_lr is
        -tan x + 4 sum_d (-1)^d sin(2 d x) q^d/(1 - q^d), and with
        i = zeta^{m/4}, 2 sin(e pi/2kr) = i (zeta^{-e} - zeta^e) goes to
        i^a (zeta^{-a e} - zeta^{a e}) = chi(a) 2 sin(a e pi/2kr), while
        2 cos(e pi/2kr) = zeta^e + zeta^{-e} goes to 2 cos(a e pi/2kr).
        So sigma_a sends every sine, and tan x, to chi(a) times its value
-       at a x, and S_lr to chi(a) S_{a lr}, coefficient by coefficient
-       (Washington, Introduction to Cyclotomic Fields, GTM 83, ch. 2).
+       at a x, and S_lr to chi(a) S_{a lr}, coefficient by coefficient,
+       and a1 - S a0 at lr to chi(a) (a1 - S a0) at a lr.
     2. A shift by pi negates both jet slots (theta2(z + pi) = -theta2(z))
        and leaves S unchanged: tan x and every sin(2 d x) have period pi.
-    3. The reduced points with one n have one kr, and each is reached
-       from another by some sigma_a and at most one shift by pi (_meq1_at,
-       step 3).  sigma_a turns a1 - S a0 at lr into
-       chi(a) (a1 - S a0) at a lr, and the shift into its negative, so,
-       sigma_a being one-to-one, a1 = S a0 holds at one point of an orbit
-       exactly when it holds at every other point.  The mismatch of a
-       failure is the conjugate's, another value, so only a pass is
-       shared.
+       So it negates a1 - S a0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     prec = Fraction(order) + Fraction(1, 8)
-
-    def at(lr, kr):
-        jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, prec)
-        return compare(jet.slot(1), log_deriv_lambert(lr, kr, prec) * jet.slot(0), prec)
-
-    def check(l):
-        point = reduced_point(l, k)
-        return _checked_once(("lemd", *point, order), functools.partial(at, *point),
-                             _lemd_orbit(l, k, order))
-
-    return [_part("lemd", {"k": k, "l": l}, order, functools.partial(check, l))
-            for l in range(2 * k) if l != k]
-
-
-def _lemd_orbit(l: int, k: int, order):
-    """The key of the lemd checks that one pass at (l, k) covers: its
-    Galois orbit (point_orbit) at this order."""
-    return ("lemd orbit", point_orbit(l, k), order)
+    jet = theta2_jet(ThetaPoint(lr, 2 * kr), 1, prec)
+    return compare(jet.slot(1), log_deriv_lambert(lr, kr, prec) * jet.slot(0), prec)
 
 
 def verify_lem2(k: int, delta: int, order, base_den: int = 8) -> VerificationReport:
@@ -397,15 +411,10 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     """(d/dz log theta2)^2 == (-8 q d/dq - d2/dz2) log theta2 as jets.
 
     Also checks the termwise heat cancellation 8 q d/dq f + f'' = 0 at
-    the same base point (q unsubstituted).  The jet is built in the
-    point's smallest field (reduced_point), and each reduced point is
-    checked at most once per _check_scope (a serial run, or a pool task:
-    one orbit) at a given degree and order: a (k, l) whose point an
-    earlier report of the scope checked reuses its mismatch and note.  A
-    pass also covers the point's Galois orbit (_meq1_orbit, the proof is
-    in _meq1_at): a point whose orbit passed earlier in the scope reuses
-    that pass.  A failure is not shared, so each conjugate of a failing
-    point runs and reports its own check.
+    the same base point (q unsubstituted).  The point is checked by
+    _meq1_at through _checked_once: once per _check_scope (a serial run,
+    or a pool task: one orbit) at a given degree and order, and a pass
+    once per Galois orbit.
     """
     pt = ThetaPoint(l, 2 * k)
     if pt.is_theta_zero:
@@ -413,19 +422,9 @@ def verify_meq1(l: int, k: int, jet_degree: int, order) -> VerificationReport:
     if jet_degree < 2:
         raise ValueError("need jet degree >= 2")
     t0 = time.perf_counter()
-    point = reduced_point(l, k)
-    hit = _checked_once(("meq1", *point, jet_degree, order),
-                        functools.partial(_meq1_at, *point, jet_degree, order),
-                        _meq1_orbit(l, k, jet_degree, order))
+    hit = _checked_once("meq1", l, k, _meq1_at, jet_degree, order)
     mm, note = (None, "") if hit is None else hit
     return _finish("meq1", {"k": k, "l": l, "J": jet_degree}, order, t0, mm, note)
-
-
-def _meq1_orbit(l: int, k: int, jet_degree: int, order):
-    """The key of the meq1 checks that one pass at (l, k) covers: its
-    Galois orbit (point_orbit) at this degree and order.  It keys the
-    shared pass in _checked_once and the pool task in _share_key."""
-    return ("meq1 orbit", point_orbit(l, k), jet_degree, order)
 
 
 def _meq1_at(lr: int, kr: int, jet_degree: int, order):
@@ -443,36 +442,22 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
     The heat residue is read slot by slot:
     8 q d/dq f_t + (t+1)(t+2) f_{t+2} = 0 for t <= J-2.
 
-    One pass proves the orbit.  Let n = point_orbit(lr, kr), m = 4 kr and
-    zeta = e^{i pi/2kr}, so that slot j of f at lr is
+    A pass covers the orbit (_checked_once has the part of the proof the
+    checks share).  Let zeta = e^{i pi/2kr}, so that slot j of f at lr is
     sum_s (i(2s+1))^j / j! q^{(2s+1)^2/8} zeta^{lr(2s+1)} (theta2_jet).
-    1. For a unit a mod m, sigma_a: zeta -> zeta^a fixes q and Q, and it
-       sends zeta^{lr(2s+1)} to zeta^{a lr(2s+1)} and i = zeta^{m/4} to
-       i^a = chi(a) i, with chi(a) = (-1)^((a-1)/2) (a is odd).  So it
-       sends slot j at lr to chi(a)^j times slot j at a lr, coefficient
-       by coefficient (Washington, Introduction to Cyclotomic Fields,
-       GTM 83, ch. 2).
+    1. sigma_a sends zeta^{lr(2s+1)} to zeta^{a lr(2s+1)} and
+       i = zeta^{m/4} to i^a = chi(a) i (a is odd).  So it sends slot j
+       at lr to chi(a)^j times slot j at a lr, coefficient by coefficient.
     2. theta2(z + pi) = -theta2(z), as zeta^{2kr(2s+1)} = -1: the jet at
        lr + 2kr is minus the jet at lr.
-    3. The reduced points with one n have one kr (reduced_point), and each
-       is reached from another by some sigma_a and at most one shift by
-       pi.  For even n, lr = u is a unit mod 2n = m, and a = u2/u1 mod m.
-       For odd n, lr = 2u with u a unit mod n, and a lr = 2(a u mod 2n)
-       with a u = u (mod 2), as a is odd: sigma_a reaches 2 u2 when
-       u2 = u1 (mod 2), with a = u2/u1 mod n and a = 1 mod 4 (n is odd,
-       so such an a exists mod 4n), and otherwise u2 + n, whose point
-       2 u2 + 2kr is the shift of 2 u2 by pi, has u1's parity.
-    4. Every quantity compared is built from f by field operations,
+    3. Every quantity compared is built from f by field operations,
        q d/dq and d/dz, each of which commutes with sigma_a.  With
        chi = chi(a) = +-1, slot j times chi^j is the jet of f(chi z), so
        g = f'/f has slot j times chi^(j+1), and g^2, T(log f) and the
        heat residue have slot j times chi^j; -f has the same g, g^2 and
        T(log f) (log(-f) - log f is a constant) and minus the residue.
        So, slot by slot, each side of meq1 and the residue at one point
-       of the orbit is a sign times sigma_a of the same slot at another,
-       and sigma_a is one-to-one: each slot agrees, or is zero, at one
-       point exactly when it is at the other.  The mismatch of a failure
-       is the conjugate's, another value, so only a pass is shared.
+       of the orbit is a sign times sigma_a of the same slot at another.
     """
     J = jet_degree
     f = theta2_jet(ThetaPoint(lr, 2 * kr), J, Fraction(order) + Fraction(1, 8))
@@ -717,18 +702,20 @@ def _share_key(job):
     """The key of the jobs that can share a point check with this one, or
     None for a job that shares none and runs in a pool task of its own.
 
-    A meq1 job's key is _meq1_orbit of its arguments, verify_meq1's own:
-    two jobs at one reduced_point have one orbit, so point reuse falls
-    inside orbit reuse.  A lemd job's key is its order: a lemd job checks
-    every orbit of its k, and every k has the orbit n = 1 (l = 0), so
-    orbit keys cannot split lemd jobs across tasks, and every lemd job of
-    one order is one task.  A job whose key cannot be formed from its
-    params (a lemd k < 1) fails when it runs, in a task of its own.
+    A meq1 job's key is _orbit_key of its arguments, the key under which
+    _checked_once stores its pass: two jobs at one reduced_point have one
+    orbit, so point reuse falls inside orbit reuse.  A lemd job's key is
+    its order: a lemd job checks every orbit of its k, and every k has the
+    orbit n = 1 (l = 0), so orbit keys cannot split lemd jobs across
+    tasks, and every lemd job of one order is one task.  A job whose key
+    cannot be formed from its params (a meq1 or lemd k < 1) fails when it
+    runs, in a task of its own.
     """
     kind, kwargs = job
     try:
-        if kind == "meq1":
-            return _meq1_orbit(**kwargs)
+        if kind == "meq1" and kwargs["k"] >= 1:
+            return _orbit_key("meq1", kwargs["l"], kwargs["k"],
+                              kwargs["jet_degree"], kwargs["order"])
         if kind == "lemd" and kwargs["k"] >= 1:
             return ("lemd", kwargs["order"])
     except (KeyError, TypeError):

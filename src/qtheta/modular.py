@@ -87,7 +87,7 @@ def point_orbit(l: int, k: int) -> int:
     """n = 2k/gcd(l, 2k), the denominator of l pi/2k = u pi/n in lowest
     terms; equal for (l, k) and its reduced_point.  It names the point's
     Galois orbit: the reduced points with one n share one field, and each
-    is a conjugate of another up to a shift by pi (identities._meq1_at
+    is a conjugate of another up to a shift by pi (identities._checked_once
     has the proof)."""
     return 2 * k // math.gcd(l, 2 * k)
 

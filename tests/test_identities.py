@@ -1066,14 +1066,27 @@ class TestPointChecksOncePerRun:
         assert checks.count("meq1") == 14
         assert checks.count("lemd") == 14
 
+    @staticmethod
+    def _break(monkeypatch, kind):
+        """meq1: T_of_log with its z-part's sign flipped, so every meq1
+        point fails.  lemd: the Lambert form times 2, a corruption that
+        commutes with every sigma_a, so every lemd point fails but l = 0,
+        where the form is 0 and 2 * 0 = 0 passes."""
+        if kind == "meq1":
+            real = identities.T_of_log
+            monkeypatch.setattr(identities, "T_of_log",
+                                lambda f: real(f) + f.log_dz().d_dz() * 2)
+        else:
+            real = identities.log_deriv_lambert
+            monkeypatch.setattr(identities, "log_deriv_lambert",
+                                lambda l, k, order: real(l, k, order) * 2)
+
     def test_a_failing_orbit_checks_every_point(self, monkeypatch):
-        # T_of_log with its z-part's sign flipped: every meq1 point fails,
-        # with the report a run of its job alone makes, and no failure is
-        # shared over an orbit, so each of the 26 points runs its check
+        # every meq1 point fails (_break), with the report a run of its job
+        # alone makes, and no failure is shared over an orbit, so each of
+        # the 26 points runs its check
         meq1 = self._of_kind("meq1")
-        real = identities.T_of_log
-        monkeypatch.setattr(identities, "T_of_log",
-                            lambda f: real(f) + f.log_dz().d_dz() * 2)
+        self._break(monkeypatch, "meq1")
         alone = [seen for job in meq1 for seen in self._seen(run_jobs([job]))]
         calls = self._count_calls(monkeypatch, ("T_of_log",))
         reports = run_jobs(meq1)
@@ -1082,15 +1095,11 @@ class TestPointChecksOncePerRun:
         assert calls == {"T_of_log": 26}
 
     def test_a_failing_lemd_orbit_checks_every_point(self, monkeypatch):
-        # the Lambert form times 2, a corruption that commutes with every
-        # sigma_a: each lemd report fails as a run of its job alone makes
-        # it, except at l = 0, where the form is 0 and 2 * 0 = 0 passes, and
-        # no failure is shared over an orbit, so each of the 63 reduced
-        # points runs its check
+        # each lemd report but l = 0 fails (_break) as a run of its job
+        # alone makes it, and no failure is shared over an orbit, so each
+        # of the 63 reduced points runs its check
         lemd = self._of_kind("lemd")
-        real = identities.log_deriv_lambert
-        monkeypatch.setattr(identities, "log_deriv_lambert",
-                            lambda l, k, order: real(l, k, order) * 2)
+        self._break(monkeypatch, "lemd")
         alone = [seen for job in lemd for seen in self._seen(run_jobs([job]))]
         calls = self._count_calls(monkeypatch, ("theta2_jet",))
         reports = run_jobs(lemd)
@@ -1099,13 +1108,22 @@ class TestPointChecksOncePerRun:
         assert self._seen(reports) == alone
         assert calls == {"theta2_jet": 63}
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched checks reach the workers only by fork")
+    @pytest.mark.parametrize("kind", ["meq1", "lemd"])
+    def test_a_failing_orbit_on_a_pool_reports_as_alone(self, monkeypatch, kind):
+        # the two tests above on 2 workers: a failing orbit's reports are
+        # the ones each job run alone makes, as no worker shares a failure
+        jobs = self._of_kind(kind)
+        self._break(monkeypatch, kind)
+        alone = [seen for job in jobs for seen in self._seen(run_jobs([job]))]
+        assert self._seen(run_jobs(jobs, 2)) == alone
+
     def test_nothing_carries_over_between_runs(self, monkeypatch):
-        # T_of_log with its z-part's sign flipped: every meq1 point fails
+        # every meq1 point fails (_break)
         meq1 = self._of_kind("meq1")
         assert all(r.passed for r in run_jobs(meq1))
-        real = identities.T_of_log
-        monkeypatch.setattr(identities, "T_of_log",
-                            lambda f: real(f) + f.log_dz().d_dz() * 2)
+        self._break(monkeypatch, "meq1")
         reports = run_jobs(meq1)
         assert len(reports) == 43 and not any(r.passed for r in reports)
 
@@ -1149,6 +1167,32 @@ class TestShareKey:
             assert modular.point_orbit(0, k) == 1
             assert key(k) == ("lemd", 8)
         assert key(3, 12) == ("lemd", 12) != key(3)
+
+    def test_pool_and_table_share_one_orbit_key(self):
+        # a meq1 job's pool key is the orbit key _checked_once stores its
+        # pass under, so a task holds exactly the jobs one pass covers
+        jobs = enumerate_jobs(1, 30, (0, 1), 12, 4, frozenset({"meq1"}))
+        for job in jobs:
+            kw = job[1]
+            assert identities._share_key(job) == identities._orbit_key(
+                "meq1", kw["l"], kw["k"], 4, 12)
+        with identities._check_scope():
+            reports = [r for job in jobs for r in identities._run_job(job)]
+            table = dict(identities._point_checks)
+        assert all(r.passed for r in reports)
+        # a point key (kind, lr, kr, J, order) is one entry longer
+        orbits = {key for key in table if len(key) == 4}
+        assert orbits == {identities._share_key(job) for job in jobs}
+
+    def test_a_meq1_job_at_k_0_fails_alone(self):
+        # point_orbit(0, 0) divides by zero: the job gets no key, and on a
+        # pool it fails as a report, as it does serially
+        bad = ("meq1", {"k": 0, "l": 0, "jet_degree": 4, "order": 8})
+        assert identities._share_key(bad) is None
+        good = ("tan-sum", {"k": 3, "delta": 1})
+        for parallelism in (1, 2):
+            reports = run_jobs([bad, good], parallelism)
+            assert [r.passed for r in reports] == [False, True]
 
     def test_meq1_jobs_at_one_point_have_one_key(self):
         keys: dict = {}

@@ -688,7 +688,7 @@ def _lambert_conjugate_mismatch(lambert, k_max: int = 8, order: int = 12):
 
 class TestGaloisOrbit:
     """meq1 and lemd share one pass over a Galois orbit
-    (identities._meq1_at, identities.verify_lemd): their premises, on the
+    (identities._checked_once, _meq1_at, _lemd_at): their premises, on the
     jets and Lambert forms they build and on the orbit key."""
 
     def test_conjugate_jet_slots(self):

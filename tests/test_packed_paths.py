@@ -165,7 +165,7 @@ def test_big_conductor_product_roots():
         assert sq.coefficient(t) == acc
 
 
-def test_kernel_env_selection():
+def test_child_interpreter_imports_this_qtheta():
     # The child must import the qtheta under test, not whatever copy its
     # own sys.path would find: the directory holding this package goes
     # ahead of any inherited PYTHONPATH entries.
