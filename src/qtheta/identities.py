@@ -431,43 +431,47 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
     """verify_meq1's check at the reduced point (lr, kr): None for a pass,
     else (mismatch, note).
 
-    The jet works at precision P = order + 1/8, the least the compare
-    needs.  Its slots have base 1/8 and precision P, and the only divisor
-    is slot 0, of q-valuation 1/8: the quotients g = f'/f and h_0 =
-    (q d/dq f_0)/f_0 have precision P - 1/8, and h_t for t >= 1, which is
-    q d/dq g_{t-1} / t (T_of_log), inherits g_{t-1}'s precision P - 1/8.
-    So every slot of T_of_log(f) and of the square of g has precision
-    P - 1/8, and both sides hold every term below q^order.
+    meq1 is compared in its Riccati form g^2 = R, R = -8 L - d/dz g, with
+    g = d/dz log theta2 and L = q d/dq log theta2, slot by slot to degree
+    J-2: both sides from the Lambert form of the triple product
+    (log_deriv_lambert), with no series or jet divided, at the point lr
+    mod 2kr, where g and L are the ones at lr (step 3).  Both have
+    precision `order`, so every term below q^order is compared.
 
-    The heat residue is read slot by slot:
+    The heat residue is read on the sum form, the theta jet f at
+    precision order + 1/8, slot by slot:
     8 q d/dq f_t + (t+1)(t+2) f_{t+2} = 0 for t <= J-2.
 
     A pass covers the orbit (_checked_once has the part of the proof the
-    checks share).  Let zeta = e^{i pi/2kr}, so that slot j of f at lr is
+    checks share).  Let zeta = e^{i pi/2kr} and x = lr pi/2kr, so that
+    slot j of f at lr is
     sum_s (i(2s+1))^j / j! q^{(2s+1)^2/8} zeta^{lr(2s+1)} (theta2_jet).
     1. sigma_a sends zeta^{lr(2s+1)} to zeta^{a lr(2s+1)} and
        i = zeta^{m/4} to i^a = chi(a) i (a is odd).  So it sends slot j
-       at lr to chi(a)^j times slot j at a lr, coefficient by coefficient.
-    2. theta2(z + pi) = -theta2(z), as zeta^{2kr(2s+1)} = -1: the jet at
-       lr + 2kr is minus the jet at lr.
-    3. Every quantity compared is built from f by field operations,
-       q d/dq and d/dz, each of which commutes with sigma_a.  With
-       chi = chi(a) = +-1, slot j times chi^j is the jet of f(chi z), so
-       g = f'/f has slot j times chi^(j+1), and g^2, T(log f) and the
-       heat residue have slot j times chi^j; -f has the same g, g^2 and
-       T(log f) (log(-f) - log f is a constant) and minus the residue.
-       So, slot by slot, each side of meq1 and the residue at one point
-       of the orbit is a sign times sigma_a of the same slot at another.
+       of f at lr to chi(a)^j times slot j at a lr, coefficient by
+       coefficient, and the residue's slot t to chi(a)^t times its value
+       at a lr, as q d/dq commutes with sigma_a.
+    2. As in _lemd_at, sigma_a sends every sine of a multiple of x, and
+       tan x, to chi(a) times its value at a x, and every cosine to its
+       value at a x.  Slot t of g is a sum of sines for even t and of
+       cosines for odd t at q^M >= 1, and -P_t(tan x)/t!, of parity t+1
+       in tan x, at q^0; slot t of L is one of cosines for even t and of
+       sines for odd t.  So g_t goes to chi(a)^(t+1) times g_t at a x, and
+       L_t, R_t and slot t of g^2 to chi(a)^t times their values there.
+    3. theta2(z + pi) = -theta2(z), as zeta^{2kr(2s+1)} = -1: the jet at
+       lr + 2kr is minus the jet at lr, with minus its residue, and the
+       same g and L (log(-f) - log f is a constant; tan x and every
+       sin(2dx) and cos(2dx) have period pi).
+    So, slot by slot, each side of meq1 and the residue at one point of
+    the orbit is a sign times sigma_a of the same slot at another.
     """
     J = jet_degree
-    f = theta2_jet(ThetaPoint(lr, 2 * kr), J, Fraction(order) + Fraction(1, 8))
-    rhs = T_of_log(f)  # degree J-2; caches f'/f, of degree J-1
-    ratio = f.log_dz().truncate(rhs.degree)
-    lhs = ratio * ratio
-    hit = compare_jets(lhs, rhs, order)
+    g, rhs = log_deriv_lambert(lr % (2 * kr), kr, order, J - 2)
+    hit = compare_jets(g * g, rhs, order)
     if hit is not None:
         slot, mm = hit
         return mm, f"slot {slot}"
+    f = theta2_jet(ThetaPoint(lr, 2 * kr), J, Fraction(order) + Fraction(1, 8))
     for t in range(J - 1):
         if not (f.slot(t).q_ddq() * 8 + f.slot(t + 2) * ((t + 1) * (t + 2))).is_zero:
             return Mismatch(Fraction(0), "nonzero", 0), "heat-equation residue"

@@ -2,11 +2,11 @@
 
 A ZJet holds f(z0 + z) = sum_{j<=J} a_j z^j + O(z^{J+1}) at a fixed base
 point, with each a_j a QExpansion.  Logarithms are never materialized:
-everything stated through log f is computed from g = f'/f and
-h = (q d/dq f)/f, and analytic limits z -> 0 become shift_zero plus slot
-extraction.  Only g and slot 0 of h take a division by f: q d/dq and
-d/dz commute, so d/dz h = q d/dq g, and slot t >= 1 of h is
-q d/dq g_{t-1} / t (the proof is in T_of_log).
+everything stated through log f is computed from g = f'/f and slot 0 of
+h = (q d/dq f)/f (T_of_log), and analytic limits z -> 0 become
+shift_zero plus slot extraction.  meq1's log jet of the theta series
+takes no division: modular.log_deriv_lambert gives every slot of its g
+and of -8 q d/dq log f - d/dz g from the product form.
 Each slot of a product and a square is one q-series sum of products
 (series._series_mul), reduced once per coefficient rather than once per
 term.  A quotient is one long division over all its slots
@@ -164,36 +164,18 @@ class ZJet:
 
 
 def T_of_log(f: ZJet) -> ZJet:
-    """Heat-type operator -8 q d/dq - d^2/dz^2 applied to log f, to degree
-    J-2 for f of degree J >= 2 (f a unit jet).
+    """Slot 0 of the heat-type operator -8 q d/dq - d^2/dz^2 applied to
+    log f, as a jet of degree 0, for f of degree J >= 2 (f a unit jet).
 
-    Computed without any logarithm as -8 h - d/dz g, with g = f'/f
-    (f.log_dz, one division of J slots) and h = (q d/dq f)/f, so slot t
-    is -8 h_t - (t+1) g_{t+1}.  Only h_0 is divided, a one-slot division
-    by f itself, which reads the lead inverse that f'/f cached; slot
-    t >= 1 of h is q d/dq g_{t-1} / t, because d/dz h = q d/dq g:
-
-        h f = q d/dq f and g f = d/dz f.  Apply d/dz to the first and
-        q d/dq to the second: both left sides become d/dz q d/dq f, since
-        q d/dq and d/dz commute on the jet's double series, so
-        (d/dz h) f + h f' = (q d/dq g) f + g (q d/dq f).  The second
-        terms are equal (h f' = h g f = g h f), so f d/dz h = f q d/dq g,
-        and f is a unit.
-
-    q d/dq keeps a series' precision, so h_t has g_{t-1}'s.  No heat
-    equation is used, so meq1 is not true by construction: for t >= 1
-    the slots of (f'/f)^2 = T(log f) are the z-derivative of the slot-0
-    identity, which holds only where the heat equation holds.
+    Computed without any logarithm as -8 h_0 - g_1, with g = f'/f
+    (f.log_dz, one division of J slots) and h_0 = (q d/dq f_0)/f_0, a
+    one-slot division by f itself, which reads the lead inverse that f'/f
+    cached.
     """
     if f.degree < 2:
         raise ValueError("T_of_log needs jet degree >= 2")
-    g = f.log_dz()
-    h0 = f.truncate(0).q_ddq().div(f).slot(0)
-    out = []
-    for t in range(f.degree - 1):
-        qpart = h0 * -8 if t == 0 else g.slot(t - 1).q_ddq() * Fraction(-8, t)
-        out.append(qpart - g.slot(t + 1) * (t + 1))
-    return ZJet(out)
+    g1 = f.log_dz().slot(1)
+    return ZJet([f.truncate(0).q_ddq().div(f).slot(0) * -8 - g1])
 
 
 def compare_jets(f: ZJet, g: ZJet, order):

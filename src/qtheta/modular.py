@@ -492,47 +492,121 @@ def _bracket_data(k: int, p: int, room: int):
     return reps, weights, ys
 
 
-def log_deriv_lambert(l: int, k: int, order) -> QExpansion:
-    """d/dz log theta2 at x_l = l*pi/(2k) in Lambert form, over the real
-    subfield of Q(zeta_4k).
+def _cosine_class(e: int, k: int) -> tuple[int, int]:
+    """(r, s) with c_e = s c_r over Q(zeta_4k), 0 <= r < k and s = +-1,
+    or (0, 0) where c_e = 0.  c_e = zeta^e + zeta^-e depends on e mod 4k
+    and is even in e; zeta^{2k} = -1 gives c_{e+2k} = -c_e, so
+    c_e = c_{-e} = -c_{2k-e} for k < e < 2k; and c_k = i + i^-1 = 0."""
+    e, s = e % (4 * k), 1
+    if e >= 2 * k:
+        e, s = e - 2 * k, -1
+    if e > k:
+        e, s = 2 * k - e, -s
+    return (0, 0) if e == k else (e, s)
 
-    The series is -tan x_l + 4 sum_{d>=1} (-1)^d sin(d l pi/k) q^d/(1 - q^d),
-    built on the sine basis of _bracket_data (the tangent's coordinates
-    in closed form, the classes by _sine_class's rule, no table over
-    s mod 2k): the coefficient of q^M is
-    sum_j (2/w_j) Y_j[M] (2 sin(r_j l pi/k)) over the denominator 2k, with
-    2 sin(2 pi a/4k) = i (zeta^{-a} - zeta^a) = zeta^{k-a} - zeta^{k+a},
-    i = zeta^k, zeta = zeta_4k.  As zeta^{2k} = -1, that is the cosine
-    c_{k-a} = zeta^{k-a} + zeta^{a-k}: one cosine map _Ctx.cosines per
-    class, a theta-vector of K+, and each coordinate of that vector summed
-    as one series over the j.
-    The jet ratio a1/a0 of theta2_jet is the independent route to the
-    same series (the lemd verifier).
 
-    _bracket_data proves the expansion for 0 < l < k.  It also holds for
-    k < l < 2k: l -> 2k - l keeps the parity of l, so the classes and the
-    series Y_j are the same at both points, and both sides are odd under
-    it, since tan(pi - x_l) = -tan x_l and
-    sin(r (2k - l) pi/k) = -sin(r l pi/k).  At l = 0 both sides are 0:
-    tan 0 = 0 and every sin(r 0 pi/k) = 0.
+def log_deriv_lambert(l: int, k: int, order, degree=None):
+    """g = d/dz log theta2 at x = l pi/2k in Lambert form, over the real
+    subfield of Q(zeta_4k): the series S = g_0 (degree None), or the pair
+    (g, R) of jets to z^degree, R = -8 L - d/dz g with L = q d/dq log theta2.
+    No series or jet is divided.
+
+    The forms.  Jacobi's triple product (Whittaker and Watson, A Course of
+    Modern Analysis, ch. 21), in this code's nome, is
+    theta2(z) = 2 q^{1/8} cos z prod_{n>=1} (1 - q^n)(1 + 2 cos(2z) q^n + q^{2n}),
+    and log(1 + 2 cos(2z) q^n + q^{2n}) = sum_d (-1)^{d+1} (2/d) cos(2dz) q^{nd}.
+    Summed over n and differentiated,
+
+        g = -tan z + 4 sum_{d>=1} (-1)^d sin(2dz) q^d/(1 - q^d),
+        L = 1/8 - sum_M sigma(M) q^M - 2 sum_M q^M sum_{d|M} (-1)^d (M/d) cos(2dz).
+
+    Slot t is (1/t!) d^t/dz^t at x.  With zeta = zeta_4k, c_e = zeta^e +
+    zeta^-e and a = 2dl, 2 sin(2dx + t pi/2) = c_{k(1-t)-a} and
+    2 cos(2dx + t pi/2) = c_{a+tk}, so for M >= 1
+
+        g_t[M] = sum_{d|M} 2 (-1)^d (2d)^t/t! c_{k(1-t)-a},
+        R_t[M] = [t=0] 8 sigma(M) + sum_{d|M} (-1)^d (2d)^t/t! (8M/d - 4d) c_{a+tk},
+
+    as -8 L_t and -(t+1) g_{t+1} share the cosine c_{a+tk}, and
+    8 sigma(M) = sum_{d|M} 4d c_0.  With P_0 = T and P_{j+1} = P_j' (1 + T^2),
+    d^j/dz^j tan z = P_j(tan z), so g_t[0] = -P_t(tan x)/t! and
+    R_t[0] = -[t=0] + P_{t+1}(tan x)/t!.
+
+    The build.  Slot t of g is held over t! (2k)^(t+1) and slot t of R over
+    t! (2k)^(t+2).  2k tan x is the theta-vector
+    -sum_j (2/w_j) Y_j[0] c_{k-2 r_j l}, from _bracket_data's tangent
+    coordinates in closed form (at room 1, with no sieve): there
+    -tan x = sum_j (2/(k w_j)) Y_j[0] sin(r_j l pi/k), and
+    2 sin(r l pi/k) = c_{k-2rl}.  Each slot is one integer sieve grouped by
+    cosine class (_cosine_class): every 0 < d < room adds its weight to
+    its class's series at every multiple of d, and each class then takes
+    one cosine map _Ctx.cosines and one K.scaled_add per coordinate.
+
+    _bracket_data proves the tangent's expansion for 0 < l < k.  It also
+    holds for k < l < 2k: l -> 2k - l keeps the parity of l, so the
+    coordinates are the same at both points, and both sides are odd
+    under it, since tan(pi - x) = -tan x and sin(r (2k - l) pi/k) =
+    -sin(r l pi/k).  At l = 0 both sides are 0.  The jet ratio a1/a0 of
+    theta2_jet is the independent route to S (the lemd verifier).
     """
     if k < 1 or not 0 <= l < 2 * k or l == k:
         raise ValueError("need 0 <= l < 2k with l != k")
-    room = math.ceil(Fraction(order))
-    if room <= 0:
-        return QExpansion.zero(order)
-    ctx = _ctx(4 * k, True)
-    reps, weights, ys = _bracket_data(k, l % 2, room)
-    cols = [[0] * room for _ in range(ctx.D)]
-    for r, w, y in zip(reps, weights, ys):
-        a = 2 * r * l
-        c = 2 // w
-        sine = ctx.cosines([(k - a, c)])
-        for col, x in zip(cols, sine):
-            if x:
-                K.scaled_add(col, y, x)
-    vecs = [list(v) if any(v) else None for v in zip(*cols)]
-    return QExpansion._from_vectors(ctx, 0, vecs, 2 * k, order)
+    J = 0 if degree is None else degree
+    # below order 1 only q^0 is formed, and _from_vectors truncates it away
+    room = max(math.ceil(Fraction(order)), 1)
+    ctx, n = _ctx(4 * k, True), 2 * k
+    reps, weights, ys = _bracket_data(k, l % 2, 1)
+    tan = ctx.cosines([(k - 2 * r * l, -(2 // w) * y[0])
+                       for r, w, y in zip(reps, weights, ys)])
+    powers, polys = [[1] + [0] * (ctx.D - 1)], [[0, 1]]
+    for _ in range(J + 2):
+        powers.append(ctx.mul_vec(powers[-1], tan))
+        dp = [i * c for i, c in enumerate(polys[-1])][1:]
+        polys.append(dp + [0, 0])
+        for i, c in enumerate(dp):
+            polys[-1][i + 2] += c
+
+    def slot(t: int, riccati: int) -> QExpansion:
+        e = t + 1 + riccati
+        den = math.factorial(t) * n ** e
+        q0 = [0] * ctx.D
+        for i, c in enumerate(polys[t + riccati]):
+            K.scaled_add(q0, powers[i], c * n ** (e - i))
+        if not riccati:
+            q0 = [-x for x in q0]
+        elif t == 0:
+            q0[0] -= den
+        classes: dict = {}
+        for d in range(1, room):
+            a = 2 * d * l
+            r, s = _cosine_class(a + t * k if riccati else k * (1 - t) - a, k)
+            if s:
+                y = classes.setdefault(r, [0] * room)
+                w = s * (-1) ** d * (2 * d) ** t
+                if riccati:  # (8 M/d - 4d) w at M = j d
+                    for j, mult in enumerate(range(d, room, d), 1):
+                        y[mult] += (8 * j - 4 * d) * w
+                else:
+                    for mult in range(d, room, d):
+                        y[mult] += 2 * w
+        if riccati and t == 0:  # 8 sigma(M) = sum_{d|M} 4d c_0
+            y = classes.setdefault(0, [0] * room)
+            for d in range(1, room):
+                for mult in range(d, room, d):
+                    y[mult] += 4 * d
+        cols = [[0] * room for _ in range(ctx.D)]
+        for r, y in classes.items():
+            for col, x in zip(cols, ctx.cosines([(r, n ** e)])):
+                if x:
+                    K.scaled_add(col, y, x)
+        vecs = [list(v) if any(v) else None for v in zip(*cols)]
+        vecs[0] = q0 if any(q0) else None
+        return QExpansion._from_vectors(ctx, 0, vecs, den, order)
+
+    if degree is None:
+        return slot(0, 0)
+    return (ZJet([slot(t, 0) for t in range(J + 1)]),
+            ZJet([slot(t, 1) for t in range(J + 1)]))
 
 
 def halfprod_constant(k: int, delta: int) -> int:

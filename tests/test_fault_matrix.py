@@ -1,0 +1,110 @@
+"""Which identities catch a fault in which layer: one deterministic fault
+per layer, each monkeypatched into one function, and the failing reports
+of one small sweep per identity, pinned as one table.
+
+A row of zeros is a layer fault that no identity catches.  A change that
+moves a fault's catchers changes its row here.
+"""
+
+from collections import Counter
+
+import pytest
+
+from qtheta import identities, jets, modular, series
+from qtheta.identities import enumerate_jobs, run_jobs
+from qtheta.jets import ZJet
+
+IDENTITIES = ("theorem", "lemd", "lem2", "meq1", "lem22", "bridges", "tan-sum", "k3")
+
+
+def _patch(monkeypatch, modules, name, fault):
+    """fault(real) in place of the attribute `name` of every module, each
+    of which binds the same function."""
+    real = getattr(modules[0], name)
+    for module in modules:
+        monkeypatch.setattr(module, name, fault(real))
+
+
+def _long_div(monkeypatch):
+    # the last quotient slot c_{n-1} of every division, plus 1
+    def fault(real):
+        def divided(a, b):
+            q = real(a, b)
+            return q[:-1] + [q[-1] + 1]
+        return divided
+    _patch(monkeypatch, (series, jets), "_long_div", fault)
+
+
+def _t_of_log(monkeypatch):
+    # +8 h in place of -8 h: -T - 2 d/dz g is 8 h - d/dz g, slot by slot
+    def fault(real):
+        def flipped(f):
+            t = real(f)
+            return -t - f.log_dz().d_dz().truncate(t.degree) * 2
+        return flipped
+    _patch(monkeypatch, (jets, identities), "T_of_log", fault)
+
+
+def _theta2_jet(monkeypatch):
+    # every odd slot negated
+    def fault(real):
+        def negated(pt, degree, order):
+            f = real(pt, degree, order)
+            return ZJet([-c if j % 2 else c for j, c in enumerate(f.coeffs)])
+        return negated
+    _patch(monkeypatch, (modular, identities), "theta2_jet", fault)
+
+
+def _bracket_data(monkeypatch):
+    # the sieve's sign (-1)^d taken as (-1)^(d+1): every Y_j past q^0 negated
+    def fault(real):
+        def flipped(k, p, room):
+            reps, weights, ys = real(k, p, room)
+            return reps, weights, [y[:1] + [-x for x in y[1:]] for y in ys]
+        return flipped
+    _patch(monkeypatch, (modular, identities), "_bracket_data", fault)
+
+
+def _lambert_exponent(monkeypatch):
+    # the Lambert form's sieve reads the cosine class of e + k for c_e
+    def fault(real):
+        return lambda e, k: real(e + k, k)
+    _patch(monkeypatch, (modular,), "_cosine_class", fault)
+
+
+# per fault, the failing reports of each identity, in IDENTITIES order,
+# of the sweep enumerate_jobs(2, 8, (0, 1), 30, 4, every identity): 169
+# reports, of them 14 theorem, 63 lemd, 14 lem2, 33 meq1, 28 lem22,
+# 2 bridges, 14 tan-sum and 1 k3
+MATRIX = {
+    "series._long_div": (0, 0, 0, 0, 14, 0, 0, 0),
+    "jets.T_of_log": (0, 0, 0, 0, 14, 0, 0, 0),
+    "modular.theta2_jet": (0, 56, 0, 0, 0, 1, 0, 0),
+    "modular._bracket_data": (13, 0, 0, 0, 0, 0, 0, 0),
+    "modular._cosine_class": (0, 63, 0, 33, 0, 0, 0, 0),
+}
+FAULTS = {
+    "series._long_div": _long_div,
+    "jets.T_of_log": _t_of_log,
+    "modular.theta2_jet": _theta2_jet,
+    "modular._bracket_data": _bracket_data,
+    "modular._cosine_class": _lambert_exponent,
+}
+
+
+def _failures() -> tuple:
+    reports = run_jobs(enumerate_jobs(2, 8, (0, 1), 30, 4, frozenset({"all"})))
+    assert len(reports) == 169
+    failed = Counter("bridges" if r.identity.startswith("bridge-") else r.identity
+                     for r in reports if not r.passed)
+    return tuple(failed[name] for name in IDENTITIES)
+
+
+def test_sweep_passes_without_a_fault():
+    assert _failures() == (0,) * len(IDENTITIES)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_matrix_row(monkeypatch, fault):
+    FAULTS[fault](monkeypatch)
+    assert _failures() == MATRIX[fault]

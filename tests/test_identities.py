@@ -411,44 +411,41 @@ class TestVerifyMeq1:
             verify_meq1(3, 3, 4, 20)
 
     @pytest.mark.parametrize("J", [2, 4, 5])
-    def test_two_jet_divisions_by_f(self, monkeypatch, J):
-        # f'/f to degree J-1 and slot 0 of (q d/dq f)/f, whose other slots
-        # follow from f'/f: two jet divisions by f, each one long division
-        # over all its slots, with no series division per slot and no
-        # series inverted on its own; the lead of f (an irrational at
-        # pi/10) is inverted once, in f's own field, and the second
-        # division reads the inverse cached on f's constant slot
+    def test_no_division(self, monkeypatch, J):
+        # both sides of meq1 come from the product form's divisor sieves
+        # (log_deriv_lambert) and the heat residue from the theta jet, so
+        # no jet or series is divided and no lead is inverted, at an
+        # irrational point (pi/10) too
         divs = _record_jet_divisions(monkeypatch)
         pairs = _record_series_div(monkeypatch)
         inverses = _record_inverses(monkeypatch)
         assert verify_meq1(1, 5, J, 16).passed
-        assert len(divs) == 2
-        assert sorted(q.degree + 1 for _, _, q in divs) == [1, J]
-        f = divs[0][1]
-        assert divs[1][1] is f
-        assert _no_numerator_one([(a.slot(0), b) for a, b, _ in divs])
-        assert pairs == []
-        f0 = f.slot(0)
-        assert len(inverses) == 1
-        ctx, lead, (L, n) = inverses[0]
-        assert ctx is f0._ctx and lead is f0._vecs[0] and any(lead[1:])
-        assert f0._lead_inv is L
-        # lead L = n: c L = n / den, a positive rational, for c = lead/den
-        assert ctx.mul_vec(lead, L) == [n] + [0] * (ctx.D - 1) and n > 0
+        assert divs == [] and pairs == [] and inverses == []
+
+    @staticmethod
+    def _patch_builder(monkeypatch, change):
+        """log_deriv_lambert with its (g, R) pair passed through change,
+        its series S (lemd's) as it is."""
+        real = identities.log_deriv_lambert
+
+        def patched(l, k, order, degree=None):
+            if degree is None:
+                return real(l, k, order)
+            return change(real, l, k, order, degree)
+
+        monkeypatch.setattr(identities, "log_deriv_lambert", patched)
 
     @pytest.mark.parametrize("J,slot", [(4, 2), (5, 3), (4, 0)])
     def test_fault_in_one_slot_fails(self, monkeypatch, J, slot):
         # a monomial added to one slot of the right side must fail the
         # report at that slot; slot J-2 is the last one the identity fixes
-        real = identities.T_of_log
-
-        def faulty(f):
-            t = real(f)
-            cs = list(t.coeffs)
+        def faulty(real, l, k, order, degree):
+            g, rhs = real(l, k, order, degree)
+            cs = list(rhs.coeffs)
             cs[slot] = cs[slot] + QExpansion.monomial(1, 3, cs[slot].precision)
-            return ZJet(cs)
+            return g, ZJet(cs)
 
-        monkeypatch.setattr(identities, "T_of_log", faulty)
+        self._patch_builder(monkeypatch, faulty)
         r = verify_meq1(1, 3, J, 12)
         assert not r.passed
         assert r.note == f"slot {slot}"
@@ -456,39 +453,57 @@ class TestVerifyMeq1:
 
     @pytest.mark.parametrize("J", [2, 4])
     def test_flipped_z_part_fails_with_zero_heat_residue(self, monkeypatch, J):
-        # T_of_log with +d/dz(f'/f) in place of -d/dz(f'/f): meq1 fails at
-        # a compared slot, while the jet's heat residue still reads zero
-        real = identities.T_of_log
+        # the right side with +d/dz g in place of -d/dz g: meq1 fails at a
+        # compared slot, while the jet's heat residue still reads zero
+        def flipped(real, l, k, order, degree):
+            g, rhs = real(l, k, order, degree + 1)
+            return g.truncate(degree), (rhs + g.d_dz() * 2).truncate(degree)
 
-        def flipped(f):
-            return real(f) + f.log_dz().d_dz().truncate(J - 2) * 2
-
-        monkeypatch.setattr(identities, "T_of_log", flipped)
+        self._patch_builder(monkeypatch, flipped)
         r = verify_meq1(1, 5, J, 16)
         assert not r.passed
         assert r.note.startswith("slot ")
         f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
         assert (f.q_ddq() * 8 + f.d_dz().d_dz()).is_zero()
 
-    @pytest.mark.parametrize("J", [3, 4, 5])
-    def test_derived_q_slot_scaled_by_wrong_index_fails(self, monkeypatch, J):
-        # slot t >= 1 of (q d/dq f)/f is q d/dq (f'/f)_{t-1} / t; taking
-        # 1/(t+1) instead fails at slot 1 (1/t itself is 1 there, so
-        # dropping it would go unseen at t = 1)
-        real = identities.T_of_log
+    @pytest.mark.parametrize("l, k", [(-1, 3), (-4, 3), (7, 3), (13, 3)])
+    def test_point_outside_one_period(self, monkeypatch, l, k):
+        # reduced_point keeps l outside 0 <= l < 2k here, and the Lambert
+        # form is taken at l mod 2k, where g and L are the same: the report
+        # is the one at l mod 2k, passing, and failing alike under a fault
+        # in the right side
+        def report(l):
+            r = verify_meq1(l, k, 4, 12)
+            return r.status, r.first_mismatch, r.note
 
-        def off_by_one(f):
-            g = f.log_dz()
-            cs = list(real(f).coeffs)
-            for t in range(1, len(cs)):
-                qd = g.slot(t - 1).q_ddq()
-                cs[t] = cs[t] + qd * Fraction(8, t) - qd * Fraction(8, t + 1)
-            return ZJet(cs)
+        assert modular.reduced_point(l, k) == (l, k)
+        assert report(l) == report(l % (2 * k)) == ("pass", None, "")
+        def negated(real, l, k, order, degree):
+            g, rhs = real(l, k, order, degree)
+            return g, -rhs
 
-        monkeypatch.setattr(identities, "T_of_log", off_by_one)
-        r = verify_meq1(1, 5, J, 16)
-        assert not r.passed
-        assert r.note == "slot 1"
+        self._patch_builder(monkeypatch, negated)
+        assert report(l) == report(l % (2 * k))
+        assert report(l)[0] == "fail"
+
+    @pytest.mark.parametrize("J", [4, 6])
+    def test_lambert_jets_equal_the_divided_ones(self, J):
+        # the old route as an oracle, at every reduced point of k <= 12:
+        # slot t of g is slot t of f'/f, and slot t of R is
+        # -8 h_t - (t+1) g_{t+1} with h = (q d/dq f)/f, both by jet division
+        order = 30
+        points = {(lr % (2 * kr), kr) for k in range(1, 13) for l in range(2 * k)
+                  if l != k for lr, kr in [modular.reduced_point(l, k)]}
+        assert len(points) == 91
+        for l, k in sorted(points):
+            f = theta2_jet(ThetaPoint(l, 2 * k), J, Fraction(order) + Fraction(1, 8))
+            g, rhs = log_deriv_lambert(l, k, order, J - 2)
+            ratio, h = f.log_dz(), f.q_ddq().div(f)
+            assert g.degree == rhs.degree == J - 2
+            for t in range(J - 1):
+                assert g.slot(t) == ratio.slot(t), (l, k, t)
+                want = h.slot(t) * -8 - ratio.slot(t + 1) * (t + 1)
+                assert rhs.slot(t) == want, (l, k, t)
 
     @pytest.mark.parametrize("J,slot", [(2, 0), (2, 2), (4, 0), (4, 1),
                                         (4, 2), (4, 3), (4, 4)])
@@ -1001,21 +1016,21 @@ class TestPointChecksOncePerRun:
         # meq1: 43 jobs over 26 reduced points in 14 Galois orbits, one
         # passing check per orbit; lemd: 99 reports over 63 reduced points
         # in 14 orbits, one passing check per orbit too
-        calls = self._count_calls(monkeypatch, ("T_of_log", "theta2_jet"))
+        calls = self._count_calls(monkeypatch, ("log_deriv_lambert", "theta2_jet"))
         meq1, lemd = self._of_kind("meq1"), self._of_kind("lemd")
         assert len(meq1) == 43 and len(lemd) == 9
         assert len({modular.reduced_point(kw["l"], kw["k"]) for _, kw in meq1}) == 26
         assert len({modular.point_orbit(kw["l"], kw["k"]) for _, kw in meq1}) == 14
         assert all(r.passed for r in run_jobs(meq1))
-        assert calls == {"T_of_log": 14, "theta2_jet": 14}
-        calls.update(T_of_log=0, theta2_jet=0)
+        assert calls == {"log_deriv_lambert": 14, "theta2_jet": 14}
+        calls.update(log_deriv_lambert=0, theta2_jet=0)
         reports = run_jobs(lemd)
         assert len(reports) == 99 and all(r.passed for r in reports)
         assert len({modular.reduced_point(r.params["l"], r.params["k"])
                     for r in reports}) == 63
         assert len({modular.point_orbit(r.params["l"], r.params["k"])
                     for r in reports}) == 14
-        assert calls == {"T_of_log": 0, "theta2_jet": 14}
+        assert calls == {"log_deriv_lambert": 14, "theta2_jet": 14}
 
     def test_a_task_shares_checks_without_a_table_set(self, monkeypatch):
         # a spawn or forkserver worker starts with no table: the task opens
@@ -1068,16 +1083,22 @@ class TestPointChecksOncePerRun:
 
     @staticmethod
     def _break(monkeypatch, kind):
-        """meq1: T_of_log with its z-part's sign flipped, so every meq1
-        point fails.  lemd: the Lambert form times 2, a corruption that
-        commutes with every sigma_a, so every lemd point fails but l = 0,
-        where the form is 0 and 2 * 0 = 0 passes."""
+        """meq1: the Lambert form's right side R negated, so meq1 compares
+        g^2 with -R, and every meq1 point fails (at J = 4 slot 2 of g^2
+        holds g_1^2, whose q^0 term is sec^4 x, never 0).  lemd: the
+        Lambert form times 2, a corruption that commutes with every
+        sigma_a, so every lemd point fails but l = 0, where the form is 0
+        and 2 * 0 = 0 passes."""
+        real = identities.log_deriv_lambert
         if kind == "meq1":
-            real = identities.T_of_log
-            monkeypatch.setattr(identities, "T_of_log",
-                                lambda f: real(f) + f.log_dz().d_dz() * 2)
+            def negated(l, k, order, degree=None):
+                if degree is None:
+                    return real(l, k, order)
+                g, rhs = real(l, k, order, degree)
+                return g, -rhs
+
+            monkeypatch.setattr(identities, "log_deriv_lambert", negated)
         else:
-            real = identities.log_deriv_lambert
             monkeypatch.setattr(identities, "log_deriv_lambert",
                                 lambda l, k, order: real(l, k, order) * 2)
 
@@ -1088,11 +1109,11 @@ class TestPointChecksOncePerRun:
         meq1 = self._of_kind("meq1")
         self._break(monkeypatch, "meq1")
         alone = [seen for job in meq1 for seen in self._seen(run_jobs([job]))]
-        calls = self._count_calls(monkeypatch, ("T_of_log",))
+        calls = self._count_calls(monkeypatch, ("log_deriv_lambert",))
         reports = run_jobs(meq1)
         assert len(reports) == 43 and not any(r.passed for r in reports)
         assert self._seen(reports) == alone
-        assert calls == {"T_of_log": 26}
+        assert calls == {"log_deriv_lambert": 26}
 
     def test_a_failing_lemd_orbit_checks_every_point(self, monkeypatch):
         # each lemd report but l = 0 fails (_break) as a run of its job

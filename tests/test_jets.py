@@ -14,7 +14,7 @@ from qtheta import (
     compare,
     compare_jets,
 )
-from qtheta.cyclotomic import _ctx
+from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.modular import theta2_jet
 
 P = Fraction(24)
@@ -194,10 +194,10 @@ class TestTOfLog:
             assert compare_jets(lhs, rhs, 8) is None
 
     def test_matches_full_degree_formula(self):
-        # slots t >= 1 of (q d/dq f)/f come from q d/dq (f'/f)_{t-1} / t;
-        # dividing the J-1 slots of q d/dq f by f is the oracle, equal in
-        # value, base and precision, on random jets and at base points
-        # with rational and irrational leads, in q^3 and with z scaled
+        # slot 0 of -8 (q d/dq f)/f - d/dz (f'/f), with the J-1 slots of
+        # q d/dq f divided by f, is the oracle, equal in value, base and
+        # precision, on random jets and at base points with rational and
+        # irrational leads, in q^3 and with z scaled
         rng = random.Random(27)
         for J in range(2, 8):
             jets = [_rand_jet(rng, J, unit=True) for _ in range(3)]
@@ -208,8 +208,34 @@ class TestTOfLog:
             for f in jets:
                 ref = f.truncate(J - 2).q_ddq().div(f) * (-8) - f.log_dz().d_dz()
                 got = T_of_log(f)
-                assert got.degree == J - 2
-                _same_jet(got, ref)
+                assert got.degree == 0
+                _same_jet(got, ref.truncate(0))
+
+    @pytest.mark.parametrize("J", [2, 4, 5])
+    def test_two_divisions_by_f_one_lead_inverse(self, monkeypatch, J):
+        # f'/f to degree J-1 and slot 0 of (q d/dq f)/f: two jet divisions
+        # by f, each one long division over all its slots; the lead of f
+        # (an irrational at pi/10) is inverted once, in f's own field, and
+        # the second division reads the inverse cached on f's constant slot
+        divs, inverses = [], []
+        div, inverse = ZJet.div, _Ctx.inverse
+
+        def recording_div(self, other):
+            divs.append((self, other))
+            return div(self, other)
+
+        def recording_inverse(self, vec):
+            inverses.append((self, vec))
+            return inverse(self, vec)
+
+        monkeypatch.setattr(ZJet, "div", recording_div)
+        monkeypatch.setattr(_Ctx, "inverse", recording_inverse)
+        f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
+        T_of_log(f)
+        assert [b for _, b in divs] == [f, f]
+        assert sorted(a.degree for a, _ in divs) == [0, J - 1]
+        f0 = f.slot(0)
+        assert inverses == [(f0._ctx, f0._vecs[0])] and any(f0._vecs[0][1:])
 
     def test_degree_requirement(self):
         with pytest.raises(ValueError):

@@ -577,7 +577,7 @@ def _lambert_by_trial_division(l, k, order):
 
 class TestBracketData:
     def test_sieve_matches_trial_division(self):
-        # the class sieve behind log_deriv_lambert against one trial
+        # the cosine-class sieve behind log_deriv_lambert against one trial
         # division per coefficient over the 2k sine vectors, every l != k
         for k in range(1, 13):
             orders = (40, 0, 1, 2, Fraction(7, 2)) if k <= 6 else (40,)
