@@ -84,10 +84,6 @@ def _record_jet_divisions(monkeypatch) -> list:
     return calls
 
 
-def _no_numerator_one(pairs) -> bool:
-    return all(a != QExpansion.one(a.precision) for a, _ in pairs)
-
-
 class TestHalfSumSpec:
     def test_index_sets(self):
         assert HalfSumSpec(3, 1).index_set == (0, 2)
@@ -478,6 +474,7 @@ class TestVerifyMeq1:
 
         assert modular.reduced_point(l, k) == (l, k)
         assert report(l) == report(l % (2 * k)) == ("pass", None, "")
+
         def negated(real, l, k, order, degree):
             g, rhs = real(l, k, order, degree)
             return g, -rhs
