@@ -558,8 +558,9 @@ def log_deriv_lambert(l: int, k: int, order, degree=None):
     reps, weights, ys = _bracket_data(k, l % 2, 1)
     tan = ctx.cosines([(k - 2 * r * l, -(2 // w) * y[0])
                        for r, w, y in zip(reps, weights, ys)])
+    # tan x to the power deg P_j = j + 1, for P_0 (S) or P_0 .. P_{J+1} (g, R)
     powers, polys = [[1] + [0] * (ctx.D - 1)], [[0, 1]]
-    for _ in range(J + 2):
+    for _ in range(J + 1 + (degree is not None)):
         powers.append(ctx.mul_vec(powers[-1], tan))
         dp = [i * c for i, c in enumerate(polys[-1])][1:]
         polys.append(dp + [0, 0])

@@ -14,6 +14,7 @@ from qtheta import (
     compare,
     compare_jets,
 )
+from qtheta import series
 from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.modular import theta2_jet
 
@@ -214,11 +215,12 @@ class TestTOfLog:
     @pytest.mark.parametrize("J", [2, 4, 5])
     def test_two_divisions_by_f_one_lead_inverse(self, monkeypatch, J):
         # f'/f to degree J-1 and slot 0 of (q d/dq f)/f: two jet divisions
-        # by f, each one long division over all its slots; the lead of f
-        # (an irrational at pi/10) is inverted once, in f's own field, and
+        # by f, each one long division over all its slots, with no series
+        # division per slot and no series inverted on its own; the lead of
+        # f (an irrational at pi/10) is inverted once, in f's own field, and
         # the second division reads the inverse cached on f's constant slot
-        divs, inverses = [], []
-        div, inverse = ZJet.div, _Ctx.inverse
+        divs, inverses, pairs = [], [], []
+        div, inverse, series_div = ZJet.div, _Ctx.inverse, series._series_div
 
         def recording_div(self, other):
             divs.append((self, other))
@@ -228,12 +230,19 @@ class TestTOfLog:
             inverses.append((self, vec))
             return inverse(self, vec)
 
+        def recording_series_div(a, b):
+            pairs.append((a, b))
+            return series_div(a, b)
+
         monkeypatch.setattr(ZJet, "div", recording_div)
         monkeypatch.setattr(_Ctx, "inverse", recording_inverse)
+        monkeypatch.setattr(series, "_series_div", recording_series_div)
         f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
         T_of_log(f)
         assert [b for _, b in divs] == [f, f]
         assert sorted(a.degree for a, _ in divs) == [0, J - 1]
+        assert all(a.slot(0) != QExpansion.one(a.slot(0).precision) for a, _ in divs)
+        assert pairs == []
         f0 = f.slot(0)
         assert inverses == [(f0._ctx, f0._vecs[0])] and any(f0._vecs[0][1:])
 

@@ -2,10 +2,10 @@
 benchmark workload, as perfbench/run.py prints it, for the checked-out
 commit.
 
-    python tools/bench_snapshot.py [--seed N] [--seconds S]
+    python tools/bench_snapshot.py
 
-Each workload runs once, `python3 perfbench/run.py --workload W --seed N
---seconds S --trace 0`, in a fresh process.  The file holds, per
+Each workload runs once, `python3 perfbench/run.py --workload W --seed 1
+--seconds 20 --trace 0`, in a fresh process.  The file holds, per
 workload, the command, its exit code, its `#` lines (environment, notes,
 warnings) and its last line, the JSON result.  perfbench/ is only run,
 never changed.  Only the standard library is used.
@@ -13,7 +13,6 @@ never changed.  Only the standard library is used.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
@@ -24,16 +23,12 @@ WORKLOADS = ("theorem-sweep", "jet-sweep", "tan-sum", "pool-all")
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20)
-    args = p.parse_args()
     sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     runs = {}
     for name in WORKLOADS:
-        cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed",
-               str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+        cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
+               "--seconds", "20", "--trace", "0"]
         out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         lines = out.stdout.splitlines()
         runs[name] = {
