@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._pack import lane_width, pack_signed, unpack_signed
 from .cyclotomic import _ctx
-from .jets import T_of_log, compare_jets
+from .jets import compare_jets
 from .modular import (
     ThetaPoint,
     _bracket_data,
@@ -478,20 +478,6 @@ def _meq1_at(lr: int, kr: int, jet_degree: int, order):
     return None
 
 
-def _lem22_margin(k: int) -> int:
-    """Precision lem22 works above the order: the q-valuation it divides by.
-
-    A quotient by a series of valuation v certifies v less than its
-    operands.  d2-origin divides by the theta series at 0 (valuation 1/8);
-    T-scaled by the theta series in q^k (k/8); both ratio parts by the
-    constant slots of the shifted jets at -pi/2 in q^k (k/8) and in q
-    (1/8): k/8 at most, so ceil(k/8) suffices.  A margin too small could
-    only make a comparison raise PrecisionError, never let a report pass
-    below its order.
-    """
-    return -(-k // 8)
-
-
 def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     """The z=0 second-derivative bridges and both operator identities.
 
@@ -499,46 +485,79 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     with the simple zero shifted out, and the two T-operator evaluations
     against their eta combinations.  A part that raises fails alone.
 
-    (log theta)'' at z = 0 is slot 1 of the jet's log_dz, the one jet
-    division f'/f: (f'/f)' = 2 a2/a0 - (a1/a0)^2 there.  The ratio parts
-    read log(nj/dj) as log nj - log dj: d2-ratio is nj'/nj - dj'/dj, and
-    T-ratio is T(log nj) - T(log dj), T being linear in log f.  T_of_log
-    reads the same cached log_dz of each jet, so d2-ratio and T-ratio
-    share them, and no quotient jet is formed.
+    No part divides.  Each jet read here is even, f = f_0 + f_2 z^2 + ...:
+    theta2 is even about 0 (also in q^k with z scaled by k), and
+    theta2(z - pi/2) is odd, so both ratio jets, with their simple zero
+    shifted out, are even.  Slot 1 is checked to be the zero series, and
+    a nonzero one raises.  With f_1 = 0,
+
+        (log f)'' at z = 0 = 2 f_2/f_0 - (f_1/f_0)^2 = 2 f_2/f_0,
+        slot 0 of T(log f) = -8 (q d/dq f_0)/f_0 - 2 f_2/f_0,
+
+    T = -8 q d/dq - d^2/dz^2.  The ratio parts read log(nj/dj) as
+    log nj - log dj, so d2-ratio is 2(n_2 d_0 - d_2 n_0)/(n_0 d_0), and
+    T-ratio is ((-8 q d/dq n_0 - 2 n_2) d_0 - (-8 q d/dq d_0 - 2 d_2) n_0)
+    over n_0 d_0.  Each part is thus X/a_0 = rhs for a series a_0 of
+    valuation v (the theta series at 0, 1/8; the one in q^k, k/8; n_0 d_0,
+    (k+1)/8), and is compared as X = rhs a_0 below q^(order + v), v read
+    off a_0.  The two agree: a_0 = q^v u with u a unit, so
+    X - rhs a_0 = q^v u (X/a_0 - rhs) vanishes below q^(order + v) exactly
+    when X/a_0 - rhs vanishes below q^order.
+
+    Each jet is built to the precision its part needs and no more: a
+    product's precision is the least of each factor's plus the other's
+    valuation, so the jets at 0 need order + v, and the ratio jets, each
+    multiplied by the other, whose valuation is at least 1/8,
+    order + k/8.  A jet built short makes its part raise PrecisionError,
+    never pass below its order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    nw = Fraction(order) + _lem22_margin(k)
+
+    def even(jet):
+        # slots 0 and 2 of a jet even in z
+        if not jet.slot(1).is_zero:
+            raise ValueError("slot 1 of an even jet is nonzero")
+        return jet.slot(0), jet.slot(2)
+
+    def t_side(f0, f2):
+        # f_0 times slot 0 of T(log f)
+        return f0.q_ddq() * -8 - f2 * 2
+
+    def crossed(lhs, rhs, a0):
+        # lhs/a0 = rhs below q^order, as lhs = rhs a0 below q^(order + v)
+        return compare(lhs, rhs * a0, order + a0.base)
 
     def d2_origin():
-        f = theta2_jet(ThetaPoint(0, 1), 2, nw)
-        rhs = eta_quotient_log_ddq(((1, 8), (2, -16)), nw)
-        return compare(f.log_dz().slot(1), rhs, order)
+        f0, f2 = even(theta2_jet(ThetaPoint(0, 1), 2, order + Fraction(1, 8)))
+        rhs = eta_quotient_log_ddq(((1, 8), (2, -16)), order)
+        return crossed(f2 * 2, rhs, f0)
 
     @functools.cache
     def ratio_jets():
-        # the numerator and denominator jets of the ratio, whose log_dz
-        # both ratio parts share: each reads slots 0..2 (slot 0 of T
-        # depends on slots 0..2 only)
-        nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
-        return nj, theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
+        # slots 0 and 2 of the numerator and denominator jets of the ratio,
+        # and n_0 d_0, which both ratio parts share
+        p = order + Fraction(k, 8)
+        nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, p).scale_z(k).shift_zero(1)
+        dj = theta2_jet(ThetaPoint(-1, 2), 3, p).shift_zero(1)
+        (n0, n2), (d0, d2) = even(nj), even(dj)
+        return n0, n2, d0, d2, n0 * d0
 
     def d2_ratio():
-        nj, dj = ratio_jets()
-        rhs = eta_quotient_log_ddq(((1, 8), (k, -8 * k)), nw)
-        return compare(nj.log_dz().slot(1) - dj.log_dz().slot(1), rhs, order)
+        n0, n2, d0, d2, nd = ratio_jets()
+        rhs = eta_quotient_log_ddq(((1, 8), (k, -8 * k)), order)
+        return crossed((n2 * d0 - d2 * n0) * 2, rhs, nd)
 
     def t_scaled():
-        g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, nw).scale_z(k)
-        val = T_of_log(g).slot(0)
-        rhs = eta_quotient_log_ddq(((2 * k, 16 * (k - 1)), (k, -8 * (k - 1))), nw)
-        return compare(val, rhs, order)
+        g = theta2_jet(ThetaPoint(0, 1, q_power=k), 2, order + Fraction(k, 8))
+        f0, f2 = even(g.scale_z(k))
+        rhs = eta_quotient_log_ddq(((2 * k, 16 * (k - 1)), (k, -8 * (k - 1))), order)
+        return crossed(t_side(f0, f2), rhs, f0)
 
     def t_ratio():
-        nj, dj = ratio_jets()
-        val = T_of_log(nj).slot(0) - T_of_log(dj).slot(0)
-        rhs = eta_quotient_log_ddq(((k, 8 * (k - 3)), (1, 16)), nw)
-        return compare(val, rhs, order)
+        n0, n2, d0, d2, nd = ratio_jets()
+        rhs = eta_quotient_log_ddq(((k, 8 * (k - 3)), (1, 16)), order)
+        return crossed(t_side(n0, n2) * d0 - t_side(d0, d2) * n0, rhs, nd)
 
     parts = (("d2-origin", d2_origin), ("d2-ratio", d2_ratio),
              ("T-scaled", t_scaled), ("T-ratio", t_ratio))

@@ -9,29 +9,30 @@ takes no division: modular.log_deriv_lambert gives every slot of its g
 and of -8 q d/dq log f - d/dz g from the product form.
 Each slot of a product and a square is one q-series sum of products
 (series._series_mul), reduced once per coefficient rather than once per
-term.  A quotient is one long division over all its slots
-(series._long_div): each quotient coefficient is one packed sum over
-every divisor slot, reduced once.  A theta jet is real, so all of this
-runs in the real subfield K+ of its field, mod psi_m over
-theta = zeta + zeta^-1, on half the lanes of Q(zeta_m).
+term.  A quotient follows its slot recurrence
+c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0: per slot one such sum and one
+series division by b_0 (series._series_div).  No verifier divides a jet:
+meq1 reads the product form, and lem22 compares its sides multiplied
+out.  A theta jet is real, so all of this runs in the real subfield K+
+of its field, mod psi_m over theta = zeta + zeta^-1, on half the lanes
+of Q(zeta_m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QExpansion, _long_div, _series_mul, compare
+from .series import QExpansion, _series_div, _series_mul, compare
 
 
 class ZJet:
-    __slots__ = ("coeffs", "_log_dz")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a jet needs at least the constant slot")
         self.coeffs = cs
-        self._log_dz = None
 
     @property
     def degree(self) -> int:
@@ -105,15 +106,23 @@ class ZJet:
 
     def div(self, other: "ZJet") -> "ZJet":
         """Quotient by a unit jet (invertible constant slot), to the lower
-        of the two degrees: one long division over all slots
-        (series._long_div)."""
+        of the two degrees, slot by slot:
+        c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0, one series sum of
+        products and one series division by b_0 per slot."""
         if not isinstance(other, ZJet):
             raise TypeError("jet division needs a jet divisor")
-        if other.coeffs[0].is_zero:
+        a, b = self.coeffs, other.coeffs
+        if b[0].is_zero:
             raise ZeroDivisionError(
                 "jet division by a non-unit (zero constant slot)"
             )
-        return ZJet(_long_div(self.coeffs, other.coeffs))
+        c = []
+        for t in range(min(len(a), len(b))):
+            num = a[t]
+            if t:
+                num = num - _series_mul([(1, c[t - s], b[s]) for s in range(1, t + 1)])
+            c.append(_series_div(num, b[0]))
+        return ZJet(c)
 
     def __truediv__(self, other):
         if isinstance(other, ZJet):
@@ -123,10 +132,8 @@ class ZJet:
     # -- calculus --------------------------------------------------------
 
     def log_dz(self) -> "ZJet":
-        """d/dz log f = f'/f, computed once per jet (f must be a unit)."""
-        if self._log_dz is None:
-            self._log_dz = self.d_dz().div(self)
-        return self._log_dz
+        """d/dz log f = f'/f (f must be a unit)."""
+        return self.d_dz().div(self)
 
     def d_dz(self) -> "ZJet":
         """Formal z-derivative: (a_0, ..., a_J) -> (a_1, 2 a_2, ..., J a_J)."""
@@ -168,9 +175,8 @@ def T_of_log(f: ZJet) -> ZJet:
     log f, as a jet of degree 0, for f of degree J >= 2 (f a unit jet).
 
     Computed without any logarithm as -8 h_0 - g_1, with g = f'/f
-    (f.log_dz, one division of J slots) and h_0 = (q d/dq f_0)/f_0, a
-    one-slot division by f itself, which reads the lead inverse that f'/f
-    cached.
+    (f.log_dz, J series divisions by f_0) and h_0 = (q d/dq f_0)/f_0, one
+    more: all J + 1 read the lead inverse cached on f_0.
     """
     if f.degree < 2:
         raise ValueError("T_of_log needs jet degree >= 2")

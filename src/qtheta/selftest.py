@@ -76,8 +76,9 @@ def _group_ring_laws():
             q = a / b
             if not _eq(b * q, a):
                 return False, f"b*(a/b) != a (field {m})"
-    # jet round trips f*(g/f) == g, each quotient one long division over
-    # all slots; the first lead over Q(zeta_8) is sqrt 2, which is no unit
+    # jet round trips f*(g/f) == g, each quotient slot one series
+    # division by f's constant slot; the first lead over Q(zeta_8) is
+    # sqrt 2, which is no unit
     z8 = root_of_unity(8, 1)
     sqrt2 = z8 + z8 ** 7
     for m in _FIELDS[1:]:

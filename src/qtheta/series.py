@@ -53,18 +53,17 @@ two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
 
 Division is long division on the same packed vectors, and no series is
-ever inverted on its own.  One routine, _long_div, divides a z-jet by a
-z-jet over all its slots at once (ZJet.div), and a series division a / b
-is its one-slot case (_series_div).  The inverse of the divisor's lead,
-one _Ctx.inverse in the lead's own field (over theta for a real one),
-computed once per series, is folded into the integer vectors of both
-operands once, which makes that lead a positive integer.  The quotient
-then follows the recurrence c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0
-one coefficient at a time: each is one packed sum over every divisor
-slot, the slot's own earlier coefficients included, reduced once and
-packed once for the later sums.  All quotient slots share one
-common denominator, and the lanes widen only when growing quotients
-outrun their bound (the proof is in _long_div).
+ever inverted on its own.  _series_div divides one series by another;
+a z-jet quotient is its slot recurrence, one _series_div per slot
+(jets.ZJet.div).  The inverse of the divisor's lead, one _Ctx.inverse in
+the lead's own field (over theta for a real one), computed once per
+series, is folded into the integer vectors of both operands once, which
+makes that lead a positive integer.  The quotient then follows the
+recurrence c_i = (a_i - sum_{j>=1} c_{i-j} b_j) / b_0 one coefficient at
+a time: each is one packed sum over the divisor's coefficients, reduced
+once and packed once for the later sums.  The quotient's coefficients
+share one common denominator, and the lanes widen only when growing
+quotients outrun their bound (the proof is in _series_div).
 """
 
 from __future__ import annotations
@@ -547,211 +546,111 @@ def _series_mul(terms) -> QExpansion:
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
-    """a / b by long division on packed vectors: the one-slot case of
-    _long_div, which holds the proof and the lane bound (with one slot, S
-    is the nonzero coefficients of b past its lead)."""
-    return _long_div((a,), (b,))[0]
+    """a / b by long division on packed vectors; b must be nonzero.
 
+    The quotient has the base a.base - b.base (its lead is a's over b's)
+    and the precision min(a.precision - b.base, b.precision + a.base -
+    2 b.base): b certifies b.precision - b.base exponents past its lead,
+    and a a.precision less the first quotient exponent.  A zero a, whose
+    base is its precision, gives the zero series at that precision.
 
-def _long_div(a, b) -> list:
-    """The slots of the z-jet quotient a / b, by one long division over
-    (slot, q) on packed vectors.
+    The division works in the one field of a and b, over theta for real
+    series, with each put over it as a sum puts it (_join).  A vector L of
+    b's field with lead(b) L a positive rational (one _Ctx.inverse,
+    computed once per series, QExpansion._lead_inverse; the one lane
+    [+-1] for a rational lead) is folded into the integer vectors once:
+    A = a L ad and B = b L bd, ad and bd the denominators of a and b.  The
+    lead of B is then a positive integer lam, and a / b = (bd/ad) A/B.
 
-    a and b are the q-series slots of two jets, a_t and b_s the
-    coefficients of z^t and z^s, and b_0 must be nonzero.  The quotient
-    has min(len(a), len(b)) slots, c_t = (a_t - sum_{s>=1} c_{t-s} b_s) / b_0,
-    and each has the base, precision, conductor and values that this
-    chain of series sums, products and divisions gives slot by slot: the
-    numerator's precision is the least of a_t's and each product's, its
-    base its first nonzero exponent, and c_t's precision then that of a
-    series division by b_0.
+    Coefficient i of A/B is C_i/E, over one common denominator E that
+    grows as the division goes on, and the C are kept as integer vectors
+    over the current E.  The textbook recurrence C B_0 = E A - sum_{j>=1}
+    C_{i-j} B_j gives it one coefficient at a time: step i forms one
+    packed sum
 
-    The division works in the one field of its operands, over theta for
-    real jets, with every slot put over it as a sum puts it (_join).  A
-    vector L of b_0's field with lead(b_0) L a positive rational (one
-    _Ctx.inverse, computed once per series, QExpansion._lead_inverse; the
-    one lane [+-1] for a rational lead) is folded into the integer vectors
-    once: each nonzero vector of a and b is multiplied by L, and each jet
-    is put over one denominator, a = A/ad and b = B/bd.  The lead of B_0
-    is then a positive integer lam, and c = (bd/ad) A/B.
+        E A_i - sum_{j in S, j <= i} C_{i-j} B_j,
 
-    Coefficient i of slot t of A/B is C_{t,i}/E, over one common
-    denominator E for all slots that grows as the division goes on, and
-    the C are kept as integer vectors over the current E.  The textbook
-    recurrence C_t B_0 = E A_t - sum_{s>=1} C_{t-s} B_s gives it one
-    coefficient at a time: step i forms one packed sum
-
-        E A_{t,i} - sum_{s>=0} sum_{j in S_s, j <= r} C_{t-s,r-j} B_{s,j},
-
-    S_s the nonzero coefficients of B_s and r = i less the offset of the
-    product c_{t-s} b_s from the numerator's base.  The s = 0 term reads
-    the slot's own packed coefficients, where C_{t,i} is still 0, so the
-    lead of B_0 adds nothing.  The sum is reduced once
-    (_Ctx.reduce_packed), which gives lam E times coefficient i.  When
-    lam does not divide that vector, E becomes f E for the least f that
-    makes f/lam times it integral (f divides lam, so this happens only for
+    S the nonzero coefficients of B past its lead, reduced once
+    (_Ctx.reduce_packed), which gives lam E times coefficient i.  When lam
+    does not divide that vector, E becomes f E for the least f that makes
+    f/lam times it integral (f divides lam, so this happens only for
     lam > 1, as for a lead sqrt 2 or 3), and every C so far, vector and
-    packed value, is multiplied by f.  C_{t,i} is then packed once, for
-    the later sums.  The first nonzero C_{t,i} fixes the slot's base
-    beta_t, and with it where b_0's precision ends the slot.
-
-    No index is checked in the inner loop: r - j < len(C_u) for the
-    stored slot u = t-s.  Slot u keeps l_u = min(N_u - first_u,
-    ceil(prec0 - beta0)) coefficients, N_u = ceil(prec_u - nu_u) for its
-    numerator's precision prec_u and base nu_u, and its precision p_u =
-    min(prec_u - beta0, prec0 + beta_u - beta0) has ceil(p_u - beta_u) =
-    l_u.  _slot_terms caps slot t's numerator precision at p_u + base(b_s),
-    and C_{u,r-j} B_{s,j} lies at exponent beta_u + base(b_s) + r, below
-    it, so r - j <= r < p_u - beta_u <= l_u.  An overrun would raise
-    IndexError, never read a wrong value: the break keeps r - j >= 0.
+    packed value, is multiplied by f.  C_i is then packed once, for the
+    later sums.
 
     Lanes: each of the 2D-1 lanes of a packed sum is at most
     E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
-    A, B and the C so far, and S the nonzero coefficients of all divisor
-    slots but the lead of B_0: each meets at most one C in a sum.
-    _Ctx.product_lane(bound) sizes the lane for D times
-    E amax + |S| Cmax bmax, which is more.  Before each step the bound is
-    checked against the one the lane was sized for; when growing quotients
-    outrun it, B and the C are packed again from their vectors at a lane
-    sized for 2**_HEADROOM times the new bound.  Over Q (D = 1) the same
-    path and bound serve: a one-lane vector packs to itself, and
-    reduce_packed unpacks the one lane of a sum, which reduce returns as
-    it is.  A rational slot in a larger field keeps its one-lane vectors:
-    [x] packs to x in lane 0, and a sum with it has no more lanes, and
-    entries no larger, than the bound allows for D-lane vectors.
+    A, B and the C so far: each B_j meets one C.  _Ctx.product_lane(bound)
+    sizes the lane for D times E amax + |S| Cmax bmax, which is more.
+    Before each step the bound is checked against the one the lane was
+    sized for; when growing quotients outrun it, B and the C are packed
+    again from their vectors at a lane sized for 2**_HEADROOM times the
+    new bound.  Over Q (D = 1) the same path and bound serve: a one-lane
+    vector packs to itself, and reduce_packed unpacks the one lane of a
+    sum, which reduce returns as it is.  A rational series in a larger
+    field keeps its one-lane vectors: [x] packs to x in lane 0, and a sum
+    with it has no more lanes, and entries no larger, than the bound
+    allows for D-lane vectors.
     """
-    b0 = b[0]
-    if b0.is_zero:
+    if b.is_zero:
         raise ZeroDivisionError("division by the zero series")
-    n = min(len(a), len(b))
-    ctx, ops = _join([*a[:n], *b[:n]])
-    a, b = ops[:n], ops[n:]
-    b0 = b[0]
-    # a zero numerator needs no fold: every quotient slot is zero
-    if any(not s.is_zero for s in a):
-        L = b0._lead_inverse()
-        A, ad, amax = _folded(a, L, ctx)
-        B, bd, bmax = _folded(b, L, ctx)
-        lam = B[0][0][0]
-        nS = sum(v is not None for vecs in B for v in vecs) - 1
-    beta0, prec0 = b0.base, b0.precision
-    # per slot: [base, precision, C vector or None per coefficient, the C
-    # packed at the current lane]; no lists for a zero slot
-    done = []
-    E, cmax, cap, lane, pb = 1, 0, -1, 0, None
-    for t in range(n):
-        prec, live = _slot_terms(a[t], b, done)
-        first = None
-        if live:
-            nu = min(e for e, _, _ in live)
-            N = stop = math.ceil(prec - nu)
-            cs, pc = [None] * N, [0] * N
-            # A_t at the exponents nu + i, and per product c_u b_s its
-            # offset, u's packed coefficients and s; the slot itself is s = 0
-            at, terms = [], [(0, pc, 0)]
-            for e, u, s in live:
-                if u is None:
-                    at = [None] * int(e - nu) + A[t]
-                else:
-                    terms.append((int(e - nu), done[u][3], s))
-            for i in range(N):
-                if i == stop:
-                    break
-                bound = E * amax + nS * cmax * bmax
-                if bound > cap:
-                    cap = bound << _HEADROOM
-                    lane = ctx.product_lane(cap)
-                    pb = [[(j, pack_signed(v, lane)) for j, v in enumerate(vecs)
-                           if v is not None] for vecs in B]
-                    for vs, ps in [d[2:] for d in done if d[2]] + [(cs, pc)]:
-                        for k, v in enumerate(vs):
-                            if v is not None:
-                                ps[k] = pack_signed(v, lane)
-                v = at[i] if i < len(at) else None
-                x = 0 if v is None else E * pack_signed(v, lane)
-                for off, ps, s in terms:
-                    r = i - off
-                    for j, y in pb[s]:
-                        if j > r:
-                            break
-                        c = ps[r - j]
-                        if c:
-                            x -= c * y
-                if not x:
-                    continue
-                w = ctx.reduce_packed(x, lane)
-                if not any(w):
-                    continue
-                if first is None:
-                    first, stop = i, min(N, i + math.ceil(prec0 - beta0))
-                # coefficient i is w/(lam E): E grows by the least f with
-                # f w/lam integral
-                f = lam // math.gcd(lam, *w)
-                if f > 1:
-                    E *= f
-                    cmax *= f
-                    for vs, ps in [d[2:] for d in done if d[2]] + [(cs, pc)]:
-                        for k, v in enumerate(vs):
-                            if v is not None:
-                                vs[k] = [f * y for y in v]
-                                ps[k] *= f
-                w = [y * f // lam for y in w]
-                cmax = max(cmax, max(w), -min(w))
-                cs[i] = w
-                pc[i] = pack_signed(w, lane)
-        if first is None:
-            # a_t - sum_s c_{t-s} b_s is zero below prec: so is c_t
-            p = min(prec - beta0, prec0 + prec - 2 * beta0)
-            done.append([p, p, None, None])
-        else:
-            p = min(prec - beta0, prec0 + nu + first - 2 * beta0)
-            done.append([nu + first - beta0, p, cs[first:stop], pc[first:stop]])
-    quotient = []
-    for base, p, cs, _ in done:
-        if cs is None:
-            quotient.append(QExpansion.zero(p))
-        else:
-            quotient.append(QExpansion._from_vectors(
-                ctx, base, _scaled(cs, bd), E * ad, p))
-    return quotient
+    ctx, (a, b) = _join((a, b))
+    prec = min(a.precision - b.base, b.precision + a.base - 2 * b.base)
+    if a.is_zero:
+        return QExpansion.zero(prec)
+    L = b._lead_inverse()
+    A, amax = _folded(a, L, ctx)
+    B, bmax = _folded(b, L, ctx)
+    lam = B[0][0]
+    S = [(j, v) for j, v in enumerate(B) if j and v is not None]
+    n = min(math.ceil(a.precision - a.base), math.ceil(b.precision - b.base))
+    cs, pc = [None] * n, [0] * n
+    E, cmax, cap = 1, 0, -1
+    for i in range(n):
+        bound = E * amax + len(S) * cmax * bmax
+        if bound > cap:
+            cap = bound << _HEADROOM
+            lane = ctx.product_lane(cap)
+            pb = [(j, pack_signed(v, lane)) for j, v in S]
+            pc = [0 if v is None else pack_signed(v, lane) for v in cs]
+        x = 0 if i >= len(A) or A[i] is None else E * pack_signed(A[i], lane)
+        for j, y in pb:
+            if j > i:
+                break
+            c = pc[i - j]
+            if c:
+                x -= c * y
+        if not x:
+            continue
+        w = ctx.reduce_packed(x, lane)
+        if not any(w):
+            continue
+        # coefficient i is w/(lam E): E grows by the least f with f w/lam
+        # integral
+        f = lam // math.gcd(lam, *w)
+        if f > 1:
+            E *= f
+            cmax *= f
+            cs = _scaled(cs, f)
+            pc = [f * y for y in pc]
+        w = [y * f // lam for y in w]
+        cmax = max(cmax, max(w), -min(w))
+        cs[i] = w
+        pc[i] = pack_signed(w, lane)
+    return QExpansion._from_vectors(ctx, a.base - b.base, _scaled(cs, b._den),
+                                    E * a._den, prec)
 
 
-def _slot_terms(at, b, done):
-    """(precision, live terms) of the numerator a_t - sum_{s>=1} c_{t-s} b_s
-    of the next quotient slot, t = len(done): its precision is the least
-    of a_t's and each product's, and a term (base, quotient slot or None
-    for a_t, divisor slot) is live when nonzero below it."""
-    prec = at.precision
-    terms = [] if at.is_zero else [(at.base, None, 0)]
-    t = len(done)
-    for s in range(1, t + 1):
-        base, p, cs, _ = done[t - s]
-        bs = b[s]
-        prec = min(prec, p + bs.base, bs.precision + base)
-        if cs is not None and not bs.is_zero:
-            terms.append((base + bs.base, t - s, s))
-    if any((e - terms[0][0]).denominator != 1 for e, _, _ in terms):
-        raise ValueError(
-            f"incompatible base classes: {sorted({e for e, _, _ in terms})}"
-        )
-    return prec, [x for x in terms if x[0] < prec]
-
-
-def _folded(slots, L, ctx):
-    """(the vectors of every slot times L, over one denominator; that
-    denominator; their largest entry), for an integer vector L.  A
-    one-lane L, a rational lead's sign, scales the vectors as they are:
-    a product by it cost the benchmark's jet-sweep about 2 % of its wall
-    time."""
-    den = math.lcm(*(s._den for s in slots))
-    out = []
-    for s in slots:
-        if len(L) == 1:
-            out.append(_scaled(s._vecs, den // s._den * L[0]))
-        else:
-            vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
-            out.append(_scaled(vecs, den // s._den))
-    return out, den, _lane_max(v for vecs in out for v in vecs)
+def _folded(s: QExpansion, L, ctx):
+    """(the vectors of s times L, their largest entry), for an integer
+    vector L.  A one-lane L, a rational lead's sign, scales the vectors as
+    they are: a product by it cost the benchmark's jet-sweep about 2 % of
+    its wall time."""
+    if len(L) == 1:
+        vecs = _scaled(s._vecs, L[0])
+    else:
+        vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
+    return vecs, _lane_max(vecs)
 
 
 # Bits of slack a packed division lane keeps above its current bound, so

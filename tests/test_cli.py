@@ -290,9 +290,9 @@ class TestJsonFormat:
     @pytest.mark.parametrize("order, digest", [
         (1, "d1102577aead8c9f"), (8, "9866351e3ad8a059"), (40, "3144a96bf3141291")])
     def test_lem22_and_bridge_reports_pinned(self, capsys, order, digest):
-        # lem22 for every k up to 40, where its margin ceil(k/8) runs from
-        # 1 to 5, and the bridges, as the version with a margin of at least
-        # 3 printed them
+        # lem22 for every k up to 40, where its sides are compared up to
+        # (k+1)/8 above the order, and the bridges, as the version that
+        # divided, with a margin of at least 3, printed them
         rc = main(["verify", "lem22,bridges", "--k-min", "1", "--k-max", "40",
                    "--order", str(order), "--format", "json", "--jobs", "1"])
         assert rc == 0
@@ -306,7 +306,10 @@ class TestJsonFormat:
     def test_failing_lem22_and_bridge_reports_pinned(self, capsys, monkeypatch):
         # lem22 and the bridges with every eta quotient and eta log
         # derivative taken 3 times: most reports fail, and their mismatch
-        # texts print the rational coefficients of both sides
+        # texts print the rational coefficients of both sides; lem22's
+        # sides are multiplied out by the divisor of valuation v, so its
+        # mismatches read X and rhs a_0 at an exponent v above the
+        # quotient's
         for name in ("eta_quotient", "eta_quotient_log_ddq"):
             def tripled(*args, f=getattr(identities, name)):
                 return 3 * f(*args)
@@ -321,7 +324,7 @@ class TestJsonFormat:
         assert len(reports) == 26
         assert sum(r["status"] == "fail" for r in reports) == 23
         text = json.dumps(reports, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b748745ad7e93a6f"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "ceda9baf1d579787"
 
 
 class TestSelftestCommand:

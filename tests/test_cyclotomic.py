@@ -270,7 +270,7 @@ class TestRealSubfield:
             assert rc.cosines(enumerate(rc.embed(y, m))) == [2 * x for x in y], m
 
     def test_real_inverse_against_invert(self):
-        # the inverse over theta that _long_div folds in: y L = [n, 0, ...]
+        # the inverse over theta that _series_div folds in: y L = [n, 0, ...]
         # with n > 0, and L/n embedded is the inverse in Q(zeta_m)
         rng = random.Random(43)
         for m in [5, 7, 8, 12, 15, 16, 20, 24, 40, 76]:

@@ -2,17 +2,24 @@
 per layer, each monkeypatched into one function, and the failing reports
 of one small sweep per identity, pinned as one table.
 
-A row of zeros is a layer fault that no identity catches.  A change that
-moves a fault's catchers changes its row here.
+A row of zeros is a layer fault that no identity catches: series
+division and T_of_log, which no verifier reads (meq1 takes the product
+form, lem22 compares its sides multiplied out); the selftest's division
+round trips catch the first.  A change that moves a fault's catchers
+changes its row here, and README's fault table shows MATRIX as it is
+(test_readme_table_is_the_matrix).
 """
 
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from qtheta import identities, jets, modular, series
 from qtheta.identities import enumerate_jobs, run_jobs
 from qtheta.jets import ZJet
+from qtheta.selftest import run_selftest
 
 IDENTITIES = ("theorem", "lemd", "lem2", "meq1", "lem22", "bridges", "tan-sum", "k3")
 
@@ -25,14 +32,11 @@ def _patch(monkeypatch, modules, name, fault):
         monkeypatch.setattr(module, name, fault(real))
 
 
-def _long_div(monkeypatch):
-    # the last quotient slot c_{n-1} of every division, plus 1
+def _series_div(monkeypatch):
+    # every series quotient, plus 1
     def fault(real):
-        def divided(a, b):
-            q = real(a, b)
-            return q[:-1] + [q[-1] + 1]
-        return divided
-    _patch(monkeypatch, (series, jets), "_long_div", fault)
+        return lambda a, b: real(a, b) + 1
+    _patch(monkeypatch, (series, jets), "_series_div", fault)
 
 
 def _t_of_log(monkeypatch):
@@ -42,7 +46,7 @@ def _t_of_log(monkeypatch):
             t = real(f)
             return -t - f.log_dz().d_dz().truncate(t.degree) * 2
         return flipped
-    _patch(monkeypatch, (jets, identities), "T_of_log", fault)
+    _patch(monkeypatch, (jets,), "T_of_log", fault)
 
 
 def _theta2_jet(monkeypatch):
@@ -65,6 +69,35 @@ def _bracket_data(monkeypatch):
     _patch(monkeypatch, (modular, identities), "_bracket_data", fault)
 
 
+def _root_product(monkeypatch):
+    # the sign of the first factor's first monomial flipped
+    def fault(real):
+        def flipped(m, factors, room):
+            factors = [list(f) for f in factors]
+            o, s, e = factors[0][0]
+            factors[0][0] = (o, -s, e)
+            return real(m, factors, room)
+        return flipped
+    _patch(monkeypatch, (modular,), "root_product", fault)
+
+
+def _eta_quotient(monkeypatch):
+    # the first exponent plus 1
+    def fault(real):
+        def raised(exponents, order):
+            (alpha, e), *rest = exponents
+            return real(((alpha, e + 1), *rest), order)
+        return raised
+    _patch(monkeypatch, (modular, identities), "eta_quotient", fault)
+
+
+def _halfprod_constant(monkeypatch):
+    # the constant negated
+    def fault(real):
+        return lambda k, delta: -real(k, delta)
+    _patch(monkeypatch, (modular, identities), "halfprod_constant", fault)
+
+
 def _lambert_exponent(monkeypatch):
     # the Lambert form's sieve reads the cosine class of e + k for c_e
     def fault(real):
@@ -77,18 +110,24 @@ def _lambert_exponent(monkeypatch):
 # reports, of them 14 theorem, 63 lemd, 14 lem2, 33 meq1, 28 lem22,
 # 2 bridges, 14 tan-sum and 1 k3
 MATRIX = {
-    "series._long_div": (0, 0, 0, 0, 14, 0, 0, 0),
-    "jets.T_of_log": (0, 0, 0, 0, 14, 0, 0, 0),
+    "series._series_div": (0, 0, 0, 0, 0, 0, 0, 0),
+    "jets.T_of_log": (0, 0, 0, 0, 0, 0, 0, 0),
     "modular.theta2_jet": (0, 56, 0, 0, 0, 1, 0, 0),
     "modular._bracket_data": (13, 0, 0, 0, 0, 0, 0, 0),
     "modular._cosine_class": (0, 63, 0, 33, 0, 0, 0, 0),
+    "modular.root_product": (0, 0, 14, 0, 0, 0, 0, 0),
+    "modular.eta_quotient": (0, 0, 14, 0, 0, 2, 0, 0),
+    "modular.halfprod_constant": (0, 0, 14, 0, 0, 0, 0, 0),
 }
 FAULTS = {
-    "series._long_div": _long_div,
+    "series._series_div": _series_div,
     "jets.T_of_log": _t_of_log,
     "modular.theta2_jet": _theta2_jet,
     "modular._bracket_data": _bracket_data,
     "modular._cosine_class": _lambert_exponent,
+    "modular.root_product": _root_product,
+    "modular.eta_quotient": _eta_quotient,
+    "modular.halfprod_constant": _halfprod_constant,
 }
 
 
@@ -108,3 +147,28 @@ def test_sweep_passes_without_a_fault():
 def test_fault_matrix_row(monkeypatch, fault):
     FAULTS[fault](monkeypatch)
     assert _failures() == MATRIX[fault]
+
+
+def test_selftest_catches_a_series_division_fault(monkeypatch):
+    # no report divides, so the selftest's division round trips are what
+    # catch a fault in series division
+    assert run_selftest(out=lambda line: None) == 0
+    _series_div(monkeypatch)
+    assert run_selftest(out=lambda line: None) == 1
+
+
+def test_readme_table_is_the_matrix():
+    # README's fault table, one row per fault: `layer.name`: what the fault
+    # does | failing reports per identity, in IDENTITIES order
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    header = "| fault | " + " | ".join(IDENTITIES) + " |"
+    assert text.count(header) == 1
+    rows = {}
+    for line in text.split(header)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        name = re.match(r"`([\w.]+)`", cells[0]).group(1)
+        assert name not in rows
+        rows[name] = tuple(int(c) for c in cells[1:])
+    assert list(rows.items()) == list(MATRIX.items())

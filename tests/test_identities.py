@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import identities, modular, series
+from qtheta import identities, jets, modular, series
 from qtheta import (
     CyclotomicNumber,
     HalfSumSpec,
@@ -44,7 +44,8 @@ from qtheta.modular import ThetaPoint
 
 
 def _record_series_div(monkeypatch) -> list:
-    """(numerator, divisor) of every series division, in call order."""
+    """(numerator, divisor) of every series division, in call order, in
+    each module that binds _series_div."""
     pairs = []
     real = series._series_div
 
@@ -52,7 +53,8 @@ def _record_series_div(monkeypatch) -> list:
         pairs.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(series, "_series_div", recording)
+    for module in (series, jets):
+        monkeypatch.setattr(module, "_series_div", recording)
     return pairs
 
 
@@ -533,22 +535,13 @@ class TestVerifyMeq1:
 class TestSecondDerivatives:
     @pytest.mark.parametrize("k", [3, 7])
     def test_no_series_inverted_and_no_lead_twice(self, monkeypatch, k):
-        # (log theta)'' is slot 1 of the jet's log_dz, so no series is
-        # divided, and every jet quotient is one long division over its
-        # slots: log_dz of the jet at 0 (d2-origin), log_dz and T_of_log's
-        # q-part of the jet in q^k at 0 (T-scaled), and the same two for
-        # each of the ratio's numerator and denominator jets (d2-ratio and
-        # T-ratio share them): 1 + 2 + 2 + 2; every lead here is rational
-        # (the theta series at 0 and -pi/2), so each of the four divisors
-        # inverts a one-lane rational lead, once
+        # every part compares its sides multiplied out by the divisor, so
+        # lem22 divides no jet and no series, and inverts no lead
         pairs = _record_series_div(monkeypatch)
         divs = _record_jet_divisions(monkeypatch)
         inverses = _record_inverses(monkeypatch)
         assert all(r.passed for r in verify_second_derivatives(k, 20))
-        assert pairs == []
-        assert len(divs) == 7
-        assert len(inverses) == len({id(b.slot(0)) for _, b, _ in divs}) == 4
-        assert all(len(v) == 1 for _, v, _ in inverses)
+        assert pairs == [] and divs == [] and inverses == []
 
     def test_k1_degenerate(self):
         reports = verify_second_derivatives(1, 30)
@@ -563,30 +556,37 @@ class TestSecondDerivatives:
         assert parts == {"d2-origin", "d2-ratio", "T-scaled", "T-ratio"}
 
     def test_margin_covers_large_k(self, monkeypatch):
-        # the ratio and T-scaled parts divide by series of total valuation
-        # k/8, which passed the old fixed margin of 3 at k = 25
+        # each part builds its jets at order + v, v the valuation it
+        # multiplies by (1/8 at 0, k/8 in q^k and for the ratio jets):
+        # every part passes up to k = 40, and with every jet built 1/8
+        # short every part raises PrecisionError, never passes below its
+        # order
         for k in range(25, 41):
             reports = verify_second_derivatives(k, 30)
             assert all(r.passed for r in reports), (k, [r.note for r in reports])
-        margin = identities._lem22_margin
-        monkeypatch.setattr(identities, "_lem22_margin", lambda k: margin(k) - 1)
-        for k in (25, 32, 33, 40):
-            reports = {r.params["part"]: r for r in verify_second_derivatives(k, 30)}
-            assert reports["d2-origin"].passed  # it loses only 1/8
-            for part in ("d2-ratio", "T-scaled", "T-ratio"):
-                assert reports[part].note.startswith("PrecisionError: "), (k, part)
+        real = identities.theta2_jet
+        monkeypatch.setattr(identities, "theta2_jet", lambda pt, degree, order:
+                            real(pt, degree, order - Fraction(1, 8)))
+        for k in (1, 8, 9, 16, 17, 25, 32, 33, 40):
+            for r in verify_second_derivatives(k, 30):
+                assert r.note.startswith("PrecisionError: "), (k, r.params["part"])
 
-    @pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
-    def test_margin_is_ceil_k_over_8(self, monkeypatch, k):
-        # ceil(k/8) suffices and one less does not: the ratio parts and
-        # T-scaled lose k/8 to their divisions
-        assert identities._lem22_margin(k) == -(-k // 8)
-        assert all(r.passed for r in verify_second_derivatives(k, 30))
-        margin = identities._lem22_margin
-        monkeypatch.setattr(identities, "_lem22_margin", lambda k: margin(k) - 1)
-        reports = {r.params["part"]: r for r in verify_second_derivatives(k, 30)}
-        for part in ("d2-ratio", "T-scaled", "T-ratio"):
-            assert reports[part].note.startswith("PrecisionError: "), (k, part)
+    def test_nonzero_slot_one_raises(self, monkeypatch):
+        # the parts read slots 0 and 2 of jets even in z: a jet whose
+        # slot 1 is not the zero series fails the parts that read it
+        real = identities.theta2_jet
+
+        def odd_part(pt, degree, order):
+            f = real(pt, degree, order)
+            cs = list(f.coeffs)
+            j = 2 if pt.num else 1  # slot 1 after the ratio's shift_zero(1)
+            cs[j] = cs[j] + QExpansion.monomial(1, 2, order)
+            return ZJet(cs)
+
+        monkeypatch.setattr(identities, "theta2_jet", odd_part)
+        for r in verify_second_derivatives(3, 20):
+            assert r.status == "fail"
+            assert r.note.startswith("ValueError: slot 1 of an even jet is nonzero")
 
     @staticmethod
     def _log_d2_chain(jet):
@@ -597,17 +597,44 @@ class TestSecondDerivatives:
 
     def test_log_dz_slot_one_is_the_series_chain(self):
         # lem22's origin jet and the numerator and denominator jets of its
-        # ratio, built as verify_second_derivatives builds them
+        # ratio, built as verify_second_derivatives builds them: slot 1 of
+        # each jet's log_dz is the series-division chain, and each side
+        # that lem22 compares multiplied out is that chain times the
+        # divisor, where the quotient is certified, below order + v
         order = 40
         for k in range(1, 13):
-            nw = order + identities._lem22_margin(k)
-            origin = theta2_jet(ThetaPoint(0, 1), 2, nw)
-            nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, nw).scale_z(k).shift_zero(1)
-            dj = theta2_jet(ThetaPoint(-1, 2), 3, nw).shift_zero(1)
+            eighth = Fraction(1, 8)
+            origin = theta2_jet(ThetaPoint(0, 1), 2, order + eighth)
+            scaled = theta2_jet(ThetaPoint(0, 1, q_power=k), 2,
+                                order + k * eighth).scale_z(k)
+            p = order + k * eighth
+            nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, p).scale_z(k).shift_zero(1)
+            dj = theta2_jet(ThetaPoint(-1, 2), 3, p).shift_zero(1)
             for jet in (origin, nj, dj):
-                got = jet.log_dz().slot(1)
-                assert got.precision >= order
-                assert got == self._log_d2_chain(jet), k
+                assert jet.log_dz().slot(1) == self._log_d2_chain(jet), k
+            n0, n2, d0, d2 = nj.slot(0), nj.slot(2), dj.slot(0), dj.slot(2)
+
+            def t_chain(f):
+                # slot 0 of T(log f): -8 (q d/dq f0)/f0 - (log f)''
+                return f.slot(0).q_ddq() / f.slot(0) * -8 - self._log_d2_chain(f)
+
+            def t_side(f0, f2):
+                return f0.q_ddq() * -8 - f2 * 2
+
+            nd = n0 * d0
+            sides = [
+                (origin.slot(2) * 2, self._log_d2_chain(origin), origin.slot(0)),
+                (t_side(scaled.slot(0), scaled.slot(2)), t_chain(scaled),
+                 scaled.slot(0)),
+                ((n2 * d0 - d2 * n0) * 2,
+                 self._log_d2_chain(nj) - self._log_d2_chain(dj), nd),
+                (t_side(n0, n2) * d0 - t_side(d0, d2) * n0,
+                 t_chain(nj) - t_chain(dj), nd),
+            ]
+            for side, chain, den in sides:
+                assert chain.precision >= order, k
+                top = order + den.base
+                assert compare(side, chain * den, top) is None, k
 
     def test_raising_part_fails_alone(self, monkeypatch):
         real = identities.theta2_jet
@@ -832,13 +859,16 @@ class TestFullSuite:
                       ("theorem", "lemd", "lem2", "meq1", "lem22", "tan-sum")}
 
     def test_no_verifier_divides_a_series(self, monkeypatch):
-        # every eta side is one Euler product and (log theta)'' is read
-        # from a jet's log_dz, so only jet divisions remain
+        # every eta side is one Euler product, meq1 reads the product form
+        # and lem22 compares its sides multiplied out, so over every
+        # identity (the sweep of tests/test_fault_matrix.py) no jet or
+        # series is divided and no lead is inverted
         pairs = _record_series_div(monkeypatch)
-        jobs = enumerate_jobs(2, 8, (0, 1), 40, 4, frozenset({"all"}))
-        reports = run_jobs(jobs)
-        assert reports and all(r.passed for r in reports)
-        assert pairs == []
+        divs = _record_jet_divisions(monkeypatch)
+        inverses = _record_inverses(monkeypatch)
+        reports = run_jobs(enumerate_jobs(2, 8, (0, 1), 30, 4, frozenset({"all"})))
+        assert len(reports) == 169 and all(r.passed for r in reports)
+        assert len(pairs) == len(divs) == len(inverses) == 0
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_raising_job_becomes_fail_report(self, parallelism):

@@ -14,7 +14,7 @@ from qtheta import (
     compare,
     compare_jets,
 )
-from qtheta import series
+from qtheta import jets, series
 from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.modular import theta2_jet
 
@@ -215,10 +215,10 @@ class TestTOfLog:
     @pytest.mark.parametrize("J", [2, 4, 5])
     def test_two_divisions_by_f_one_lead_inverse(self, monkeypatch, J):
         # f'/f to degree J-1 and slot 0 of (q d/dq f)/f: two jet divisions
-        # by f, each one long division over all its slots, with no series
-        # division per slot and no series inverted on its own; the lead of
-        # f (an irrational at pi/10) is inverted once, in f's own field, and
-        # the second division reads the inverse cached on f's constant slot
+        # by f, each one series division by f_0 per slot, J + 1 in all,
+        # counted in every module that binds _series_div; the lead of f
+        # (an irrational at pi/10) is inverted once, in f's own field, and
+        # every later division reads the inverse cached on f_0
         divs, inverses, pairs = [], [], []
         div, inverse, series_div = ZJet.div, _Ctx.inverse, series._series_div
 
@@ -236,26 +236,25 @@ class TestTOfLog:
 
         monkeypatch.setattr(ZJet, "div", recording_div)
         monkeypatch.setattr(_Ctx, "inverse", recording_inverse)
-        monkeypatch.setattr(series, "_series_div", recording_series_div)
+        for module in (series, jets):
+            monkeypatch.setattr(module, "_series_div", recording_series_div)
         f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
         T_of_log(f)
         assert [b for _, b in divs] == [f, f]
         assert sorted(a.degree for a, _ in divs) == [0, J - 1]
         assert all(a.slot(0) != QExpansion.one(a.slot(0).precision) for a, _ in divs)
-        assert pairs == []
         f0 = f.slot(0)
+        assert len(pairs) == J + 1 and all(b is f0 for _, b in pairs)
         assert inverses == [(f0._ctx, f0._vecs[0])] and any(f0._vecs[0][1:])
 
     def test_degree_requirement(self):
         with pytest.raises(ValueError):
             T_of_log(ZJet([C(1), C(1)]))
 
-    def test_log_dz_is_computed_once(self):
+    def test_log_dz_times_f_is_d_dz(self):
         rng = random.Random(24)
         f = _rand_jet(rng, 4, unit=True)
-        r = f.log_dz()
-        assert f.log_dz() is r
-        assert compare_jets(r * f, f.d_dz(), 12) is None
+        assert compare_jets(f.log_dz() * f, f.d_dz(), 12) is None
 
 
 class TestScaleZ:

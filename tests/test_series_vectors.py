@@ -408,9 +408,11 @@ def test_jet_division_branches_match_slot_by_slot_reference(name, monkeypatch):
     monkeypatch.setattr(_Ctx, "product_lane", recording)
     q = _check_jet_quotient(*_jet_division_case(name))
     if name == "growth-and-widening":
-        # the lane is sized once and widened more often than a slot starts,
-        # so some slot widens past its first step; 1/sqrt 2^30 needs 2^15
-        assert len(lanes) > q.degree + 2
+        # each slot's series division sizes its lane at its first step, and
+        # each slot past the first sizes one for its sum of products: more
+        # lanes than that are some division widening past its first step;
+        # 1/sqrt 2^30 needs 2^15
+        assert len(lanes) > 2 * q.degree + 1
         assert all(s._den % 2 ** 15 == 0 for s in q.coeffs)
 
 
