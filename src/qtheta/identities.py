@@ -504,11 +504,12 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     X - rhs a_0 = q^v u (X/a_0 - rhs) vanishes below q^(order + v) exactly
     when X/a_0 - rhs vanishes below q^order.
 
-    Each jet is built to the precision its part needs and no more: a
-    product's precision is the least of each factor's plus the other's
-    valuation, so the jets at 0 need order + v, and the ratio jets, each
-    multiplied by the other, whose valuation is at least 1/8,
-    order + k/8.  A jet built short makes its part raise PrecisionError,
+    Each jet is built to the precision its part needs and no more: order
+    plus its own valuation.  A product's precision is the least of each
+    factor's plus the other's valuation, and each ratio part multiplies a
+    slot of nj (valuation k/8) by one of dj (valuation 1/8), so a product
+    certifies order + (k+1)/8 from nj at order + k/8 and dj at
+    order + 1/8.  A jet built short makes its part raise PrecisionError,
     never pass below its order.
     """
     if k < 1:
@@ -537,9 +538,9 @@ def verify_second_derivatives(k: int, order) -> list[VerificationReport]:
     def ratio_jets():
         # slots 0 and 2 of the numerator and denominator jets of the ratio,
         # and n_0 d_0, which both ratio parts share
-        p = order + Fraction(k, 8)
-        nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, p).scale_z(k).shift_zero(1)
-        dj = theta2_jet(ThetaPoint(-1, 2), 3, p).shift_zero(1)
+        nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, order + Fraction(k, 8))
+        nj = nj.scale_z(k).shift_zero(1)
+        dj = theta2_jet(ThetaPoint(-1, 2), 3, order + Fraction(1, 8)).shift_zero(1)
         (n0, n2), (d0, d2) = even(nj), even(dj)
         return n0, n2, d0, d2, n0 * d0
 

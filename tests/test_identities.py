@@ -556,20 +556,30 @@ class TestSecondDerivatives:
         assert parts == {"d2-origin", "d2-ratio", "T-scaled", "T-ratio"}
 
     def test_margin_covers_large_k(self, monkeypatch):
-        # each part builds its jets at order + v, v the valuation it
-        # multiplies by (1/8 at 0, k/8 in q^k and for the ratio jets):
-        # every part passes up to k = 40, and with every jet built 1/8
-        # short every part raises PrecisionError, never passes below its
-        # order
+        # each jet is built at order plus its own valuation (1/8 in q,
+        # k/8 in q^k): every part passes up to k = 40, and a jet built 1/8
+        # short makes each part that reads it raise PrecisionError, never
+        # pass below its order
         for k in range(25, 41):
             reports = verify_second_derivatives(k, 30)
             assert all(r.passed for r in reports), (k, [r.note for r in reports])
         real = identities.theta2_jet
-        monkeypatch.setattr(identities, "theta2_jet", lambda pt, degree, order:
-                            real(pt, degree, order - Fraction(1, 8)))
         for k in (1, 8, 9, 16, 17, 25, 32, 33, 40):
-            for r in verify_second_derivatives(k, 30):
-                assert r.note.startswith("PrecisionError: "), (k, r.params["part"])
+            readers = {}
+            for pt, parts in ((ThetaPoint(0, 1), {"d2-origin"}),
+                              (ThetaPoint(0, 1, q_power=k), {"T-scaled"}),
+                              (ThetaPoint(-1, 2, q_power=k), {"d2-ratio", "T-ratio"}),
+                              (ThetaPoint(-1, 2), {"d2-ratio", "T-ratio"})):
+                readers[pt] = readers.get(pt, set()) | parts
+            for short, parts in readers.items():
+                monkeypatch.setattr(identities, "theta2_jet", lambda pt, degree, order:
+                                    real(pt, degree, order - Fraction(pt == short, 8)))
+                for r in verify_second_derivatives(k, 30):
+                    part = r.params["part"]
+                    if part in parts:
+                        assert r.note.startswith("PrecisionError: "), (k, short, part)
+                    else:
+                        assert r.passed, (k, short, part)
 
     def test_nonzero_slot_one_raises(self, monkeypatch):
         # the parts read slots 0 and 2 of jets even in z: a jet whose
@@ -607,9 +617,9 @@ class TestSecondDerivatives:
             origin = theta2_jet(ThetaPoint(0, 1), 2, order + eighth)
             scaled = theta2_jet(ThetaPoint(0, 1, q_power=k), 2,
                                 order + k * eighth).scale_z(k)
-            p = order + k * eighth
-            nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3, p).scale_z(k).shift_zero(1)
-            dj = theta2_jet(ThetaPoint(-1, 2), 3, p).shift_zero(1)
+            nj = theta2_jet(ThetaPoint(-1, 2, q_power=k), 3,
+                            order + k * eighth).scale_z(k).shift_zero(1)
+            dj = theta2_jet(ThetaPoint(-1, 2), 3, order + eighth).shift_zero(1)
             for jet in (origin, nj, dj):
                 assert jet.log_dz().slot(1) == self._log_d2_chain(jet), k
             n0, n2, d0, d2 = nj.slot(0), nj.slot(2), dj.slot(0), dj.slot(2)
