@@ -548,11 +548,12 @@ def _series_mul(terms) -> QExpansion:
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     """a / b by long division on packed vectors; b must be nonzero.
 
-    The quotient has the base a.base - b.base (its lead is a's over b's)
-    and the precision min(a.precision - b.base, b.precision + a.base -
-    2 b.base): b certifies b.precision - b.base exponents past its lead,
-    and a a.precision less the first quotient exponent.  A zero a, whose
-    base is its precision, gives the zero series at that precision.
+    The quotient has the base a.base - b.base (its lead is a's lead over
+    b's) and the precision min(a.precision - b.base, b.precision + a.base
+    - 2 b.base): an unknown term q^p of a changes a/b from q^(p - b.base)
+    on, and one of b, a/(b + q^p) - a/b = -a q^p / b (b + q^p), from
+    q^(p + a.base - 2 b.base) on.  A zero a, whose base is its
+    precision, gives the zero series at that precision.
 
     The division works in the one field of a and b, over theta for real
     series, with each put over it as a sum puts it (_join).  A vector L of
@@ -644,8 +645,7 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
 def _folded(s: QExpansion, L, ctx):
     """(the vectors of s times L, their largest entry), for an integer
     vector L.  A one-lane L, a rational lead's sign, scales the vectors as
-    they are: a product by it cost the benchmark's jet-sweep about 2 % of
-    its wall time."""
+    they are, with no field product."""
     if len(L) == 1:
         vecs = _scaled(s._vecs, L[0])
     else:
