@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 from fractions import Fraction
@@ -580,6 +581,33 @@ class TestSecondDerivatives:
                         assert r.note.startswith("PrecisionError: "), (k, short, part)
                     else:
                         assert r.passed, (k, short, part)
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
+    def test_margin_is_ceil_k_over_8(self, monkeypatch, k):
+        # the jets in q^k are built k/8 over order and the others 1/8, so
+        # ceil(k/8) is the least whole margin that covers every jet: jets
+        # built at order + ceil(k/8) pass, and the jets in q^k built 1/8
+        # short make the ratio parts and T-scaled raise PrecisionError
+        real = identities.theta2_jet
+        extras = set()
+
+        def recording(pt, degree, order):
+            extras.add(order - 30)
+            return real(pt, degree, order)
+
+        monkeypatch.setattr(identities, "theta2_jet", recording)
+        assert all(r.passed for r in verify_second_derivatives(k, 30))
+        assert extras == {Fraction(1, 8), Fraction(k, 8)}
+        assert math.ceil(max(extras)) == -(-k // 8)
+        monkeypatch.setattr(identities, "theta2_jet", lambda pt, degree, order:
+                            real(pt, degree, 30 + -(-k // 8)))
+        assert all(r.passed for r in verify_second_derivatives(k, 30))
+        monkeypatch.setattr(identities, "theta2_jet", lambda pt, degree, order:
+                            real(pt, degree,
+                                 order - Fraction(pt.q_power == k, 8)))
+        reports = {r.params["part"]: r for r in verify_second_derivatives(k, 30)}
+        for part in ("d2-ratio", "T-scaled", "T-ratio"):
+            assert reports[part].note.startswith("PrecisionError: "), (k, part)
 
     def test_nonzero_slot_one_raises(self, monkeypatch):
         # the parts read slots 0 and 2 of jets even in z: a jet whose
