@@ -174,13 +174,14 @@ def T_of_log(f: ZJet) -> ZJet:
     """Slot 0 of the heat-type operator -8 q d/dq - d^2/dz^2 applied to
     log f, as a jet of degree 0, for f of degree J >= 2 (f a unit jet).
 
-    Computed without any logarithm as -8 h_0 - g_1, with g = f'/f
-    (f.log_dz, J series divisions by f_0) and h_0 = (q d/dq f_0)/f_0, one
-    more: all J + 1 read the lead inverse cached on f_0.
+    Computed without any logarithm as -8 h_0 - g_1, with g = f'/f and
+    h_0 = (q d/dq f_0)/f_0.  Slot 1 of g reads only slots 0..2 of f, so g
+    is taken of f truncated to degree 2 (two series divisions by f_0),
+    and h_0 is one more: three for any J.
     """
     if f.degree < 2:
         raise ValueError("T_of_log needs jet degree >= 2")
-    g1 = f.log_dz().slot(1)
+    g1 = f.truncate(2).log_dz().slot(1)
     return ZJet([f.truncate(0).q_ddq().div(f).slot(0) * -8 - g1])
 
 

@@ -52,18 +52,19 @@ convolution, which is what pays for the packing; a single product of
 two field elements (CyclotomicNumber __mul__, or a series times a field
 element) is schoolbook.
 
-Division is long division on the same packed vectors, and no series is
+Division is plain long division on the field vectors, and no series is
 ever inverted on its own.  _series_div divides one series by another;
 a z-jet quotient is its slot recurrence, one _series_div per slot
-(jets.ZJet.div).  The inverse of the divisor's lead, one _Ctx.inverse in
-the lead's own field (over theta for a real one), computed once per
-series, is folded into the integer vectors of both operands once, which
-makes that lead a positive integer.  The quotient then follows the
-recurrence c_i = (a_i - sum_{j>=1} c_{i-j} b_j) / b_0 one coefficient at
-a time: each is one packed sum over the divisor's coefficients, reduced
-once and packed once for the later sums.  The quotient's coefficients
-share one common denominator, and the lanes widen only when growing
-quotients outrun their bound (the proof is in _series_div).
+(jets.ZJet.div).  The inverse of the divisor's lead, one _Ctx.inverse
+per division in the field of the two operands (over theta for real
+ones), is folded into the integer vectors of both once, which makes
+that lead a positive integer.  The quotient then follows the recurrence
+c_i = (a_i - sum_{j>=1} c_{i-j} b_j) / b_0 one coefficient at a time:
+each is one unreduced integer sum of vector convolutions over the
+divisor's coefficients, reduced once.  The quotient's coefficients
+share one common denominator (the proof is in _series_div).  No
+verifier divides, so division is not packed: it serves
+QExpansion.__truediv__, ZJet.div, T_of_log and the selftest.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _scaled(vecs, f: int):
 
 class QExpansion:
     __slots__ = ("base", "precision", "_ctx", "_vecs", "_den", "_amax",
-                 "_coeffs", "_lead_inv")
+                 "_coeffs")
 
     def __init__(self, base, coeffs, precision):
         ctx = _ctx(1)
@@ -184,7 +185,6 @@ class QExpansion:
         self._den = den
         self._amax = None
         self._coeffs = None
-        self._lead_inv = None
 
     @classmethod
     def _from_vectors(cls, ctx, base, vecs, den, precision):
@@ -207,16 +207,6 @@ class QExpansion:
         if self._amax is None:
             self._amax = _lane_max(self._vecs)
         return self._vecs, self._den, self._amax
-
-    def _lead_inverse(self) -> list[int]:
-        """An integer vector L of this series' field, with c L a positive
-        rational for the lead coefficient c: one _Ctx.inverse of c's
-        vector, computed once per series, and [+-1] for a rational c."""
-        if self._lead_inv is None:
-            if self.is_zero:
-                raise ZeroDivisionError("the zero series has no lead coefficient")
-            self._lead_inv = self._ctx.inverse(self._vecs[0])[0]
-        return self._lead_inv
 
     # -- constructors -------------------------------------------------
 
@@ -546,7 +536,7 @@ def _series_mul(terms) -> QExpansion:
 
 
 def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
-    """a / b by long division on packed vectors; b must be nonzero.
+    """a / b by long division on the field vectors; b must be nonzero.
 
     The quotient has the base a.base - b.base (its lead is a's lead over
     b's) and the precision min(a.precision - b.base, b.precision + a.base
@@ -557,41 +547,29 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
 
     The division works in the one field of a and b, over theta for real
     series, with each put over it as a sum puts it (_join).  A vector L of
-    b's field with lead(b) L a positive rational (one _Ctx.inverse,
-    computed once per series, QExpansion._lead_inverse; the one lane
-    [+-1] for a rational lead) is folded into the integer vectors once:
-    A = a L ad and B = b L bd, ad and bd the denominators of a and b.  The
-    lead of B is then a positive integer lam, and a / b = (bd/ad) A/B.
+    that field with lead(b) L a positive rational (one _Ctx.inverse; the
+    one lane [+-1] for a rational lead) is folded into the integer
+    vectors once: A = a L ad and B = b L bd, ad and bd the denominators
+    of a and b.  The lead of B is then a positive integer lam, and
+    a / b = (bd/ad) A/B.
 
     Coefficient i of A/B is C_i/E, over one common denominator E that
     grows as the division goes on, and the C are kept as integer vectors
     over the current E.  The textbook recurrence C B_0 = E A - sum_{j>=1}
     C_{i-j} B_j gives it one coefficient at a time: step i forms one
-    packed sum
+    unreduced integer sum
 
         E A_i - sum_{j in S, j <= i} C_{i-j} B_j,
 
-    S the nonzero coefficients of B past its lead, reduced once
-    (_Ctx.reduce_packed), which gives lam E times coefficient i.  When lam
-    does not divide that vector, E becomes f E for the least f that makes
-    f/lam times it integral (f divides lam, so this happens only for
-    lam > 1, as for a lead sqrt 2 or 3), and every C so far, vector and
-    packed value, is multiplied by f.  C_i is then packed once, for the
-    later sums.
-
-    Lanes: each of the 2D-1 lanes of a packed sum is at most
-    E amax + |S| D Cmax bmax, amax, bmax and Cmax the largest entries of
-    A, B and the C so far: each B_j meets one C.  _Ctx.product_lane(bound)
-    sizes the lane for D times E amax + |S| Cmax bmax, which is more.
-    Before each step the bound is checked against the one the lane was
-    sized for; when growing quotients outrun it, B and the C are packed
-    again from their vectors at a lane sized for 2**_HEADROOM times the
-    new bound.  Over Q (D = 1) the same path and bound serve: a one-lane
-    vector packs to itself, and reduce_packed unpacks the one lane of a
-    sum, which reduce returns as it is.  A rational series in a larger
-    field keeps its one-lane vectors: [x] packs to x in lane 0, and a sum
-    with it has no more lanes, and entries no larger, than the bound
-    allows for D-lane vectors.
+    S the nonzero coefficients of B past its lead, each product an
+    integer convolution, reduced once (_Ctx.reduce), which gives lam E
+    times coefficient i.  When lam does not divide that vector, E becomes
+    f E for the least f that makes f/lam times it integral (f divides
+    lam, so this happens only for lam > 1, as for a lead sqrt 2 or 3),
+    and every C so far is multiplied by f.  The fold reduces every vector
+    of A and B to the D lanes of the field, a rational one-lane vector
+    too, so each sum has the 2D-1 lanes of a product; over Q (D = 1) it
+    has one, which reduce returns as it is.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero series")
@@ -599,31 +577,23 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     prec = min(a.precision - b.base, b.precision + a.base - 2 * b.base)
     if a.is_zero:
         return QExpansion.zero(prec)
-    L = b._lead_inverse()
-    A, amax = _folded(a, L, ctx)
-    B, bmax = _folded(b, L, ctx)
+    L = ctx.inverse(b._vecs[0])[0]
+    A = [None if v is None else ctx.mul_vec(v, L) for v in a._vecs]
+    B = [None if v is None else ctx.mul_vec(v, L) for v in b._vecs]
     lam = B[0][0]
     S = [(j, v) for j, v in enumerate(B) if j and v is not None]
     n = min(math.ceil(a.precision - a.base), math.ceil(b.precision - b.base))
-    cs, pc = [None] * n, [0] * n
-    E, cmax, cap = 1, 0, -1
+    cs, E = [None] * n, 1
     for i in range(n):
-        bound = E * amax + len(S) * cmax * bmax
-        if bound > cap:
-            cap = bound << _HEADROOM
-            lane = ctx.product_lane(cap)
-            pb = [(j, pack_signed(v, lane)) for j, v in S]
-            pc = [0 if v is None else pack_signed(v, lane) for v in cs]
-        x = 0 if i >= len(A) or A[i] is None else E * pack_signed(A[i], lane)
-        for j, y in pb:
+        x = [0] * (2 * ctx.D - 1)
+        if i < len(A) and A[i] is not None:
+            K.scaled_add(x, A[i], E)
+        for j, y in S:
             if j > i:
                 break
-            c = pc[i - j]
-            if c:
-                x -= c * y
-        if not x:
-            continue
-        w = ctx.reduce_packed(x, lane)
+            if cs[i - j] is not None:
+                K.scaled_add(x, K.convolve(cs[i - j], y), -1)
+        w = ctx.reduce(x)
         if not any(w):
             continue
         # coefficient i is w/(lam E): E grows by the least f with f w/lam
@@ -631,31 +601,10 @@ def _series_div(a: QExpansion, b: QExpansion) -> QExpansion:
         f = lam // math.gcd(lam, *w)
         if f > 1:
             E *= f
-            cmax *= f
             cs = _scaled(cs, f)
-            pc = [f * y for y in pc]
-        w = [y * f // lam for y in w]
-        cmax = max(cmax, max(w), -min(w))
-        cs[i] = w
-        pc[i] = pack_signed(w, lane)
+        cs[i] = [y * f // lam for y in w]
     return QExpansion._from_vectors(ctx, a.base - b.base, _scaled(cs, b._den),
                                     E * a._den, prec)
-
-
-def _folded(s: QExpansion, L, ctx):
-    """(the vectors of s times L, their largest entry), for an integer
-    vector L.  A one-lane L, a rational lead's sign, scales the vectors as
-    they are, with no field product."""
-    if len(L) == 1:
-        vecs = _scaled(s._vecs, L[0])
-    else:
-        vecs = [None if v is None else ctx.mul_vec(v, L) for v in s._vecs]
-    return vecs, _lane_max(vecs)
-
-
-# Bits of slack a packed division lane keeps above its current bound, so
-# that quotients whose entries grow are repacked only now and then.
-_HEADROOM = 16
 
 
 # -- named operations ----------------------------------------------------

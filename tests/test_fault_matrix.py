@@ -4,8 +4,10 @@ of one small sweep per identity, pinned as one table.
 
 A row of zeros is a layer fault that no identity catches: series
 division and T_of_log, which no verifier reads (meq1 takes the product
-form, lem22 compares its sides multiplied out); the selftest's division
-round trips catch the first.  A change that moves a fault's catchers
+form, lem22 compares its sides multiplied out), and an inverse off by a
+rational factor, which division folds into both of its operands.  The
+selftest's division round trips catch the first; only the inverse
+contract tests of tests/test_cyclotomic.py catch the last.  A change that moves a fault's catchers
 changes its row here, and README's fault table shows MATRIX as it is
 (test_readme_table_is_the_matrix).
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from qtheta import identities, jets, modular, series
+from qtheta import _kernels, cyclotomic, identities, jets, modular, series
 from qtheta.identities import enumerate_jobs, run_jobs
 from qtheta.jets import ZJet
 from qtheta.selftest import run_selftest
@@ -37,6 +39,46 @@ def _series_div(monkeypatch):
     def fault(real):
         return lambda a, b: real(a, b) + 1
     _patch(monkeypatch, (series, jets), "_series_div", fault)
+
+
+def _split_low(monkeypatch):
+    # the high lanes negated
+    def fault(real):
+        def negated(x, b, d):
+            low, high = real(x, b, d)
+            return low, -high
+        return negated
+    _patch(monkeypatch, (modular,), "split_low", fault)
+
+
+def _convolve_trunc(monkeypatch):
+    # a square (b is a) without its diagonal a_i^2
+    def fault(real):
+        def off_diagonal(a, b, n):
+            out = real(a, b, n)
+            if b is a:
+                for i, x in enumerate(a[:(n + 1) // 2]):
+                    out[2 * i] -= x * x
+            return out
+        return off_diagonal
+    _patch(monkeypatch, (_kernels,), "convolve_trunc", fault)
+
+
+def _theta_terms(monkeypatch):
+    # the last term dropped
+    def fault(real):
+        return lambda pt, room: list(real(pt, room))[:-1]
+    _patch(monkeypatch, (modular,), "_theta_terms", fault)
+
+
+def _inverse(monkeypatch):
+    # (2L, n): twice the inverse
+    def fault(real):
+        def doubled(self, vec):
+            L, n = real(self, vec)
+            return [2 * x for x in L], n
+        return doubled
+    _patch(monkeypatch, (cyclotomic._Ctx,), "inverse", fault)
 
 
 def _t_of_log(monkeypatch):
@@ -118,6 +160,10 @@ MATRIX = {
     "modular.root_product": (0, 0, 14, 0, 0, 0, 0, 0),
     "modular.eta_quotient": (0, 0, 14, 0, 0, 2, 0, 0),
     "modular.halfprod_constant": (0, 0, 14, 0, 0, 0, 0, 0),
+    "_pack.split_low": (0, 0, 14, 0, 0, 0, 0, 0),
+    "_kernels.convolve_trunc": (0, 0, 0, 33, 0, 0, 0, 1),
+    "modular._theta_terms": (0, 56, 14, 0, 28, 2, 0, 0),
+    "cyclotomic._Ctx.inverse": (0, 0, 0, 0, 0, 0, 0, 0),
 }
 FAULTS = {
     "series._series_div": _series_div,
@@ -128,6 +174,10 @@ FAULTS = {
     "modular.root_product": _root_product,
     "modular.eta_quotient": _eta_quotient,
     "modular.halfprod_constant": _halfprod_constant,
+    "_pack.split_low": _split_low,
+    "_kernels.convolve_trunc": _convolve_trunc,
+    "modular._theta_terms": _theta_terms,
+    "cyclotomic._Ctx.inverse": _inverse,
 }
 
 

@@ -213,18 +213,19 @@ class TestTOfLog:
                 _same_jet(got, ref.truncate(0))
 
     @pytest.mark.parametrize("J", [2, 4, 5])
-    def test_two_divisions_by_f_one_lead_inverse(self, monkeypatch, J):
-        # f'/f to degree J-1 and slot 0 of (q d/dq f)/f: two jet divisions
-        # by f, each one series division by f_0 per slot, J + 1 in all,
-        # counted in every module that binds _series_div; the lead of f
-        # (an irrational at pi/10) is inverted once, in f's own field, and
-        # every later division reads the inverse cached on f_0
+    def test_three_divisions_by_f0(self, monkeypatch, J):
+        # slot 1 of f'/f, from f truncated to degree 2, and slot 0 of
+        # (q d/dq f)/f: two jet divisions, each one series division by f_0
+        # per slot, 3 in all for any J, counted in every module that binds
+        # _series_div; each inverts the lead of f (an irrational at pi/10)
+        # in f's own field
         divs, inverses, pairs = [], [], []
         div, inverse, series_div = ZJet.div, _Ctx.inverse, series._series_div
 
         def recording_div(self, other):
-            divs.append((self, other))
-            return div(self, other)
+            q = div(self, other)
+            divs.append((self, other, q))
+            return q
 
         def recording_inverse(self, vec):
             inverses.append((self, vec))
@@ -240,12 +241,13 @@ class TestTOfLog:
             monkeypatch.setattr(module, "_series_div", recording_series_div)
         f = theta2_jet(ThetaPoint(1, 10), J, Fraction(16) + Fraction(1, 8))
         T_of_log(f)
-        assert [b for _, b in divs] == [f, f]
-        assert sorted(a.degree for a, _ in divs) == [0, J - 1]
-        assert all(a.slot(0) != QExpansion.one(a.slot(0).precision) for a, _ in divs)
+        assert [b.coeffs for _, b, _ in divs] == [f.coeffs[:3], f.coeffs]
+        assert divs[1][1] is f
+        assert [q.degree for _, _, q in divs] == [1, 0]
+        assert all(a.slot(0) != QExpansion.one(a.slot(0).precision) for a, _, _ in divs)
         f0 = f.slot(0)
-        assert len(pairs) == J + 1 and all(b is f0 for _, b in pairs)
-        assert inverses == [(f0._ctx, f0._vecs[0])] and any(f0._vecs[0][1:])
+        assert len(pairs) == 3 and all(b is f0 for _, b in pairs)
+        assert inverses == [(f0._ctx, f0._vecs[0])] * 3 and any(f0._vecs[0][1:])
 
     def test_degree_requirement(self):
         with pytest.raises(ValueError):

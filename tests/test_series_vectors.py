@@ -23,6 +23,7 @@ from qtheta import (
     embed_conductor,
     root_of_unity,
 )
+from qtheta import series
 from qtheta.cyclotomic import _Ctx, _ctx
 from qtheta.modular import theta2_jet
 from qtheta.series import _series_div, _series_mul
@@ -231,7 +232,7 @@ def _division_case(name):
     """The operands (a, b) of the named case of _DIVISION_CASES, built when
     its test runs, so that a fault in division fails that case alone."""
     if name == "dense-rational":
-        # the dense rational quotient slot the T-ratio part of lem22 divides by
+        # a dense rational divisor: slot 0 of a quotient of two theta jets
         nj = theta2_jet(ThetaPoint(-1, 2, q_power=3), 3, 24).scale_z(3).shift_zero(1)
         ratio = nj.div(theta2_jet(ThetaPoint(-1, 2), 3, 24).shift_zero(1))
         return ratio.slot(2), ratio.slot(0)
@@ -243,7 +244,7 @@ def _division_case(name):
     sqrt2 = z8 + z8 ** 7
     z12 = root_of_unity(12, 1)
     return {
-        # entries of 7^79 z^79: the lanes widen on the way to 222 bits
+        # entries of 7^79 z^79: the quotient's entries reach 222 bits
         "widening": (QExpansion(0, [1 + z8 ** 3], 80),
                      QExpansion(0, [1, -7 * z8], 80)),
         # sqrt 2 = z + z^7 is no unit: the quotient denominator grows
@@ -265,6 +266,26 @@ def test_division_branches_match_schoolbook(name):
         assert max(abs(x) for v in q._vecs for x in v).bit_length() >= 222
     if name == "growing-denominator":
         assert q._den.bit_length() > 100
+
+
+def test_series_division_packs_nothing(monkeypatch):
+    # a division is plain integer sums of field vectors, each reduced once:
+    # no packed lanes, even for a lead sqrt 2 over Q(zeta_8), which grows
+    # the quotient's denominator
+    calls = []
+
+    def recording(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(series, "pack_signed", recording("pack_signed", series.pack_signed))
+    for name in ("product_lane", "reduce_packed"):
+        monkeypatch.setattr(_Ctx, name, recording(name, getattr(_Ctx, name)))
+    a, b = _division_case("sqrt2-lead")
+    _ref(a).div(_ref(b)).check(_series_div(a, b))
+    assert calls == []
 
 
 def _jet_ref(a, b):
@@ -298,7 +319,7 @@ def jet_division_pair(draw):
     quotient exercises every branch of the long division: a divisor lead
     that is no unit (sqrt 2, 1 + i, 3/2, or dense of large norm), so that
     the quotient denominator grows; in long slots a second divisor
-    coefficient with a factor 7, so that the lanes widen in the middle of
+    coefficient with a factor 7, so that the entries grow in the middle of
     a slot; zero slots, rational slots inside a cyclotomic jet, and
     fractional slot bases that differ from slot to slot (in one base
     class per jet)."""
@@ -359,8 +380,8 @@ def _jet_division_case(name):
     r8 = Fraction(1, 8)
     return {
         # lead sqrt 2: the denominator of the quotient grows at most steps,
-        # and the factor 7 widens the lanes again and again, within slots
-        # whose earlier coefficients are still being read
+        # and the factor 7 makes the entries grow at every step, within
+        # slots whose earlier coefficients are still being read
         "growth-and-widening": (
             ZJet([QExpansion(0, [1, z8], 30), QExpansion(0, [z8 ** 3, 0, 2], 30),
                   QExpansion(1, [Fraction(1, 3), z8], 30)]),
@@ -384,7 +405,7 @@ def _jet_division_case(name):
             ZJet([QExpansion(0, [1 + i, 1], 16), QExpansion(0, [2, 0, 1], 16),
                   QExpansion.zero(16), QExpansion(0, [0, i], 16)])),
         # a dense lead of large norm over Q(zeta_20): the denominator jumps
-        # by a large factor while the rest of a numerator waits, packed
+        # by a large factor while the rest of a numerator waits
         "large-norm-lead": (
             ZJet([QExpansion(0, [1, z20, z20 ** 3], 12), QExpansion(0, [z20 ** 2], 12)]),
             ZJet([QExpansion(0, [2 + Fraction(2, 3) * z20 + z20 ** 4 - z20 ** 5
@@ -397,22 +418,10 @@ def _jet_division_case(name):
 
 
 @pytest.mark.parametrize("name", _JET_DIVISION_CASES)
-def test_jet_division_branches_match_slot_by_slot_reference(name, monkeypatch):
-    lanes = []
-    real = _Ctx.product_lane
-
-    def recording(self, *args):
-        lanes.append(real(self, *args))
-        return lanes[-1]
-
-    monkeypatch.setattr(_Ctx, "product_lane", recording)
+def test_jet_division_branches_match_slot_by_slot_reference(name):
     q = _check_jet_quotient(*_jet_division_case(name))
     if name == "growth-and-widening":
-        # each slot's series division sizes its lane at its first step, and
-        # each slot past the first sizes one for its sum of products: more
-        # lanes than that are some division widening past its first step;
         # 1/sqrt 2^30 needs 2^15
-        assert len(lanes) > 2 * q.degree + 1
         assert all(s._den % 2 ** 15 == 0 for s in q.coeffs)
 
 
